@@ -40,9 +40,10 @@ overrides the session's engine for that flow only.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, Optional, Sequence
+import os
+from typing import Any, Dict, Iterator, Optional, Sequence, Union
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CacheError
 
 __all__ = ["Session"]
 
@@ -67,13 +68,17 @@ class Session:
 
     def __init__(
         self,
-        cache: Optional[str] = None,
+        cache: Optional[Union[str, "os.PathLike[str]"]] = None,
         engine: Optional[str] = None,
         workers: Optional[int] = None,
         obs: bool = False,
     ) -> None:
         from repro.cache import store as cache_store
 
+        if cache is not None and not isinstance(cache, (str, os.PathLike)):
+            raise CacheError(
+                "Session cache must be a directory path (str or "
+                f"os.PathLike) or None, got {cache!r}")
         self.workers = workers
         self._closed = False
         self._cache = None
@@ -87,11 +92,9 @@ class Session:
         # global state behind.
         try:
             if cache is not None:
-                import os
-
                 already = cache_store.get_active_cache()
                 self._cache = cache_store.enable(
-                    os.path.expanduser(str(cache)))
+                    os.path.expanduser(os.fspath(cache)))
                 # Only deactivate on close if caching was off before us
                 # (or pointed elsewhere) — an outer session keeps its
                 # cache.

@@ -198,6 +198,23 @@ def engine_config_fingerprint() -> Dict[str, object]:
     }
 
 
+def jacobian_refresh(iteration, last_factor, max_dv, prev_max_dv):
+    """The modified-Newton LU refresh rule every Newton loop shares.
+
+    Refactorise on the first iteration of a ``solve()``, once the factors
+    are :data:`JACOBIAN_MAX_AGE` iterations old, or when the last update
+    stopped shrinking (``max_dv > 0.5 · prev_max_dv``).  ``last_factor``
+    is the iteration that last factorised; ``max_dv`` / ``prev_max_dv``
+    are the undamped update norms of the previous two iterations
+    (``inf`` before there are any).  Scalars give a ``bool``; per-sample
+    arrays (the batched ensemble) give a mask whose every element is the
+    decision a scalar call on that sample's values makes.
+    """
+    return ((iteration == 1)
+            | (iteration - last_factor >= JACOBIAN_MAX_AGE)
+            | (max_dv > 0.5 * prev_max_dv))
+
+
 def _gather(voltages: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Node voltages for an index array, ground (−1) reading as 0 V."""
     if voltages.size == 0:
@@ -703,7 +720,8 @@ class FastNewtonSolver:
     residual ``F(x) = A(x)·x − b(x)`` is refreshed, and the update solves
     ``A₀·δ = −F(x)`` against the frozen factorisation.  The factorisation
     is renewed automatically when the update stops shrinking (slow
-    convergence) or after :data:`JACOBIAN_MAX_AGE` iterations.
+    convergence) or after :data:`JACOBIAN_MAX_AGE` iterations
+    (:func:`jacobian_refresh`).
     """
 
     def __init__(self, workspace: MNAWorkspace, jacobian_reuse: bool = True,
@@ -772,21 +790,20 @@ class FastNewtonSolver:
         for iteration in range(1, max_iterations + 1):
             stats.iterations += 1
             ws.assemble(x, gmin=gmin, timing=timing)
-            stale = iteration - last_factor
-            refresh = (stale >= JACOBIAN_MAX_AGE
-                       or (stale >= 1 and max_dv > 0.5 * prev_max_dv))
+            fresh = jacobian_refresh(iteration, last_factor, max_dv,
+                                     prev_max_dv)
             try:
-                delta = self._delta(x, fresh=refresh or iteration == 1)
+                delta = self._delta(x, fresh=fresh)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"singular MNA matrix at gmin={gmin:g} "
                     f"(iteration {iteration})",
                     iterations=iteration,
                 ) from exc
-            if refresh or iteration == 1:
+            if fresh:
                 last_factor = iteration
             if not np.all(np.isfinite(delta)):
-                if iteration - last_factor > 0:
+                if not fresh:
                     # Stale factorisation went bad: refactor and retry once.
                     stats.singular_retries += 1
                     self._factorize()

@@ -6,19 +6,22 @@ scalar engines is dominated by Python-level work (stamp loops, Newton
 bookkeeping, one small LAPACK call per iteration) that is identical
 across samples.  This module advances **all N samples together**:
 
-* :class:`EnsembleWorkspace` stacks the N MNA systems into ``(N, s, s)``
-  / ``(N, s)`` arrays.  The static tier is stamped once (samples share
-  their linear sub-circuit when the device fingerprints agree, which
-  Monte-Carlo populations do) and the per-iteration tier is evaluated
-  with numpy over the sample axis: one vectorised EKV evaluation for all
-  transistors of all samples, one vectorised TMR/STT evaluation for all
-  junctions of all samples.
-* :class:`EnsembleNewtonSolver` performs the damped Newton update as a
-  single **block-diagonal batched solve** — ``numpy.linalg.solve`` over
-  the ``(N, s, s)`` stack — with per-sample damping and convergence
-  masks.  Samples that converge early are frozen at their accepted
-  iterate; the block-diagonal structure makes each sample's update
-  independent, so freezing cannot perturb the others.
+* :class:`EnsembleWorkspace` stacks the N dense MNA systems into
+  ``(N, s, s)`` / ``(N, s)`` arrays.  The static tier is stamped once
+  (samples share their linear sub-circuit when the device fingerprints
+  agree, which Monte-Carlo populations do) and the per-iteration tier is
+  evaluated with numpy over the sample axis: one vectorised EKV
+  evaluation for all transistors of all samples, one vectorised TMR/STT
+  evaluation for all junctions of all samples.  Every stamp is one
+  ``np.add.at`` over a precomputed, raveled (sample, slot) index.
+* :class:`EnsembleNewtonSolver` runs the fast engine's damped
+  **modified Newton per sample**: each sample keeps its own LU factors
+  (raw LAPACK ``getrf``/``getrs``, as bound in
+  :mod:`~repro.spice.analysis.engine`) and refreshes them under the
+  shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule,
+  evaluated per sample.  Damping, convergence and freezing are
+  per-sample masks; assembly and residuals are batched over the sample
+  axis.
 * :func:`run_ensemble_transient` drives the fixed-step loop and returns
   one ordinary :class:`~repro.spice.analysis.transient.TransientResult`
   per sample.  Per-timestep non-convergence first retries the failing
@@ -27,10 +30,11 @@ across samples.  This module advances **all N samples together**:
   call falls back to per-sample scalar transients, so robustness equals
   the scalar path's.
 
-Determinism: the result depends only on the list of circuits passed in —
-there is no worker count, scheduling, or RNG anywhere in the batched
-path — so chunked parallel evaluation over a fixed partition is
-bit-identical for any pool size (``tests/test_parallel.py``).
+Determinism: no decision reads another sample, so a sample's result is
+the same bits in any batch — chunk size included — and there is no
+worker count, scheduling, or RNG anywhere in the batched path: chunked
+parallel evaluation is bit-identical for any pool size and any chunk
+size of at least 2 (``tests/test_parallel.py``).
 
 Ensemble runs are not routed through the content-addressed result cache:
 the unit of caching is one circuit, and slicing N-sample batches into
@@ -59,7 +63,14 @@ from repro.spice.devices.base import Device, EvalContext
 from repro.spice.devices.mosfet import MOSFET
 from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.devices.passive import Capacitor
-from repro.spice.analysis.engine import SolverStats, _MOSFETGroup
+from repro.spice.analysis import engine as _engine
+from repro.spice.analysis.engine import (
+    _CLM_EPSILON,
+    SolverStats,
+    _MOSFETGroup,
+    _RHSView,
+    jacobian_refresh,
+)
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.analysis.sparse import structure_signature
 from repro.spice.analysis.dc import (
@@ -98,17 +109,64 @@ def _gather2(voltages: np.ndarray, clipped: np.ndarray,
     return voltages.take(clipped, axis=1) * mask
 
 
-class _IndexPlan:
-    """Precomputed flat scatter indices of a (row, col, sign) stamp set,
-    replicated across the sample axis at stamp time via the per-sample
-    flat offsets."""
+def _sample_major(count: int, stride: int, slots: np.ndarray) -> np.ndarray:
+    """Flat indices of per-sample ``slots`` in ``count`` stacked blocks of
+    ``stride`` entries, as the raveled (sample, slot) grid."""
+    return (np.arange(count, dtype=np.intp)[:, None] * stride
+            + slots[None, :]).ravel()
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray,
-                 signs: np.ndarray, sel: np.ndarray, size: int):
-        keep = (rows >= 0) & (cols >= 0)
-        self.flat = (rows[keep] * size + cols[keep]).astype(np.intp)
-        self.sign = signs[keep]
-        self.sel = sel[keep]
+
+def _scatter_add(flat: np.ndarray, index: np.ndarray,
+                 values: np.ndarray) -> None:
+    """``np.add.at`` of a (sample, slot) value grid at its
+    :func:`_sample_major` index.
+
+    Raveled, the call takes numpy's 1-D ``ufunc.at`` fast path and visits
+    the same (sample, slot) pairs in the same order as the 2-D form, so
+    every sum comes out bit-identical to it."""
+    np.add.at(flat, index, values.ravel())
+
+
+class _ConductanceScatter:
+    """Two-terminal conductance stamps ``g`` of one device group across
+    the sample axis: +g on both diagonals, −g on both couplings, ground
+    rows and columns dropped (mirrors ``MNAStamper.add_conductance``)."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, count: int, size: int):
+        slots, signs, sel = [], [], []
+        for row, col, sign in ((a, a, 1.0), (b, b, 1.0),
+                               (a, b, -1.0), (b, a, -1.0)):
+            keep = np.nonzero((row >= 0) & (col >= 0))[0]
+            slots.append(row[keep] * size + col[keep])
+            signs.append(np.full(keep.shape, sign))
+            sel.append(keep)
+        self.sign = np.concatenate(signs)
+        self.sel = np.concatenate(sel)
+        self.index = _sample_major(count, size * size,
+                                   np.concatenate(slots))
+
+    def stamp(self, matrix_flat: np.ndarray, g: np.ndarray) -> None:
+        _scatter_add(matrix_flat, self.index, self.sign * g[:, self.sel])
+
+
+class _CurrentScatter:
+    """Terminal-current RHS stamps of one device group across the sample
+    axis: each ``(nodes, sign)`` terminal adds ``sign · current`` at its
+    node, ground dropped, terminals applied in the order given."""
+
+    def __init__(self, terminals, count: int, size: int):
+        slots, signs, sel = [], [], []
+        for nodes, sign in terminals:
+            keep = np.nonzero(nodes >= 0)[0]
+            slots.append(nodes[keep])
+            signs.append(np.full(keep.shape, sign))
+            sel.append(keep)
+        self.sign = np.concatenate(signs)
+        self.sel = np.concatenate(sel)
+        self.index = _sample_major(count, size, np.concatenate(slots))
+
+    def stamp(self, rhs_flat: np.ndarray, current: np.ndarray) -> None:
+        _scatter_add(rhs_flat, self.index, self.sign * current[:, self.sel])
 
 
 class _EnsembleCapacitors:
@@ -117,7 +175,6 @@ class _EnsembleCapacitors:
     def __init__(self, per_sample: List[List[Capacitor]],
                  size: int, dt: float, integrator: str):
         caps0 = per_sample[0]
-        count = len(caps0)
         self.integrator = integrator
         self.pos = np.array([c.positive for c in caps0], dtype=np.intp)
         self.neg = np.array([c.negative for c in caps0], dtype=np.intp)
@@ -132,25 +189,14 @@ class _EnsembleCapacitors:
         self._pos_mask = (self.pos >= 0).astype(float)
         self._neg_clip = np.clip(self.neg, 0, None)
         self._neg_mask = (self.neg >= 0).astype(float)
-        idx = np.arange(count, dtype=np.intp)
-        ones = np.ones(count)
-        self._mat = [
-            _IndexPlan(self.pos, self.pos, ones, idx, size),
-            _IndexPlan(self.neg, self.neg, ones, idx, size),
-            _IndexPlan(self.pos, self.neg, -ones, idx, size),
-            _IndexPlan(self.neg, self.pos, -ones, idx, size),
-        ]
-        self.pos_sel = np.nonzero(self.pos >= 0)[0]
-        self.neg_sel = np.nonzero(self.neg >= 0)[0]
+        count = len(per_sample)
+        self._matrix = _ConductanceScatter(self.pos, self.neg, count, size)
+        self._rhs = _CurrentScatter(((self.pos, 1.0), (self.neg, -1.0)),
+                                    count, size)
 
-    def stamp_static(self, static: np.ndarray, offsets: np.ndarray) -> None:
+    def stamp_static(self, static: np.ndarray) -> None:
         """Companion conductances into the stacked static matrices."""
-        flat = static.reshape(-1)
-        for plan in self._mat:
-            if plan.flat.size == 0:
-                continue
-            np.add.at(flat, offsets[:, None] + plan.flat[None, :],
-                      plan.sign[None, :] * self.g[:, plan.sel])
+        self._matrix.stamp(static.reshape(-1), self.g)
 
     def step_rhs(self, rhs: np.ndarray, prev: np.ndarray) -> None:
         v_prev = (_gather2(prev, self._pos_clip, self._pos_mask)
@@ -159,16 +205,7 @@ class _EnsembleCapacitors:
         if self.integrator == "trap":
             ieq = ieq + self.i_prev
         self._ieq = ieq
-        flat = rhs.reshape(-1)
-        offsets = np.arange(rhs.shape[0], dtype=np.intp) * rhs.shape[1]
-        if self.pos_sel.size:
-            np.add.at(flat,
-                      offsets[:, None] + self.pos[self.pos_sel][None, :],
-                      ieq[:, self.pos_sel])
-        if self.neg_sel.size:
-            np.add.at(flat,
-                      offsets[:, None] + self.neg[self.neg_sel][None, :],
-                      -ieq[:, self.neg_sel])
+        self._rhs.stamp(rhs.reshape(-1), ieq)
 
     def update_state(self, voltages: np.ndarray) -> None:
         v_now = (_gather2(voltages, self._pos_clip, self._pos_mask)
@@ -204,12 +241,13 @@ class _EnsembleMOSFETs:
         self._clip = {k: (np.clip(v, 0, None), (v >= 0).astype(float))
                       for k, v in (("d", g.drain), ("g", g.gate),
                                    ("s", g.source), ("b", g.bulk))}
+        count = len(per_sample)
+        self._matrix_index = _sample_major(count, size * size, g.flat_index)
+        self._rhs = _CurrentScatter(((g.drain, -1.0), (g.source, 1.0)),
+                                    count, size)
 
-    def stamp(self, matrix_flat: np.ndarray, mat_offsets: np.ndarray,
-              rhs_flat: np.ndarray, rhs_offsets: np.ndarray,
+    def stamp(self, matrix_flat: np.ndarray, rhs_flat: np.ndarray,
               voltages: np.ndarray) -> None:
-        from repro.spice.analysis.engine import _CLM_EPSILON
-
         g0 = self.group0
         vd = _gather2(voltages, *self._clip["d"])
         vg = _gather2(voltages, *self._clip["g"])
@@ -237,30 +275,20 @@ class _EnsembleMOSFETs:
 
         i_drain = sigma * (self.i_spec * delta_i * m)
         gate_term = self.i_spec * m * (df_f - df_r)
+        # (N, 4, F): per sample, the (d, g, s, b) partials of every FET.
         partials = np.stack([
             self.i_spec * (m * df_r + delta_i * dm_dvds),   # d
             gate_term / self.slope,                         # g
             self.i_spec * (-m * df_f - delta_i * dm_dvds),  # s
             gate_term * (1.0 - 1.0 / self.slope),           # b
-        ])
-        const = i_drain - (partials[0] * vd + partials[1] * vg
-                           + partials[2] * vs + partials[3] * vb)
+        ], axis=1)
+        const = i_drain - (partials[:, 0] * vd + partials[:, 1] * vg
+                           + partials[:, 2] * vs + partials[:, 3] * vb)
 
-        # (K, N) values per scatter slot, replicated over sample offsets.
-        vals = partials[g0.scatter_k, :, g0.scatter_fet]
-        vals = g0.scatter_sign[:, None] * vals
-        np.add.at(matrix_flat,
-                  mat_offsets[:, None] + g0.flat_index[None, :], vals.T)
-        if g0.drain_sel.size:
-            np.add.at(rhs_flat,
-                      rhs_offsets[:, None]
-                      + g0.drain[g0.drain_sel][None, :],
-                      -const[:, g0.drain_sel])
-        if g0.source_sel.size:
-            np.add.at(rhs_flat,
-                      rhs_offsets[:, None]
-                      + g0.source[g0.source_sel][None, :],
-                      const[:, g0.source_sel])
+        # (N, K) values, one per sample and scatter slot.
+        vals = g0.scatter_sign * partials[:, g0.scatter_k, g0.scatter_fet]
+        _scatter_add(matrix_flat, self._matrix_index, vals)
+        self._rhs.stamp(rhs_flat, const)
 
 
 class _EnsembleMTJs:
@@ -270,7 +298,6 @@ class _EnsembleMTJs:
 
     def __init__(self, per_sample: List[List[MTJElement]], size: int):
         mtjs0 = per_sample[0]
-        count = len(mtjs0)
         self.elements = per_sample
         self.free = np.array([m.free for m in mtjs0], dtype=np.intp)
         self.ref = np.array([m.ref for m in mtjs0], dtype=np.intp)
@@ -305,16 +332,10 @@ class _EnsembleMTJs:
         self._free_mask = (self.free >= 0).astype(float)
         self._ref_clip = np.clip(self.ref, 0, None)
         self._ref_mask = (self.ref >= 0).astype(float)
-        idx = np.arange(count, dtype=np.intp)
-        ones = np.ones(count)
-        self._mat = [
-            _IndexPlan(self.free, self.free, ones, idx, size),
-            _IndexPlan(self.ref, self.ref, ones, idx, size),
-            _IndexPlan(self.free, self.ref, -ones, idx, size),
-            _IndexPlan(self.ref, self.free, -ones, idx, size),
-        ]
-        self.free_sel = np.nonzero(self.free >= 0)[0]
-        self.ref_sel = np.nonzero(self.ref >= 0)[0]
+        count = len(per_sample)
+        self._matrix = _ConductanceScatter(self.free, self.ref, count, size)
+        self._rhs = _CurrentScatter(((self.free, -1.0), (self.ref, 1.0)),
+                                    count, size)
 
     def _electrical(self, voltages: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,26 +353,13 @@ class _EnsembleMTJs:
         dg = np.where(self.is_ap, -dr_dv / (r_ap * r_ap), 0.0)
         return v, g, dg
 
-    def stamp(self, matrix_flat: np.ndarray, mat_offsets: np.ndarray,
-              rhs_flat: np.ndarray, rhs_offsets: np.ndarray,
+    def stamp(self, matrix_flat: np.ndarray, rhs_flat: np.ndarray,
               voltages: np.ndarray) -> None:
         v, g, dg = self._electrical(voltages)
         g_eff = np.maximum(g + np.abs(v) * dg, 0.1 * g)
         const = g * v - g_eff * v
-        for plan in self._mat:
-            if plan.flat.size == 0:
-                continue
-            np.add.at(matrix_flat,
-                      mat_offsets[:, None] + plan.flat[None, :],
-                      plan.sign[None, :] * g_eff[:, plan.sel])
-        if self.free_sel.size:
-            np.add.at(rhs_flat,
-                      rhs_offsets[:, None] + self.free[self.free_sel][None, :],
-                      -const[:, self.free_sel])
-        if self.ref_sel.size:
-            np.add.at(rhs_flat,
-                      rhs_offsets[:, None] + self.ref[self.ref_sel][None, :],
-                      const[:, self.ref_sel])
+        self._matrix.stamp(matrix_flat, g_eff)
+        self._rhs.stamp(rhs_flat, const)
 
     def update_state(self, voltages: np.ndarray, dt: float,
                      now: float) -> None:
@@ -449,8 +457,6 @@ class EnsembleWorkspace:
         self._rhs_flat = self.rhs.reshape(-1)
         self._static = np.zeros((n, s, s))
         self._step_rhs = np.zeros((n, s))
-        self._mat_offsets = np.arange(n, dtype=np.intp) * s * s
-        self._rhs_offsets = np.arange(n, dtype=np.intp) * s
         self._diag = np.arange(self.num_nodes, dtype=np.intp)
 
         fets: List[List[MOSFET]] = [[] for _ in range(n)]
@@ -510,12 +516,10 @@ class EnsembleWorkspace:
                 for device in self._linear[i]:
                     device.stamp_static(stamper, ctx)
         if self.cap_group is not None:
-            self.cap_group.stamp_static(self._static, self._mat_offsets)
+            self.cap_group.stamp_static(self._static)
 
     def begin_step(self, time: float, prev: Optional[np.ndarray]) -> None:
         """Rebuild the iterate-free RHS stack for a new timepoint."""
-        from repro.spice.analysis.engine import _RHSView
-
         self._time = time
         self._prev = prev
         self._step_rhs[:] = 0.0
@@ -549,11 +553,9 @@ class EnsembleWorkspace:
             self.matrix[:, self._diag, self._diag] += gmin
         voltages = x[:, : self.num_nodes]
         if self.fet_group is not None:
-            self.fet_group.stamp(self._matrix_flat, self._mat_offsets,
-                                 self._rhs_flat, self._rhs_offsets, voltages)
+            self.fet_group.stamp(self._matrix_flat, self._rhs_flat, voltages)
         if self.mtj_group is not None:
-            self.mtj_group.stamp(self._matrix_flat, self._mat_offsets,
-                                 self._rhs_flat, self._rhs_offsets, voltages)
+            self.mtj_group.stamp(self._matrix_flat, self._rhs_flat, voltages)
         if any(self._iterate):
             for i in range(self.count):
                 if not self._iterate[i]:
@@ -596,15 +598,65 @@ class EnsembleWorkspace:
 
 
 class EnsembleNewtonSolver:
-    """Damped Newton over an :class:`EnsembleWorkspace` with per-sample
-    convergence masks and one batched linear solve per iteration."""
+    """Damped modified Newton over an :class:`EnsembleWorkspace`, run per
+    sample with one LU per sample.
+
+    Each sample follows :class:`~repro.spice.analysis.engine.FastNewtonSolver`
+    step for step: it keeps its own LAPACK ``getrf`` factors and solves
+    ``A₀·δ = −F(x)`` against them with ``getrs``, refactorising when the
+    shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule says
+    so for that sample, and refactorising once to retry a non-finite
+    update from stale factors.  Damping, convergence and freezing are
+    per-sample masks.  Assembly and residuals are batched over the sample
+    axis; the factor and solve calls loop over the samples that need them.
+    On a 32-sample chunk of the 48-unknown 2-bit latch (one BLAS thread,
+    2-vCPU x86-64 VM) that loop factors in ~0.5 ms and solves in ~0.1 ms,
+    against 2.0 ms to invert the stack, 1.6 ms for scipy's batched
+    ``lu_factor`` (0.36 ms per ``lu_solve``) and 5.5 ms for SuperLU on the
+    block-diagonal system.  No decision reads another sample, so a
+    sample's iterates do not depend on the batch it runs in.
+    """
 
     def __init__(self, workspace: EnsembleWorkspace):
         self.workspace = workspace
+        count = workspace.count
         #: Per-sample work counters (one row per sample).
-        self.iterations = np.zeros(workspace.count, dtype=np.intp)
-        self.solves = np.zeros(workspace.count, dtype=np.intp)
-        self.factorizations = np.zeros(workspace.count, dtype=np.intp)
+        self.iterations = np.zeros(count, dtype=np.intp)
+        self.solves = np.zeros(count, dtype=np.intp)
+        self.factorizations = np.zeros(count, dtype=np.intp)
+        self.reuses = np.zeros(count, dtype=np.intp)
+        self.singular_retries = np.zeros(count, dtype=np.intp)
+        #: Per-sample ``getrf`` factors ``(lu, piv)``.
+        self._lu: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
+            [None] * count)
+
+    def _factorize(self, samples: List[int], gmin: float) -> None:
+        """Fresh LU factors for each listed sample.  The LAPACK handles
+        are read from the engine module at call time, so they are the
+        ones the fast engine uses (and any instrumentation of them)."""
+        getrf = _engine._getrf
+        matrix = self.workspace.matrix
+        for sample in samples:
+            lu, piv, info = getrf(matrix[sample])
+            if info != 0:
+                raise EnsembleFallback(
+                    f"singular sample {sample} at gmin={gmin:g} "
+                    f"(getrf info={info})")
+            self._lu[sample] = (lu, piv)
+
+    def _corrections(self, samples: List[int], residual: np.ndarray,
+                     out: np.ndarray) -> None:
+        """``out[i] = A₀⁻¹·residual[i]`` against each listed sample's
+        stored factors."""
+        getrs = _engine._getrs
+        factors = self._lu
+        for sample in samples:
+            lu, piv = factors[sample]
+            out[sample], info = getrs(lu, piv, residual[sample])
+            if info != 0:
+                raise EnsembleFallback(
+                    f"LU solve failed for sample {sample} "
+                    f"(getrs info={info})")
 
     def solve(self, x0: np.ndarray, time: float,
               prev: Optional[np.ndarray], gmin: float, max_iterations: int,
@@ -614,37 +666,60 @@ class EnsembleNewtonSolver:
 
         ``failed_mask[i]`` is True when sample ``i`` did not converge
         within the iteration budget.  Raises :class:`EnsembleFallback`
-        when the batched linear algebra itself breaks down (a singular
-        sample poisons the stacked solve — the caller reruns scalar).
+        when a sample's linear algebra breaks down (a singular matrix, or
+        a non-finite update from fresh factors) — the caller reruns
+        scalar.
         """
         ws = self.workspace
         ws.begin_step(time, prev)
         num_nodes = ws.num_nodes
+        count = ws.count
         x = x0.copy()
-        converged = np.zeros(ws.count, dtype=bool)
-        for _iteration in range(1, max_iterations + 1):
+        # A₀⁻¹·F(x) per sample; rows of converged samples go stale.
+        correction = np.zeros_like(x)
+        converged = np.zeros(count, dtype=bool)
+        last_factor = np.zeros(count, dtype=np.intp)
+        max_dv = np.full(count, np.inf)
+        prev_max_dv = max_dv
+        for iteration in range(1, max_iterations + 1):
             active = ~converged
             self.iterations[active] += 1
-            self.factorizations[active] += 1
             ws.assemble(x, gmin=gmin)
-            try:
-                direct = np.linalg.solve(ws.matrix, ws.rhs[..., None])[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise EnsembleFallback(
-                    f"singular sample in batched solve at gmin={gmin:g}"
-                ) from exc
-            if not np.all(np.isfinite(direct[active])):
-                raise EnsembleFallback(
-                    f"non-finite batched solution at gmin={gmin:g}")
-            delta = direct - x
-            dv = np.max(np.abs(delta[:, :num_nodes]), axis=1) \
-                if num_nodes else np.zeros(ws.count)
-            scale = np.where(dv > damping, damping / np.maximum(dv, 1e-300),
-                             1.0)
+            fresh = active & jacobian_refresh(iteration, last_factor,
+                                              max_dv, prev_max_dv)
+            last_factor[fresh] = iteration
+            self.factorizations[fresh] += 1
+            self.reuses[active & ~fresh] += 1
+            self._factorize(np.flatnonzero(fresh).tolist(), gmin)
+            residual = np.matmul(ws.matrix, x[:, :, None])[:, :, 0] - ws.rhs
+            self._corrections(np.flatnonzero(active).tolist(), residual,
+                              correction)
+            bad = np.flatnonzero(
+                active & ~np.isfinite(correction).all(axis=1)).tolist()
+            if bad:
+                if fresh[bad].any():
+                    raise EnsembleFallback(
+                        f"non-finite update from fresh factors at "
+                        f"gmin={gmin:g}")
+                # Stale factors went bad: refactor and retry once.
+                self.singular_retries[bad] += 1
+                self.factorizations[bad] += 1
+                last_factor[bad] = iteration
+                self._factorize(bad, gmin)
+                self._corrections(bad, residual, correction)
+                if not np.isfinite(correction[bad]).all():
+                    raise EnsembleFallback(
+                        f"non-finite update after refactorisation at "
+                        f"gmin={gmin:g}")
+            delta = -correction
+            prev_max_dv = max_dv
+            max_dv = (np.max(np.abs(delta[:, :num_nodes]), axis=1)
+                      if num_nodes else np.zeros(count))
+            scale = np.where(max_dv > damping,
+                             damping / np.maximum(max_dv, 1e-300), 1.0)
             stepped = x + delta * scale[:, None]
             x = np.where(converged[:, None], x, stepped)
-            newly = active & (dv <= damping) & (dv < vtol)
-            converged |= newly
+            converged |= active & (max_dv <= damping) & (max_dv < vtol)
             if converged.all():
                 self.solves += 1
                 return x, ~converged
@@ -700,7 +775,9 @@ def run_ensemble_transient(
             for c in circuits
         ]
 
-    if len(circuits) == 1:
+    if len(circuits) == 1 or not _engine._HAVE_SCIPY:
+        # One sample is a scalar run; the per-sample LU reuse needs the
+        # LAPACK handles scipy provides.
         return scalar_fallback()
 
     span = _obs_span("analysis.ensemble_transient", category="analysis",
@@ -795,6 +872,8 @@ def run_ensemble_transient(
                 solves=int(solver.solves[i]),
                 iterations=int(solver.iterations[i]),
                 factorizations=int(solver.factorizations[i]),
+                reuses=int(solver.reuses[i]),
+                singular_retries=int(solver.singular_retries[i]),
                 gmin_retries=int(gmin_retries[i]),
                 timesteps=steps,
             )
@@ -808,6 +887,12 @@ def run_ensemble_transient(
             registry.inc("analysis.ensemble_samples", n)
             registry.inc("engine.newton_iterations",
                          int(solver.iterations.sum()))
+            registry.inc("engine.jacobian_factorizations",
+                         int(solver.factorizations.sum()))
+            registry.inc("engine.jacobian_reuses", int(solver.reuses.sum()))
+            singular_retries = int(solver.singular_retries.sum())
+            if singular_retries:
+                registry.inc("engine.singular_retries", singular_retries)
             registry.inc("engine.timesteps", steps * n)
             span.annotate(samples=n,
                           newton_iterations=int(solver.iterations.sum()),

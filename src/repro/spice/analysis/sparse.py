@@ -63,9 +63,9 @@ from repro.obs import metrics as _obs_metrics
 from repro.spice.devices.base import EvalContext
 from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.analysis.engine import (
-    JACOBIAN_MAX_AGE,
     MNAWorkspace,
     SolverStats,
+    jacobian_refresh,
 )
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
@@ -409,21 +409,20 @@ class SparseNewtonSolver:
             else:
                 ws.assemble(x, gmin=gmin, timing=timing)
                 self._refresh_csc()
-            stale = iteration - last_factor
-            refresh = (stale >= JACOBIAN_MAX_AGE
-                       or (stale >= 1 and max_dv > 0.5 * prev_max_dv))
+            fresh = jacobian_refresh(iteration, last_factor, max_dv,
+                                     prev_max_dv)
             try:
-                delta = self._delta(x, fresh=refresh or iteration == 1)
+                delta = self._delta(x, fresh=fresh)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(
                     f"singular MNA matrix at gmin={gmin:g} "
                     f"(iteration {iteration})",
                     iterations=iteration,
                 ) from exc
-            if refresh or iteration == 1:
+            if fresh:
                 last_factor = iteration
             if not np.all(np.isfinite(delta)):
-                if iteration - last_factor > 0:
+                if not fresh:
                     stats.singular_retries += 1
                     self._factorize()
                     last_factor = iteration

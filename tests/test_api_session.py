@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import Session
 from repro.cache import store as cache_store
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, CacheError
 from repro.spice.analysis.transient import get_default_engine
 
 
@@ -93,6 +93,22 @@ class TestSessionLifecycle:
     def test_uncached_session_reports_no_stats(self):
         with Session() as session:
             assert session.cache_stats() is None
+
+    @pytest.mark.parametrize("bogus", [False, True, 0, b"cache"])
+    def test_non_path_cache_is_rejected(self, bogus, tmp_path,
+                                        monkeypatch):
+        # Regression: str(False) used to become a cache directory named
+        # "False" in the working directory, with caching switched on.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CacheError, match=repr(bogus)):
+            Session(cache=bogus)
+        assert cache_store.get_active_cache() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pathlike_cache_is_accepted(self, tmp_path):
+        with Session(cache=tmp_path / "c") as session:
+            assert session.cache_stats() is not None
+            assert cache_store.get_active_cache().root == str(tmp_path / "c")
 
 
 class TestSessionFlows:

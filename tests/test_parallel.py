@@ -184,12 +184,29 @@ class TestEnsembleWorkerIndependence:
         assert len(serial) == 6
         assert pooled == serial  # bytes-level equality, not approx
 
+    def test_ensemble_mc_bit_identical_across_chunk_sizes(self):
+        # Every Newton decision of the batched solver (LU refresh,
+        # damping, convergence, freezing) is taken per sample, so a
+        # sample's bits cannot depend on which batch it shares.  A
+        # batch-wide convergence check breaks this; the bit line's
+        # samples refresh their LUs in lockstep, so the batch-wide
+        # refresh case is pinned in tests/test_sparse_engine.py.
+        from repro.mtj.variation import monte_carlo_ensemble
+
+        kwargs = dict(params=PAPER_TABLE_I, stop_time=0.2e-9, dt=4e-12,
+                      count=6, seed=DEFAULT_SEED, workers=1)
+        pairs = monte_carlo_ensemble(mc_bitline, bitline_waveform,
+                                     chunk=2, **kwargs)
+        whole = monte_carlo_ensemble(mc_bitline, bitline_waveform,
+                                     chunk=6, **kwargs)
+        assert len(whole) == 6
+        assert pairs == whole  # bytes-level equality, not approx
+
     def test_ensemble_mc_chunking_stays_inside_accuracy_contract(self):
-        # Chunk *size* is not a bit-level invariant (samples in a batch
-        # share one Newton convergence check), but it must stay inside
-        # the 1 µV engine-accuracy contract — batching is a performance
-        # detail, never a physics change.  Only the worker count is
-        # pinned bit-exactly (the chunking is fixed by count/chunk).
+        # A one-sample chunk runs the scalar fast engine, so chunk=1 is
+        # not bit-identical to a batch, but it must stay inside the 1 µV
+        # engine-accuracy contract — batching is a performance detail,
+        # never a physics change.
         from repro.mtj.variation import monte_carlo_ensemble
 
         kwargs = dict(params=PAPER_TABLE_I, stop_time=0.2e-9, dt=4e-12,

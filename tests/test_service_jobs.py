@@ -106,6 +106,9 @@ class TestQueueAndCoalescing:
         assert done_b.job_id == a.job_id  # resolved through the leader
         assert done_a.result == {"flow": "echo", "value": 7}
         assert len([c_ for c_ in echo_calls if c_.get("value") == 7]) == 1
+        # The single worker may not have claimed job c yet; wait for it so
+        # the counter snapshot sees both executions.
+        manager.result(c.job_id, wait=True, timeout=30)
         delta = _delta(before, _counters())
         assert delta["service.submit"] == 3
         assert delta["service.coalesced"] == 1

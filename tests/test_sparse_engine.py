@@ -17,7 +17,12 @@ from repro.mtj.parameters import PAPER_TABLE_I
 from repro.mtj.variation import monte_carlo_parameters
 from repro.spice import Circuit, Pulse
 from repro.spice.analysis import run_ensemble_transient, run_transient
-from repro.spice.analysis.engine import MNAWorkspace, SolverStats
+from repro.spice.analysis.engine import (
+    JACOBIAN_MAX_AGE,
+    MNAWorkspace,
+    SolverStats,
+    jacobian_refresh,
+)
 from repro.spice.analysis.sparse import (
     SparseNewtonSolver,
     SparsePattern,
@@ -330,3 +335,74 @@ class TestEnsemble:
             expected = scalar.circuit.device("bit").device.state
             assert circuit.device("bit").device.state is expected
             assert batch.circuit is circuit
+
+    def test_sample_bits_do_not_depend_on_the_batch(self):
+        # Same topology, different transistor widths: the partner's
+        # Newton refreshes its LU at other iterations than sample 0
+        # does, so any batch-wide refresh or convergence decision would
+        # move sample 0's bits.
+        params = monte_carlo_parameters(PAPER_TABLE_I, count=2, seed=11)
+        partner = mtj_read_circuit(params=params[1],
+                                   widths=(2e-6, 100e-9))
+        mixed = run_ensemble_transient(
+            [mtj_read_circuit(params=params[0]), partner], 0.6e-9, 2e-12)
+        alike = run_ensemble_transient(
+            [mtj_read_circuit(params=params[0]),
+             mtj_read_circuit(params=params[0])], 0.6e-9, 2e-12)
+        assert (mixed[1].stats.factorizations
+                != mixed[0].stats.factorizations)
+        assert np.array_equal(mixed[0].node_voltages,
+                              alike[0].node_voltages)
+        assert np.array_equal(mixed[0].branch_currents,
+                              alike[0].branch_currents)
+
+    def test_per_sample_stats_show_lu_reuse(self):
+        # Modified Newton per sample: each sample keeps its LU factors
+        # across iterations, so it factorises less often than it iterates.
+        results = run_ensemble_transient(_sample_circuits(3), 0.6e-9, 2e-12)
+        for result in results:
+            stats = result.stats
+            assert stats.reuses > 0
+            assert stats.factorizations < stats.iterations
+            assert (stats.factorizations + stats.reuses
+                    == stats.iterations + stats.singular_retries)
+
+
+class TestJacobianRefreshRule:
+    """The LU refresh rule shared by the fast, sparse and ensemble Newton
+    loops decides the same way for a scalar and for each element of a
+    per-sample array."""
+
+    @staticmethod
+    def _cases():
+        inf = float("inf")
+        for iteration in range(1, 2 * JACOBIAN_MAX_AGE + 2):
+            for last_factor in range(iteration):
+                for max_dv, prev_max_dv in ((inf, inf), (0.3, inf),
+                                            (0.2, 0.3), (0.2, 0.4),
+                                            (0.2, 0.5), (1e-7, 1e-6),
+                                            (0.0, 0.0)):
+                    yield iteration, last_factor, max_dv, prev_max_dv
+
+    def test_scalar_matches_the_fast_engine_rule(self):
+        for iteration, last_factor, max_dv, prev_max_dv in self._cases():
+            stale = iteration - last_factor
+            expected = (iteration == 1 or stale >= JACOBIAN_MAX_AGE
+                        or (stale >= 1 and max_dv > 0.5 * prev_max_dv))
+            decision = jacobian_refresh(iteration, last_factor, max_dv,
+                                        prev_max_dv)
+            assert isinstance(decision, bool)
+            assert decision == expected
+
+    def test_per_sample_arrays_decide_like_scalars(self):
+        cases = list(self._cases())
+        for iteration in {case[0] for case in cases}:
+            rows = [case for case in cases if case[0] == iteration]
+            last_factor = np.array([row[1] for row in rows], dtype=np.intp)
+            max_dv = np.array([row[2] for row in rows])
+            prev_max_dv = np.array([row[3] for row in rows])
+            mask = jacobian_refresh(iteration, last_factor, max_dv,
+                                    prev_max_dv)
+            assert mask.dtype == bool
+            assert mask.tolist() == [
+                jacobian_refresh(*row) for row in rows]
