@@ -209,8 +209,10 @@ def monte_carlo_ensemble(
     spawned streams — a pure function of ``(seed, i)``) and partitioned
     into **fixed-size chunks** that depend only on ``count`` and
     ``chunk`` — never on ``workers`` — then each chunk is advanced as one
-    block-diagonal batched solve
-    (:func:`repro.spice.analysis.ensemble.run_ensemble_transient`).
+    batched transient
+    (:func:`repro.spice.analysis.ensemble.run_ensemble_transient`): its
+    samples are stamped together as one block-diagonal system, and each
+    sample's Newton update is solved against that sample's own LU.
     Because the chunking and the per-chunk math are both independent of
     the pool, the returned list is bit-identical for every ``workers``
     setting (``tests/test_parallel.py`` pins ``workers=1`` against

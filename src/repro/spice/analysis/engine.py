@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,19 +215,68 @@ def jacobian_refresh(iteration, last_factor, max_dv, prev_max_dv):
             | (max_dv > 0.5 * prev_max_dv))
 
 
-def _gather(voltages: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Node voltages for an index array, ground (−1) reading as 0 V."""
-    if voltages.size == 0:
-        return np.zeros(indices.shape)
-    return np.where(indices >= 0, voltages[np.clip(indices, 0, None)], 0.0)
+def _sample_base(per_sample: Sequence[Sequence[Device]],
+                 size: int) -> np.ndarray:
+    """Block offset of every device of a group, devices taken sample by
+    sample: sample *i*'s devices get ``i · size``.
+
+    A group over the devices of one or more same-topology circuits stamps
+    sample *i* into block *i* of a block-diagonal system: its node ``n``
+    reads and writes flat slot ``i·size + n`` of the stacked iterates and
+    right-hand sides, and its matrix entry ``(r, c)`` is flat slot
+    ``(i·size + r)·size + c`` (offset ``i·size²``) of the stacked
+    matrices.  One circuit is the block-diagonal system of one sample,
+    with every offset 0.
+    """
+    return np.repeat(np.arange(len(per_sample), dtype=np.intp) * size,
+                     [len(devices) for devices in per_sample])
+
+
+def _matrix_scatter(pairs, base: np.ndarray, size: int
+                    ) -> Tuple[np.ndarray, ...]:
+    """Flat matrix slots of a group's stamps, ground entries dropped.
+
+    ``pairs`` lists ``(rows, cols, sign)`` with per-device node arrays.
+    Returns the slot, sign, pair number and device of every kept entry,
+    pair by pair and, within a pair, device by device.
+    """
+    slot, sign, kind, device = [], [], [], []
+    for number, (rows, cols, value) in enumerate(pairs):
+        keep = np.nonzero((rows >= 0) & (cols >= 0))[0]
+        slot.append((base[keep] + rows[keep]) * size + cols[keep])
+        sign.append(np.full(keep.shape, value))
+        kind.append(np.full(keep.shape, number, dtype=np.intp))
+        device.append(keep)
+    return tuple(np.concatenate(part) for part in (slot, sign, kind, device))
+
+
+def _conductance_scatter(a: np.ndarray, b: np.ndarray, base: np.ndarray,
+                         size: int) -> Tuple[np.ndarray, ...]:
+    """Two-terminal conductance stamps: +g on both diagonals, −g on both
+    couplings (the entries ``MNAStamper.add_conductance`` writes)."""
+    return _matrix_scatter(((a, a, 1.0), (b, b, 1.0),
+                            (a, b, -1.0), (b, a, -1.0)), base, size)
+
+
+def _rhs_scatter(terminals, base: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """RHS slots of a group's terminal currents, ground dropped:
+    ``terminals`` lists ``(nodes, sign)``; returns the slot, sign and
+    device of every kept entry, terminal by terminal."""
+    slot, sign, device = [], [], []
+    for nodes, value in terminals:
+        keep = np.nonzero(nodes >= 0)[0]
+        slot.append(base[keep] + nodes[keep])
+        sign.append(np.full(keep.shape, value))
+        device.append(keep)
+    return tuple(np.concatenate(part) for part in (slot, sign, device))
 
 
 class _Gather:
-    """Precompiled ground-masked gather: clipped indices + 0/1 mask, so the
-    per-iteration work is one ``take`` and one multiply."""
+    """Precompiled ground-masked gather: offset clipped indices + 0/1
+    mask, so the per-iteration work is one ``take`` and one multiply."""
 
-    def __init__(self, indices: np.ndarray):
-        self.clipped = np.clip(indices, 0, None)
+    def __init__(self, indices: np.ndarray, base: np.ndarray):
+        self.clipped = np.clip(indices, 0, None) + base
         self.mask = (indices >= 0).astype(float)
 
     def __call__(self, voltages: np.ndarray) -> np.ndarray:
@@ -237,17 +286,18 @@ class _Gather:
 
 
 class _MOSFETGroup:
-    """All MOSFETs of a circuit, evaluated and stamped as numpy arrays.
+    """The MOSFETs of one or more same-topology circuits, evaluated and
+    stamped as numpy arrays into their block-diagonal system
+    (:func:`_sample_base`).
 
     Reproduces :meth:`MOSFET.evaluate` / :meth:`MOSFET.stamp` exactly
     (same formulas, vectorised); the equivalence property tests compare
     the two to 1e-12.
     """
 
-    def __init__(self, fets: List[MOSFET], size: int):
-        self.fets = fets
-        count = len(fets)
-        self.size = size
+    def __init__(self, per_sample: Sequence[Sequence[MOSFET]], size: int):
+        self.fets = fets = [f for sample in per_sample for f in sample]
+        base = _sample_base(per_sample, size)
         self.drain = np.array([f.drain for f in fets], dtype=np.intp)
         self.gate = np.array([f.gate for f in fets], dtype=np.intp)
         self.source = np.array([f.source for f in fets], dtype=np.intp)
@@ -265,29 +315,19 @@ class _MOSFETGroup:
         # partial k ∈ (d, g, s, b), +g_k lands on (drain, node_k) and −g_k
         # on (source, node_k) — ground rows/columns dropped.
         terminals = (self.drain, self.gate, self.source, self.bulk)
-        flat_parts: List[np.ndarray] = []
-        sign_parts: List[np.ndarray] = []
-        k_parts: List[np.ndarray] = []
-        fet_parts: List[np.ndarray] = []
-        for row_nodes, row_sign in ((self.drain, 1.0), (self.source, -1.0)):
-            for k, col_nodes in enumerate(terminals):
-                mask = (row_nodes >= 0) & (col_nodes >= 0)
-                sel = np.nonzero(mask)[0]
-                flat_parts.append(row_nodes[sel] * size + col_nodes[sel])
-                sign_parts.append(np.full(sel.shape, row_sign))
-                k_parts.append(np.full(sel.shape, k, dtype=np.intp))
-                fet_parts.append(sel)
-        self.flat_index = np.concatenate(flat_parts)
-        self.scatter_sign = np.concatenate(sign_parts)
-        self.scatter_k = np.concatenate(k_parts)
-        self.scatter_fet = np.concatenate(fet_parts)
-        self.drain_sel = np.nonzero(self.drain >= 0)[0]
-        self.source_sel = np.nonzero(self.source >= 0)[0]
-        self._count = count
-        self._gather_d = _Gather(self.drain)
-        self._gather_g = _Gather(self.gate)
-        self._gather_s = _Gather(self.source)
-        self._gather_b = _Gather(self.bulk)
+        self.flat_index, self.scatter_sign, kind, self.scatter_fet = (
+            _matrix_scatter([(row, col, sign)
+                             for row, sign in ((self.drain, 1.0),
+                                               (self.source, -1.0))
+                             for col in terminals], base, size))
+        self.scatter_k = kind % len(terminals)
+        self.rhs_index, self.rhs_sign, self.rhs_fet = _rhs_scatter(
+            ((self.drain, -1.0), (self.source, 1.0)), base)
+        self._count = len(fets)
+        self._gather_d = _Gather(self.drain, base)
+        self._gather_g = _Gather(self.gate, base)
+        self._gather_s = _Gather(self.source, base)
+        self._gather_b = _Gather(self.bulk, base)
 
     @staticmethod
     def _interp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -354,79 +394,55 @@ class _MOSFETGroup:
         values = (self.scatter_sign
                   * partials[self.scatter_k, self.scatter_fet])
         np.add.at(target, index, values)
-        np.add.at(rhs, self.drain[self.drain_sel], -const[self.drain_sel])
-        np.add.at(rhs, self.source[self.source_sel], const[self.source_sel])
+        np.add.at(rhs, self.rhs_index, self.rhs_sign * const[self.rhs_fet])
 
 
 class _MTJGroup:
-    """All MTJ elements of a circuit, evaluated and stamped as arrays.
+    """The MTJ elements of one or more same-topology circuits, evaluated
+    and stamped as arrays into their block-diagonal system
+    (:func:`_sample_base`).
 
     Replicates :meth:`MTJElement.stamp` element-wise (same conductance
-    and roll-off expressions, vectorised).  State stays owned by the
-    elements so :meth:`MNAWorkspace.update_state` keeps driving the
-    scalar :class:`~repro.mtj.dynamics.SwitchingModel` exactly as
-    before.  Because ``device.state`` only ever flips inside
-    ``update_state`` — between accepted timepoints, never during Newton
-    iterations — the per-junction P/AP mask is cached for the duration
-    of a timepoint (:meth:`refresh_states` from ``begin_step``,
-    invalidated by ``MNAWorkspace.update_state``) instead of being
-    re-read from Python objects on every stamp call.
+    and roll-off expressions, vectorised).  The stamps read the P/AP mask
+    :attr:`is_ap`, or the elements' states when it is ``None``.
+    :class:`MNAWorkspace` leaves magnetisation to the elements (their
+    scalar :class:`~repro.mtj.dynamics.SwitchingModel`) and snapshots the
+    mask once per timepoint: ``device.state`` only flips inside
+    ``update_state``, between accepted timepoints.  The batched ensemble
+    integrates switching itself and owns the mask.
     """
 
-    def __init__(self, mtjs: List[MTJElement], size: int):
-        self.mtjs = mtjs
+    def __init__(self, per_sample: Sequence[Sequence[MTJElement]],
+                 size: int):
+        self.mtjs = mtjs = [m for sample in per_sample for m in sample]
+        base = _sample_base(per_sample, size)
         self.free = np.array([m.free for m in mtjs], dtype=np.intp)
         self.ref = np.array([m.ref for m in mtjs], dtype=np.intp)
         self.r_p = np.array([m.device.params.resistance_p for m in mtjs])
         self.tmr0 = np.array([m.device.params.tmr_zero_bias for m in mtjs])
         self.v_h = np.array(
             [m.device.params.tmr_half_bias_voltage for m in mtjs])
-        self._gather_free = _Gather(self.free)
-        self._gather_ref = _Gather(self.ref)
-        # Conductance scatter: +g on the diagonals, −g on the couplings,
-        # ground rows/columns dropped (mirrors MNAStamper.add_conductance).
-        flat_parts: List[np.ndarray] = []
-        sign_parts: List[np.ndarray] = []
-        sel_parts: List[np.ndarray] = []
-        for row, col, sign in ((self.free, self.free, 1.0),
-                               (self.ref, self.ref, 1.0),
-                               (self.free, self.ref, -1.0),
-                               (self.ref, self.free, -1.0)):
-            sel = np.nonzero((row >= 0) & (col >= 0))[0]
-            flat_parts.append(row[sel] * size + col[sel])
-            sign_parts.append(np.full(sel.shape, sign))
-            sel_parts.append(sel)
-        self.flat_index = np.concatenate(flat_parts)
-        self.scatter_sign = np.concatenate(sign_parts)
-        self.scatter_mtj = np.concatenate(sel_parts)
-        self.free_sel = np.nonzero(self.free >= 0)[0]
-        self.ref_sel = np.nonzero(self.ref >= 0)[0]
-        self._ap_cache: Optional[np.ndarray] = None
+        self._gather_free = _Gather(self.free, base)
+        self._gather_ref = _Gather(self.ref, base)
+        self.flat_index, self.scatter_sign, _, self.scatter_mtj = (
+            _conductance_scatter(self.free, self.ref, base, size))
+        self.rhs_index, self.rhs_sign, self.rhs_mtj = _rhs_scatter(
+            ((self.free, -1.0), (self.ref, 1.0)), base)
+        #: P/AP mask the stamps read (``None``: read the elements).
+        self.is_ap: Optional[np.ndarray] = None
 
-    def _read_states(self) -> np.ndarray:
+    def read_states(self) -> np.ndarray:
+        """The elements' P/AP mask."""
         return np.fromiter(
             (m.device.state is not MTJState.PARALLEL for m in self.mtjs),
             dtype=bool, count=len(self.mtjs))
-
-    def refresh_states(self) -> None:
-        """Snapshot the P/AP mask for the coming timepoint."""
-        self._ap_cache = self._read_states()
-
-    def invalidate_states(self) -> None:
-        """Drop the snapshot (a switching event may have flipped state)."""
-        self._ap_cache = None
-
-    def _is_ap(self) -> np.ndarray:
-        if self._ap_cache is not None:
-            return self._ap_cache
-        return self._read_states()
 
     def electrical(self, voltages: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bias, conductance and conductance derivative per junction."""
         v = self._gather_free(voltages) - self._gather_ref(voltages)
         av = np.abs(v)
-        is_ap = self._is_ap()
+        is_ap = self.is_ap if self.is_ap is not None else self.read_states()
         ratio = av / self.v_h
         denom = 1.0 + ratio * ratio
         r_ap = self.r_p * (1.0 + self.tmr0 / denom)
@@ -449,17 +465,18 @@ class _MTJGroup:
         g_eff = np.maximum(g + np.abs(v) * dg, 0.1 * g)
         const = g * v - g_eff * v
         np.add.at(target, index, self.scatter_sign * g_eff[self.scatter_mtj])
-        np.add.at(rhs, self.free[self.free_sel], -const[self.free_sel])
-        np.add.at(rhs, self.ref[self.ref_sel], const[self.ref_sel])
+        np.add.at(rhs, self.rhs_index, self.rhs_sign * const[self.rhs_mtj])
 
 
 class _CapacitorGroup:
-    """All capacitors of a circuit: static companion conductances plus a
-    vectorised per-step RHS and state update."""
+    """The capacitors of one or more same-topology circuits: static
+    companion conductances plus a vectorised per-step RHS and state
+    update, in their block-diagonal system (:func:`_sample_base`)."""
 
-    def __init__(self, caps: List[Capacitor], dt: Optional[float],
-                 integrator: str):
-        self.caps = caps
+    def __init__(self, per_sample: Sequence[Sequence[Capacitor]], size: int,
+                 dt: Optional[float], integrator: str):
+        self.caps = caps = [c for sample in per_sample for c in sample]
+        base = _sample_base(per_sample, size)
         self.transient = dt is not None
         self.integrator = integrator
         self.pos = np.array([c.positive for c in caps], dtype=np.intp)
@@ -472,16 +489,24 @@ class _CapacitorGroup:
             self.g = np.zeros(len(caps))
         self.i_prev = np.array([c._prev_current for c in caps])
         self._ieq = np.zeros(len(caps))
-        self.pos_sel = np.nonzero(self.pos >= 0)[0]
-        self.neg_sel = np.nonzero(self.neg >= 0)[0]
-        self._gather_pos = _Gather(self.pos)
-        self._gather_neg = _Gather(self.neg)
+        # Companion conductances in MNAStamper.add_conductance order (aa,
+        # bb, ab, ba for each capacitor in turn), so the static matrix
+        # sums come out as a per-device stamp loop leaves them.
+        slot, sign, _, cap = _conductance_scatter(self.pos, self.neg, base,
+                                                  size)
+        order = np.argsort(cap, kind="stable")
+        self.g_index, self.g_sign, self.g_cap = (slot[order], sign[order],
+                                                 cap[order])
+        self.rhs_index, self.rhs_sign, self.rhs_cap = _rhs_scatter(
+            ((self.pos, 1.0), (self.neg, -1.0)), base)
+        self._gather_pos = _Gather(self.pos, base)
+        self._gather_neg = _Gather(self.neg, base)
 
-    def stamp_static(self, stamper: MNAStamper) -> None:
+    def stamp_static(self, matrix_flat: np.ndarray) -> None:
+        """Companion conductances into the (flat) static matrix."""
         if not self.transient:
             return
-        for cap, g in zip(self.caps, self.g):
-            stamper.add_conductance(cap.positive, cap.negative, float(g))
+        np.add.at(matrix_flat, self.g_index, self.g_sign * self.g[self.g_cap])
 
     def step_rhs(self, rhs: np.ndarray, prev_voltages: np.ndarray) -> None:
         """Norton companion currents for the timepoint (iterate-free)."""
@@ -492,8 +517,7 @@ class _CapacitorGroup:
         if self.integrator == "trap":
             ieq = ieq + self.i_prev
         self._ieq = ieq
-        np.add.at(rhs, self.pos[self.pos_sel], ieq[self.pos_sel])
-        np.add.at(rhs, self.neg[self.neg_sel], -ieq[self.neg_sel])
+        np.add.at(rhs, self.rhs_index, self.rhs_sign * ieq[self.rhs_cap])
 
     def update_state(self, voltages: np.ndarray) -> None:
         """Advance the stored capacitor currents after an accepted step."""
@@ -577,14 +601,15 @@ class MNAWorkspace:
             else:
                 self._linear_devices.append(device)
 
-        self.cap_group = _CapacitorGroup(caps, dt, integrator)
+        self.cap_group = _CapacitorGroup([caps], self.size, dt, integrator)
         if len(fets) >= VECTORIZE_MOSFET_THRESHOLD:
-            self.fet_group: Optional[_MOSFETGroup] = _MOSFETGroup(fets, self.size)
+            self.fet_group: Optional[_MOSFETGroup] = _MOSFETGroup(
+                [fets], self.size)
         else:
             self.fet_group = None
             self._iterate_devices = fets + self._iterate_devices
         self.mtj_group: Optional[_MTJGroup] = (
-            _MTJGroup(mtjs, self.size) if mtjs else None)
+            _MTJGroup([mtjs], self.size) if mtjs else None)
 
         self._build_static()
         # Reusable EvalContext scaffolding.
@@ -606,7 +631,7 @@ class MNAWorkspace:
         ctx = self._static_ctx()
         for device in self._linear_devices:
             device.stamp_static(stamper, ctx)
-        self.cap_group.stamp_static(stamper)
+        self.cap_group.stamp_static(self._static_matrix.reshape(-1))
 
     def begin_step(self, time: float,
                    prev_voltages: Optional[np.ndarray]) -> None:
@@ -621,7 +646,7 @@ class MNAWorkspace:
             device.stamp_step(view, ctx)
         self.cap_group.step_rhs(self._step_rhs, prev_voltages)
         if self.mtj_group is not None:
-            self.mtj_group.refresh_states()
+            self.mtj_group.is_ap = self.mtj_group.read_states()
 
     def assemble(self, x: np.ndarray, gmin: float = 0.0,
                  timing: Optional[Dict[str, float]] = None) -> EvalContext:
@@ -692,7 +717,7 @@ class MNAWorkspace:
         if self.mtj_group is not None:
             for device in self.mtj_group.mtjs:
                 device.update_state(ctx)
-            self.mtj_group.invalidate_states()
+            self.mtj_group.is_ap = None  # a switching event may flip state
         for device in self._linear_devices:
             device.update_state(ctx)
 
@@ -710,7 +735,7 @@ class MNAWorkspace:
         inverse of :meth:`flush_state`)."""
         self.cap_group.reload_from_devices()
         if self.mtj_group is not None:
-            self.mtj_group.invalidate_states()
+            self.mtj_group.is_ap = None
 
 
 class FastNewtonSolver:

@@ -7,13 +7,17 @@ bookkeeping, one small LAPACK call per iteration) that is identical
 across samples.  This module advances **all N samples together**:
 
 * :class:`EnsembleWorkspace` stacks the N dense MNA systems into
-  ``(N, s, s)`` / ``(N, s)`` arrays.  The static tier is stamped once
+  ``(N, s, s)`` / ``(N, s)`` arrays: one block-diagonal system.  It is
+  stamped by the scalar engine's device groups
+  (:mod:`~repro.spice.analysis.engine` ``_MOSFETGroup``, ``_MTJGroup``,
+  ``_CapacitorGroup``) built over the devices of all N samples, sample
+  *i*'s stamps offset into block *i*: one EKV evaluation for all
+  transistors of all samples, one TMR evaluation for all junctions, one
+  ``np.add.at`` per group and array.  The static tier is stamped once
   (samples share their linear sub-circuit when the device fingerprints
-  agree, which Monte-Carlo populations do) and the per-iteration tier is
-  evaluated with numpy over the sample axis: one vectorised EKV
-  evaluation for all transistors of all samples, one vectorised TMR/STT
-  evaluation for all junctions of all samples.  Every stamp is one
-  ``np.add.at`` over a precomputed, raveled (sample, slot) index.
+  agree, which Monte-Carlo populations do).  The one batch-specific
+  device model is the vectorised STT switching integration, which owns
+  the P/AP mask the shared MTJ group stamps from.
 * :class:`EnsembleNewtonSolver` runs the fast engine's damped
   **modified Newton per sample**: each sample keeps its own LU factors
   (raw LAPACK ``getrf``/``getrs``, as bound in
@@ -65,9 +69,10 @@ from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.devices.passive import Capacitor
 from repro.spice.analysis import engine as _engine
 from repro.spice.analysis.engine import (
-    _CLM_EPSILON,
     SolverStats,
+    _CapacitorGroup,
     _MOSFETGroup,
+    _MTJGroup,
     _RHSView,
     jacobian_refresh,
 )
@@ -102,275 +107,40 @@ def _recovery_gmin_ladder() -> tuple:
     return DEFAULT_POLICY.gmin_ladder
 
 
-def _gather2(voltages: np.ndarray, clipped: np.ndarray,
-             mask: np.ndarray) -> np.ndarray:
-    """Per-sample node gather: ``voltages`` is (N, s); returns (N, M)
-    with ground indices reading 0 V."""
-    return voltages.take(clipped, axis=1) * mask
-
-
-def _sample_major(count: int, stride: int, slots: np.ndarray) -> np.ndarray:
-    """Flat indices of per-sample ``slots`` in ``count`` stacked blocks of
-    ``stride`` entries, as the raveled (sample, slot) grid."""
-    return (np.arange(count, dtype=np.intp)[:, None] * stride
-            + slots[None, :]).ravel()
-
-
-def _scatter_add(flat: np.ndarray, index: np.ndarray,
-                 values: np.ndarray) -> None:
-    """``np.add.at`` of a (sample, slot) value grid at its
-    :func:`_sample_major` index.
-
-    Raveled, the call takes numpy's 1-D ``ufunc.at`` fast path and visits
-    the same (sample, slot) pairs in the same order as the 2-D form, so
-    every sum comes out bit-identical to it."""
-    np.add.at(flat, index, values.ravel())
-
-
-class _ConductanceScatter:
-    """Two-terminal conductance stamps ``g`` of one device group across
-    the sample axis: +g on both diagonals, −g on both couplings, ground
-    rows and columns dropped (mirrors ``MNAStamper.add_conductance``)."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, count: int, size: int):
-        slots, signs, sel = [], [], []
-        for row, col, sign in ((a, a, 1.0), (b, b, 1.0),
-                               (a, b, -1.0), (b, a, -1.0)):
-            keep = np.nonzero((row >= 0) & (col >= 0))[0]
-            slots.append(row[keep] * size + col[keep])
-            signs.append(np.full(keep.shape, sign))
-            sel.append(keep)
-        self.sign = np.concatenate(signs)
-        self.sel = np.concatenate(sel)
-        self.index = _sample_major(count, size * size,
-                                   np.concatenate(slots))
-
-    def stamp(self, matrix_flat: np.ndarray, g: np.ndarray) -> None:
-        _scatter_add(matrix_flat, self.index, self.sign * g[:, self.sel])
-
-
-class _CurrentScatter:
-    """Terminal-current RHS stamps of one device group across the sample
-    axis: each ``(nodes, sign)`` terminal adds ``sign · current`` at its
-    node, ground dropped, terminals applied in the order given."""
-
-    def __init__(self, terminals, count: int, size: int):
-        slots, signs, sel = [], [], []
-        for nodes, sign in terminals:
-            keep = np.nonzero(nodes >= 0)[0]
-            slots.append(nodes[keep])
-            signs.append(np.full(keep.shape, sign))
-            sel.append(keep)
-        self.sign = np.concatenate(signs)
-        self.sel = np.concatenate(sel)
-        self.index = _sample_major(count, size, np.concatenate(slots))
-
-    def stamp(self, rhs_flat: np.ndarray, current: np.ndarray) -> None:
-        _scatter_add(rhs_flat, self.index, self.sign * current[:, self.sel])
-
-
-class _EnsembleCapacitors:
-    """All capacitors of all samples: vectorised companion stamps."""
-
-    def __init__(self, per_sample: List[List[Capacitor]],
-                 size: int, dt: float, integrator: str):
-        caps0 = per_sample[0]
-        self.integrator = integrator
-        self.pos = np.array([c.positive for c in caps0], dtype=np.intp)
-        self.neg = np.array([c.negative for c in caps0], dtype=np.intp)
-        capacitance = np.array([[c.capacitance for c in caps]
-                                for caps in per_sample])
-        scale = 2.0 if integrator == "trap" else 1.0
-        self.g = scale * capacitance / dt
-        self.i_prev = np.array([[c._prev_current for c in caps]
-                                for caps in per_sample])
-        self._ieq = np.zeros_like(self.g)
-        self._pos_clip = np.clip(self.pos, 0, None)
-        self._pos_mask = (self.pos >= 0).astype(float)
-        self._neg_clip = np.clip(self.neg, 0, None)
-        self._neg_mask = (self.neg >= 0).astype(float)
-        count = len(per_sample)
-        self._matrix = _ConductanceScatter(self.pos, self.neg, count, size)
-        self._rhs = _CurrentScatter(((self.pos, 1.0), (self.neg, -1.0)),
-                                    count, size)
-
-    def stamp_static(self, static: np.ndarray) -> None:
-        """Companion conductances into the stacked static matrices."""
-        self._matrix.stamp(static.reshape(-1), self.g)
-
-    def step_rhs(self, rhs: np.ndarray, prev: np.ndarray) -> None:
-        v_prev = (_gather2(prev, self._pos_clip, self._pos_mask)
-                  - _gather2(prev, self._neg_clip, self._neg_mask))
-        ieq = self.g * v_prev
-        if self.integrator == "trap":
-            ieq = ieq + self.i_prev
-        self._ieq = ieq
-        self._rhs.stamp(rhs.reshape(-1), ieq)
-
-    def update_state(self, voltages: np.ndarray) -> None:
-        v_now = (_gather2(voltages, self._pos_clip, self._pos_mask)
-                 - _gather2(voltages, self._neg_clip, self._neg_mask))
-        self.i_prev = self.g * v_now - self._ieq
-
-
-class _EnsembleMOSFETs:
-    """All transistors of all samples: one EKV evaluation over (N, F).
-
-    Scatter geometry comes from a :class:`_MOSFETGroup` built on sample 0
-    (the topology is shared); parameters are stacked per sample so the
-    class stays correct even for populations that vary transistor
-    parameters.
-    """
-
-    def __init__(self, per_sample: List[List[MOSFET]], size: int):
-        self.group0 = _MOSFETGroup(per_sample[0], size)
-        self.sign = np.array([[f.model.sign for f in fets]
-                              for fets in per_sample])
-        self.vth0 = np.array([[f.model.vth0 for f in fets]
-                              for fets in per_sample])
-        self.slope = np.array([[f.model.slope_factor for f in fets]
-                               for fets in per_sample])
-        self.lam = np.array([[f.model.lambda_clm for f in fets]
-                             for fets in per_sample])
-        self.two_vt = np.array([[2.0 * f.model.thermal_volt for f in fets]
-                                for fets in per_sample])
-        self.i_spec = np.array(
-            [[f.model.specific_current(f.width, f.length) for f in fets]
-             for fets in per_sample])
-        g = self.group0
-        self._clip = {k: (np.clip(v, 0, None), (v >= 0).astype(float))
-                      for k, v in (("d", g.drain), ("g", g.gate),
-                                   ("s", g.source), ("b", g.bulk))}
-        count = len(per_sample)
-        self._matrix_index = _sample_major(count, size * size, g.flat_index)
-        self._rhs = _CurrentScatter(((g.drain, -1.0), (g.source, 1.0)),
-                                    count, size)
-
-    def stamp(self, matrix_flat: np.ndarray, rhs_flat: np.ndarray,
-              voltages: np.ndarray) -> None:
-        g0 = self.group0
-        vd = _gather2(voltages, *self._clip["d"])
-        vg = _gather2(voltages, *self._clip["g"])
-        vs = _gather2(voltages, *self._clip["s"])
-        vb = _gather2(voltages, *self._clip["b"])
-
-        sigma = self.sign
-        vdp, vgp = sigma * vd, sigma * vg
-        vsp, vbp = sigma * vs, sigma * vb
-        vp_pinch = (vgp - vbp - self.vth0) / self.slope
-        u_f = vp_pinch - (vsp - vbp)
-        u_r = vp_pinch - (vdp - vbp)
-
-        f_f, df_f = g0._interp(u_f / self.two_vt)
-        f_r, df_r = g0._interp(u_r / self.two_vt)
-        df_f = df_f / self.two_vt
-        df_r = df_r / self.two_vt
-
-        delta_i = f_f - f_r
-        vds_p = vdp - vsp
-        root = np.sqrt(vds_p * vds_p + _CLM_EPSILON * _CLM_EPSILON)
-        h = root - _CLM_EPSILON
-        m = 1.0 + self.lam * h
-        dm_dvds = self.lam * vds_p / root
-
-        i_drain = sigma * (self.i_spec * delta_i * m)
-        gate_term = self.i_spec * m * (df_f - df_r)
-        # (N, 4, F): per sample, the (d, g, s, b) partials of every FET.
-        partials = np.stack([
-            self.i_spec * (m * df_r + delta_i * dm_dvds),   # d
-            gate_term / self.slope,                         # g
-            self.i_spec * (-m * df_f - delta_i * dm_dvds),  # s
-            gate_term * (1.0 - 1.0 / self.slope),           # b
-        ], axis=1)
-        const = i_drain - (partials[:, 0] * vd + partials[:, 1] * vg
-                           + partials[:, 2] * vs + partials[:, 3] * vb)
-
-        # (N, K) values, one per sample and scatter slot.
-        vals = g0.scatter_sign * partials[:, g0.scatter_k, g0.scatter_fet]
-        _scatter_add(matrix_flat, self._matrix_index, vals)
-        self._rhs.stamp(rhs_flat, const)
-
-
 class _EnsembleMTJs:
-    """All junctions of all samples: vectorised TMR electrical model and
-    STT switching integration, matching :class:`MTJElement` /
-    :class:`~repro.mtj.dynamics.SwitchingModel` value-for-value."""
+    """STT switching of every junction of every sample: a vectorised
+    :meth:`~repro.mtj.dynamics.SwitchingModel.step` over the shared
+    :class:`~repro.spice.analysis.engine._MTJGroup`, which stamps from the
+    P/AP mask this class owns and updates in place."""
 
-    def __init__(self, per_sample: List[List[MTJElement]], size: int):
-        mtjs0 = per_sample[0]
-        self.elements = per_sample
-        self.free = np.array([m.free for m in mtjs0], dtype=np.intp)
-        self.ref = np.array([m.ref for m in mtjs0], dtype=np.intp)
-        self.rp = np.array([[m.device.params.resistance_p for m in row]
-                            for row in per_sample])
-        self.tmr0 = np.array([[m.device.params.tmr_zero_bias for m in row]
-                              for row in per_sample])
-        self.vh = np.array(
-            [[m.device.params.tmr_half_bias_voltage for m in row]
-             for row in per_sample])
-        self.ic = np.array([[m.device.params.critical_current for m in row]
-                            for row in per_sample])
-        self.delta = np.array(
-            [[m.device.params.thermal_stability for m in row]
-             for row in per_sample])
-        self.attempt = np.array([[m.device.params.attempt_time for m in row]
-                                 for row in per_sample])
+    def __init__(self, group: _MTJGroup):
+        self.group = group
+        mtjs = group.mtjs
+        self.ic = np.array([m.device.params.critical_current for m in mtjs])
+        self.delta = np.array([m.device.params.thermal_stability
+                               for m in mtjs])
+        self.attempt = np.array([m.device.params.attempt_time for m in mtjs])
         self.q_dyn = np.array(
-            [[m.switching.dynamic_charge if m.switching is not None else 0.0
-              for m in row] for row in per_sample])
-        self.has_switching = np.array(
-            [m.switching is not None for m in mtjs0])
-        self.is_ap = np.array(
-            [[m.device.state is MTJState.ANTIPARALLEL for m in row]
-             for row in per_sample])
+            [m.switching.dynamic_charge if m.switching is not None else 0.0
+             for m in mtjs])
+        self.has_switching = np.array([m.switching is not None for m in mtjs])
         self.progress = np.array(
-            [[m.switching.progress if m.switching is not None else 0.0
-              for m in row] for row in per_sample])
-        self._events: List[Tuple[int, int, SwitchingEvent]] = []
-
-        self._free_clip = np.clip(self.free, 0, None)
-        self._free_mask = (self.free >= 0).astype(float)
-        self._ref_clip = np.clip(self.ref, 0, None)
-        self._ref_mask = (self.ref >= 0).astype(float)
-        count = len(per_sample)
-        self._matrix = _ConductanceScatter(self.free, self.ref, count, size)
-        self._rhs = _CurrentScatter(((self.free, -1.0), (self.ref, 1.0)),
-                                    count, size)
-
-    def _electrical(self, voltages: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bias v, conductance G(|v|), and dG/d|v| per (sample, mtj)."""
-        v = (_gather2(voltages, self._free_clip, self._free_mask)
-             - _gather2(voltages, self._ref_clip, self._ref_mask))
-        av = np.abs(v)
-        ratio = av / self.vh
-        denom = 1.0 + ratio * ratio
-        r_ap = self.rp * (1.0 + self.tmr0 / denom)
-        r = np.where(self.is_ap, r_ap, self.rp)
-        g = 1.0 / r
-        dr_dv = self.rp * self.tmr0 * (-1.0 / (denom * denom)) * (
-            2.0 * av / (self.vh * self.vh))
-        dg = np.where(self.is_ap, -dr_dv / (r_ap * r_ap), 0.0)
-        return v, g, dg
-
-    def stamp(self, matrix_flat: np.ndarray, rhs_flat: np.ndarray,
-              voltages: np.ndarray) -> None:
-        v, g, dg = self._electrical(voltages)
-        g_eff = np.maximum(g + np.abs(v) * dg, 0.1 * g)
-        const = g * v - g_eff * v
-        self._matrix.stamp(matrix_flat, g_eff)
-        self._rhs.stamp(rhs_flat, const)
+            [m.switching.progress if m.switching is not None else 0.0
+             for m in mtjs])
+        self.is_ap = group.read_states()
+        group.is_ap = self.is_ap
+        self._events: List[Tuple[int, SwitchingEvent]] = []
 
     def update_state(self, voltages: np.ndarray, dt: float,
                      now: float) -> None:
         """Vectorised :meth:`SwitchingModel.step` over every junction."""
         if not self.has_switching.any():
             return
-        v, g, _dg = self._electrical(voltages)
+        v, g, _dg = self.group.electrical(voltages)
         current = g * v
         target_ap = current > 0.0
         moving = ((current != 0.0) & (target_ap != self.is_ap)
-                  & self.has_switching[None, :])
+                  & self.has_switching)
         mag = np.abs(current)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             overdrive = mag - self.ic
@@ -382,33 +152,31 @@ class _EnsembleMTJs:
             t_therm = self.attempt * np.exp(exponent)
             t_sw = np.where(mag > self.ic, t_prec, t_therm)
             gained = np.where(moving, dt / t_sw, 0.0)
-        relaxing = self.has_switching[None, :] & ~moving
+        relaxing = self.has_switching & ~moving
         decay = np.exp(-dt / self.attempt)
         self.progress = np.where(relaxing, self.progress * decay,
                                  self.progress + gained)
         flipped = moving & (self.progress >= 1.0)
         if flipped.any():
-            for n, m in np.argwhere(flipped):
-                state = (MTJState.ANTIPARALLEL if target_ap[n, m]
+            for k in np.flatnonzero(flipped):
+                state = (MTJState.ANTIPARALLEL if target_ap[k]
                          else MTJState.PARALLEL)
-                self._events.append((int(n), int(m), SwitchingEvent(
-                    time=now, new_state=state,
-                    current=float(current[n, m]))))
+                self._events.append((int(k), SwitchingEvent(
+                    time=now, new_state=state, current=float(current[k]))))
             self.is_ap[flipped] = target_ap[flipped]
             self.progress[flipped] = 0.0
 
     def finalize(self) -> None:
         """Write final magnetisation state, progress, and the recorded
         switching events back into the sample circuits' elements."""
-        for n, row in enumerate(self.elements):
-            for m, element in enumerate(row):
-                element.device.state = (MTJState.ANTIPARALLEL
-                                        if self.is_ap[n, m]
-                                        else MTJState.PARALLEL)
-                if element.switching is not None:
-                    element.switching.progress = float(self.progress[n, m])
-        for n, m, event in self._events:
-            self.elements[n][m].switching.events.append(event)
+        mtjs = self.group.mtjs
+        for k, element in enumerate(mtjs):
+            element.device.state = (MTJState.ANTIPARALLEL if self.is_ap[k]
+                                    else MTJState.PARALLEL)
+            if element.switching is not None:
+                element.switching.progress = float(self.progress[k])
+        for k, event in self._events:
+            mtjs[k].switching.events.append(event)
 
 
 def _linear_fingerprints(devices: Sequence[Device]) -> Optional[List[dict]]:
@@ -424,6 +192,12 @@ def _linear_fingerprints(devices: Sequence[Device]) -> Optional[List[dict]]:
 
 class EnsembleWorkspace:
     """Stacked MNA systems of N same-topology circuits.
+
+    The MOSFET, MTJ and capacitor stamps are the scalar engine's device
+    groups (:mod:`~repro.spice.analysis.engine`), built once over the
+    devices of all N circuits: sample *i* stamps block *i* of the
+    block-diagonal system (``matrix[i]``, ``rhs[i]``) and reads row *i*
+    of the ``(N, size)`` iterate and previous-solution stacks.
 
     Raises :class:`~repro.errors.AnalysisError` when the circuits do not
     share a structural signature (the batched solve requires one
@@ -477,10 +251,12 @@ class EnsembleWorkspace:
                 else:
                     linear[i].append(device)
 
-        self.fet_group = (_EnsembleMOSFETs(fets, s) if fets[0] else None)
-        self.cap_group = (_EnsembleCapacitors(caps, s, dt, integrator)
+        self.fet_group = _MOSFETGroup(fets, s) if fets[0] else None
+        self.cap_group = (_CapacitorGroup(caps, s, dt, integrator)
                           if caps[0] else None)
-        self.mtj_group = (_EnsembleMTJs(mtjs, s) if mtjs[0] else None)
+        self.mtj_group = _MTJGroup(mtjs, s) if mtjs[0] else None
+        self._switching = (_EnsembleMTJs(self.mtj_group)
+                           if self.mtj_group is not None else None)
         self._linear = linear
 
         # Shared-linear fast path: when every sample's linear devices are
@@ -499,6 +275,16 @@ class EnsembleWorkspace:
                            prev_voltages=None, time=0.0, dt=self.dt,
                            integrator=self.integrator)
 
+    def _sample_ctx(self, i: int, x: np.ndarray,
+                    gmin: float = 0.0) -> EvalContext:
+        """Sample ``i``'s context at the iterate stack ``x``."""
+        return EvalContext(
+            voltages=x[i, : self.num_nodes],
+            prev_voltages=None if self._prev is None
+            else self._prev[i, : self.num_nodes],
+            time=self._time, dt=self.dt, gmin=gmin,
+            integrator=self.integrator)
+
     def _build_static(self) -> None:
         ctx = self._static_ctx()
         if self._shared_linear:
@@ -516,10 +302,17 @@ class EnsembleWorkspace:
                 for device in self._linear[i]:
                     device.stamp_static(stamper, ctx)
         if self.cap_group is not None:
-            self.cap_group.stamp_static(self._static)
+            self.cap_group.stamp_static(self._static.reshape(-1))
 
     def begin_step(self, time: float, prev: Optional[np.ndarray]) -> None:
-        """Rebuild the iterate-free RHS stack for a new timepoint."""
+        """Rebuild the iterate-free RHS stack for a new timepoint.
+
+        ``prev`` is the ``(N, size)`` stack of the last accepted
+        solutions (node voltages first, as in the iterate stack)."""
+        if prev is not None and prev.shape != self.rhs.shape:
+            raise AnalysisError(
+                f"prev must be the {self.rhs.shape} solution stack, "
+                f"got shape {prev.shape}")
         self._time = time
         self._prev = prev
         self._step_rhs[:] = 0.0
@@ -538,12 +331,13 @@ class EnsembleWorkspace:
                                 self._step_rhs[i])
                 ctx = EvalContext(
                     voltages=np.zeros(0),
-                    prev_voltages=None if prev is None else prev[i],
+                    prev_voltages=None if prev is None
+                    else prev[i, : self.num_nodes],
                     time=time, dt=self.dt, integrator=self.integrator)
                 for device in self._linear[i]:
                     device.stamp_step(view, ctx)
         if self.cap_group is not None and prev is not None:
-            self.cap_group.step_rhs(self._step_rhs, prev)
+            self.cap_group.step_rhs(self._step_rhs.reshape(-1), prev)
 
     def assemble(self, x: np.ndarray, gmin: float = 0.0) -> None:
         """Assemble every sample's system at the iterate stack ``x``."""
@@ -551,50 +345,34 @@ class EnsembleWorkspace:
         np.copyto(self.rhs, self._step_rhs)
         if gmin > 0.0 and self.num_nodes:
             self.matrix[:, self._diag, self._diag] += gmin
-        voltages = x[:, : self.num_nodes]
         if self.fet_group is not None:
-            self.fet_group.stamp(self._matrix_flat, self._rhs_flat, voltages)
+            self.fet_group.stamp(self._matrix_flat, self._rhs_flat, x)
         if self.mtj_group is not None:
-            self.mtj_group.stamp(self._matrix_flat, self._rhs_flat, voltages)
-        if any(self._iterate):
-            for i in range(self.count):
-                if not self._iterate[i]:
-                    continue
+            self.mtj_group.stamp(self._matrix_flat, self._rhs_flat, x)
+        for i, devices in enumerate(self._iterate):
+            if devices:
                 view = MNAStamper(self.num_nodes, self.num_branches,
                                   matrix=self.matrix[i], rhs=self.rhs[i])
-                ctx = EvalContext(
-                    voltages=voltages[i],
-                    prev_voltages=None if self._prev is None
-                    else self._prev[i],
-                    time=self._time, dt=self.dt, gmin=gmin,
-                    integrator=self.integrator)
-                for device in self._iterate[i]:
+                ctx = self._sample_ctx(i, x, gmin)
+                for device in devices:
                     device.stamp(view, ctx)
 
     def update_state(self, x: np.ndarray) -> None:
         """Advance every sample's stateful devices after an accepted step."""
-        voltages = x[:, : self.num_nodes]
         if self.cap_group is not None:
-            self.cap_group.update_state(voltages)
-        if self.mtj_group is not None:
-            self.mtj_group.update_state(voltages, self.dt, self._time)
-        if any(self._iterate):
-            for i in range(self.count):
-                if not self._iterate[i]:
-                    continue
-                ctx = EvalContext(
-                    voltages=voltages[i],
-                    prev_voltages=None if self._prev is None
-                    else self._prev[i],
-                    time=self._time, dt=self.dt,
-                    integrator=self.integrator)
-                for device in self._iterate[i]:
+            self.cap_group.update_state(x)
+        if self._switching is not None:
+            self._switching.update_state(x, self.dt, self._time)
+        for i, devices in enumerate(self._iterate):
+            if devices:
+                ctx = self._sample_ctx(i, x)
+                for device in devices:
                     device.update_state(ctx)
 
     def finalize_devices(self) -> None:
         """Write group-held device state back into the sample circuits."""
-        if self.mtj_group is not None:
-            self.mtj_group.finalize()
+        if self._switching is not None:
+            self._switching.finalize()
 
 
 class EnsembleNewtonSolver:
@@ -738,7 +516,6 @@ def run_ensemble_transient(
     vtol: float = DEFAULT_VTOL,
     damping: float = DEFAULT_DAMPING,
     lint: str = "error",
-    fallback_engine: str = "fast",
 ):
     """Advance N same-topology circuits through one batched transient.
 
@@ -746,9 +523,9 @@ def run_ensemble_transient(
     one per circuit, in input order.  Options mirror
     :func:`~repro.spice.analysis.transient.run_transient`; the ERC
     pre-flight runs on the first sample (the samples are structurally
-    identical by construction).  Falls back to per-sample scalar runs via
-    ``fallback_engine`` when the batched path cannot converge, so the
-    call never fails where the scalar engines would succeed.
+    identical by construction).  Falls back to per-sample ``engine="fast"``
+    runs when the batched path cannot converge, so the call never fails
+    where the scalar engines would succeed.
     """
     from repro.spice.analysis.transient import TransientResult, run_transient
 
@@ -771,7 +548,7 @@ def run_ensemble_transient(
             run_transient(c, stop_time, dt, integrator=integrator,
                           initial_voltages=initial_voltages, dc_seed=dc_seed,
                           max_iterations=max_iterations, vtol=vtol,
-                          damping=damping, engine=fallback_engine, lint="off")
+                          damping=damping, engine="fast", lint="off")
             for c in circuits
         ]
 
@@ -788,16 +565,11 @@ def run_ensemble_transient(
         for circuit in circuits:
             circuit.finalize()
             circuit.reset_state()
-        # Topology must be validated before the per-sample DC seeding —
-        # a mismatched circuit would otherwise surface as a shape error
-        # from the seed-stacking loop instead of the real diagnostic.
-        signature = structure_signature(circuits[0])
-        for circuit in circuits[1:]:
-            if structure_signature(circuit) != signature:
-                raise AnalysisError(
-                    "ensemble circuits must share one topology; "
-                    f"{circuit.name!r} differs structurally from "
-                    f"{circuits[0].name!r}")
+        # The workspace validates the topology, which must happen before
+        # the per-sample DC seeding — a mismatched circuit would otherwise
+        # surface as a shape error from the seed-stacking loop instead of
+        # the real diagnostic.
+        workspace = EnsembleWorkspace(circuits, dt, integrator=integrator)
         n = len(circuits)
         num_nodes = circuits[0].num_nodes
         num_branches = circuits[0].num_branches
@@ -817,8 +589,6 @@ def run_ensemble_transient(
                 x[i] = np.concatenate([dc.voltages, dc.branch_currents])
 
         try:
-            workspace = EnsembleWorkspace(circuits, dt,
-                                          integrator=integrator)
             solver = EnsembleNewtonSolver(workspace)
 
             steps = int(round(stop_time / dt))
@@ -829,7 +599,7 @@ def run_ensemble_transient(
             currents[0] = x[:, num_nodes:]
             gmin_retries = np.zeros(n, dtype=np.intp)
 
-            prev = x[:, :num_nodes].copy()
+            prev = x.copy()
             for step in range(1, steps + 1):
                 time = step * dt
                 x_new, failed = solver.solve(
@@ -858,7 +628,7 @@ def run_ensemble_transient(
                 workspace.update_state(x)
                 voltages[step] = x[:, :num_nodes]
                 currents[step] = x[:, num_nodes:]
-                prev = x[:, :num_nodes].copy()
+                prev = x.copy()
         except (EnsembleFallback, ConvergenceError):
             if _obs_active():
                 _obs_metrics().inc("analysis.ensemble_fallbacks", 1)
@@ -885,15 +655,8 @@ def run_ensemble_transient(
             registry = _obs_metrics()
             registry.inc("analysis.ensemble_transients", 1)
             registry.inc("analysis.ensemble_samples", n)
-            registry.inc("engine.newton_iterations",
-                         int(solver.iterations.sum()))
-            registry.inc("engine.jacobian_factorizations",
-                         int(solver.factorizations.sum()))
-            registry.inc("engine.jacobian_reuses", int(solver.reuses.sum()))
-            singular_retries = int(solver.singular_retries.sum())
-            if singular_retries:
-                registry.inc("engine.singular_retries", singular_retries)
-            registry.inc("engine.timesteps", steps * n)
+            for result in results:
+                result.stats.flush_to(registry)
             span.annotate(samples=n,
                           newton_iterations=int(solver.iterations.sum()),
                           gmin_retries=int(gmin_retries.sum()))

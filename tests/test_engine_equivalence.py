@@ -18,6 +18,7 @@ from repro.spice.analysis.engine import (
     MNAWorkspace,
     VECTORIZE_MOSFET_THRESHOLD,
 )
+from repro.spice.analysis.ensemble import EnsembleWorkspace
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.analysis.transient import run_transient
 from repro.spice.devices.base import EvalContext
@@ -133,6 +134,43 @@ def test_workspace_assembly_matches_naive(builder, integrator, seed):
                                      gmin)
         assert np.max(np.abs(workspace.matrix - matrix)) <= ASSEMBLY_TOL
         assert np.max(np.abs(workspace.rhs - rhs)) <= ASSEMBLY_TOL
+
+    # Batched: three samples of the builder's topology with their own
+    # device values, previous solutions and iterates.  Each block of the
+    # ensemble system must be that sample's naive system.
+    circuits = [builder(_SameTopologyRng(seed, 100 * seed + sample))
+                for sample in range(3)]
+    ensemble = EnsembleWorkspace(circuits, dt, integrator=integrator)
+    for _ in range(3):
+        time = float(rng.uniform(0.0, 1e-9))
+        prev = rng.uniform(-0.2, 1.3, size=ensemble.rhs.shape)
+        x = rng.uniform(-0.2, 1.3, size=ensemble.rhs.shape)
+        gmin = float(rng.choice([0.0, 1e-12, 1e-9]))
+
+        ensemble.begin_step(time, prev)
+        ensemble.assemble(x, gmin=gmin)
+        for i, sample in enumerate(circuits):
+            matrix, rhs = naive_assembly(sample, x[i], time,
+                                         prev[i, : sample.num_nodes], dt,
+                                         integrator, gmin)
+            assert np.max(np.abs(ensemble.matrix[i] - matrix)) <= ASSEMBLY_TOL
+            assert np.max(np.abs(ensemble.rhs[i] - rhs)) <= ASSEMBLY_TOL
+
+
+class _SameTopologyRng:
+    """Random stream for the builders that keeps their topology fixed:
+    integer draws (section and stage counts) come from one stream, every
+    other draw (device values, MTJ states) from a per-sample one."""
+
+    def __init__(self, topology_seed: int, value_seed: int):
+        self._topology = np.random.default_rng(topology_seed)
+        self._values = np.random.default_rng(value_seed)
+
+    def integers(self, *args, **kwargs):
+        return self._topology.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._values, name)
 
 
 def test_workspace_assembly_matches_naive_dc():

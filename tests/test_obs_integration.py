@@ -31,6 +31,7 @@ from repro.obs import disable_tracing, enable_tracing, metrics, span
 from repro.obs.export import validate_chrome_trace
 from repro.spice.netlist import Circuit
 from repro.spice.analysis.dc import solve_dc
+from repro.spice.analysis.ensemble import run_ensemble_transient
 from repro.spice.analysis.transient import run_transient
 
 
@@ -56,26 +57,39 @@ def _rc_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["fast", "naive"])
+@pytest.mark.parametrize("engine", ["fast", "naive", "ensemble"])
 def test_registry_matches_solver_stats(engine):
     enable_tracing()
     before = metrics().snapshot()["counters"]
-    result = run_transient(_rc_circuit(), stop_time=100e-12, dt=1e-12,
-                           engine=engine, initial_voltages={"in": 1.0})
+    if engine == "ensemble":
+        # One batched run of three samples: the registry must hold the
+        # per-sample stats summed over the samples.
+        results = run_ensemble_transient(
+            [_rc_circuit() for _ in range(3)], stop_time=100e-12,
+            dt=1e-12, initial_voltages={"in": 1.0})
+    else:
+        results = [run_transient(_rc_circuit(), stop_time=100e-12,
+                                 dt=1e-12, engine=engine,
+                                 initial_voltages={"in": 1.0})]
     after = metrics().snapshot()["counters"]
 
     def delta(name):
         return after.get(name, 0) - before.get(name, 0)
 
-    stats = result.stats
-    assert stats is not None
-    assert stats.timesteps == 100
-    assert delta("engine.newton_iterations") == stats.iterations
-    assert delta("engine.jacobian_factorizations") == stats.factorizations
-    assert delta("engine.jacobian_reuses") == stats.reuses
-    assert delta("engine.timesteps") == stats.timesteps
-    assert delta("engine.solves") == stats.solves
-    assert delta("analysis.transients") == 1
+    def total(field):
+        return sum(getattr(result.stats, field) for result in results)
+
+    assert all(result.stats.timesteps == 100 for result in results)
+    assert delta("engine.newton_iterations") == total("iterations")
+    assert delta("engine.jacobian_factorizations") == total("factorizations")
+    assert delta("engine.jacobian_reuses") == total("reuses")
+    assert delta("engine.timesteps") == total("timesteps")
+    assert delta("engine.solves") == total("solves")
+    assert delta("engine.gmin_retries") == total("gmin_retries")
+    if engine == "ensemble":
+        assert delta("analysis.ensemble_transients") == 1
+    else:
+        assert delta("analysis.transients") == 1
 
 
 def test_solver_stats_attached_even_when_disabled():

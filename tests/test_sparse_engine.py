@@ -16,7 +16,11 @@ from repro.mtj.device import MTJState
 from repro.mtj.parameters import PAPER_TABLE_I
 from repro.mtj.variation import monte_carlo_parameters
 from repro.spice import Circuit, Pulse
-from repro.spice.analysis import run_ensemble_transient, run_transient
+from repro.spice.analysis import (
+    EnsembleWorkspace,
+    run_ensemble_transient,
+    run_transient,
+)
 from repro.spice.analysis.engine import (
     JACOBIAN_MAX_AGE,
     MNAWorkspace,
@@ -309,6 +313,16 @@ class TestEnsemble:
         circuits.append(grouped_array_circuit())
         with pytest.raises(AnalysisError):
             run_ensemble_transient(circuits, 0.4e-9, 2e-12)
+
+    def test_workspace_takes_full_previous_solutions(self):
+        # The device groups read sample i's previous solution at row i of
+        # an (N, size) stack; a node-voltage-only stack would put every
+        # sample but the first at the wrong offset.
+        workspace = EnsembleWorkspace(_sample_circuits(2), 2e-12)
+        assert workspace.num_branches > 0
+        with pytest.raises(AnalysisError):
+            workspace.begin_step(2e-12, np.zeros((2, workspace.num_nodes)))
+        workspace.begin_step(2e-12, np.zeros((2, workspace.size)))
 
     def test_mtj_state_written_back_per_sample(self):
         # A deliberately overdriven write cell: free layer pulled hard
