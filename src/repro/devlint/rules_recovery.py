@@ -8,8 +8,8 @@ fingerprint, so two runs could differ in how they recover — and hence in
 their result bits — while sharing a cache key.  The rule flags any
 ``except`` handler that catches :class:`~repro.errors.ConvergenceError`
 and then calls a solver entry point directly from the handler body;
-escalation belongs in :mod:`repro.recovery` (rung generators,
-``gmin_ladder_retry``, ``dc_recover``), whose configuration *is*
+escalation belongs in :mod:`repro.recovery` (the
+``TransientStepper`` rungs, ``dc_recover``), whose configuration *is*
 fingerprinted.
 
 ``repro/recovery/`` itself is exempt (it is the one place retries are
@@ -32,7 +32,7 @@ from repro.devlint.registry import rule
 #: handler, is an inline retry.
 _SOLVER_CALL_TAILS = {
     "solve", "_newton", "newton_step", "solve_dc", "run_transient",
-    "run_adaptive_transient", "run_ensemble_transient",
+    "run_ensemble_transient", "modified_newton",
 }
 
 #: The module tree that is allowed to implement retries.
@@ -83,5 +83,5 @@ def check_bare_convergence_retry(project: Project, emit) -> None:
                              f"recovery-policy fingerprint cannot see",
                              hint="record the failure and escalate after "
                                   "the handler via repro.recovery "
-                                  "(policy rungs, gmin_ladder_retry, "
+                                  "(TransientStepper rungs, "
                                   "dc_recover)")

@@ -1,10 +1,14 @@
 """The recovery ladder: deterministic escalation for failed solves.
 
-One :class:`TransientStepper` owns per-step advancement for a fixed-step
-transient run.  The happy path is exactly the pre-ladder hot loop — one
-solver call, one state settle — and every escalation is a pure function
-of (policy, failing step), so recovered waveforms are bit-identical for
-any worker count and cache replay:
+One :class:`TransientStepper` owns per-step advancement for every
+fast/sparse/naive transient run, fixed-step or adaptive.  The happy
+path is exactly the pre-ladder hot loop — one solver call, one state
+settle — and every escalation is a pure function of (policy, failing
+step), so recovered waveforms are bit-identical for any worker count
+and cache replay.  An adaptive run first halves a failing step's dt
+down to its ``dt_base/4`` floor (each halving counted as a
+``timestep-cut`` rung); a floor step climbs the ladder like a fixed
+step:
 
 * ``gmin``              — retry the step at each policy gmin (the
   historical strong-gmin retry is the default single entry);
@@ -157,8 +161,8 @@ class _NaiveAttempt:
     """Re-stamp-everything attempt; device state lives on the devices
     themselves, so flush/reload are no-ops."""
 
-    def __init__(self, circuit: Circuit, dt: float, integrator: str,
-                 stats, probe: Optional[ConditionProbe]):
+    def __init__(self, circuit: Circuit, engine: str, dt: float,
+                 integrator: str, stats, probe: Optional[ConditionProbe]):
         circuit.finalize()
         self.circuit = circuit
         self.dt = dt
@@ -205,12 +209,15 @@ class TransientStepper:
 
     ``advance`` both solves and settles the step — the caller's loop
     never needs to know whether the step went through the primary
-    solver or a recovery rung.
+    solver or a recovery rung.  ``control`` is the run's step control:
+    it may reject a solved step before it settles, and cut dt after a
+    failed solve before the step climbs the ladder.  Attempts are built
+    lazily, one per (engine, dt, integrator).
     """
 
     def __init__(self, circuit: Circuit, engine: str, dt: float,
                  integrator: str, max_iterations: int, vtol: float,
-                 damping: float, stats, floor_gmin: float,
+                 damping: float, stats, floor_gmin: float, control,
                  policy: Optional[RecoveryPolicy] = None):
         if engine not in ("fast", "naive", "sparse"):
             raise AnalysisError(f"unknown engine {engine!r}")
@@ -223,58 +230,65 @@ class TransientStepper:
         self.damping = damping
         self.stats = stats
         self.floor_gmin = floor_gmin
+        self.control = control
         self.policy = DEFAULT_POLICY if policy is None else policy
         self.health = SolverHealth()
         self.probe = ConditionProbe(self.health, self.policy)
-        self.num_nodes = 0  # set by the primary attempt below
-        self._primary = self._build_attempt(engine, dt, integrator)
+        self._attempts: Dict[Tuple[str, float, str], Any] = {}
+        self._attempt(engine, dt, integrator)
         self.num_nodes = circuit.num_nodes
-        self._alternates: Dict[Tuple[str, int, str], Any] = {}
 
-    def _build_attempt(self, engine: str, dt: float, integrator: str):
-        if engine in ("fast", "sparse"):
-            return _WorkspaceAttempt(self.circuit, engine, dt, integrator,
-                                     self.stats, self.probe)
-        return _NaiveAttempt(self.circuit, dt, integrator, self.stats,
-                             self.probe)
-
-    def _alternate(self, engine: str, pieces: int, integrator: str):
-        key = (engine, pieces, integrator)
-        attempt = self._alternates.get(key)
+    def _attempt(self, engine: str, dt: float, integrator: str):
+        key = (engine, dt, integrator)
+        attempt = self._attempts.get(key)
         if attempt is None:
-            attempt = self._build_attempt(engine, self.dt / pieces,
-                                          integrator)
-            self._alternates[key] = attempt
+            kind = _NaiveAttempt if engine == "naive" else _WorkspaceAttempt
+            attempt = self._attempts[key] = kind(
+                self.circuit, engine, dt, integrator, self.stats, self.probe)
         return attempt
 
     # -- public driver interface ------------------------------------------
 
-    def advance(self, x: np.ndarray, time: float,
-                prev_nodes: np.ndarray) -> np.ndarray:
-        """Solve and settle one step; escalates through the ladder on
-        failure.  Returns the accepted solution vector."""
+    def advance(self, x: np.ndarray, time: float, prev_nodes: np.ndarray,
+                dt: float) -> Optional[np.ndarray]:
+        """Solve and settle the step of length ``dt`` ending at ``time``;
+        escalates through the ladder on failure.  Returns the accepted
+        solution, or ``None`` when the step control rejected the step
+        or cut its dt (nothing settled; the caller proposes again)."""
+        primary = self._attempt(self.engine, dt, self.integrator)
         try:
-            x_new = self._primary.solve(x, time, prev_nodes,
-                                        self.floor_gmin,
-                                        self.max_iterations, self.vtol,
-                                        self.damping)
+            x_new = primary.solve(x, time, prev_nodes, self.floor_gmin,
+                                  self.max_iterations, self.vtol,
+                                  self.damping)
             guard_finite(x_new, f"engine={self.engine} t={time:g} s",
                          self.health)
         except ConvergenceError as failure:
-            return self._recover(failure, x, time, prev_nodes)
-        self._primary.settle(x_new, time, prev_nodes)
+            if self.control.cut():
+                self.health.note_rung_attempt(RUNG_TIMESTEP_CUT)
+                self.health.note_rung_success(RUNG_TIMESTEP_CUT)
+                return None
+            return self._recover(failure, primary, dt, x, time, prev_nodes)
+        if not self.control.accept(x_new):
+            self.stats.lte_rejects += 1
+            return None
+        primary.settle(x_new, time, prev_nodes)
         return x_new
 
     # -- rung machinery ----------------------------------------------------
 
-    def _recover(self, failure: ConvergenceError, x0: np.ndarray,
-                 time: float, prev_nodes: np.ndarray) -> np.ndarray:
+    def _recover(self, failure: ConvergenceError, primary, dt: float,
+                 x0: np.ndarray, time: float,
+                 prev_nodes: np.ndarray) -> np.ndarray:
         history: List[Dict[str, str]] = []
         rungs = self.policy.rungs if self.policy.enabled else ()
         for rung in rungs:
-            for detail, attempt in self._rung_attempts(rung, x0, time,
-                                                       prev_nodes):
+            for detail, attempt in self._rung_attempts(
+                    rung, primary, dt, x0, time, prev_nodes):
                 self.health.note_rung_attempt(rung)
+                if rung == RUNG_GMIN:
+                    # Counted exactly like the historical hard-coded
+                    # retry, so the obs counter keeps its meaning.
+                    self.stats.gmin_retries += 1
                 try:
                     x_new = attempt()
                 except ConvergenceError as exc:
@@ -288,76 +302,71 @@ class TransientStepper:
                 self.health.note_recovered_step()
                 self.stats.recovered_steps += 1
                 return x_new
-        self._raise_exhausted(failure, history, x0, time, prev_nodes)
+        self._raise_exhausted(failure, history, x0, time, prev_nodes, dt)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _rung_attempts(self, rung: str, x0: np.ndarray, time: float,
-                       prev_nodes: np.ndarray):
+    def _rung_attempts(self, rung: str, primary, dt: float, x0: np.ndarray,
+                       time: float, prev_nodes: np.ndarray):
         """Yield ``(detail, thunk)`` sub-attempts for one rung, in
         deterministic policy order."""
         policy = self.policy
         if rung == RUNG_GMIN:
             for gmin in policy.gmin_ladder:
                 yield (f"gmin={gmin:g}",
-                       lambda g=gmin: self._gmin_attempt(g, x0, time,
-                                                         prev_nodes))
+                       lambda g=gmin: self._primary_attempt(
+                           primary, x0, time, prev_nodes, gmin=g))
         elif rung == RUNG_DAMPING:
             damping = self.damping * policy.damping_scale
             iterations = self.max_iterations * policy.iteration_scale
             yield (f"damping={damping:g} iters={iterations}",
                    lambda: self._primary_attempt(
-                       x0, time, prev_nodes, gmin=self.floor_gmin,
+                       primary, x0, time, prev_nodes, gmin=self.floor_gmin,
                        damping=damping, max_iterations=iterations))
         elif rung == RUNG_TIMESTEP_CUT:
             for cuts in range(1, policy.max_timestep_cuts + 1):
                 pieces = 2 ** cuts
                 yield (f"dt/{pieces}",
                        lambda p=pieces: self._alternate_attempt(
-                           self.engine, self.integrator, p, x0, time,
-                           prev_nodes))
+                           primary, self.engine, self.integrator, dt, p,
+                           x0, time, prev_nodes))
         elif rung == RUNG_INTEGRATOR_SWITCH:
             if self.integrator == "trap":
                 yield ("trap->be",
                        lambda: self._alternate_attempt(
-                           self.engine, "be", 1, x0, time, prev_nodes))
+                           primary, self.engine, "be", dt, 1, x0, time,
+                           prev_nodes))
         elif rung == RUNG_ENGINE_FALLBACK:
             for engine in policy.fallback_engines(self.engine):
                 yield (f"engine={engine}",
                        lambda e=engine: self._alternate_attempt(
-                           e, self.integrator, 1, x0, time, prev_nodes))
+                           primary, e, self.integrator, dt, 1, x0, time,
+                           prev_nodes))
 
-    def _gmin_attempt(self, gmin: float, x0: np.ndarray, time: float,
-                      prev_nodes: np.ndarray) -> np.ndarray:
-        # Counted exactly like the historical hard-coded retry, so the
-        # obs counter keeps its meaning across the refactor.
-        self.stats.gmin_retries += 1
-        return self._primary_attempt(x0, time, prev_nodes, gmin=gmin)
-
-    def _primary_attempt(self, x0: np.ndarray, time: float,
+    def _primary_attempt(self, primary, x0: np.ndarray, time: float,
                          prev_nodes: np.ndarray, gmin: float,
                          damping: Optional[float] = None,
                          max_iterations: Optional[int] = None) -> np.ndarray:
-        x = self._primary.solve(
+        x = primary.solve(
             x0, time, prev_nodes, gmin,
             self.max_iterations if max_iterations is None else max_iterations,
             self.vtol, self.damping if damping is None else damping)
         guard_finite(x, f"engine={self.engine} t={time:g} s", self.health)
-        self._primary.settle(x, time, prev_nodes)
+        primary.settle(x, time, prev_nodes)
         return x
 
-    def _alternate_attempt(self, engine: str, integrator: str, pieces: int,
-                           x0: np.ndarray, time: float,
-                           prev_nodes: np.ndarray) -> np.ndarray:
+    def _alternate_attempt(self, primary, engine: str, integrator: str,
+                           dt: float, pieces: int, x0: np.ndarray,
+                           time: float, prev_nodes: np.ndarray) -> np.ndarray:
         """Re-cover [time − dt, time] with ``pieces`` substeps on an
-        alternate (engine, dt, integrator) attempt, committing device
-        state only if the whole interval succeeds."""
-        attempt = self._alternate(engine, pieces, integrator)
-        self._primary.flush()
+        alternate (engine, dt/pieces, integrator) attempt, committing
+        device state only if the whole interval succeeds."""
+        sub_dt = dt / pieces
+        attempt = self._attempt(engine, sub_dt, integrator)
+        primary.flush()
         snapshot = snapshot_device_state(self.circuit)
         try:
             attempt.reload()
-            sub_dt = self.dt / pieces
-            t_start = time - self.dt
+            t_start = time - dt
             x = x0
             prev = prev_nodes
             for k in range(1, pieces + 1):
@@ -367,11 +376,11 @@ class TransientStepper:
                 attempt.settle(x, t_k, prev)
                 prev = x[:self.num_nodes].copy()
             attempt.flush()
-            self._primary.reload()
+            primary.reload()
             return x
         except ConvergenceError:
             restore_device_state(snapshot)
-            self._primary.reload()
+            primary.reload()
             raise
 
     def _solve_with_gmins(self, attempt, x: np.ndarray, time: float,
@@ -403,7 +412,8 @@ class TransientStepper:
 
     def _raise_exhausted(self, failure: ConvergenceError,
                          history: List[Dict[str, str]], x0: np.ndarray,
-                         time: float, prev_nodes: np.ndarray) -> None:
+                         time: float, prev_nodes: np.ndarray,
+                         dt: float) -> None:
         last_state = failure.state if failure.state is not None else x0
         bundle = ForensicsBundle(
             analysis="transient",
@@ -419,7 +429,7 @@ class TransientStepper:
                              entry["outcome"])
         try:
             matrix = _stamped_matrix(self.circuit, np.asarray(last_state),
-                                     time, prev_nodes, self.dt,
+                                     time, prev_nodes, dt,
                                      self.integrator, self.floor_gmin)
             bundle.matrix_digest = stamped_matrix_digest(matrix)
         except Exception:
@@ -463,7 +473,7 @@ class TransientStepper:
                         max_iterations=self.max_iterations, vtol=self.vtol,
                         damping=self.damping, engine=self.engine,
                         lint="off", timeout=SHRINK_CANDIDATE_TIMEOUT,
-                        recovery=probe_policy)
+                        recovery=probe_policy, **self.control.request)
             except ConvergenceError:
                 return True
             except Exception:
@@ -497,38 +507,6 @@ def _stamped_matrix(circuit: Circuit, x: np.ndarray, time: float,
         device.stamp(stamper, ctx)
     stamper.apply_gmin(gmin)
     return stamper.matrix
-
-
-# ---------------------------------------------------------------------------
-# Shared gmin-rung helper (adaptive driver, batched ensembles)
-# ---------------------------------------------------------------------------
-
-
-def gmin_ladder_retry(attempt: Callable[[float], np.ndarray],
-                      policy: RecoveryPolicy, stats,
-                      health: Optional[SolverHealth] = None,
-                      failure: Optional[ConvergenceError] = None
-                      ) -> np.ndarray:
-    """Run ``attempt(gmin)`` through the policy's gmin ladder after a
-    floor-gmin failure (drivers with their own step control — the
-    adaptive transient — use this instead of a full stepper)."""
-    last = failure
-    for gmin in policy.gmin_ladder:
-        stats.gmin_retries += 1
-        try:
-            x = attempt(gmin)
-        except ConvergenceError as exc:
-            last = exc
-            continue
-        if health is not None:
-            health.note_rung_attempt(RUNG_GMIN)
-            health.note_rung_success(RUNG_GMIN)
-            health.note_recovered_step()
-        stats.recovered_steps += 1
-        return x
-    if last is None:
-        last = ConvergenceError("gmin ladder is empty")
-    raise last
 
 
 # ---------------------------------------------------------------------------

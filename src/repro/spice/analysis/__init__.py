@@ -5,7 +5,6 @@ from repro.spice.analysis.engine import FastNewtonSolver, MNAWorkspace
 from repro.spice.analysis.sparse import (
     SparseNewtonSolver,
     SparsePattern,
-    run_adaptive_transient,
     sparse_linear_solve,
 )
 from repro.spice.analysis.ensemble import (
@@ -40,7 +39,6 @@ __all__ = [
     "SparseNewtonSolver",
     "SparsePattern",
     "sparse_linear_solve",
-    "run_adaptive_transient",
     "EnsembleWorkspace",
     "run_ensemble_transient",
     "solve_dc",

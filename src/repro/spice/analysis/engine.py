@@ -14,14 +14,15 @@ need re-linearisation.  This module exploits that:
   Newton iteration.  MOSFETs are evaluated *vectorised* across all
   transistors of the circuit (one EKV evaluation over numpy arrays
   instead of N Python calls) when the circuit has enough of them.
-* :class:`FastNewtonSolver` implements damped modified Newton: the LU
-  factorisation of the Jacobian is reused across iterations (only the
-  residual is refreshed), with automatic fallback to a full
-  refactorisation when convergence slows down or stalls.
-* :func:`fast_transient_step` mirrors :func:`~repro.spice.analysis.dc.newton_step`
-  for the fast path; :func:`~repro.spice.analysis.transient.run_transient`
-  selects it with ``engine="fast"`` (the default) and keeps the legacy
-  path under ``engine="naive"`` so tests can compare the two.
+* :func:`modified_newton` is the damped modified-Newton loop of both
+  scalar engines: the LU factorisation of the Jacobian is reused across
+  iterations (only the residual is refreshed), with automatic fallback
+  to a full refactorisation when convergence slows down or stalls.
+  :class:`FastNewtonSolver` supplies its dense assembly, factorisation
+  (LAPACK getrf) and update (getrs) steps;
+  :func:`~repro.spice.analysis.transient.run_transient` selects it with
+  ``engine="fast"`` (the default) and keeps the legacy path under
+  ``engine="naive"`` so tests can compare the two.
 
 Equivalence contract, enforced by ``tests/test_engine_equivalence.py``:
 the workspace assembly matches the naive :class:`MNAStamper` assembly to
@@ -738,21 +739,90 @@ class MNAWorkspace:
             self.mtj_group.is_ap = None
 
 
-class FastNewtonSolver:
-    """Damped modified Newton over an :class:`MNAWorkspace`.
+def modified_newton(solver, x0: np.ndarray, time: float,
+                    prev_voltages: Optional[np.ndarray], gmin: float,
+                    max_iterations: int, vtol: float,
+                    damping: float) -> np.ndarray:
+    """One converged damped modified-Newton solve at a timepoint: the
+    Newton loop of both scalar engines.
 
-    The Jacobian LU factorisation is reused across iterations: only the
-    residual ``F(x) = A(x)·x − b(x)`` is refreshed, and the update solves
-    ``A₀·δ = −F(x)`` against the frozen factorisation.  The factorisation
-    is renewed automatically when the update stops shrinking (slow
-    convergence) or after :data:`JACOBIAN_MAX_AGE` iterations
-    (:func:`jacobian_refresh`).
+    ``solver`` supplies ``workspace``, ``stats`` and three steps:
+    ``_assemble(x, gmin, timing)`` builds the system at the iterate,
+    ``_factorize()`` LU-factorises its matrix and ``_update(x)`` returns
+    ``−A₀⁻¹·F(x)``, the update of the residual ``F(x) = A(x)·x − b(x)``
+    against the last factors ``A₀`` (renewed under
+    :func:`jacobian_refresh`).  Raises :class:`ConvergenceError` on
+    failure, like the naive ``_newton``.
     """
+    ws = solver.workspace
+    ws.begin_step(time, prev_voltages)
+    num_nodes = ws.num_nodes
+    stats = solver.stats
+    assemble, factorize, update = (solver._assemble, solver._factorize,
+                                   solver._update)
+    timing = stats.stamp_seconds if _obs_active() else None
+    x = x0.copy()
+    last_factor = 0
+    prev_max_dv = np.inf
+    max_dv = np.inf
+    for iteration in range(1, max_iterations + 1):
+        stats.iterations += 1
+        assemble(x, gmin, timing)
+        fresh = jacobian_refresh(iteration, last_factor, max_dv,
+                                 prev_max_dv)
+        try:
+            if fresh:
+                factorize()
+                last_factor = iteration
+            else:
+                stats.reuses += 1
+            delta = update(x)
+            finite = np.all(np.isfinite(delta))
+            if not finite and not fresh:
+                # Stale factorisation went bad: refactor and retry once
+                # (the retried update still counts as a reuse).
+                stats.singular_retries += 1
+                factorize()
+                last_factor = iteration
+                stats.reuses += 1
+                delta = update(x)
+                finite = np.all(np.isfinite(delta))
+            if not finite:
+                raise np.linalg.LinAlgError("non-finite Newton update")
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"singular MNA matrix at gmin={gmin:g} "
+                f"(iteration {iteration})",
+                iterations=iteration,
+            ) from exc
 
-    def __init__(self, workspace: MNAWorkspace, jacobian_reuse: bool = True,
+        prev_max_dv = max_dv
+        dv = delta[:num_nodes]
+        max_dv = float(np.max(np.abs(dv))) if num_nodes else 0.0
+        if max_dv > damping:
+            x = x + delta * (damping / max_dv)
+        else:
+            x = x + delta
+            if max_dv < vtol:
+                stats.solves += 1
+                return x
+    raise ConvergenceError(
+        f"Newton failed to converge in {max_iterations} iterations "
+        f"(gmin={gmin:g}, last max dV={max_dv:g})",
+        iterations=max_iterations,
+        residual=max_dv,
+        state=x.copy(),
+    )
+
+
+class FastNewtonSolver:
+    """Damped modified Newton (:func:`modified_newton`) over an
+    :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors.
+    Without scipy every update is a full dense solve."""
+
+    def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None):
         self.workspace = workspace
-        self.jacobian_reuse = jacobian_reuse and _HAVE_SCIPY
         self._lu = None
         #: Work counters, shared with the caller when one is passed in
         #: (``run_transient`` aggregates them across every timestep).
@@ -762,10 +832,16 @@ class FastNewtonSolver:
         #: probed on fresh factorisations, interval-gated by the probe.
         self.condition_probe = None
 
+    def _assemble(self, x: np.ndarray, gmin: float,
+                  timing: Optional[Dict[str, float]]) -> None:
+        self.workspace.assemble(x, gmin, timing)
+
     def _factorize(self) -> None:
         # Raw LAPACK getrf: skips the scipy wrapper overhead (asarray +
         # finiteness checks) that showed up in per-iteration profiles.
         self.stats.factorizations += 1
+        if not _HAVE_SCIPY:  # pragma: no cover - the update solves densely
+            return
         lu, piv, info = _getrf(self.workspace.matrix)
         if info != 0:
             raise np.linalg.LinAlgError(
@@ -780,16 +856,10 @@ class FastNewtonSolver:
                          if matrix.size else 0.0),
                 self.workspace.size)
 
-    def _delta(self, x: np.ndarray, fresh: bool) -> np.ndarray:
-        """Newton update −A₀⁻¹·F(x) from the workspace's assembled system."""
+    def _update(self, x: np.ndarray) -> np.ndarray:
         ws = self.workspace
-        if not self.jacobian_reuse:
-            self.stats.factorizations += 1  # full dense solve, no reuse
+        if not _HAVE_SCIPY:  # pragma: no cover - full dense solve, no reuse
             return np.linalg.solve(ws.matrix, ws.rhs) - x
-        if fresh or self._lu is None:
-            self._factorize()
-        else:
-            self.stats.reuses += 1
         residual = ws.matrix @ x - ws.rhs
         lu, piv = self._lu
         delta, info = _getrs(lu, piv, residual)
@@ -801,60 +871,5 @@ class FastNewtonSolver:
     def solve(self, x0: np.ndarray, time: float,
               prev_voltages: Optional[np.ndarray], gmin: float,
               max_iterations: int, vtol: float, damping: float) -> np.ndarray:
-        """One converged Newton solve at a timepoint (same contract as the
-        naive ``_newton``: raises :class:`ConvergenceError` on failure)."""
-        ws = self.workspace
-        ws.begin_step(time, prev_voltages)
-        num_nodes = ws.num_nodes
-        stats = self.stats
-        timing = stats.stamp_seconds if _obs_active() else None
-        x = x0.copy()
-        last_factor = 0
-        prev_max_dv = np.inf
-        max_dv = np.inf
-        for iteration in range(1, max_iterations + 1):
-            stats.iterations += 1
-            ws.assemble(x, gmin=gmin, timing=timing)
-            fresh = jacobian_refresh(iteration, last_factor, max_dv,
-                                     prev_max_dv)
-            try:
-                delta = self._delta(x, fresh=fresh)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular MNA matrix at gmin={gmin:g} "
-                    f"(iteration {iteration})",
-                    iterations=iteration,
-                ) from exc
-            if fresh:
-                last_factor = iteration
-            if not np.all(np.isfinite(delta)):
-                if not fresh:
-                    # Stale factorisation went bad: refactor and retry once.
-                    stats.singular_retries += 1
-                    self._factorize()
-                    last_factor = iteration
-                    delta = self._delta(x, fresh=False)
-                if not np.all(np.isfinite(delta)):
-                    raise ConvergenceError(
-                        f"singular MNA matrix at gmin={gmin:g} "
-                        f"(iteration {iteration})",
-                        iterations=iteration,
-                    )
-
-            prev_max_dv = max_dv
-            dv = delta[:num_nodes]
-            max_dv = float(np.max(np.abs(dv))) if num_nodes else 0.0
-            if max_dv > damping:
-                x = x + delta * (damping / max_dv)
-            else:
-                x = x + delta
-                if max_dv < vtol:
-                    stats.solves += 1
-                    return x
-        raise ConvergenceError(
-            f"Newton failed to converge in {max_iterations} iterations "
-            f"(gmin={gmin:g}, last max dV={max_dv:g})",
-            iterations=max_iterations,
-            residual=max_dv,
-            state=x.copy(),
-        )
+        return modified_newton(self, x0, time, prev_voltages, gmin,
+                               max_iterations, vtol, damping)

@@ -1,10 +1,10 @@
-"""Third-generation solver core: sparse CSC factorisation + adaptive dt.
+"""Sparse engine: CSC factorisation + adaptive dt.
 
 The fast engine (:mod:`repro.spice.analysis.engine`) removed the
 per-iteration re-stamping cost but still factorises a *dense* MNA matrix:
 node count cubes the cost, which is what makes mini-arrays and k-bit
 macros expensive.  This module adds the sparse tier on top of the same
-(well-tested) three-tier assembly workspace:
+(well-tested) three-tier assembly workspace and the same Newton loop:
 
 * :class:`SparsePattern` — the CSC sparsity structure of a circuit's MNA
   system, discovered **structurally** (static-matrix nonzeros, the
@@ -15,25 +15,30 @@ macros expensive.  This module adds the sparse tier on top of the same
   fingerprint (device classes, terminal indices, branch layout) — the
   symbolic analysis is paid once per topology, so a 200-sample
   Monte-Carlo ensemble of one latch reuses a single pattern.
-* :class:`SparseNewtonSolver` — damped modified Newton identical in
-  strategy to :class:`~repro.spice.analysis.engine.FastNewtonSolver`
-  (frozen-Jacobian reuse, staleness/slow-convergence refresh) but with
-  ``scipy.sparse.linalg.splu`` over the pattern-gathered CSC matrix in
-  place of dense LAPACK getrf: factorisation cost follows the fill-in of
-  the sparse structure instead of n³.
-* :func:`run_adaptive_transient` — local-truncation-error timestep
-  control for ``engine="sparse"`` transients.  The controller estimates
-  the backward-Euler LTE from the curvature of the accepted solution
-  history (the standard SPICE divided-difference estimator, i.e. the
-  first-order member of the trap/BE pair the integrators already
-  implement), steps on a power-of-two ladder ``dt_base·2^k`` so the
-  cached static tier is rebuilt at most once per ladder level, and
-  **clamps dt back to the base step whenever any MTJ is inside a
-  switching window** (junction current beyond a fraction of I_c or
-  accumulated switching progress pending) so the Table II write/restore
-  physics is integrated exactly as the fixed-step engines integrate it.
-  Accepted points are resampled onto the caller's fixed output grid, so
-  downstream measurement code is oblivious to the internal step ladder.
+* :class:`SparseNewtonSolver` — the assembly, factorisation and update
+  steps the shared modified-Newton loop
+  (:func:`~repro.spice.analysis.engine.modified_newton`) runs with:
+  pattern-gathered (or pure) CSC assembly and
+  ``scipy.sparse.linalg.splu`` in place of dense LAPACK getrf, so
+  factorisation cost follows the fill-in of the sparse structure
+  instead of n³.
+* :class:`LTEStepControl` — local-truncation-error timestep control for
+  ``engine="sparse"`` transients, one of the two step controls of
+  :func:`~repro.spice.analysis.transient.run_transient`'s timestep loop.
+  The controller estimates the backward-Euler LTE from the curvature of
+  the accepted solution history (the standard SPICE divided-difference
+  estimator, i.e. the first-order member of the trap/BE pair the
+  integrators already implement), steps on a power-of-two ladder
+  ``dt_base·2^k`` so the cached static tier is built once per distinct
+  dt, lands steps on source-waveform corners, and **clamps dt back to
+  the base step whenever any MTJ is inside a switching window**
+  (junction current beyond a fraction of I_c or accumulated switching
+  progress pending) so the Table II write/restore physics is integrated
+  exactly as the fixed-step engines integrate it.  A failed solve
+  halves dt down to the ``dt_base/MIN_DT_DIVISOR`` floor; a floor step
+  climbs the fixed-step recovery ladder.  Accepted points are resampled
+  onto the caller's fixed output grid, so downstream measurement code is
+  oblivious to the internal step ladder.
 
 Equivalence contract (enforced by ``tests/test_engine_differential.py``
 and ``tests/test_sparse_engine.py``): non-adaptive sparse waveforms match
@@ -45,7 +50,7 @@ the golden Table II metrics inside the 0.1 % band
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +62,7 @@ try:  # sparse LU via SuperLU; the sparse engine needs scipy.
 except ImportError:  # pragma: no cover - scipy is a declared dependency
     _HAVE_SPLU = False
 
-from repro.errors import AnalysisError, ConvergenceError
+from repro.errors import AnalysisError
 from repro.obs import is_active as _obs_active
 from repro.obs import metrics as _obs_metrics
 from repro.spice.devices.base import EvalContext
@@ -65,7 +70,7 @@ from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.analysis.engine import (
     MNAWorkspace,
     SolverStats,
-    jacobian_refresh,
+    modified_newton,
 )
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
@@ -108,9 +113,11 @@ def sparse_config_fingerprint() -> Dict[str, object]:
         "grow_threshold": GROW_THRESHOLD,
         "mtj_window_fraction": MTJ_WINDOW_FRACTION,
         "mtj_progress_epsilon": MTJ_PROGRESS_EPSILON,
-        # Algorithm revision marker: steps land on source-waveform
-        # corners instead of striding over them.
+        # Algorithm revision markers: steps land on source-waveform
+        # corners instead of striding over them; a failed solve halves
+        # dt down to the floor, then climbs the recovery ladder.
         "source_breakpoints": True,
+        "failed_step_halving": True,
     }
 
 
@@ -297,11 +304,12 @@ def _csc_norm1(csc) -> float:
 class SparseNewtonSolver:
     """Damped modified Newton with SuperLU factorisations.
 
-    Mirrors :class:`~repro.spice.analysis.engine.FastNewtonSolver`
-    exactly in Newton strategy — damping, convergence test, Jacobian
-    staleness policy — so the two engines agree to solver tolerance; only
-    the linear-algebra backend differs (pattern-gathered CSC + ``splu``
-    instead of dense getrf/getrs).
+    Runs the fast engine's Newton loop
+    (:func:`~repro.spice.analysis.engine.modified_newton`) — damping,
+    convergence test, Jacobian staleness policy — so the two engines
+    agree to solver tolerance; only its three steps differ: CSC assembly
+    (pure, or dense then gathered), ``splu`` and ``lu.solve`` instead of
+    dense getrf/getrs.
     """
 
     def __init__(self, workspace: MNAWorkspace,
@@ -343,12 +351,15 @@ class SparseNewtonSolver:
                 workspace.mtj_group.flat_index)
                 if workspace.mtj_group is not None else None)
 
-    def _refresh_csc(self) -> None:
-        self.pattern.gather(self.workspace.matrix, self._csc.data)
-
-    def _assemble_csc(self, x: np.ndarray, gmin: float) -> None:
-        """Assemble the iterate directly in CSC form (pure mode only)."""
+    def _assemble(self, x: np.ndarray, gmin: float,
+                  timing: Optional[Dict[str, float]]) -> None:
         ws = self.workspace
+        if not self._pure:
+            ws.assemble(x, gmin, timing)
+            self.pattern.gather(ws.matrix, self._csc.data)
+            return
+        # Pure-CSC assembly: the iterate straight into the CSC data.
+        t0 = _time.perf_counter() if timing is not None else 0.0
         data = self._csc.data
         np.copyto(data, self._static_data)
         np.copyto(ws.rhs, ws._step_rhs)
@@ -359,6 +370,9 @@ class SparseNewtonSolver:
             ws.fet_group.stamp_into(data, self._fet_pos, ws.rhs, voltages)
         if ws.mtj_group is not None:
             ws.mtj_group.stamp_into(data, self._mtj_pos, ws.rhs, voltages)
+        if timing is not None:
+            timing["csc_assemble"] = (timing.get("csc_assemble", 0.0)
+                                      + (_time.perf_counter() - t0))
 
     def _factorize(self) -> None:
         self.stats.factorizations += 1
@@ -375,82 +389,15 @@ class SparseNewtonSolver:
                 lambda: _csc_norm1(csc),
                 self.workspace.size)
 
-    def _delta(self, x: np.ndarray, fresh: bool) -> np.ndarray:
-        if fresh or self._lu is None:
-            self._factorize()
-        else:
-            self.stats.reuses += 1
+    def _update(self, x: np.ndarray) -> np.ndarray:
         residual = self._csc @ x - self.workspace.rhs
         return -self._lu.solve(residual)
 
     def solve(self, x0: np.ndarray, time: float,
               prev_voltages: Optional[np.ndarray], gmin: float,
               max_iterations: int, vtol: float, damping: float) -> np.ndarray:
-        """One converged Newton solve at a timepoint (same contract as
-        ``FastNewtonSolver.solve``)."""
-        ws = self.workspace
-        ws.begin_step(time, prev_voltages)
-        num_nodes = ws.num_nodes
-        stats = self.stats
-        timing = stats.stamp_seconds if _obs_active() else None
-        x = x0.copy()
-        last_factor = 0
-        prev_max_dv = np.inf
-        max_dv = np.inf
-        for iteration in range(1, max_iterations + 1):
-            stats.iterations += 1
-            if self._pure:
-                t0 = _time.perf_counter() if timing is not None else 0.0
-                self._assemble_csc(x, gmin)
-                if timing is not None:
-                    timing["csc_assemble"] = (
-                        timing.get("csc_assemble", 0.0)
-                        + (_time.perf_counter() - t0))
-            else:
-                ws.assemble(x, gmin=gmin, timing=timing)
-                self._refresh_csc()
-            fresh = jacobian_refresh(iteration, last_factor, max_dv,
-                                     prev_max_dv)
-            try:
-                delta = self._delta(x, fresh=fresh)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular MNA matrix at gmin={gmin:g} "
-                    f"(iteration {iteration})",
-                    iterations=iteration,
-                ) from exc
-            if fresh:
-                last_factor = iteration
-            if not np.all(np.isfinite(delta)):
-                if not fresh:
-                    stats.singular_retries += 1
-                    self._factorize()
-                    last_factor = iteration
-                    delta = self._delta(x, fresh=False)
-                if not np.all(np.isfinite(delta)):
-                    raise ConvergenceError(
-                        f"singular MNA matrix at gmin={gmin:g} "
-                        f"(iteration {iteration})",
-                        iterations=iteration,
-                    )
-
-            prev_max_dv = max_dv
-            dv = delta[:num_nodes]
-            max_dv = float(np.max(np.abs(dv))) if num_nodes else 0.0
-            if max_dv > damping:
-                x = x + delta * (damping / max_dv)
-            else:
-                x = x + delta
-                if max_dv < vtol:
-                    stats.solves += 1
-                    return x
-        raise ConvergenceError(
-            f"Newton failed to converge in {max_iterations} iterations "
-            f"(gmin={gmin:g}, last max dV={max_dv:g})",
-            iterations=max_iterations,
-            residual=max_dv,
-            state=x.copy(),
-        )
+        return modified_newton(self, x0, time, prev_voltages, gmin,
+                               max_iterations, vtol, damping)
 
 
 def sparse_linear_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -475,23 +422,8 @@ def sparse_linear_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive-timestep transient driver (LTE control)
+# Adaptive timestep control (LTE)
 # ---------------------------------------------------------------------------
-
-
-def _mtj_in_switching_window(mtjs: List[MTJElement], voltages: np.ndarray,
-                             num_nodes: int) -> bool:
-    """Whether any switching-capable MTJ is near/inside a write event."""
-    for element in mtjs:
-        ctx = EvalContext(voltages=voltages[:num_nodes], prev_voltages=None,
-                          time=0.0, dt=None)
-        current = element.current(ctx)
-        critical = element.device.params.critical_current
-        if abs(current) >= MTJ_WINDOW_FRACTION * critical:
-            return True
-        if element.switching.progress > MTJ_PROGRESS_EPSILON:
-            return True
-    return False
 
 
 def _interp_to_grid(times: np.ndarray, samples: np.ndarray,
@@ -512,181 +444,148 @@ def _interp_to_grid(times: np.ndarray, samples: np.ndarray,
     return samples[idx] + frac[:, None] * (samples[idx + 1] - samples[idx])
 
 
-def run_adaptive_transient(
-    circuit: Circuit,
-    x0: np.ndarray,
-    stop_time: float,
-    dt_base: float,
-    integrator: str,
-    max_iterations: int,
-    vtol: float,
-    damping: float,
-    floor_gmin: float,
-    stats: SolverStats,
-    lte_tol: float = DEFAULT_LTE_TOL,
-    max_dt_factor: int = DEFAULT_MAX_DT_FACTOR,
-    deadline: Optional[float] = None,
-    timeout: Optional[float] = None,
-    on_step: Optional[Callable[[float, np.ndarray], None]] = None,
-    policy=None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, "object"]:
-    """LTE-controlled sparse transient from an initial solution ``x0``.
+class LTEStepControl:
+    """Local-truncation-error step control of an adaptive sparse run.
 
-    Returns ``(times, node_voltages, branch_currents, dt_trace, health)``
-    with the waveforms resampled onto the fixed grid ``k · dt_base`` the
-    fixed-step engines produce, ``dt_trace`` the sequence of accepted
-    internal step sizes (the review-visible record of step selection —
-    pinned by ``tests/golden/dt_trace_sparse.json``), and ``health`` the
-    run's :class:`~repro.recovery.health.SolverHealth` record.
-
-    ``policy`` — optional
-    :class:`~repro.recovery.policy.RecoveryPolicy`.  The adaptive driver
-    already owns step-size control, so only the ladder's gmin rung (and
-    the finiteness guard / condition probes) applies here; LTE rejection
-    covers the timestep-cut role.
-
-    The dt ladder is ``dt_base · 2^k`` with
-    ``k ∈ [-log2(MIN_DT_DIVISOR), log2(max_dt_factor)]``; each rung owns
-    one lazily-built workspace/solver pair (the static tier depends on
-    dt), so rung changes cost a static rebuild at most once per rung.
-    ``on_step`` fires at every *accepted internal* point.
+    dt lives on the ladder ``dt_base·2^k``, ``k`` from
+    ``−log2(MIN_DT_DIVISOR)`` (the floor) to ``log2(max_dt_factor)``.
+    :meth:`propose` lands a step on the next source-waveform corner or
+    the stop time; :meth:`accept` rejects a solved step (halving dt)
+    whose backward-Euler LTE estimate exceeds ``lte_tol``; :meth:`cut`
+    halves dt after a failed solve while above the floor; :meth:`record`
+    caps dt at ``dt_base`` while an MTJ is in a switching window and
+    otherwise grows it after a small estimate (never after a
+    ladder-recovered step); :meth:`finish` resamples the accepted
+    points onto the output grid ``k·dt_base``.
     """
-    if integrator != "be":
-        raise AnalysisError(
-            "adaptive timestep control supports the 'be' integrator "
-            f"(got {integrator!r}); run trap circuits fixed-step")
-    if lte_tol <= 0.0:
-        raise AnalysisError(f"lte_tol must be positive, got {lte_tol}")
-    if max_dt_factor < 1:
-        raise AnalysisError(
-            f"max_dt_factor must be >= 1, got {max_dt_factor}")
 
-    num_nodes = circuit.num_nodes
-    steps = int(round(stop_time / dt_base))
-    t_end = steps * dt_base  # the fixed drivers integrate to step·dt too
-    max_level = max(0, int(np.log2(max_dt_factor)))
-    min_level = -int(np.log2(MIN_DT_DIVISOR))
-    mtjs = [d for d in circuit.devices
-            if isinstance(d, MTJElement) and d.switching is not None]
-    # Source-waveform corners (pulse/PWL slope discontinuities): a grown
-    # step must land on a corner, never stride over it — the LTE
-    # estimate only sees a missed edge one step too late, after the
-    # smeared edge is already in the accepted history.
-    from repro.spice.devices.sources import CurrentSource, VoltageSource
+    def __init__(self, circuit: Circuit, x0: np.ndarray, stop_time: float,
+                 dt_base: float, lte_tol: float, max_dt_factor: int):
+        if lte_tol <= 0.0:
+            raise AnalysisError(f"lte_tol must be positive, got {lte_tol}")
+        if max_dt_factor < 1:
+            raise AnalysisError(
+                f"max_dt_factor must be >= 1, got {max_dt_factor}")
+        #: The ``run_transient`` keywords that select this control.
+        self.request = {"adaptive": True, "lte_tol": lte_tol,
+                        "max_dt_factor": max_dt_factor}
+        self.num_nodes = circuit.num_nodes
+        self.dt_base = dt_base
+        self.lte_tol = lte_tol
+        self.steps = int(round(stop_time / dt_base))
+        # Fixed-step runs end at steps·dt too.
+        self.t_end = self.steps * dt_base
+        self.max_level = max(0, int(np.log2(max_dt_factor)))
+        self.min_level = -int(np.log2(MIN_DT_DIVISOR))
+        self.mtjs = [d for d in circuit.devices
+                     if isinstance(d, MTJElement) and d.switching is not None]
+        # Source-waveform corners (pulse/PWL slope discontinuities): a
+        # grown step must land on a corner, never stride over it — the
+        # LTE estimate only sees a missed edge one step too late, after
+        # the smeared edge is already in the accepted history.
+        from repro.spice.devices.sources import CurrentSource, VoltageSource
 
-    corner_set = set()
-    for device in circuit.devices:
-        if isinstance(device, (VoltageSource, CurrentSource)):
-            corner_set.update(device.waveform.breakpoints(t_end))
-    corners = np.asarray(sorted(b for b in corner_set if 0.0 < b < t_end))
+        corner_set = set()
+        for device in circuit.devices:
+            if isinstance(device, (VoltageSource, CurrentSource)):
+                corner_set.update(device.waveform.breakpoints(self.t_end))
+        self.corners = np.asarray(sorted(b for b in corner_set
+                                         if 0.0 < b < self.t_end))
+        self.times: List[float] = [0.0]
+        self.states: List[np.ndarray] = [x0.copy()]
+        self.dt_trace: List[float] = []
+        self.level = 0
+        self.t = 0.0
+        self.prev_dt: Optional[float] = None
+        self._registry = _obs_metrics() if _obs_active() else None
 
-    from repro.recovery.health import ConditionProbe, SolverHealth, \
-        guard_finite
-    from repro.recovery.ladder import gmin_ladder_retry
-    from repro.recovery.policy import DEFAULT_POLICY
+    def done(self) -> bool:
+        return self.t >= self.t_end - 1e-6 * self.dt_base
 
-    policy = DEFAULT_POLICY if policy is None else policy
-    health = SolverHealth()
-    probe = ConditionProbe(health, policy)
-
-    rungs: Dict[float, Tuple[MNAWorkspace, SparseNewtonSolver]] = {}
-
-    def rung(dt: float) -> Tuple[MNAWorkspace, SparseNewtonSolver]:
-        pair = rungs.get(dt)
-        if pair is None:
-            workspace = MNAWorkspace(circuit, dt=dt, integrator=integrator)
-            solver = SparseNewtonSolver(workspace, stats=stats)
-            solver.condition_probe = probe
-            pair = (workspace, solver)
-            rungs[dt] = pair
-        return pair
-
-    def advance(solver: SparseNewtonSolver, x: np.ndarray, time: float,
-                prev_nodes: np.ndarray) -> np.ndarray:
-        def attempt(gmin: float) -> np.ndarray:
-            return guard_finite(
-                solver.solve(x, time, prev_nodes, gmin, max_iterations,
-                             vtol, damping),
-                f"adaptive t={time:g} s", health)
-
-        try:
-            return attempt(floor_gmin)
-        except ConvergenceError as exc:
-            failure = exc
-        if not policy.enabled:
-            raise failure
-        return gmin_ladder_retry(attempt, policy, stats, health=health,
-                                 failure=failure)
-
-    acc_times: List[float] = [0.0]
-    acc_states: List[np.ndarray] = [x0.copy()]
-    dt_trace: List[float] = []
-    x = x0.copy()
-    prev_nodes = x[:num_nodes].copy()
-    prev_dt: Optional[float] = None
-    level = 0
-    t = 0.0
-    registry = _obs_metrics() if _obs_active() else None
-
-    while t < t_end - 1e-6 * dt_base:
-        if deadline is not None and _time.monotonic() > deadline:
-            raise ConvergenceError(
-                f"adaptive transient of {circuit.name!r} exceeded its "
-                f"{timeout:g} s wall-clock timeout at t={t:g} s",
-                iterations=len(dt_trace), state=x.copy(),
-            )
-        dt_try = dt_base * (2.0 ** level)
-        final_step = t + dt_try >= t_end - 1e-6 * dt_base
+    def propose(self) -> Tuple[float, float]:
+        """``(time, dt)`` of the next step attempt."""
+        t, dt_base = self.t, self.dt_base
+        dt_try = dt_base * (2.0 ** self.level)
+        final_step = t + dt_try >= self.t_end - 1e-6 * dt_base
         if final_step:
-            dt_try = t_end - t
+            dt_try = self.t_end - t
+        corners = self.corners
         if corners.size:
             nxt = np.searchsorted(corners, t + 1e-6 * dt_base)
             if nxt < corners.size and t + dt_try > corners[nxt] \
                     - 1e-6 * dt_base:
                 dt_try = float(corners[nxt]) - t
                 final_step = False
-        workspace, solver = rung(dt_try)
-        x_new = advance(solver, x, t + dt_try, prev_nodes)
+        # A step that skips accept() (a ladder-recovered floor step)
+        # never grows dt.
+        self._dt, self._final, self._err = dt_try, final_step, np.inf
+        return t + dt_try, dt_try
 
-        # BE local-truncation-error estimate ≈ (dt²/2)·|v''| from the
-        # divided-difference curvature of the accepted history.
-        if prev_dt is not None and level > min_level and not final_step:
-            v_new = x_new[:num_nodes]
-            v_cur = acc_states[-1][:num_nodes]
-            v_old = acc_states[-2][:num_nodes]
+    def accept(self, x_new: np.ndarray) -> bool:
+        """LTE check of the proposed step's solution, before it settles."""
+        err = 0.0
+        if self.prev_dt is not None and self.level > self.min_level \
+                and not self._final:
+            # BE local-truncation-error estimate ≈ (dt²/2)·|v''| from the
+            # divided-difference curvature of the accepted history.
+            n, dt_try, prev_dt = self.num_nodes, self._dt, self.prev_dt
+            v_new = x_new[:n]
+            v_cur = self.states[-1][:n]
+            v_old = self.states[-2][:n]
             d1 = (v_new - v_cur) / dt_try
             d0 = (v_cur - v_old) / prev_dt
             curvature = (d1 - d0) / (0.5 * (dt_try + prev_dt))
             err = 0.5 * dt_try * dt_try * float(np.max(np.abs(curvature)))
-        else:
-            err = 0.0
-        if err > lte_tol and level > min_level and not final_step:
-            stats.lte_rejects += 1
-            level -= 1
-            continue  # reject: no device state was advanced
+            if err > self.lte_tol:
+                self.level -= 1
+                return False
+        self._err = err
+        return True
 
-        workspace.update_state(x_new)
-        t += dt_try
-        acc_times.append(t)
-        acc_states.append(x_new.copy())
-        dt_trace.append(dt_try)
-        stats.timesteps += 1
-        if registry is not None:
-            registry.observe("engine.sparse.dt_over_base", dt_try / dt_base)
-        prev_nodes = x_new[:num_nodes].copy()
-        prev_dt = dt_try
-        x = x_new
-        if on_step is not None:
-            on_step(t, x_new[:num_nodes])
+    def cut(self) -> bool:
+        """Halve dt after a failed solve; False at the floor, where the
+        step climbs the recovery ladder instead."""
+        if self.level <= self.min_level:
+            return False
+        self.level -= 1
+        return True
 
-        if mtjs and _mtj_in_switching_window(mtjs, x_new, num_nodes):
-            level = min(level, 0)
-        elif err <= GROW_THRESHOLD * lte_tol and level < max_level:
-            level += 1
+    def record(self, time: float, x_new: np.ndarray) -> None:
+        """Keep an accepted (settled) step and pick the next level."""
+        self.t = time
+        self.times.append(time)
+        self.states.append(x_new.copy())
+        self.dt_trace.append(self._dt)
+        if self._registry is not None:
+            self._registry.observe("engine.sparse.dt_over_base",
+                                   self._dt / self.dt_base)
+        self.prev_dt = self._dt
+        if self._in_switching_window(x_new):
+            self.level = min(self.level, 0)
+        elif self._err <= GROW_THRESHOLD * self.lte_tol \
+                and self.level < self.max_level:
+            self.level += 1
 
-    times_acc = np.asarray(acc_times)
-    states_acc = np.vstack(acc_states)
-    grid = np.arange(steps + 1) * dt_base
-    resampled = _interp_to_grid(times_acc, states_acc, grid)
-    return (grid, resampled[:, :num_nodes], resampled[:, num_nodes:],
-            np.asarray(dt_trace), health)
+    def _in_switching_window(self, x: np.ndarray) -> bool:
+        """Whether any switching-capable MTJ is near/inside a write event."""
+        for element in self.mtjs:
+            ctx = EvalContext(voltages=x[:self.num_nodes], prev_voltages=None,
+                              time=0.0, dt=None)
+            current = element.current(ctx)
+            critical = element.device.params.critical_current
+            if abs(current) >= MTJ_WINDOW_FRACTION * critical:
+                return True
+            if element.switching.progress > MTJ_PROGRESS_EPSILON:
+                return True
+        return False
+
+    def finish(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+        """``(times, node_voltages, branch_currents, dt_trace)`` with
+        the waveforms resampled onto the output grid."""
+        grid = np.arange(self.steps + 1) * self.dt_base
+        resampled = _interp_to_grid(np.asarray(self.times),
+                                    np.vstack(self.states), grid)
+        n = self.num_nodes
+        return (grid, resampled[:, :n], resampled[:, n:],
+                np.asarray(self.dt_trace))

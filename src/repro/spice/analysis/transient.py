@@ -1,10 +1,14 @@
-"""Fixed-step transient analysis.
+"""Transient analysis.
 
-The driver advances the circuit with a fixed timestep, solving a damped
-Newton iteration at each timepoint (companion models supplied by the
+One timestep loop advances the circuit, solving a damped Newton
+iteration at each timepoint (companion models supplied by the
 capacitors) and then letting stateful devices advance
 (:meth:`Device.update_state` — capacitor current history, MTJ switching
-progress).
+progress).  A step control picks each step: fixed steps landing on
+``k·dt`` by default, or the LTE control of
+:mod:`repro.spice.analysis.sparse` under ``adaptive=True``.  The
+:class:`~repro.recovery.ladder.TransientStepper` solves and settles
+every step, climbing the recovery ladder when a solve fails.
 
 Integrator choice: ``"be"`` (backward Euler, default — numerically
 damped, very robust for the strongly nonlinear latch circuits) or
@@ -141,6 +145,47 @@ class TransientResult:
         return (self.times >= t0) & (self.times <= t1)
 
 
+class _FixedSteps:
+    """Step control of a fixed-step run: step ``k`` ends at ``k·dt``,
+    every step is accepted, a failed solve climbs the recovery ladder,
+    and samples fill preallocated output arrays."""
+
+    #: The ``run_transient`` keywords that select this control.
+    request: Dict[str, object] = {}
+
+    def __init__(self, x0: np.ndarray, dt: float, steps: int,
+                 num_nodes: int):
+        self.dt = dt
+        self.steps = steps
+        self.num_nodes = num_nodes
+        self.times = np.empty(steps + 1)
+        self.voltages = np.empty((steps + 1, num_nodes))
+        self.currents = np.empty((steps + 1, x0.size - num_nodes))
+        self.step = -1
+        self.record(0.0, x0)  # row 0: the initial point
+
+    def done(self) -> bool:
+        return self.step == self.steps
+
+    def propose(self):
+        return (self.step + 1) * self.dt, self.dt
+
+    def accept(self, x_new: np.ndarray) -> bool:
+        return True
+
+    def cut(self) -> bool:
+        return False
+
+    def record(self, time: float, x_new: np.ndarray) -> None:
+        step = self.step = self.step + 1
+        self.times[step] = time
+        self.voltages[step] = x_new[:self.num_nodes]
+        self.currents[step] = x_new[self.num_nodes:]
+
+    def finish(self):
+        return self.times, self.voltages, self.currents, None
+
+
 def run_transient(
     circuit: Circuit,
     stop_time: float,
@@ -173,7 +218,8 @@ def run_transient(
       with the ``be`` integrator only); ``dt`` becomes the base step of
       the dt ladder and the output stays sampled on the fixed ``k·dt``
       grid.  ``lte_tol``/``max_dt_factor`` tune the controller (defaults
-      from :mod:`repro.spice.analysis.sparse`).
+      from :mod:`repro.spice.analysis.sparse`).  A failed solve halves
+      the step down to ``dt/4``, then climbs the ``recovery`` ladder.
     * ``lint`` — ERC pre-flight mode (``"error"``/``"warn"``/``"off"``):
       structurally broken circuits (floating nodes, supply loops, ...)
       raise a :class:`~repro.errors.NetlistError` naming the root-cause
@@ -285,39 +331,17 @@ def run_transient(
             x = np.concatenate([dc.voltages, dc.branch_currents])
 
         if adaptive:
-            from repro.spice.analysis.sparse import run_adaptive_transient
+            from repro.spice.analysis.sparse import LTEStepControl
 
-            times, voltages, currents, dt_trace, health = \
-                run_adaptive_transient(
-                    circuit, x, stop_time, dt, integrator, max_iterations,
-                    vtol, damping, FLOOR_GMIN, stats, lte_tol=lte_tol,
-                    max_dt_factor=max_dt_factor, deadline=deadline,
-                    timeout=timeout, on_step=on_step, policy=policy)
-            if _obs_active():
-                stats.flush_to(_obs_metrics())
-                health.flush_to(_obs_metrics())
-                _obs_metrics().inc("analysis.transients", 1)
-                run_span.annotate(**stats.as_attrs())
-            result = TransientResult(circuit, times, voltages, currents,
-                                     stats=stats, dt_trace=dt_trace,
-                                     health=health)
-            if cache_handle is not None:
-                cache_handle.store(result)
-            return result
-
-        steps = int(round(stop_time / dt))
-        times = np.empty(steps + 1)
-        voltages = np.empty((steps + 1, num_nodes))
-        currents = np.empty((steps + 1, circuit.num_branches))
-
-        times[0] = 0.0
-        voltages[0] = x[:num_nodes]
-        currents[0] = x[num_nodes:]
+            control = LTEStepControl(circuit, x, stop_time, dt, lte_tol,
+                                     max_dt_factor)
+        else:
+            control = _FixedSteps(x, dt, int(round(stop_time / dt)),
+                                  num_nodes)
 
         # Per-step advancement (solve + settle) including the recovery
-        # ladder lives in the stepper; the loop below only records.  The
-        # stepper's gmin rung replaces the strong-gmin retry that used to
-        # be duplicated (hard-coded 1e-9) across the engine branches.
+        # ladder lives in the stepper; the step control picks each step
+        # and keeps the accepted points.
         from repro.recovery.ladder import TransientStepper
 
         with _obs_span("engine.workspace_build", category="engine",
@@ -325,30 +349,32 @@ def run_transient(
                               "engine": engine}):
             stepper = TransientStepper(
                 circuit, engine, dt, integrator, max_iterations, vtol,
-                damping, stats, FLOOR_GMIN, policy=policy)
+                damping, stats, FLOOR_GMIN, control, policy=policy)
 
         loop_span = _obs_span("engine.timestep_loop", category="engine",
-                              attrs={"engine": engine, "steps": steps})
+                              attrs={"engine": engine,
+                                     "steps": control.steps})
         with loop_span:
             prev_nodes = x[:num_nodes].copy()
-            for step in range(1, steps + 1):
-                time = step * dt
+            t = 0.0
+            while not control.done():
                 if deadline is not None and _time.monotonic() > deadline:
                     raise ConvergenceError(
                         f"transient of {circuit.name!r} exceeded its "
-                        f"{timeout:g} s wall-clock timeout at t={time - dt:g} "
-                        f"s (step {step - 1}/{steps})",
-                        iterations=step - 1, state=x.copy(),
+                        f"{timeout:g} s wall-clock timeout at t={t:g} s "
+                        f"(step {stats.timesteps}/{control.steps})",
+                        iterations=stats.timesteps, state=x.copy(),
                     )
-                x = stepper.advance(x, time, prev_nodes)
+                time, step_dt = control.propose()
+                x_new = stepper.advance(x, time, prev_nodes, step_dt)
+                if x_new is None:
+                    continue  # rejected or cut: nothing settled
                 stats.timesteps += 1
-
-                times[step] = time
-                voltages[step] = x[:num_nodes]
-                currents[step] = x[num_nodes:]
+                control.record(time, x_new)
+                t, x = time, x_new
                 prev_nodes = x[:num_nodes].copy()
                 if on_step is not None:
-                    on_step(time, voltages[step])
+                    on_step(time, x[:num_nodes])
             if _obs_active():
                 loop_span.annotate(**stats.as_attrs())
 
@@ -358,8 +384,10 @@ def run_transient(
             _obs_metrics().inc("analysis.transients", 1)
             run_span.annotate(**stats.as_attrs())
 
+        times, voltages, currents, dt_trace = control.finish()
         result = TransientResult(circuit, times, voltages, currents,
-                                 stats=stats, health=stepper.health)
+                                 stats=stats, dt_trace=dt_trace,
+                                 health=stepper.health)
         if cache_handle is not None:
             cache_handle.store(result)
         return result

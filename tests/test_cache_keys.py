@@ -160,6 +160,7 @@ class TestSparseInvalidation:
             vtol=1e-6, damping=1.0, engine="sparse")
         sparse_cfg = request["engine_config"]["sparse"]
         assert sparse_cfg["source_breakpoints"] is True
+        assert sparse_cfg["failed_step_halving"] is True
         assert "permc_spec" in sparse_cfg
         tampered = dict(request, engine_config={
             **request["engine_config"],

@@ -223,8 +223,9 @@ def test_unknown_engine_rejected():
 
 
 def test_jacobian_reuse_matches_full_newton():
-    # Same workspace, solver with and without LU reuse: identical converged
-    # points (both satisfy the same tolerance on the same residual).
+    # The default LU-reusing solver, stepped by hand on its own workspace,
+    # converges to the naive engine's points (both satisfy the same
+    # tolerance on the same residual).
     from repro.spice.analysis.engine import FastNewtonSolver
 
     rng = np.random.default_rng(11)
@@ -233,8 +234,7 @@ def test_jacobian_reuse_matches_full_newton():
     circuit.reset_state()
 
     ws = MNAWorkspace(circuit, dt=2e-12, integrator="be")
-    solver = FastNewtonSolver(ws, jacobian_reuse=False)
-    assert not solver.jacobian_reuse
+    solver = FastNewtonSolver(ws)
     size = circuit.num_nodes + circuit.num_branches
     x = np.concatenate([naive.node_voltages[0], naive.branch_currents[0]])
     prev = naive.node_voltages[0].copy()

@@ -123,12 +123,15 @@ def test_stamp_seconds_recorded_per_device_class():
 # ---------------------------------------------------------------------------
 
 
-def test_convergence_error_carries_span_stack():
+@pytest.mark.parametrize("options", [{}, {"engine": "sparse",
+                                          "adaptive": True}],
+                         ids=["fixed", "adaptive"])
+def test_convergence_error_carries_span_stack(options):
     enable_tracing()
     metrics().inc("engine.newton_iterations", 7)
     with pytest.raises(ConvergenceError) as excinfo:
         run_transient(_rc_circuit(), stop_time=1.0, dt=1e-3,
-                      initial_voltages={"in": 1.0}, timeout=1e-9)
+                      initial_voltages={"in": 1.0}, timeout=1e-9, **options)
     err = excinfo.value
     assert "analysis.transient" in err.span_stack
     assert "engine.timestep_loop" in err.span_stack

@@ -2,8 +2,8 @@
 
 Covers the pieces of :mod:`repro.spice.analysis.sparse` and
 :mod:`repro.spice.analysis.ensemble` individually — structural pattern
-discovery and reuse, the pure-CSC assembly path, the LTE-controlled
-adaptive driver, the block-diagonal ensemble — while
+discovery and reuse, the pure-CSC assembly path, the LTE step
+control of adaptive runs, the block-diagonal ensemble — while
 ``tests/test_engine_differential.py`` pins the end-to-end cross-engine
 waveform contract on randomized circuits.
 """
@@ -275,6 +275,58 @@ class TestAdaptiveTransient:
         result = run_transient(mtj_read_circuit(), 0.4e-9, 2e-12,
                                engine="sparse")
         assert result.dt_trace is None
+
+    def test_failed_solves_halve_dt_then_climb_the_ladder(self):
+        # Four Newton iterations are too few for some steps of this run:
+        # a failed solve halves dt down to the dt_base/4 floor, and a
+        # floor step that still fails is rescued by the recovery ladder
+        # fixed steps use.
+        from repro.spice.analysis.sparse import MIN_DT_DIVISOR
+
+        dt, stop = 2e-12, 0.6e-9
+        starved = run_transient(mtj_read_circuit(dynamic=False), stop, dt,
+                                engine="sparse", adaptive=True,
+                                max_iterations=4)
+        default = run_transient(mtj_read_circuit(dynamic=False), stop, dt,
+                                engine="sparse", adaptive=True)
+        health = starved.health
+        assert not health.clean
+        assert health.rung_counts.get("timestep-cut", 0) > 0
+        assert health.recovered_steps > 0
+        assert float(np.min(starved.dt_trace)) \
+            >= dt / MIN_DT_DIVISOR * 0.999
+        assert float(np.sum(starved.dt_trace)) == pytest.approx(stop,
+                                                                rel=1e-12)
+        diff = float(np.max(np.abs(starved.node_voltages
+                                   - default.node_voltages)))
+        assert diff <= WAVEFORM_TOL
+
+    def test_exhausted_floor_step_raises_with_forensics(self, monkeypatch):
+        # With every rung off, the first failing floor step exhausts the
+        # ladder; the forensics bundle's shrink oracle re-runs the
+        # adaptive request at the base dt.
+        import repro.spice.analysis.transient as transient
+        from repro.errors import ConvergenceError
+        from repro.recovery.policy import RecoveryPolicy
+
+        oracle_requests = []
+
+        def spy(*args, **kwargs):
+            oracle_requests.append(kwargs)
+            return run_transient(*args, **kwargs)
+
+        monkeypatch.setattr(transient, "run_transient", spy)
+        with pytest.raises(ConvergenceError,
+                           match="no rungs enabled") as excinfo:
+            run_transient(mtj_read_circuit(dynamic=False), 0.6e-9, 2e-12,
+                          engine="sparse", adaptive=True, max_iterations=4,
+                          recovery=RecoveryPolicy(enabled=False,
+                                                  shrink_budget=2))
+        bundle = excinfo.value.forensics
+        assert bundle is not None and bundle.analysis == "transient"
+        assert oracle_requests
+        assert all(request["adaptive"] and request["dt"] == 2e-12
+                   for request in oracle_requests)
 
 
 # ---------------------------------------------------------------------------
