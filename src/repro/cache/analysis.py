@@ -235,7 +235,7 @@ def transient_handle(circuit, *, stop_time, dt, integrator, initial_voltages,
 
 
 def dc_handle(circuit, *, time, initial_guess, max_iterations, vtol,
-              damping, engine=None, recovery=None) -> Optional[DCHandle]:
+              damping, recovery=None) -> Optional[DCHandle]:
     """A handle for this DC request, or ``None`` when uncacheable."""
     cache = get_active_cache()
     if cache is None:
@@ -243,7 +243,7 @@ def dc_handle(circuit, *, time, initial_guess, max_iterations, vtol,
     try:
         request = dc_request(circuit, time=time, initial_guess=initial_guess,
                              max_iterations=max_iterations, vtol=vtol,
-                             damping=damping, engine=engine,
+                             damping=damping,
                              recovery=(recovery.fingerprint()
                                        if recovery is not None else None))
         key = request_key(request)
@@ -312,7 +312,7 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
                                else None),
                 max_iterations=request["max_iterations"],
                 vtol=request["vtol"], damping=request["damping"], lint="off",
-                engine=request.get("engine"), recovery=policy)
+                recovery=policy)
             checks = [
                 ("voltages", result.voltages, entry.result["voltages"]),
                 ("branch_currents", result.branch_currents,

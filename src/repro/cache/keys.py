@@ -338,16 +338,10 @@ def dc_request(
     max_iterations: int,
     vtol: float,
     damping: float,
-    engine: Optional[str] = None,
     recovery: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Request record for a DC operating-point solve.
-
-    ``engine`` is the linear-solve backend (``None``/``"dense"`` vs
-    ``"sparse"``); the two can differ in final bits, so they must not
-    share entries.  ``None`` is normalised to ``"dense"`` so the
-    historical default keeps its digests.  ``recovery`` is the recovery
-    policy fingerprint (see :func:`transient_request`)."""
+    """Request record for a DC operating-point solve.  ``recovery`` is
+    the recovery policy fingerprint (see :func:`transient_request`)."""
     return {
         "kind": "dc",
         "salt": CACHE_SALT,
@@ -357,7 +351,6 @@ def dc_request(
         "max_iterations": max_iterations,
         "vtol": vtol,
         "damping": damping,
-        "engine": "dense" if engine is None else engine,
         "recovery": recovery,
     }
 

@@ -178,7 +178,8 @@ def build_mini_array(
     dynamics are left off so the stored pattern cannot be disturbed;
     pass ``dynamic=True`` to study write currents.  A transient of
     ``active_rows * access_time`` plus settling covers the access
-    sequence (see :func:`repro.core.bench.run_sparse_bench`).
+    sequence (the ``mini_array`` workload of ``bench/workloads.py`` runs
+    a 32x32 array for 2.5 ns).
     """
     from repro.mtj.device import MTJState
     from repro.spice.netlist import Circuit

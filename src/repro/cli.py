@@ -24,8 +24,6 @@ Every flow subcommand accepts the same ``--engine``/``--workers``/
   restore-failure campaign, or report write-path isolation,
 * ``profile`` — run a named flow under the tracer and emit a breakdown
   table plus ``profile.json``/``trace.json`` (Chrome-loadable),
-* ``bench`` — regenerate the benchmark reports (``BENCH_engine.json``,
-  ``BENCH_obs_overhead.json``, ``BENCH_cache.json``),
 * ``cache`` — inspect and maintain the content-addressed result cache:
   ``stats``, size-bounded ``gc``, ``clear``, and ``verify`` (re-runs
   sampled entries and asserts bit-exact agreement),
@@ -402,57 +400,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"wrote {result.profile_path} and {result.trace_path} "
           f"(load the trace in about://tracing or ui.perfetto.dev)")
     return 0 if check["ok"] else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro import bench
-
-    reports = {}
-    if args.which in ("engine", "all"):
-        print("Benchmarking naive vs fast engine "
-              "(several minutes)...", file=sys.stderr)
-        reports["engine"] = bench.run_engine_bench(args.engine_output)
-    if args.which in ("obs", "all"):
-        print("Benchmarking observability overhead...", file=sys.stderr)
-        reports["obs"] = bench.run_obs_overhead_bench(args.obs_output)
-    if args.which in ("cache", "all"):
-        print("Benchmarking result-cache cold vs warm "
-              "(Table II fast flow twice)...", file=sys.stderr)
-        reports["cache"] = bench.run_cache_bench(args.cache_output)
-    if args.which in ("sparse", "all"):
-        print("Benchmarking sparse engine (batched MC ensemble + "
-              "mini-array transient)...", file=sys.stderr)
-        reports["sparse"] = bench.run_sparse_bench(args.sparse_output,
-                                                   quick=args.quick)
-    print(_json.dumps(reports, indent=2))
-    obs_report = reports.get("obs")
-    if obs_report is not None and not obs_report["within_bound"]:
-        print(f"error: disabled-mode observability overhead "
-              f"{obs_report['disabled_overhead_pct']:.3f}% exceeds "
-              f"{obs_report['bound_pct']:g}%", file=sys.stderr)
-        return 1
-    cache_report = reports.get("cache")
-    if cache_report is not None and not cache_report["meets_target"]:
-        print(f"error: warm-cache solver-call reduction "
-              f"{100 * cache_report['solver_call_reduction']:.1f}% below "
-              f"{100 * cache_report['target_reduction']:g}% or metrics "
-              f"not bit-identical", file=sys.stderr)
-        return 1
-    sparse_report = reports.get("sparse")
-    if sparse_report is not None and not sparse_report["meets_target"]:
-        ens = sparse_report["ensemble_monte_carlo"]
-        arr = sparse_report["mini_array_transient"]
-        print(f"error: sparse bench below target — ensemble "
-              f"{ens['speedup_vs_fast']:g}x vs fast "
-              f"(need {ens['required_vs_fast']:g}x), mini-array "
-              f"{arr['speedup_vs_fast']:g}x vs fast "
-              f"(need {arr['required_vs_fast']:g}x), or waveform "
-              f"disagreement above "
-              f"{sparse_report['agreement_tol_v']:g} V", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cache_root(args: argparse.Namespace) -> Optional[str]:
@@ -841,30 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--workers", type=int, default=None,
                     help="worker processes for the flow (default: auto)")
     pp.set_defaults(func=_cmd_profile)
-
-    pb = sub.add_parser(
-        "bench",
-        help="regenerate BENCH_engine.json / BENCH_obs_overhead.json / "
-             "BENCH_cache.json / BENCH_sparse.json")
-    pb.add_argument("which", choices=["engine", "obs", "cache", "sparse",
-                                      "all"],
-                    help="'engine' (naive vs fast, minutes), 'obs' "
-                         "(observability overhead, seconds), 'cache' "
-                         "(cold vs warm result cache, seconds), 'sparse' "
-                         "(batched MC ensemble + mini-array, minutes), "
-                         "or 'all'")
-    pb.add_argument("--engine-output", default="BENCH_engine.json",
-                    metavar="PATH")
-    pb.add_argument("--obs-output", default="BENCH_obs_overhead.json",
-                    metavar="PATH")
-    pb.add_argument("--cache-output", default="BENCH_cache.json",
-                    metavar="PATH")
-    pb.add_argument("--sparse-output", default="BENCH_sparse.json",
-                    metavar="PATH")
-    pb.add_argument("--quick", action="store_true",
-                    help="CI smoke shape for the sparse bench: fewer "
-                         "samples, smaller array, >=2x gates")
-    pb.set_defaults(func=_cmd_bench)
 
     pv = sub.add_parser(
         "serve",

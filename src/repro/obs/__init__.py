@@ -19,8 +19,9 @@ analyses, cell characterisation phases, system benchmark evaluation and
 the fault-campaign runner.  Instrumentation is **off by default**:
 :func:`span` returns a shared no-op and hot loops keep local counters
 that are only flushed into the registry while a session is active, so
-the untraced simulator pays a few branch tests per Newton solve
-(measured in ``BENCH_obs_overhead.json``).
+the untraced simulator pays a few branch tests per Newton solve.  The
+cost of tracing itself is the benchmark's ``obs.trace_overhead_pct``
+(``bench/README.md``).
 
 Quick start::
 

@@ -9,8 +9,9 @@ phases.  Design constraints, in order of importance:
    then returns one shared :data:`NULL_SPAN` singleton — no object
    allocation, no clock read, no contextvar write.  The instrumented
    code paths pay one module-global load and one ``is None`` test.
-   (``benchmarks/bench_obs_overhead.py`` measures this and
-   ``BENCH_obs_overhead.json`` records it.)
+   (``tests/test_obs_tracer.py`` bounds the disabled call; the
+   benchmark's ``obs.trace_overhead_pct``, see ``bench/README.md``,
+   measures what enabling tracing costs.)
 2. **Nesting is ambient.**  The active span stack lives in a
    :class:`contextvars.ContextVar`, so nested calls — a characterisation
    phase that runs a transient that runs Newton solves — compose without

@@ -525,9 +525,7 @@ def dc_recover(
     floor_gmin: float,
     first_failure: ConvergenceError,
     policy: Optional[RecoveryPolicy] = None,
-    linear_solve=None,
     deadline: Optional[float] = None,
-    engine_label: str = "dense",
 ) -> Tuple[np.ndarray, int, SolverHealth, List[str]]:
     """Recover a failed plain-Newton DC solve.
 
@@ -560,8 +558,7 @@ def dc_recover(
         try:
             x, iterations = newton(
                 circuit, x, time, gmin, max_iterations, vtol, damping,
-                deadline=deadline, linear_solve=linear_solve,
-            )
+                deadline=deadline)
         except ConvergenceError as exc:
             gmin_failure = exc
             failed_gmin = gmin
@@ -589,8 +586,7 @@ def dc_recover(
             try:
                 x, iterations = newton(
                     circuit, x, time, floor_gmin, max_iterations, vtol,
-                    damping, deadline=deadline, linear_solve=linear_solve,
-                    source_scale=scale,
+                    damping, deadline=deadline, source_scale=scale,
                 )
             except ConvergenceError as exc:
                 source_failure = exc
@@ -616,7 +612,7 @@ def dc_recover(
         stage = f"gmin stepping stalled at gmin={failed_gmin:g}"
     reason = ("exceeded its wall-clock timeout during homotopy"
               if timed_out else stage)
-    bundle = _dc_bundle(circuit, engine_label, final, trajectory, health,
+    bundle = _dc_bundle(circuit, final, trajectory, health,
                         policy, time, max_iterations, vtol, damping,
                         shrink=not timed_out)
     raise ConvergenceError(
@@ -635,15 +631,14 @@ def _timed_out(deadline: Optional[float]) -> bool:
     return _time.monotonic() > deadline
 
 
-def _dc_bundle(circuit: Circuit, engine_label: str,
-               failure: ConvergenceError, trajectory: List[str],
-               health: SolverHealth, policy: RecoveryPolicy, time: float,
-               max_iterations: int, vtol: float, damping: float,
-               shrink: bool) -> ForensicsBundle:
+def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
+               trajectory: List[str], health: SolverHealth,
+               policy: RecoveryPolicy, time: float, max_iterations: int,
+               vtol: float, damping: float, shrink: bool) -> ForensicsBundle:
     from repro.errors import CacheError
 
     bundle = ForensicsBundle(
-        analysis="dc", circuit_name=circuit.name, engine=engine_label,
+        analysis="dc", circuit_name=circuit.name, engine="dense",
         time=time, message=_short(failure),
         last_state=(None if failure.state is None
                     else [float(v) for v in np.asarray(failure.state)]),

@@ -2,11 +2,7 @@
 
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.analysis.engine import FastNewtonSolver, MNAWorkspace
-from repro.spice.analysis.sparse import (
-    SparseNewtonSolver,
-    SparsePattern,
-    sparse_linear_solve,
-)
+from repro.spice.analysis.sparse import SparseNewtonSolver, SparsePattern
 from repro.spice.analysis.ensemble import (
     EnsembleWorkspace,
     run_ensemble_transient,
@@ -38,7 +34,6 @@ __all__ = [
     "FastNewtonSolver",
     "SparseNewtonSolver",
     "SparsePattern",
-    "sparse_linear_solve",
     "EnsembleWorkspace",
     "run_ensemble_transient",
     "solve_dc",

@@ -85,7 +85,6 @@ def _newton(
     dt: Optional[float] = None,
     integrator: str = "be",
     deadline: Optional[float] = None,
-    linear_solve=None,
     source_scale: float = 1.0,
     probe=None,
 ) -> tuple:
@@ -125,10 +124,7 @@ def _newton(
             device.stamp(stamper, ctx)
         stamper.apply_gmin(gmin)
         try:
-            if linear_solve is None:
-                x_new = stamper.solve()
-            else:
-                x_new = linear_solve(stamper.matrix, stamper.rhs)
+            x_new = stamper.solve()
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular MNA matrix at gmin={gmin:g} (iteration {iteration})",
@@ -197,7 +193,6 @@ def solve_dc(
     damping: float = DEFAULT_DAMPING,
     lint: str = "error",
     timeout: Optional[float] = None,
-    engine: Optional[str] = None,
     recovery=None,
 ) -> DCResult:
     """Find the DC operating point with source values evaluated at ``time``.
@@ -207,12 +202,6 @@ def solve_dc(
     recovery ladder (gmin homotopy staging, source-stepping homotopy,
     forensics shrinking).  The policy fingerprint is part of the cache
     key.
-
-    ``engine`` — ``None``/``"dense"`` solves each Newton iteration's
-    linear system densely (the historical path); ``"sparse"`` routes it
-    through the SuperLU backend of :mod:`repro.spice.analysis.sparse`
-    (worthwhile for array-scale circuits).  Both obey the same gmin
-    ladder; the choice is part of the cache key.
 
     ``initial_guess`` maps node names to seed voltages; unlisted nodes
     start at 0 V.  For bistable circuits (sense amplifiers, latches) the
@@ -238,16 +227,6 @@ def solve_dc(
         raise ConvergenceError(f"timeout must be positive, got {timeout}")
     deadline = None if timeout is None else _time.monotonic() + timeout
 
-    if engine in (None, "dense"):
-        linear_solve = None
-    elif engine == "sparse":
-        from repro.spice.analysis.sparse import sparse_linear_solve
-
-        linear_solve = sparse_linear_solve
-    else:
-        raise ConvergenceError(
-            f"unknown DC engine {engine!r}; expected 'dense' or 'sparse'")
-
     # Content-addressed result cache: the timeout is a wall-clock budget,
     # not part of the solution, so it is deliberately absent from the key.
     from repro.cache.analysis import dc_handle
@@ -258,7 +237,7 @@ def solve_dc(
 
     cache_handle = dc_handle(circuit, time=time, initial_guess=initial_guess,
                              max_iterations=max_iterations, vtol=vtol,
-                             damping=damping, engine=engine, recovery=policy)
+                             damping=damping, recovery=policy)
     if cache_handle is not None:
         cached = cache_handle.lookup()
         if cached is not None:
@@ -280,8 +259,7 @@ def solve_dc(
         try:
             x, iterations = _newton(
                 circuit, x0, time, FLOOR_GMIN, max_iterations, vtol, damping,
-                deadline=deadline, linear_solve=linear_solve,
-            )
+                deadline=deadline)
             _flush_dc_metrics(sp, iterations, gmin_stages=0)
             result = DCResult(circuit, x[: circuit.num_nodes],
                               x[circuit.num_nodes:], iterations, FLOOR_GMIN)
@@ -306,9 +284,7 @@ def solve_dc(
 
         x, total_iterations, health, _trajectory = dc_recover(
             circuit, _newton, x0, time, max_iterations, vtol, damping,
-            FLOOR_GMIN, last_error, policy=policy,
-            linear_solve=linear_solve, deadline=deadline,
-            engine_label="sparse" if linear_solve is not None else "dense",
+            FLOOR_GMIN, last_error, policy=policy, deadline=deadline,
         )
         _flush_dc_metrics(sp, total_iterations, health.dc_gmin_stages,
                           health=health)

@@ -400,27 +400,6 @@ class SparseNewtonSolver:
                                max_iterations, vtol, damping)
 
 
-def sparse_linear_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve one dense-assembled MNA system through the sparse backend.
-
-    Used by the DC driver's ``engine="sparse"`` path: the dense matrix is
-    scanned into CSC once per iteration (O(n²) — negligible against the
-    O(n³) dense factorisation it replaces) and factorised with SuperLU.
-    Raises :class:`numpy.linalg.LinAlgError` on singularity, matching
-    ``numpy.linalg.solve`` so the gmin ladder is engine-agnostic.
-    """
-    if not _HAVE_SPLU:  # pragma: no cover - scipy is a declared dep
-        return np.linalg.solve(matrix, rhs)
-    try:
-        solution = splu(csc_matrix(matrix),
-                        permc_spec=PERMC_SPEC).solve(rhs)
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(str(exc)) from exc
-    if not np.all(np.isfinite(solution)):
-        raise np.linalg.LinAlgError("singular matrix (non-finite solution)")
-    return solution
-
-
 # ---------------------------------------------------------------------------
 # Adaptive timestep control (LTE)
 # ---------------------------------------------------------------------------

@@ -24,6 +24,33 @@ def corner_name(corner):
     return corner.name
 
 
+def _table2_metrics(data):
+    """Every measured field of every corner as one nested dict, so a
+    comparison covers the full Table II surface, not a sample."""
+    import dataclasses
+
+    return {f"{design}/{corner}": dataclasses.asdict(latch_metrics)
+            for design in ("standard", "proposed")
+            for corner, latch_metrics in sorted(getattr(data, design).items())}
+
+
+def _bit_identical(a, b):
+    """Recursive exact equality where float NaN equals NaN (skipped write
+    metrics are NaN in fast mode; two NaNs of the same provenance count
+    as identical)."""
+    import math
+
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return (a.keys() == b.keys()
+                and all(_bit_identical(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return (len(a) == len(b)
+                and all(_bit_identical(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_cache():
     yield
@@ -126,12 +153,29 @@ class TestSessionFlows:
         assert stats["entries"] > 0
 
     def test_table2_warm_run_matches_cold_bit_for_bit(self, tmp_path):
-        from repro.bench import _bit_identical, _table2_metrics
+        # workers=1 keeps every solve in this process, where the metrics
+        # registry counts it; engine counters flush only under tracing.
+        from repro.obs import metrics
 
-        with Session(cache=str(tmp_path / "c"), workers=1) as session:
-            cold = session.table2(**FAST_TABLE2)
-            warm = session.table2(**FAST_TABLE2)
+        def measured(session):
+            names = ("engine.solves", "engine.dc_solves", "cache.hit",
+                     "cache.miss", "cache.store")
+            before = {name: metrics().counter(name) for name in names}
+            data = session.table2(**FAST_TABLE2)
+            return data, {name: metrics().counter(name) - before[name]
+                          for name in names}
+
+        with Session(cache=str(tmp_path / "c"), workers=1,
+                     obs=True) as session:
+            cold, cold_counts = measured(session)
+            warm, warm_counts = measured(session)
         assert _bit_identical(_table2_metrics(cold), _table2_metrics(warm))
+        assert cold_counts["engine.solves"] > 0
+        assert cold_counts["cache.store"] > 0
+        assert warm_counts["engine.solves"] == 0
+        assert warm_counts["engine.dc_solves"] == 0
+        assert warm_counts["cache.hit"] == cold_counts["cache.store"]
+        assert warm_counts["cache.miss"] == 0
 
     def test_table3_and_campaign_run_end_to_end(self, tmp_path):
         from repro.physd.benchmarks import BENCHMARKS

@@ -167,17 +167,6 @@ class TestSparseInvalidation:
             "sparse": {**sparse_cfg, "permc_spec": "COLAMD"}})
         assert request_key(tampered) != request_key(request)
 
-    def test_dc_backend_selection_is_key_bearing(self):
-        circuit = _rc_circuit()
-
-        def key(engine):
-            return request_key(dc_request(
-                circuit, time=0.0, initial_guess=None, max_iterations=60,
-                vtol=1e-6, damping=1.0, engine=engine))
-
-        assert key("dense") != key("sparse")
-        assert key(None) == key("dense")  # historical default preserved
-
 
 class TestBackendIdentity:
     """Two NV backends must never share cache entries: the builders

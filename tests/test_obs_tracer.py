@@ -66,8 +66,9 @@ def test_disabled_span_records_nothing_and_annotate_is_noop():
 
 def test_disabled_span_overhead_is_small():
     """The disabled call must stay cheap enough for hot-loop use.  The
-    bound is deliberately generous (loaded CI machines) — the honest
-    numbers live in BENCH_obs_overhead.json."""
+    bound is deliberately generous (loaded CI machines); the cost of
+    tracing itself is the ledger's ``obs.trace_overhead_pct`` (see
+    ``bench/README.md``)."""
     calls = 50_000
     start = time.perf_counter()
     for _ in range(calls):
