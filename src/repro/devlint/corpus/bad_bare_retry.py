@@ -1,8 +1,9 @@
 # devlint-expect: dev.bare-convergence-retry
 """Corpus fixture: ad-hoc convergence retry inside an except handler.
 
-Both shapes the rule must catch: a direct solver re-run at a stronger
-gmin, and a retry buried in a tuple-catch handler.
+The three shapes the rule must catch: a direct solver re-run at a
+stronger gmin, a retry buried in a tuple-catch handler, and a retry
+made through a helper function defined in the same module.
 """
 
 from repro.errors import AnalysisError, ConvergenceError
@@ -25,3 +26,14 @@ def dc_with_inline_retry(circuit):
     except (AnalysisError, ConvergenceError):
         # BAD: retry via a tuple-catch handler is still a retry.
         return run_transient(circuit, 1e-9, 1e-12)
+
+
+def _rerun(circuit):
+    return run_transient(circuit, 1e-9, 1e-12)
+
+
+def dc_with_helper_retry(circuit):
+    try:
+        return solve_dc(circuit)
+    except ConvergenceError:
+        return _rerun(circuit)  # BAD: a retry behind a module-local helper.

@@ -7,8 +7,9 @@ blocks are invisible to the :class:`~repro.recovery.policy.RecoveryPolicy`
 fingerprint, so two runs could differ in how they recover — and hence in
 their result bits — while sharing a cache key.  The rule flags any
 ``except`` handler that catches :class:`~repro.errors.ConvergenceError`
-and then calls a solver entry point directly from the handler body;
-escalation belongs in :mod:`repro.recovery` (the
+and then calls a solver entry point from the handler body, directly or
+through a function defined in the same module (followed one level
+deep); escalation belongs in :mod:`repro.recovery` (the
 ``TransientStepper`` rungs, ``dc_recover``), whose configuration *is*
 fingerprinted.
 
@@ -20,7 +21,7 @@ implemented); anything else can opt out a reviewed special case with a
 from __future__ import annotations
 
 import ast
-from typing import List
+from typing import Dict, List
 
 from repro.lint.diagnostics import Severity
 
@@ -53,6 +54,28 @@ def _caught_names(handler: ast.ExceptHandler) -> List[str]:
     return names
 
 
+def _calls(nodes: List[ast.AST]) -> List[ast.Call]:
+    return [sub for stmt in nodes for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Call)]
+
+
+def _retry(call: ast.Call, functions: Dict[str, List[ast.AST]],
+           aliases: Dict[str, str], follow: bool = True) -> str:
+    """How ``call`` re-runs a solver: ``"solve_dc()"`` when it calls an
+    entry point, ``"helper(), which calls solve_dc()"`` when it calls a
+    same-module function whose own body does (``follow``), else ``""``."""
+    name = resolve_call_name(call.func, aliases)
+    tail = name.rsplit(".", 1)[-1] if name else ""
+    if tail in _SOLVER_CALL_TAILS:
+        return f"{tail}()"
+    helpers = functions.get(name, []) if follow else []
+    for inner in _calls([stmt for helper in helpers for stmt in helper.body]):
+        retry = _retry(inner, functions, aliases, follow=False)
+        if retry:
+            return f"{name}(), which calls {retry}"
+    return ""
+
+
 @rule("dev.bare-convergence-retry", Severity.ERROR,
       "an 'except ConvergenceError' handler re-runs a solver inline "
       "instead of escalating through the repro.recovery ladder")
@@ -65,23 +88,22 @@ def check_bare_convergence_retry(project: Project, emit) -> None:
         if module.has_module_marker("recovery-exempt"):
             continue
         aliases = module.import_aliases()
+        functions: Dict[str, List[ast.AST]] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.setdefault(node.name, []).append(node)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if "ConvergenceError" not in _caught_names(node):
                 continue
-            for stmt in node.body:
-                for sub in ast.walk(stmt):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    name = resolve_call_name(sub.func, aliases)
-                    tail = name.rsplit(".", 1)[-1] if name else ""
-                    if tail in _SOLVER_CALL_TAILS:
-                        emit(module, sub.lineno,
-                             f"convergence failure handled by calling "
-                             f"{tail}() inline — an ad-hoc retry the "
-                             f"recovery-policy fingerprint cannot see",
-                             hint="record the failure and escalate after "
-                                  "the handler via repro.recovery "
-                                  "(TransientStepper rungs, "
-                                  "dc_recover)")
+            for call in _calls(node.body):
+                retry = _retry(call, functions, aliases)
+                if retry:
+                    emit(module, call.lineno,
+                         f"convergence failure handled by calling {retry} "
+                         f"inline — an ad-hoc retry the recovery-policy "
+                         f"fingerprint cannot see",
+                         hint="record the failure and escalate after "
+                              "the handler via repro.recovery "
+                              "(TransientStepper rungs, dc_recover)")

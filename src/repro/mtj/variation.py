@@ -212,7 +212,9 @@ def monte_carlo_ensemble(
     batched transient
     (:func:`repro.spice.analysis.ensemble.run_ensemble_transient`): its
     samples are stamped together as one block-diagonal system, and each
-    sample's Newton update is solved against that sample's own LU.
+    sample's Newton update is solved against that sample's own LU.  A
+    sample whose step fails leaves its chunk and reruns alone as a scalar
+    run through the recovery ladder.
     Because the chunking and the per-chunk math are both independent of
     the pool, the returned list is bit-identical for every ``workers``
     setting (``tests/test_parallel.py`` pins ``workers=1`` against

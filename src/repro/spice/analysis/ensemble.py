@@ -23,16 +23,23 @@ across samples.  This module advances **all N samples together**:
   (raw LAPACK ``getrf``/``getrs``, as bound in
   :mod:`~repro.spice.analysis.engine`) and refreshes them under the
   shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule,
-  evaluated per sample.  Damping, convergence and freezing are
-  per-sample masks; assembly and residuals are batched over the sample
-  axis.
-* :func:`run_ensemble_transient` drives the fixed-step loop and returns
-  one ordinary :class:`~repro.spice.analysis.transient.TransientResult`
-  per sample.  Per-timestep non-convergence first retries the failing
-  samples with a strong gmin (the scalar drivers' policy); if the batch
-  still cannot converge — or a sample's matrix goes singular — the whole
-  call falls back to per-sample scalar transients, so robustness equals
-  the scalar path's.
+  evaluated per sample.  Damping, convergence, freezing and failure
+  are per-sample masks; assembly and residuals are batched over the
+  sample axis.
+* :func:`run_ensemble_transient` steps the stack on the fixed grid of
+  :func:`~repro.spice.analysis.transient.run_transient`, from its t = 0
+  solution, and returns one ordinary
+  :class:`~repro.spice.analysis.transient.TransientResult` per sample.
+
+Failures take the scalar path.  A sample whose step fails leaves the
+batch at that step and, once the batch finishes, reruns alone as
+``run_transient(engine="fast")``, which climbs the recovery ladder and
+returns its :class:`~repro.recovery.health.SolverHealth`; the other
+samples are not touched.  A batched sample's health record is empty: no
+rung fired, no guard tripped, and no condition probe ran.  Circuits with
+a junction whose class is not exactly
+:class:`~repro.spice.devices.mtj_element.MTJElement` (the NAND-SPIN
+junction's SOT erase is not modelled here) run as scalar runs.
 
 Determinism: no decision reads another sample, so a sample's result is
 the same bits in any batch — chunk size included — and there is no
@@ -41,14 +48,15 @@ parallel evaluation is bit-identical for any pool size and any chunk
 size of at least 2 (``tests/test_parallel.py``).
 
 Ensemble runs are not routed through the content-addressed result cache:
-the unit of caching is one circuit, and slicing N-sample batches into
-per-sample entries would make the batch result depend on which samples
-hit.  Callers who want caching per sample use the scalar engines.
+the unit of caching is one circuit, and on circuits below the scalar
+engine's grouping thresholds a batched result differs from the scalar
+run by ulps, so it must not be stored under a scalar key.  Callers who
+want caching per sample use the scalar engines.
 
 Waveform contract (``tests/test_sparse_engine.py``): each sample's
 ensemble waveform matches its scalar ``engine="fast"`` waveform to
-≤ 1 µV, and final MTJ states/switching events are written back to the
-sample circuits exactly as the scalar path leaves them.
+≤ 1 µV, and a sample's final MTJ states and switching events are those
+of the run that produced its result.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError, CacheError, ConvergenceError
+from repro.errors import AnalysisError, CacheError
 from repro.obs import is_active as _obs_active
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
@@ -83,7 +91,6 @@ from repro.spice.analysis.dc import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_VTOL,
     FLOOR_GMIN,
-    solve_dc,
 )
 from repro.spice.netlist import Circuit
 
@@ -92,19 +99,6 @@ from repro.spice.netlist import Circuit
 #: count), which is what keeps chunked parallel runs bit-identical to
 #: serial ones.
 ENSEMBLE_CHUNK = 32
-
-
-class EnsembleFallback(Exception):
-    """Internal: the batched path cannot continue; callers rerun the
-    affected samples through the scalar engine."""
-
-
-def _recovery_gmin_ladder() -> tuple:
-    """Gmin retry conductances shared with the scalar engines' recovery
-    ladder (:data:`repro.recovery.policy.DEFAULT_POLICY`)."""
-    from repro.recovery.policy import DEFAULT_POLICY
-
-    return DEFAULT_POLICY.gmin_ladder
 
 
 class _EnsembleMTJs:
@@ -384,9 +378,10 @@ class EnsembleNewtonSolver:
     ``A₀·δ = −F(x)`` against them with ``getrs``, refactorising when the
     shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule says
     so for that sample, and refactorising once to retry a non-finite
-    update from stale factors.  Damping, convergence and freezing are
-    per-sample masks.  Assembly and residuals are batched over the sample
-    axis; the factor and solve calls loop over the samples that need them.
+    update from stale factors.  Damping, convergence, freezing and
+    failure are per-sample masks.  Assembly and residuals are batched
+    over the sample axis; the factor and solve calls loop over the
+    samples that need them.
     On a 32-sample chunk of the 48-unknown 2-bit latch (one BLAS thread,
     2-vCPU x86-64 VM) that loop factors in ~0.5 ms and solves in ~0.1 ms,
     against 2.0 ms to invert the stack, 1.6 ms for scipy's batched
@@ -404,54 +399,51 @@ class EnsembleNewtonSolver:
         self.factorizations = np.zeros(count, dtype=np.intp)
         self.reuses = np.zeros(count, dtype=np.intp)
         self.singular_retries = np.zeros(count, dtype=np.intp)
+        #: Samples that left the batch after a failed step.
+        self.failed = np.zeros(count, dtype=bool)
         #: Per-sample ``getrf`` factors ``(lu, piv)``.
         self._lu: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
             [None] * count)
 
-    def _factorize(self, samples: List[int], gmin: float) -> None:
-        """Fresh LU factors for each listed sample.  The LAPACK handles
-        are read from the engine module at call time, so they are the
-        ones the fast engine uses (and any instrumentation of them)."""
+    def _factorize(self, samples: np.ndarray) -> None:
+        """Fresh LU factors for each listed sample; a singular one leaves
+        the batch.  The LAPACK handles are read from the engine module at
+        call time, so they are the ones the fast engine uses (and any
+        instrumentation of them)."""
         getrf = _engine._getrf
         matrix = self.workspace.matrix
-        for sample in samples:
+        for sample in samples.tolist():
             lu, piv, info = getrf(matrix[sample])
             if info != 0:
-                raise EnsembleFallback(
-                    f"singular sample {sample} at gmin={gmin:g} "
-                    f"(getrf info={info})")
-            self._lu[sample] = (lu, piv)
+                self.failed[sample] = True
+            else:
+                self._lu[sample] = (lu, piv)
 
-    def _corrections(self, samples: List[int], residual: np.ndarray,
+    def _corrections(self, samples: np.ndarray, residual: np.ndarray,
                      out: np.ndarray) -> None:
-        """``out[i] = A₀⁻¹·residual[i]`` against each listed sample's
-        stored factors."""
+        """``out[i] = A₀⁻¹·residual[i]`` against the stored factors of
+        each listed sample still in the batch; a failed solve leaves it."""
         getrs = _engine._getrs
         factors = self._lu
-        for sample in samples:
+        for sample in samples[~self.failed[samples]].tolist():
             lu, piv = factors[sample]
             out[sample], info = getrs(lu, piv, residual[sample])
             if info != 0:
-                raise EnsembleFallback(
-                    f"LU solve failed for sample {sample} "
-                    f"(getrs info={info})")
+                self.failed[sample] = True
 
     def solve(self, x0: np.ndarray, time: float,
               prev: Optional[np.ndarray], gmin: float, max_iterations: int,
-              vtol: float, damping: float
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        """One timepoint for every sample; returns ``(x, failed_mask)``.
-
-        ``failed_mask[i]`` is True when sample ``i`` did not converge
-        within the iteration budget.  Raises :class:`EnsembleFallback`
-        when a sample's linear algebra breaks down (a singular matrix, or
-        a non-finite update from fresh factors) — the caller reruns
-        scalar.
-        """
+              vtol: float, damping: float) -> np.ndarray:
+        """One timepoint for every sample still in the batch; returns the
+        iterate stack.  A sample leaves the batch (:attr:`failed`) when it
+        does not converge within the budget, ``getrf``/``getrs`` report a
+        singular matrix, or its update is not finite from fresh factors or
+        after the one stale-factor retry."""
         ws = self.workspace
         ws.begin_step(time, prev)
         num_nodes = ws.num_nodes
         count = ws.count
+        failed = self.failed
         x = x0.copy()
         # A₀⁻¹·F(x) per sample; rows of converged samples go stale.
         correction = np.zeros_like(x)
@@ -460,7 +452,7 @@ class EnsembleNewtonSolver:
         max_dv = np.full(count, np.inf)
         prev_max_dv = max_dv
         for iteration in range(1, max_iterations + 1):
-            active = ~converged
+            active = ~(converged | failed)
             self.iterations[active] += 1
             ws.assemble(x, gmin=gmin)
             fresh = active & jacobian_refresh(iteration, last_factor,
@@ -468,27 +460,25 @@ class EnsembleNewtonSolver:
             last_factor[fresh] = iteration
             self.factorizations[fresh] += 1
             self.reuses[active & ~fresh] += 1
-            self._factorize(np.flatnonzero(fresh).tolist(), gmin)
+            self._factorize(np.flatnonzero(fresh))
             residual = np.matmul(ws.matrix, x[:, :, None])[:, :, 0] - ws.rhs
-            self._corrections(np.flatnonzero(active).tolist(), residual,
-                              correction)
+            self._corrections(np.flatnonzero(active), residual, correction)
             bad = np.flatnonzero(
-                active & ~np.isfinite(correction).all(axis=1)).tolist()
-            if bad:
-                if fresh[bad].any():
-                    raise EnsembleFallback(
-                        f"non-finite update from fresh factors at "
-                        f"gmin={gmin:g}")
+                active & ~failed & ~np.isfinite(correction).all(axis=1))
+            if bad.size:
+                failed[bad[fresh[bad]]] = True
                 # Stale factors went bad: refactor and retry once.
-                self.singular_retries[bad] += 1
-                self.factorizations[bad] += 1
-                last_factor[bad] = iteration
-                self._factorize(bad, gmin)
-                self._corrections(bad, residual, correction)
-                if not np.isfinite(correction[bad]).all():
-                    raise EnsembleFallback(
-                        f"non-finite update after refactorisation at "
-                        f"gmin={gmin:g}")
+                stale = bad[~fresh[bad]]
+                self.singular_retries[stale] += 1
+                self.factorizations[stale] += 1
+                last_factor[stale] = iteration
+                self._factorize(stale)
+                self._corrections(stale, residual, correction)
+                failed[stale] |= ~np.isfinite(correction[stale]).all(axis=1)
+            if failed.any():
+                # A sample that left takes no update and never converges.
+                active &= ~failed
+                correction[failed] = 0.0
             delta = -correction
             prev_max_dv = max_dv
             max_dv = (np.max(np.abs(delta[:, :num_nodes]), axis=1)
@@ -498,11 +488,11 @@ class EnsembleNewtonSolver:
             stepped = x + delta * scale[:, None]
             x = np.where(converged[:, None], x, stepped)
             converged |= active & (max_dv <= damping) & (max_dv < vtol)
-            if converged.all():
-                self.solves += 1
-                return x, ~converged
+            if (converged | failed).all():
+                break
+        failed |= ~converged
         self.solves[converged] += 1
-        return x, ~converged
+        return x
 
 
 def run_ensemble_transient(
@@ -523,18 +513,20 @@ def run_ensemble_transient(
     one per circuit, in input order.  Options mirror
     :func:`~repro.spice.analysis.transient.run_transient`; the ERC
     pre-flight runs on the first sample (the samples are structurally
-    identical by construction).  Falls back to per-sample ``engine="fast"``
-    runs when the batched path cannot converge, so the call never fails
-    where the scalar engines would succeed.
+    identical by construction).  A failing sample reruns under the
+    default recovery policy, so the call fails only where that scalar
+    run fails.
     """
-    from repro.spice.analysis.transient import TransientResult, run_transient
+    from repro.recovery.health import SolverHealth
+    from repro.spice.analysis.transient import (
+        TransientResult,
+        _check_run_args,
+        _FixedSteps,
+        _initial_solution,
+        run_transient,
+    )
 
-    if stop_time <= 0.0 or dt <= 0.0:
-        raise AnalysisError("stop_time and dt must be positive")
-    if dt > stop_time:
-        raise AnalysisError(f"dt={dt} exceeds stop_time={stop_time}")
-    if integrator not in ("be", "trap"):
-        raise AnalysisError(f"unknown integrator {integrator!r}")
+    _check_run_args(stop_time, dt, integrator)
     circuits = list(circuits)
     if not circuits:
         return []
@@ -543,19 +535,19 @@ def run_ensemble_transient(
 
     preflight(circuits[0], lint)
 
-    def scalar_fallback():
-        return [
-            run_transient(c, stop_time, dt, integrator=integrator,
-                          initial_voltages=initial_voltages, dc_seed=dc_seed,
-                          max_iterations=max_iterations, vtol=vtol,
-                          damping=damping, engine="fast", lint="off")
-            for c in circuits
-        ]
+    def run_alone(circuit: Circuit):
+        return run_transient(circuit, stop_time, dt, integrator=integrator,
+                             initial_voltages=initial_voltages,
+                             dc_seed=dc_seed, max_iterations=max_iterations,
+                             vtol=vtol, damping=damping, engine="fast",
+                             lint="off")
 
-    if len(circuits) == 1 or not _engine._HAVE_SCIPY:
-        # One sample is a scalar run; the per-sample LU reuse needs the
-        # LAPACK handles scipy provides.
-        return scalar_fallback()
+    if (len(circuits) == 1 or not _engine._HAVE_SCIPY
+            or any(isinstance(d, MTJElement) and type(d) is not MTJElement
+                   for c in circuits for d in c.devices)):
+        # One sample is a scalar run, the per-sample LU reuse needs
+        # scipy's LAPACK handles, and the batch models STT switching only.
+        return [run_alone(c) for c in circuits]
 
     span = _obs_span("analysis.ensemble_transient", category="analysis",
                      attrs={"circuit": circuits[0].name,
@@ -565,99 +557,55 @@ def run_ensemble_transient(
         for circuit in circuits:
             circuit.finalize()
             circuit.reset_state()
-        # The workspace validates the topology, which must happen before
-        # the per-sample DC seeding — a mismatched circuit would otherwise
-        # surface as a shape error from the seed-stacking loop instead of
-        # the real diagnostic.
+        # The workspace validates the topology first, so a mismatched
+        # circuit fails with that diagnostic, not a stacking shape error.
         workspace = EnsembleWorkspace(circuits, dt, integrator=integrator)
-        n = len(circuits)
-        num_nodes = circuits[0].num_nodes
-        num_branches = circuits[0].num_branches
-        size = num_nodes + num_branches
+        x = np.stack([
+            _initial_solution(c, initial_voltages, dc_seed, max_iterations,
+                              vtol, damping)
+            for c in circuits])
 
-        x = np.zeros((n, size))
-        if initial_voltages is not None:
-            for node_name, value in initial_voltages.items():
-                index = circuits[0].node(node_name)
-                if index >= 0:
-                    x[:, index] = value
-        else:
-            for i, circuit in enumerate(circuits):
-                dc = solve_dc(circuit, time=0.0, initial_guess=dc_seed,
-                              max_iterations=max_iterations, vtol=vtol,
-                              damping=damping, lint="off")
-                x[i] = np.concatenate([dc.voltages, dc.branch_currents])
-
-        try:
-            solver = EnsembleNewtonSolver(workspace)
-
-            steps = int(round(stop_time / dt))
-            times = np.arange(steps + 1) * dt
-            voltages = np.empty((steps + 1, n, num_nodes))
-            currents = np.empty((steps + 1, n, num_branches))
-            voltages[0] = x[:, :num_nodes]
-            currents[0] = x[:, num_nodes:]
-            gmin_retries = np.zeros(n, dtype=np.intp)
-
+        solver = EnsembleNewtonSolver(workspace)
+        control = _FixedSteps(x, dt, int(round(stop_time / dt)),
+                              workspace.num_nodes)
+        prev = x.copy()
+        while not control.done() and not solver.failed.all():
+            time, _ = control.propose()
+            x = solver.solve(x, time, prev, FLOOR_GMIN, max_iterations,
+                             vtol, damping)
+            workspace.update_state(x)
+            control.record(time, x)
             prev = x.copy()
-            for step in range(1, steps + 1):
-                time = step * dt
-                x_new, failed = solver.solve(
-                    x, time, prev, FLOOR_GMIN, max_iterations, vtol,
-                    damping)
-                if failed.any():
-                    # Scalar drivers' gmin rung, adopted only for the
-                    # samples that actually failed.  The ladder values
-                    # come from the shared recovery policy so batched
-                    # and scalar runs retry at identical conductances.
-                    still = failed
-                    for retry_gmin in _recovery_gmin_ladder():
-                        gmin_retries[still] += 1
-                        x_retry, unconverged = solver.solve(
-                            x, time, prev, retry_gmin, max_iterations,
-                            vtol, damping)
-                        x_new[still] = x_retry[still]
-                        still = still & unconverged
-                        if not still.any():
-                            break
-                    if still.any():
-                        raise EnsembleFallback(
-                            f"{int(still.sum())} samples "
-                            f"unconverged at t={time:g}")
-                x = x_new
-                workspace.update_state(x)
-                voltages[step] = x[:, :num_nodes]
-                currents[step] = x[:, num_nodes:]
-                prev = x.copy()
-        except (EnsembleFallback, ConvergenceError):
-            if _obs_active():
-                _obs_metrics().inc("analysis.ensemble_fallbacks", 1)
-            return scalar_fallback()
-
+        # A sample that left gets the batch's MTJ end state too; its
+        # scalar rerun resets it.
         workspace.finalize_devices()
-
-        results = []
-        for i, circuit in enumerate(circuits):
+        times, voltages, currents, _ = control.finish()
+        results = [None] * len(circuits)
+        for i in np.flatnonzero(~solver.failed).tolist():
             stats = SolverStats(
                 solves=int(solver.solves[i]),
                 iterations=int(solver.iterations[i]),
                 factorizations=int(solver.factorizations[i]),
                 reuses=int(solver.reuses[i]),
                 singular_retries=int(solver.singular_retries[i]),
-                gmin_retries=int(gmin_retries[i]),
-                timesteps=steps,
+                timesteps=control.steps,
             )
-            results.append(TransientResult(
-                circuit, times.copy(), voltages[:, i].copy(),
-                currents[:, i].copy(), stats=stats))
+            results[i] = TransientResult(
+                circuits[i], times.copy(), voltages[:, i].copy(),
+                currents[:, i].copy(), stats=stats, health=SolverHealth())
 
+        left = np.flatnonzero(solver.failed).tolist()
         if _obs_active():
             registry = _obs_metrics()
             registry.inc("analysis.ensemble_transients", 1)
-            registry.inc("analysis.ensemble_samples", n)
+            registry.inc("analysis.ensemble_samples", len(circuits))
+            if left:
+                registry.inc("analysis.ensemble_fallbacks", 1)
             for result in results:
-                result.stats.flush_to(registry)
-            span.annotate(samples=n,
-                          newton_iterations=int(solver.iterations.sum()),
-                          gmin_retries=int(gmin_retries.sum()))
+                if result is not None:
+                    result.stats.flush_to(registry)
+            span.annotate(samples=len(circuits), left=len(left),
+                          newton_iterations=int(solver.iterations.sum()))
+        for i in left:
+            results[i] = run_alone(circuits[i])
         return results

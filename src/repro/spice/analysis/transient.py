@@ -148,7 +148,8 @@ class TransientResult:
 class _FixedSteps:
     """Step control of a fixed-step run: step ``k`` ends at ``k·dt``,
     every step is accepted, a failed solve climbs the recovery ladder,
-    and samples fill preallocated output arrays."""
+    and samples fill preallocated output arrays (``x0`` is one solution
+    or a batch's ``(N, size)`` stack of them)."""
 
     #: The ``run_transient`` keywords that select this control.
     request: Dict[str, object] = {}
@@ -158,9 +159,10 @@ class _FixedSteps:
         self.dt = dt
         self.steps = steps
         self.num_nodes = num_nodes
+        batch = x0.shape[:-1]
         self.times = np.empty(steps + 1)
-        self.voltages = np.empty((steps + 1, num_nodes))
-        self.currents = np.empty((steps + 1, x0.size - num_nodes))
+        self.voltages = np.empty((steps + 1, *batch, num_nodes))
+        self.currents = np.empty((steps + 1, *batch, x0.shape[-1] - num_nodes))
         self.step = -1
         self.record(0.0, x0)  # row 0: the initial point
 
@@ -179,11 +181,42 @@ class _FixedSteps:
     def record(self, time: float, x_new: np.ndarray) -> None:
         step = self.step = self.step + 1
         self.times[step] = time
-        self.voltages[step] = x_new[:self.num_nodes]
-        self.currents[step] = x_new[self.num_nodes:]
+        self.voltages[step] = x_new[..., :self.num_nodes]
+        self.currents[step] = x_new[..., self.num_nodes:]
 
     def finish(self):
         return self.times, self.voltages, self.currents, None
+
+
+def _check_run_args(stop_time: float, dt: float, integrator: str) -> None:
+    """The argument checks of every transient driver, scalar or batched."""
+    if stop_time <= 0.0 or dt <= 0.0:
+        raise AnalysisError("stop_time and dt must be positive")
+    if dt > stop_time:
+        raise AnalysisError(f"dt={dt} exceeds stop_time={stop_time}")
+    if integrator not in ("be", "trap"):
+        raise AnalysisError(f"unknown integrator {integrator!r}")
+
+
+def _initial_solution(circuit: Circuit, initial_voltages, dc_seed,
+                      max_iterations: int, vtol: float, damping: float,
+                      recovery=None, deadline=None) -> np.ndarray:
+    """The t = 0 solution of a finalised circuit: the listed node voltages
+    (every other unknown at 0), else the DC point seeded with ``dc_seed``."""
+    if initial_voltages is not None:
+        x = np.zeros(circuit.num_nodes + circuit.num_branches)
+        for node_name, value in initial_voltages.items():
+            index = circuit.node(node_name)
+            if index >= 0:
+                x[index] = value
+        return x
+    remaining = (None if deadline is None
+                 else max(deadline - _time.monotonic(), 1e-3))
+    dc = solve_dc(circuit, time=0.0, initial_guess=dc_seed,
+                  max_iterations=max_iterations, vtol=vtol,
+                  damping=damping, lint="off",  # already pre-flighted
+                  timeout=remaining, recovery=recovery)
+    return np.concatenate([dc.voltages, dc.branch_currents])
 
 
 def run_transient(
@@ -237,15 +270,10 @@ def run_transient(
       the cache key; recovered results are bit-identical across worker
       counts and cache replays.
     """
-    if stop_time <= 0.0 or dt <= 0.0:
-        raise AnalysisError("stop_time and dt must be positive")
+    _check_run_args(stop_time, dt, integrator)
     if timeout is not None and timeout <= 0.0:
         raise AnalysisError(f"timeout must be positive, got {timeout}")
     deadline = None if timeout is None else _time.monotonic() + timeout
-    if dt > stop_time:
-        raise AnalysisError(f"dt={dt} exceeds stop_time={stop_time}")
-    if integrator not in ("be", "trap"):
-        raise AnalysisError(f"unknown integrator {integrator!r}")
     if engine is None:
         engine = _default_engine
     if engine not in ENGINES:
@@ -312,23 +340,9 @@ def run_transient(
         circuit.finalize()
         circuit.reset_state()
         num_nodes = circuit.num_nodes
-        size = num_nodes + circuit.num_branches
-
-        if initial_voltages is not None:
-            x = np.zeros(size)
-            for node_name, value in initial_voltages.items():
-                index = circuit.node(node_name)
-                if index >= 0:
-                    x[index] = value
-        else:
-            remaining = None
-            if deadline is not None:
-                remaining = max(deadline - _time.monotonic(), 1e-3)
-            dc = solve_dc(circuit, time=0.0, initial_guess=dc_seed,
-                          max_iterations=max_iterations, vtol=vtol,
-                          damping=damping, lint="off",  # already pre-flighted
-                          timeout=remaining, recovery=policy)
-            x = np.concatenate([dc.voltages, dc.branch_currents])
+        x = _initial_solution(circuit, initial_voltages, dc_seed,
+                              max_iterations, vtol, damping, policy,
+                              deadline)
 
         if adaptive:
             from repro.spice.analysis.sparse import LTEStepControl

@@ -49,10 +49,11 @@ class MTJElement(Device):
 
     def reset_state(self) -> None:
         """Restore the magnetisation captured at construction time and clear
-        accumulated switching progress."""
+        accumulated switching progress and events."""
         self.device.state = self._initial_state
         if self.switching is not None:
             self.switching.progress = 0.0
+            self.switching.events.clear()
 
     def set_initial_state(self, state: MTJState) -> None:
         """Pin both the live and the reset state (used when programming the

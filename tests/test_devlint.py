@@ -250,6 +250,42 @@ class TestObsRules:
         assert "dev.error-super-init" not in report.rule_ids()
 
 
+class TestRecoveryRules:
+    def test_retry_through_a_local_helper_fires(self, tmp_path):
+        report = lint_source(tmp_path, """
+            from repro.errors import ConvergenceError
+            from repro.spice.analysis.transient import run_transient
+
+            def rerun_alone(circuit):
+                return run_transient(circuit, 1e-9, 1e-12, engine="fast")
+
+            def run(circuit, solver):
+                try:
+                    return solver.solve()
+                except ConvergenceError:
+                    return rerun_alone(circuit)
+            """)
+        [diagnostic] = [d for d in report.diagnostics
+                        if d.rule == "dev.bare-convergence-retry"]
+        assert "rerun_alone(), which calls run_transient()" in (
+            diagnostic.message)
+
+    def test_helper_without_a_solver_call_is_clean(self, tmp_path):
+        report = lint_source(tmp_path, """
+            from repro.errors import ConvergenceError
+
+            def describe(exc):
+                return f"failed: {exc}"
+
+            def run(solver):
+                try:
+                    return solver.solve()
+                except ConvergenceError as exc:
+                    raise RuntimeError(describe(exc)) from exc
+            """)
+        assert "dev.bare-convergence-retry" not in report.rule_ids()
+
+
 class TestReportRoundTrip:
     def test_json_round_trip_preserves_diagnostics(self, tmp_path):
         report = lint_source(tmp_path, """

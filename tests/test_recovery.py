@@ -277,6 +277,43 @@ def test_exhaustion_raises_with_forensics_attached():
         set(KNOWN_RUNGS) | {"dc-homotopy"})
 
 
+# ---------------------------------------------------------------------------
+# Batched runs of the corpus: a failing sample takes the scalar ladder
+# ---------------------------------------------------------------------------
+
+
+def _batched_corpus_run(name: str):
+    """A corpus entry run as a two-sample batch, with the entry's options
+    (the batch reruns failing samples under the default policy)."""
+    from repro.spice.analysis.ensemble import run_ensemble_transient
+
+    entry = corpus_entry(name)
+    options = entry.run_options()
+    del options["recovery"]
+    return entry, run_ensemble_transient([entry.build(), entry.build()],
+                                         **options)
+
+
+@pytest.mark.parametrize("name", ["sharp-edge", "near-singular-divider"])
+def test_batched_corpus_runs_match_their_scalar_runs(name):
+    entry, results = _batched_corpus_run(name)
+    scalar = entry.run(engine="fast")
+    for result in results:
+        assert np.array_equal(result.node_voltages, scalar.node_voltages)
+        assert np.array_equal(result.branch_currents,
+                              scalar.branch_currents)
+        if name == "sharp-edge":
+            assert result.health.rung_counts == scalar.health.rung_counts
+            assert result.health.rung_counts == {"timestep-cut": 1,
+                                                 "damping": 1}
+
+
+def test_batched_ladder_exhaustion_raises_with_forensics():
+    with pytest.raises(ConvergenceError) as excinfo:
+        _batched_corpus_run("ladder-exhaustion")
+    assert isinstance(excinfo.value.forensics, ForensicsBundle)
+
+
 def test_corpus_lookup():
     names = [entry.name for entry in corpus_entries()]
     assert names == sorted(set(names), key=names.index)  # unique

@@ -56,6 +56,17 @@ def mtj_read_circuit(params=None, widths=(300e-9, 300e-9),
     return c
 
 
+def sharp_edge_circuit(rise) -> Circuit:
+    """The recovery corpus's sharp-edge circuit with an input edge that
+    rises in ``rise`` seconds."""
+    from repro.recovery.corpus import corpus_entry
+
+    circuit = corpus_entry("sharp-edge").build()
+    circuit.device("vin").waveform = Pulse(0.0, 1.1, delay=20e-12,
+                                           rise=rise, width=5e-9)
+    return circuit
+
+
 def grouped_array_circuit(rows=3, cols=3) -> Circuit:
     """A small 1T-1MTJ array: ≥4 FETs and ≥4 MTJs with no other
     nonlinear devices, so both vectorised groups engage and the sparse
@@ -340,10 +351,11 @@ class TestEnsemble:
         assert run_ensemble_transient([], 0.4e-9, 2e-12) == []
 
     def test_unconverged_batch_falls_back_to_scalar_runs(self):
-        # Three Newton iterations are too few for the batched loop and
-        # its gmin rung; the scalar fast engine's recovery ladder rescues
-        # the steps that fail, so the call falls back once and returns
-        # exactly the scalar runs at the same iteration budget.
+        # Three Newton iterations are too few for every sample of the
+        # batch: each leaves it and reruns as a scalar fast run, whose
+        # recovery ladder rescues the steps that fail, so the call counts
+        # one fallback and returns exactly the scalar runs at the same
+        # iteration budget.
         from repro.obs import disable_tracing, enable_tracing, metrics
 
         enable_tracing()
@@ -439,6 +451,97 @@ class TestEnsemble:
             assert stats.factorizations < stats.iterations
             assert (stats.factorizations + stats.reuses
                     == stats.iterations + stats.singular_retries)
+
+
+    def test_failing_sample_leaves_the_batch(self):
+        # At eight Newton iterations only the 20 ps edge fails a step in
+        # the batch (the scalar ladder rescues it on the damping rung).
+        # That sample alone reruns as a scalar fast run; the other two
+        # finish in the batch exactly as they would without it.
+        from repro.obs import disable_tracing, enable_tracing, metrics
+        from repro.obs.metrics import MetricsRegistry
+        from repro.spice.analysis.dc import solve_dc
+
+        options = dict(stop_time=0.2e-9, dt=10e-12, max_iterations=8,
+                       lint="off")
+        rises = (100e-12, 20e-12, 200e-12)
+        enable_tracing()
+        try:
+            before = metrics().snapshot()["counters"]
+            results = run_ensemble_transient(
+                [sharp_edge_circuit(rise) for rise in rises], **options)
+            after = metrics().snapshot()["counters"]
+            # The t = 0 DC solves (one per sample in the batch, one in
+            # the rerun) count engine work that no result's stats carry.
+            for rise in rises + (20e-12,):
+                solve_dc(sharp_edge_circuit(rise), max_iterations=8,
+                         lint="off")
+            with_dc = metrics().snapshot()["counters"]
+        finally:
+            disable_tracing()
+
+        def delta(newer, older, name):
+            return newer.get(name, 0) - older.get(name, 0)
+
+        assert delta(after, before, "analysis.transients") == 1
+        assert delta(after, before, "analysis.ensemble_fallbacks") == 1
+        summed = MetricsRegistry()
+        for result in results:
+            result.stats.flush_to(summed)
+        for name in sorted(set(after) | set(summed.counters)):
+            if not name.startswith("engine."):
+                continue
+            expected = summed.counter(name) + delta(with_dc, after, name)
+            if name.startswith("engine.stamp_seconds."):  # float sums
+                assert delta(after, before, name) == pytest.approx(
+                    expected, rel=1e-9), name
+            else:
+                assert delta(after, before, name) == expected, name
+
+        slow, sharp, slower = results
+        alone = run_transient(sharp_edge_circuit(20e-12), engine="fast",
+                              **options)
+        assert np.array_equal(sharp.node_voltages, alone.node_voltages)
+        assert np.array_equal(sharp.branch_currents, alone.branch_currents)
+        assert sharp.health.rung_counts == {"damping": 1}
+        pair = run_ensemble_transient(
+            [sharp_edge_circuit(100e-12), sharp_edge_circuit(200e-12)],
+            **options)
+        for result, reference in zip((slow, slower), pair):
+            assert np.array_equal(result.node_voltages,
+                                  reference.node_voltages)
+            assert np.array_equal(result.branch_currents,
+                                  reference.branch_currents)
+            assert result.health.clean
+
+    def test_nandspin_batch_runs_as_scalar_runs(self):
+        # The batch integrates STT switching only, so a batch holding
+        # NAND-SPIN junctions must run each circuit as a scalar run: the
+        # SOT erase of a store then happens as it does alone.
+        from repro.cells.nvlatch_1bit import build_standard_latch
+        from repro.nv.base import get_backend
+
+        nv = get_backend("nandspin")
+        schedule = nv.store_schedule("standard", bit=1,
+                                     erase_width=1.0e-9, write_width=1.5e-9)
+
+        def store_latch():
+            return build_standard_latch(schedule, stored_bit=0, vdd=1.1,
+                                        backend=nv)
+
+        options = dict(initial_voltages={"vdd": 1.1})
+        latches = [store_latch(), store_latch()]
+        batch = run_ensemble_transient([latch.circuit for latch in latches],
+                                       schedule.stop_time, 4e-12, **options)
+        scalar = run_transient(store_latch().circuit, schedule.stop_time,
+                               4e-12, engine="fast", **options)
+        for latch, result in zip(latches, batch):
+            assert latch.stored_bit() == 1
+            assert len(latch.mtj1.sot.events) == 1
+            assert np.array_equal(result.node_voltages,
+                                  scalar.node_voltages)
+            assert np.array_equal(result.branch_currents,
+                                  scalar.branch_currents)
 
 
 class TestJacobianRefreshRule:

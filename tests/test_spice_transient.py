@@ -147,6 +147,22 @@ class TestInitialConditions:
         result = run_transient(c, 0.1e-9, 1e-12, dc_seed={"a": 1.1, "b": 0.0})
         assert result.final_voltage("a") > 1.0
 
+    def test_rerun_starts_with_an_empty_switching_log(self):
+        # Each run resets the junction to its initial state, so the
+        # switching events it leaves are that run's alone.
+        from repro.mtj.device import MTJState
+
+        c = Circuit("write")
+        c.add_vsource("vw", "drv", "0",
+                      Pulse(0.0, 1.1, delay=0.05e-9, rise=10e-12,
+                            width=8e-9))
+        c.add_resistor("rs", "drv", "top", 1.5e3)
+        c.add_mtj("bit", "top", "0", state=MTJState.PARALLEL, dynamic=True)
+        c.add_capacitor("cl", "top", "0", 0.2e-15)
+        for _ in range(2):
+            run_transient(c, 6e-9, 5e-12)
+        assert len(c.device("bit").switching.events) == 1
+
 
 class TestResultAccessors:
     @pytest.fixture
