@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cells.library import CellLibrary, build_default_library
 from repro.errors import NetlistError
+from repro.obs import span as _obs_span
 from repro.physd.netlist import GateNetlist
 
 #: Clock net name used by every generated design.
@@ -125,8 +126,11 @@ def generate_benchmark(
         raise NetlistError(
             f"unknown benchmark {name!r}; choose from {sorted(BENCHMARKS)}"
         ) from None
-    return generate_from_spec(spec, seed=seed, library=library,
-                              locality_window=locality_window)
+    with _obs_span("physd.generate_benchmark", category="physd") as span:
+        netlist = generate_from_spec(spec, seed=seed, library=library,
+                                     locality_window=locality_window)
+        span.annotate(cells=netlist.num_instances)
+    return netlist
 
 
 def generate_from_spec(
@@ -185,20 +189,26 @@ def generate_from_spec(
     gate_weights = gate_weights / gate_weights.sum()
     gate_choices = rng.choice(len(gate_names), size=spec.num_gates,
                               p=gate_weights)
-    for k in range(spec.num_gates):
+    # Each gate input looks back a geometric distance from the frontier.
+    # All look-backs are drawn in one call, one per input in gate order;
+    # tests/test_golden_physd.py pins that stream order.
+    fan_ins = np.array([_FAN_IN[name] for name in gate_names])[gate_choices]
+    backs = (rng.exponential(locality_window, size=int(fan_ins.sum()))
+             .astype(np.int64) + 1).tolist()
+    first_back = 0
+    for k, choice in enumerate(gate_choices.tolist()):
         for g in injection.get(k, ()):
             register_source_pos[g] = len(sources)
             sources.extend(ff_q_nets[j] for j in registers[g])
-        cell_name = gate_names[int(gate_choices[k])]
-        fan_in = _FAN_IN[cell_name]
+        cell_name = gate_names[choice]
+        last_back = first_back + _FAN_IN[cell_name]
+        frontier = len(sources)
+        nets = [sources[max(0, frontier - back)]
+                for back in backs[first_back:last_back]]
+        first_back = last_back
         out_net = f"n{k}"
-        inputs = []
-        for _ in range(fan_in):
-            # Look back a geometric distance from the frontier.
-            back = int(rng.exponential(locality_window)) + 1
-            idx = max(0, len(sources) - back)
-            inputs.append(sources[idx])
-        netlist.add_instance(f"g{k}", cell_name, inputs + [out_net])
+        nets.append(out_net)
+        netlist.add_instance(f"g{k}", cell_name, nets)
         sources.append(out_net)
     for g in injection.get(spec.num_gates, ()):  # anchors at the very end
         register_source_pos[g] = len(sources)

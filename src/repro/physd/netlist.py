@@ -68,8 +68,12 @@ class GateNetlist:
         net_list = list(nets)
         instance = Instance(name=name, cell=cell, nets=net_list)
         self.instances[name] = instance
+        nets_by_name = self.nets
         for net_name in net_list:
-            self.add_net(net_name).instances.append(name)
+            net = nets_by_name.get(net_name)
+            if net is None:
+                net = nets_by_name[net_name] = Net(name=net_name)
+            net.instances.append(name)
         return instance
 
     def remove_instance(self, name: str) -> None:

@@ -268,6 +268,27 @@ def test_run_profile_campaign_smoke(tmp_path):
     assert not is_active()
 
 
+def test_run_profile_table3_opens_physd_spans(tmp_path):
+    from repro.obs.profile import run_profile
+
+    result = run_profile("table3", fast=True, out_dir=str(tmp_path))
+    with open(result.trace_path, encoding="utf-8") as handle:
+        events = json.load(handle)["traceEvents"]
+    physd = {}
+    for event in events:
+        if event["cat"] == "physd":
+            physd.setdefault(event["name"], []).append(event["args"])
+    assert sorted(physd) == ["physd.generate_benchmark",
+                             "physd.global_place", "physd.legalize"]
+    for spans in physd.values():
+        assert len(spans) == 2  # one per benchmark of the fast flow
+        assert all(attrs["cells"] > 0 for attrs in spans)
+    assert all(attrs["rows"] > 0 for attrs in physd["physd.legalize"])
+    for attrs in physd["physd.global_place"]:
+        assert attrs["cg_iterations_x"] > 0
+        assert attrs["cg_iterations_y"] > 0
+
+
 def test_run_profile_rejects_unknown_flow(tmp_path):
     from repro.errors import AnalysisError
     from repro.obs.profile import run_profile
