@@ -165,7 +165,7 @@ def guard_finite(x: np.ndarray, where: str,
     """Raise :class:`ConvergenceError` when the solution carries a NaN
     or Inf — converted to a ladder-recoverable failure instead of
     silently poisoning every later timestep."""
-    if np.all(np.isfinite(x)):
+    if np.isfinite(x).all():
         return x
     if health is not None:
         health.note_nonfinite()

@@ -58,15 +58,21 @@ from repro.spice.netlist import Circuit
 
 #: Minimum transistor count before the vectorised MOSFET group pays off;
 #: below this the per-device scalar stamp (identical to the naive path)
-#: is cheaper than numpy call overhead.
+#: is cheaper than numpy call overhead.  The two round differently: the
+#: scalar EKV interpolation goes through math.exp/math.log1p, the group
+#: through np.logaddexp (dF differs in 86 % of 200,000 random overdrives).
 VECTORIZE_MOSFET_THRESHOLD = 4
 #: Minimum MTJ count before the vectorised MTJ group pays off — array
 #: workloads (1T-1MTJ grids) have hundreds of junctions whose scalar
 #: Python stamps would otherwise dominate the Newton iteration.  Set
 #: *above* 4 so the shipped cells (1-bit: 2 MTJs, 2-bit: 4 MTJs) keep
-#: the scalar per-element stamps: vectorised accumulation reorders the
-#: floating-point sums at the ulp level, and the golden baselines
-#: (tests/test_golden_faults_baseline.py) pin those cells bit-exactly.
+#: the scalar per-element stamps, which the golden baselines
+#: (tests/test_golden_faults_baseline.py) pin bit-exactly.  The group
+#: differs from them at the ulp level for two reasons: its scatter
+#: reorders the floating-point sums, and MTJDevice.conductance_derivative
+#: squares with Python ``** 2`` (libm pow) where the group computes
+#: ``x * x`` — dG/dV differs in 179 of 200,000 random AP biases (G in
+#: none).
 VECTORIZE_MTJ_THRESHOLD = 5
 #: Refactorise the Jacobian at least every this many iterations.
 JACOBIAN_MAX_AGE = 6
@@ -273,17 +279,31 @@ def _rhs_scatter(terminals, base: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 class _Gather:
-    """Precompiled ground-masked gather: offset clipped indices + 0/1
-    mask, so the per-iteration work is one ``take`` and one multiply."""
+    """Precompiled ground-masked gather of a stack of terminal rows.
 
-    def __init__(self, indices: np.ndarray, base: np.ndarray):
-        self.clipped = np.clip(indices, 0, None) + base
-        self.mask = (indices >= 0).astype(float)
+    ``rows`` holds node indices (one row per terminal, one column per
+    device); the gather is one ``take`` of the offset, ground-clipped
+    indices and one multiply by a mask that is 0 on ground and 1
+    elsewhere, times the per-device ``sign`` when one is given.  Every
+    mask entry is ±0 or ±1, so the product is exact: ``sign · (v · mask)``
+    to the bit, signed zeros included.
+    """
+
+    def __init__(self, rows: np.ndarray, base: np.ndarray,
+                 sign: Optional[np.ndarray] = None):
+        self.clipped = np.clip(rows, 0, None) + base
+        mask = (rows >= 0).astype(float)
+        self.mask = mask if sign is None else mask * sign
 
     def __call__(self, voltages: np.ndarray) -> np.ndarray:
-        if voltages.size == 0:
-            return np.zeros(self.clipped.shape)
+        if not voltages.size:  # no unknowns: every terminal is ground
+            voltages = np.zeros(1)
         return voltages.take(self.clipped) * self.mask
+
+
+#: Row of each MOSFET partial in :attr:`_MOSFETGroup.partials`, by the
+#: (d, g, s, b) terminal order of the scatter patterns.
+_PARTIAL_ROW = np.array([1, 2, 0, 3], dtype=np.intp)
 
 
 class _MOSFETGroup:
@@ -291,94 +311,116 @@ class _MOSFETGroup:
     stamped as numpy arrays into their block-diagonal system
     (:func:`_sample_base`).
 
-    Reproduces :meth:`MOSFET.evaluate` / :meth:`MOSFET.stamp` exactly
-    (same formulas, vectorised); the equivalence property tests compare
-    the two to 1e-12.
+    Reproduces :meth:`MOSFET.evaluate` / :meth:`MOSFET.stamp` (same
+    formulas, vectorised); the equivalence property tests compare the two
+    to 1e-12.  One stamp is about 55 small numpy calls, so the layout
+    serves call count:
+
+    * one gather reads the primed (channel-sign mirrored) terminal
+      voltages in rows (s, d, g, b, b): rows 0–3 line up with the
+      partials, and the forward and reverse overdrives are the one
+      same-shape block ``rows 0:2 − rows 3:5``;
+    * the partials land in a preallocated (4, N) buffer in rows
+      (s, d, g, b), and the matrix scatter is one flat ``take`` of it;
+    * the per-device constants (``1 − 1/n``, ones, ε, ε², and (2, N)
+      blocks of 0, 2 and 2V_t) are built once, so no operation
+      broadcasts a Python scalar.
+
+    Every element goes through one fixed expression tree, operation by
+    operation (no reassociation, no merged constants), and ``np.add.at``
+    accumulates each slot in scatter-pattern order, so a layout change
+    under these rules moves no bit (``tests/test_golden_engine_bits.py``
+    pins the stamps' bits through the waveforms).
     """
 
     def __init__(self, per_sample: Sequence[Sequence[MOSFET]], size: int):
         self.fets = fets = [f for sample in per_sample for f in sample]
         base = _sample_base(per_sample, size)
-        self.drain = np.array([f.drain for f in fets], dtype=np.intp)
-        self.gate = np.array([f.gate for f in fets], dtype=np.intp)
-        self.source = np.array([f.source for f in fets], dtype=np.intp)
-        self.bulk = np.array([f.bulk for f in fets], dtype=np.intp)
+        drain = np.array([f.drain for f in fets], dtype=np.intp)
+        gate = np.array([f.gate for f in fets], dtype=np.intp)
+        source = np.array([f.source for f in fets], dtype=np.intp)
+        bulk = np.array([f.bulk for f in fets], dtype=np.intp)
+        count = len(fets)
         self.sign = np.array([f.model.sign for f in fets])
         self.vth0 = np.array([f.model.vth0 for f in fets])
         self.slope = np.array([f.model.slope_factor for f in fets])
         self.lam = np.array([f.model.lambda_clm for f in fets])
-        self.two_vt = np.array([2.0 * f.model.thermal_volt for f in fets])
         self.i_spec = np.array(
             [f.model.specific_current(f.width, f.length) for f in fets]
         )
+        self._two_vt = np.tile([2.0 * f.model.thermal_volt for f in fets],
+                               (2, 1))
+        self._bulk_factor = 1.0 - 1.0 / self.slope
+        self._ones = np.ones(count)
+        self._zeros = np.zeros((2, count))
+        self._twos = np.full((2, count), 2.0)
+        self._eps = np.full(count, _CLM_EPSILON)
+        self._eps_sq = np.full(count, _CLM_EPSILON * _CLM_EPSILON)
+        self._gather = _Gather(np.stack([source, drain, gate, bulk, bulk]),
+                               base, self.sign)
+        #: Unprimed-voltage factor of gather rows 0–3 (sign² = 1, exact).
+        self._unprime = self._gather.mask[:4]
+        self.partials = np.empty((4, count))
 
         # Precomputed scatter patterns.  Matrix contributions: for every
         # partial k ∈ (d, g, s, b), +g_k lands on (drain, node_k) and −g_k
         # on (source, node_k) — ground rows/columns dropped.
-        terminals = (self.drain, self.gate, self.source, self.bulk)
-        self.flat_index, self.scatter_sign, kind, self.scatter_fet = (
+        terminals = (drain, gate, source, bulk)
+        self.flat_index, self.scatter_sign, kind, scatter_fet = (
             _matrix_scatter([(row, col, sign)
-                             for row, sign in ((self.drain, 1.0),
-                                               (self.source, -1.0))
+                             for row, sign in ((drain, 1.0), (source, -1.0))
                              for col in terminals], base, size))
-        self.scatter_k = kind % len(terminals)
+        self._scatter_take = (_PARTIAL_ROW[kind % len(terminals)] * count
+                              + scatter_fet)
         self.rhs_index, self.rhs_sign, self.rhs_fet = _rhs_scatter(
-            ((self.drain, -1.0), (self.source, 1.0)), base)
-        self._count = len(fets)
-        self._gather_d = _Gather(self.drain, base)
-        self._gather_g = _Gather(self.gate, base)
-        self._gather_s = _Gather(self.source, base)
-        self._gather_b = _Gather(self.bulk, base)
+            ((drain, -1.0), (source, 1.0)), base)
 
-    @staticmethod
-    def _interp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised EKV interpolation F(x) = ln²(1+eˣ) and 2·ln(1+eˣ)·σ(x)."""
-        log_term = np.logaddexp(0.0, x)
+    def _interp(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised EKV interpolation F(x) = ln²(1+eˣ) and 2·ln(1+eˣ)·σ(x)
+        over the (2, N) forward/reverse block."""
+        log_term = np.logaddexp(self._zeros, x)
         # σ(x) = eˣ/(1+eˣ) = exp(x − ln(1+eˣ)), stable for both signs.
         sigmoid = np.exp(x - log_term)
-        return log_term * log_term, 2.0 * log_term * sigmoid
+        return log_term * log_term, self._twos * log_term * sigmoid
 
     def evaluate(self, voltages: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Drain currents and the (4, N) partial-derivative matrix.
 
         Returns ``(i_drain, partials, const)`` where ``partials`` rows
-        follow the (d, g, s, b) terminal order and ``const`` is the Norton
-        offset current of the linearisation.
+        follow the (s, d, g, b) terminal order and ``const`` is the Norton
+        offset current of the linearisation.  ``partials`` is the group's
+        buffer, overwritten by the next call.
         """
-        vd = self._gather_d(voltages)
-        vg = self._gather_g(voltages)
-        vs = self._gather_s(voltages)
-        vb = self._gather_b(voltages)
-
-        sigma = self.sign
-        vdp, vgp = sigma * vd, sigma * vg
-        vsp, vbp = sigma * vs, sigma * vb
+        primed = self._gather(voltages)
+        vsp, vdp, vgp, vbp = primed[0], primed[1], primed[2], primed[3]
         vp_pinch = (vgp - vbp - self.vth0) / self.slope
-        u_f = vp_pinch - (vsp - vbp)
-        u_r = vp_pinch - (vdp - vbp)
+        # Rows (forward, reverse): u_f = v_P − v_SB, u_r = v_P − v_DB.
+        overdrive = vp_pinch - (primed[0:2] - primed[3:5])
 
-        f_f, df_f = self._interp(u_f / self.two_vt)
-        f_r, df_r = self._interp(u_r / self.two_vt)
-        df_f = df_f / self.two_vt
-        df_r = df_r / self.two_vt
+        f, df = self._interp(overdrive / self._two_vt)
+        df = df / self._two_vt
+        f_f, f_r = f[0], f[1]
+        df_f, df_r = df[0], df[1]
 
         delta_i = f_f - f_r
         vds_p = vdp - vsp
-        root = np.sqrt(vds_p * vds_p + _CLM_EPSILON * _CLM_EPSILON)
-        h = root - _CLM_EPSILON
-        m = 1.0 + self.lam * h
+        root = np.sqrt(vds_p * vds_p + self._eps_sq)
+        h = root - self._eps
+        m = self._ones + self.lam * h
         dm_dvds = self.lam * vds_p / root
 
-        i_drain = sigma * (self.i_spec * delta_i * m)
-        partials = np.empty((4, self._count))
+        i_drain = self.sign * (self.i_spec * delta_i * m)
+        partials = self.partials
         gate_term = self.i_spec * m * (df_f - df_r)
-        partials[0] = self.i_spec * (m * df_r + delta_i * dm_dvds)   # d
-        partials[1] = gate_term / self.slope                         # g
-        partials[2] = self.i_spec * (-m * df_f - delta_i * dm_dvds)  # s
-        partials[3] = gate_term * (1.0 - 1.0 / self.slope)           # b
-        const = i_drain - (partials[0] * vd + partials[1] * vg
-                           + partials[2] * vs + partials[3] * vb)
+        clm_term = delta_i * dm_dvds
+        np.multiply(self.i_spec, -m * df_f - clm_term, out=partials[0])  # s
+        np.multiply(self.i_spec, m * df_r + clm_term, out=partials[1])   # d
+        np.divide(gate_term, self.slope, out=partials[2])                # g
+        np.multiply(gate_term, self._bulk_factor, out=partials[3])       # b
+        # i − (((g_d·v_d + g_g·v_g) + g_s·v_s) + g_b·v_b), unprimed v.
+        terms = partials * (primed[:4] * self._unprime)
+        const = i_drain - (terms[1] + terms[2] + terms[0] + terms[3])
         return i_drain, partials, const
 
     def stamp(self, matrix_flat: np.ndarray, rhs: np.ndarray,
@@ -392,10 +434,11 @@ class _MOSFETGroup:
         must alias the same matrix slots as ``matrix_flat[flat_index]``
         (the sparse engine passes CSC data positions)."""
         _i_drain, partials, const = self.evaluate(voltages)
-        values = (self.scatter_sign
-                  * partials[self.scatter_k, self.scatter_fet])
-        np.add.at(target, index, values)
-        np.add.at(rhs, self.rhs_index, self.rhs_sign * const[self.rhs_fet])
+        np.add.at(target, index,
+                  partials.ravel().take(self._scatter_take)
+                  * self.scatter_sign)
+        np.add.at(rhs, self.rhs_index,
+                  self.rhs_sign * const.take(self.rhs_fet))
 
 
 class _MTJGroup:
@@ -423,8 +466,7 @@ class _MTJGroup:
         self.tmr0 = np.array([m.device.params.tmr_zero_bias for m in mtjs])
         self.v_h = np.array(
             [m.device.params.tmr_half_bias_voltage for m in mtjs])
-        self._gather_free = _Gather(self.free, base)
-        self._gather_ref = _Gather(self.ref, base)
+        self._gather = _Gather(np.stack([self.free, self.ref]), base)
         self.flat_index, self.scatter_sign, _, self.scatter_mtj = (
             _conductance_scatter(self.free, self.ref, base, size))
         self.rhs_index, self.rhs_sign, self.rhs_mtj = _rhs_scatter(
@@ -441,7 +483,8 @@ class _MTJGroup:
     def electrical(self, voltages: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bias, conductance and conductance derivative per junction."""
-        v = self._gather_free(voltages) - self._gather_ref(voltages)
+        terminal = self._gather(voltages)
+        v = terminal[0] - terminal[1]
         av = np.abs(v)
         is_ap = self.is_ap if self.is_ap is not None else self.read_states()
         ratio = av / self.v_h
@@ -465,8 +508,10 @@ class _MTJGroup:
         v, g, dg = self.electrical(voltages)
         g_eff = np.maximum(g + np.abs(v) * dg, 0.1 * g)
         const = g * v - g_eff * v
-        np.add.at(target, index, self.scatter_sign * g_eff[self.scatter_mtj])
-        np.add.at(rhs, self.rhs_index, self.rhs_sign * const[self.rhs_mtj])
+        np.add.at(target, index,
+                  self.scatter_sign * g_eff.take(self.scatter_mtj))
+        np.add.at(rhs, self.rhs_index,
+                  self.rhs_sign * const.take(self.rhs_mtj))
 
 
 class _CapacitorGroup:
@@ -500,8 +545,7 @@ class _CapacitorGroup:
                                                  cap[order])
         self.rhs_index, self.rhs_sign, self.rhs_cap = _rhs_scatter(
             ((self.pos, 1.0), (self.neg, -1.0)), base)
-        self._gather_pos = _Gather(self.pos, base)
-        self._gather_neg = _Gather(self.neg, base)
+        self._gather = _Gather(np.stack([self.pos, self.neg]), base)
 
     def stamp_static(self, matrix_flat: np.ndarray) -> None:
         """Companion conductances into the (flat) static matrix."""
@@ -513,18 +557,20 @@ class _CapacitorGroup:
         """Norton companion currents for the timepoint (iterate-free)."""
         if not self.transient:
             return
-        v_prev = self._gather_pos(prev_voltages) - self._gather_neg(prev_voltages)
+        terminal = self._gather(prev_voltages)
+        v_prev = terminal[0] - terminal[1]
         ieq = self.g * v_prev
         if self.integrator == "trap":
             ieq = ieq + self.i_prev
         self._ieq = ieq
-        np.add.at(rhs, self.rhs_index, self.rhs_sign * ieq[self.rhs_cap])
+        np.add.at(rhs, self.rhs_index, self.rhs_sign * ieq.take(self.rhs_cap))
 
     def update_state(self, voltages: np.ndarray) -> None:
         """Advance the stored capacitor currents after an accepted step."""
         if not self.transient:
             return
-        v_now = self._gather_pos(voltages) - self._gather_neg(voltages)
+        terminal = self._gather(voltages)
+        v_now = terminal[0] - terminal[1]
         self.i_prev = self.g * v_now - self._ieq
 
     def flush_to_devices(self) -> None:
@@ -612,6 +658,22 @@ class MNAWorkspace:
         self.mtj_group: Optional[_MTJGroup] = (
             _MTJGroup([mtjs], self.size) if mtjs else None)
 
+        # Per-step device lists, built once: the linear devices with a
+        # per-timepoint RHS, and every device with state to advance after
+        # an accepted step (in iterate, MOSFET, MTJ, linear order).  The
+        # base-class no-ops are skipped.
+        self._step_devices = [d for d in self._linear_devices
+                              if type(d).stamp_step is not Device.stamp_step]
+        self._stateful_devices = [
+            d for d in (self._iterate_devices
+                        + (self.fet_group.fets if self.fet_group else [])
+                        + mtjs + self._linear_devices)
+            if type(d).update_state is not Device.update_state]
+        self._step_view = _RHSView(self.num_nodes, self.num_branches,
+                                   self._step_rhs)
+        self._iterate_view = MNAStamper(self.num_nodes, self.num_branches,
+                                        matrix=self.matrix, rhs=self.rhs)
+
         self._build_static()
         # Reusable EvalContext scaffolding.
         self._time = 0.0
@@ -640,20 +702,19 @@ class MNAWorkspace:
         self._time = time
         self._prev_voltages = prev_voltages
         self._step_rhs[:] = 0.0
-        view = _RHSView(self.num_nodes, self.num_branches, self._step_rhs)
+        view = self._step_view
         ctx = EvalContext(voltages=np.zeros(0), prev_voltages=prev_voltages,
                           time=time, dt=self.dt, integrator=self.integrator)
-        for device in self._linear_devices:
+        for device in self._step_devices:
             device.stamp_step(view, ctx)
         self.cap_group.step_rhs(self._step_rhs, prev_voltages)
         if self.mtj_group is not None:
             self.mtj_group.is_ap = self.mtj_group.read_states()
 
     def assemble(self, x: np.ndarray, gmin: float = 0.0,
-                 timing: Optional[Dict[str, float]] = None) -> EvalContext:
+                 timing: Optional[Dict[str, float]] = None) -> None:
         """Assemble matrix+RHS at the iterate ``x`` into the workspace
-        buffers; returns the evaluation context used for the nonlinear
-        stamps (handy for state updates).
+        buffers.
 
         ``timing`` — optional dict accumulating per-device-class stamp
         seconds (observability detail; the solver passes
@@ -667,9 +728,6 @@ class MNAWorkspace:
             self._matrix_flat[: self.num_nodes * self.size + self.num_nodes
                               : self.size + 1] += gmin
         voltages = x[: self.num_nodes]
-        ctx = EvalContext(voltages=voltages, prev_voltages=self._prev_voltages,
-                          time=self._time, dt=self.dt, gmin=gmin,
-                          integrator=self.integrator)
         if timing is not None:
             t1 = _time.perf_counter()
             timing["static_copy"] = timing.get("static_copy", 0.0) + (t1 - t0)
@@ -689,8 +747,11 @@ class MNAWorkspace:
                                       + (t1 - t0))
                 t0 = t1
         if self._iterate_devices:
-            view = MNAStamper(self.num_nodes, self.num_branches,
-                              matrix=self.matrix, rhs=self.rhs)
+            view = self._iterate_view
+            ctx = EvalContext(voltages=voltages,
+                              prev_voltages=self._prev_voltages,
+                              time=self._time, dt=self.dt, gmin=gmin,
+                              integrator=self.integrator)
             if timing is None:
                 for device in self._iterate_devices:
                     device.stamp(view, ctx)
@@ -701,26 +762,20 @@ class MNAWorkspace:
                     key = type(device).__name__
                     timing[key] = timing.get(key, 0.0) + (t1 - t0)
                     t0 = t1
-        return ctx
 
     def update_state(self, x: np.ndarray) -> None:
         """Advance stateful devices after an accepted timepoint."""
         voltages = x[: self.num_nodes]
         self.cap_group.update_state(voltages)
-        ctx = EvalContext(voltages=voltages, prev_voltages=self._prev_voltages,
-                          time=self._time, dt=self.dt,
-                          integrator=self.integrator)
-        for device in self._iterate_devices:
-            device.update_state(ctx)
-        if self.fet_group is not None:
-            for device in self.fet_group.fets:
+        if self._stateful_devices:
+            ctx = EvalContext(voltages=voltages,
+                              prev_voltages=self._prev_voltages,
+                              time=self._time, dt=self.dt,
+                              integrator=self.integrator)
+            for device in self._stateful_devices:
                 device.update_state(ctx)
         if self.mtj_group is not None:
-            for device in self.mtj_group.mtjs:
-                device.update_state(ctx)
             self.mtj_group.is_ap = None  # a switching event may flip state
-        for device in self._linear_devices:
-            device.update_state(ctx)
 
     # -- recovery-ladder state exchange -----------------------------------
 
@@ -777,7 +832,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
             else:
                 stats.reuses += 1
             delta = update(x)
-            finite = np.all(np.isfinite(delta))
+            finite = np.isfinite(delta).all()
             if not finite and not fresh:
                 # Stale factorisation went bad: refactor and retry once
                 # (the retried update still counts as a reuse).
@@ -786,7 +841,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
                 last_factor = iteration
                 stats.reuses += 1
                 delta = update(x)
-                finite = np.all(np.isfinite(delta))
+                finite = np.isfinite(delta).all()
             if not finite:
                 raise np.linalg.LinAlgError("non-finite Newton update")
         except np.linalg.LinAlgError as exc:
@@ -798,7 +853,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
 
         prev_max_dv = max_dv
         dv = delta[:num_nodes]
-        max_dv = float(np.max(np.abs(dv))) if num_nodes else 0.0
+        max_dv = float(np.abs(dv).max()) if num_nodes else 0.0
         if max_dv > damping:
             x = x + delta * (damping / max_dv)
         else:

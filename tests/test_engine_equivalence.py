@@ -137,10 +137,20 @@ def test_workspace_assembly_matches_naive(builder, integrator, seed):
 
     # Batched: three samples of the builder's topology with their own
     # device values, previous solutions and iterates.  Each block of the
-    # ensemble system must be that sample's naive system.
+    # ensemble system must be that sample's naive system, and `==` to that
+    # sample's own workspace assembly where the scalar workspace groups
+    # the same devices the batch does.  random_mtj_read is exempt: its 2
+    # transistors and 2 junctions sit below the scalar grouping thresholds,
+    # so the scalar workspace stamps them one by one and rounds
+    # differently from the batch's groups (the EKV interpolation through
+    # math.exp/math.log1p against np.logaddexp, and `** 2`, libm pow, in
+    # MTJDevice.conductance_derivative against `x * x`).
     circuits = [builder(_SameTopologyRng(seed, 100 * seed + sample))
                 for sample in range(3)]
     ensemble = EnsembleWorkspace(circuits, dt, integrator=integrator)
+    singles = ([] if builder is random_mtj_read else
+               [MNAWorkspace(sample, dt=dt, integrator=integrator)
+                for sample in circuits])
     for _ in range(3):
         time = float(rng.uniform(0.0, 1e-9))
         prev = rng.uniform(-0.2, 1.3, size=ensemble.rhs.shape)
@@ -155,6 +165,11 @@ def test_workspace_assembly_matches_naive(builder, integrator, seed):
                                          integrator, gmin)
             assert np.max(np.abs(ensemble.matrix[i] - matrix)) <= ASSEMBLY_TOL
             assert np.max(np.abs(ensemble.rhs[i] - rhs)) <= ASSEMBLY_TOL
+        for i, single in enumerate(singles):
+            single.begin_step(time, prev[i, : circuits[i].num_nodes])
+            single.assemble(x[i], gmin=gmin)
+            assert np.array_equal(ensemble.matrix[i], single.matrix)
+            assert np.array_equal(ensemble.rhs[i], single.rhs)
 
 
 class _SameTopologyRng:
