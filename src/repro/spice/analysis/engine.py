@@ -441,6 +441,14 @@ class _MOSFETGroup:
                   self.rhs_sign * const.take(self.rhs_fet))
 
 
+def _frozen(device: Device) -> bool:
+    """Whether a device is a junction that cannot switch: a plain
+    :class:`MTJElement` without switching dynamics, whose state stays
+    fixed through a run and whose ``update_state`` is a no-op (a subclass
+    may add dynamics, as the NAND-SPIN junction's SOT erase does)."""
+    return type(device) is MTJElement and device.switching is None
+
+
 class _MTJGroup:
     """The MTJ elements of one or more same-topology circuits, evaluated
     and stamped as arrays into their block-diagonal system
@@ -451,9 +459,15 @@ class _MTJGroup:
     :attr:`is_ap`, or the elements' states when it is ``None``.
     :class:`MNAWorkspace` leaves magnetisation to the elements (their
     scalar :class:`~repro.mtj.dynamics.SwitchingModel`) and snapshots the
-    mask once per timepoint: ``device.state`` only flips inside
-    ``update_state``, between accepted timepoints.  The batched ensemble
-    integrates switching itself and owns the mask.
+    mask at the start of a timepoint: during a run ``device.state`` flips
+    only inside an element's ``update_state``, between accepted
+    timepoints, or through the recovery ladder's restore, which is always
+    followed by ``reload_state``.  So when no junction of the group can
+    switch (each a plain :class:`MTJElement` with ``switching`` ``None``,
+    :func:`_frozen`), the workspace reads the mask once after it is built
+    and once after each ``reload_state``; otherwise it re-reads it every
+    timepoint.  The batched ensemble integrates switching itself and owns
+    the mask.
     """
 
     def __init__(self, per_sample: Sequence[Sequence[MTJElement]],
@@ -657,18 +671,23 @@ class MNAWorkspace:
             self._iterate_devices = fets + self._iterate_devices
         self.mtj_group: Optional[_MTJGroup] = (
             _MTJGroup([mtjs], self.size) if mtjs else None)
+        #: Whether the group's P/AP mask holds for the whole run (no
+        #: grouped junction can switch).
+        self._mask_frozen = all(_frozen(m) for m in mtjs)
 
         # Per-step device lists, built once: the linear devices with a
         # per-timepoint RHS, and every device with state to advance after
         # an accepted step (in iterate, MOSFET, MTJ, linear order).  The
-        # base-class no-ops are skipped.
+        # base-class no-ops and the junctions that cannot switch are
+        # skipped.
         self._step_devices = [d for d in self._linear_devices
                               if type(d).stamp_step is not Device.stamp_step]
         self._stateful_devices = [
             d for d in (self._iterate_devices
                         + (self.fet_group.fets if self.fet_group else [])
                         + mtjs + self._linear_devices)
-            if type(d).update_state is not Device.update_state]
+            if type(d).update_state is not Device.update_state
+            and not _frozen(d)]
         self._step_view = _RHSView(self.num_nodes, self.num_branches,
                                    self._step_rhs)
         self._iterate_view = MNAStamper(self.num_nodes, self.num_branches,
@@ -708,8 +727,10 @@ class MNAWorkspace:
         for device in self._step_devices:
             device.stamp_step(view, ctx)
         self.cap_group.step_rhs(self._step_rhs, prev_voltages)
-        if self.mtj_group is not None:
-            self.mtj_group.is_ap = self.mtj_group.read_states()
+        group = self.mtj_group
+        if group is not None and (group.is_ap is None
+                                  or not self._mask_frozen):
+            group.is_ap = group.read_states()
 
     def assemble(self, x: np.ndarray, gmin: float = 0.0,
                  timing: Optional[Dict[str, float]] = None) -> None:
@@ -774,8 +795,6 @@ class MNAWorkspace:
                               integrator=self.integrator)
             for device in self._stateful_devices:
                 device.update_state(ctx)
-        if self.mtj_group is not None:
-            self.mtj_group.is_ap = None  # a switching event may flip state
 
     # -- recovery-ladder state exchange -----------------------------------
 

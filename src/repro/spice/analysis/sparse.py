@@ -12,9 +12,17 @@ macros expensive.  This module adds the sparse tier on top of the same
   stamp pass over every other nonlinear device) so no numerically-zero
   entry can be missed by value probing.  Patterns are cached in a
   module-level registry keyed on the *structural* part of the circuit
-  fingerprint (device classes, terminal indices, branch layout) — the
-  symbolic analysis is paid once per topology, so a 200-sample
-  Monte-Carlo ensemble of one latch reuses a single pattern.
+  fingerprint (device classes, terminal indices, branch layout), so the
+  symbolic work is paid once per topology: the structure, the scatter
+  map and SuperLU's column order.  The first factorisation of a
+  topology runs SuperLU's own ordering (:data:`PERMC_SPEC`) and records
+  the order it chose; every later one hands SuperLU the matrix already
+  in that order with ``permc_spec="NATURAL"``.  Two bit rules keep the
+  recorded route equal, bit for bit, to ordering on every call: the
+  pre-ordered matrix relabels rows and columns but keeps each column's
+  entries in their original sequence, and the residual ``A·x − b`` and
+  ``‖A‖₁`` stay on the original-order matrix (a permuted product would
+  accumulate each row in another order).
 * :class:`SparseNewtonSolver` — the assembly, factorisation and update
   steps the shared modified-Newton loop
   (:func:`~repro.spice.analysis.engine.modified_newton`) runs with:
@@ -50,7 +58,7 @@ the golden Table II metrics inside the 0.1 % band
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -181,13 +189,24 @@ def structure_signature(circuit: Circuit) -> Tuple:
     )
 
 
+_Solve = Callable[[np.ndarray], np.ndarray]
+
+
 class SparsePattern:
-    """CSC structure + gather map of one circuit topology's MNA system.
+    """CSC structure, gather map and SuperLU column order of one circuit
+    topology's MNA system.
 
     ``take_flat`` lists, in CSC order, the flat (row-major) dense-buffer
     index of every structural nonzero; per-iteration CSC assembly is a
     single ``ndarray.take`` from the workspace's dense stamp buffer into
     the CSC ``data`` array — O(nnz), no COO sort, no dedup.
+
+    :meth:`factorize` decides how SuperLU is called.  The first
+    factorisation of the topology orders the columns itself and the
+    pattern records that order; later ones reuse it, so the ordering is
+    paid once per topology.  A pattern is shared process-wide: the order
+    is set by one assignment, and it depends on the structure alone, so
+    two threads racing to record it write the same value.
     """
 
     def __init__(self, workspace: MNAWorkspace):
@@ -231,6 +250,55 @@ class SparsePattern:
         sorted_cols = cols_a[order]
         self.indptr = np.searchsorted(
             sorted_cols, np.arange(size + 1)).astype(np.int32)
+        #: ``(perm_c, inverse, positions, indices, indptr)`` of the
+        #: pre-ordered matrix, or ``None`` before the first factorisation.
+        self._order: Optional[Tuple[np.ndarray, ...]] = None
+
+    def factorize(self, csc) -> Tuple[_Solve, _Solve]:
+        """SuperLU factors of ``csc``, a matrix on this pattern, as
+        ``(solve, solve_transposed)`` in the original order.
+
+        Raises ``RuntimeError`` on an exactly singular matrix, as
+        ``splu`` does.
+        """
+        order = self._order
+        if order is None:
+            lu = splu(csc, permc_spec=PERMC_SPEC)
+            self._record_order(lu.perm_c)
+            return lu.solve, lambda b: lu.solve(b, trans="T")
+        # scipy forces SymmetricMode for NATURAL, so SuperLU skips its
+        # elimination-tree postorder; the recorded perm_c already holds
+        # the first factorisation's postorder, so the pre-ordered
+        # elimination repeats the per-call one exactly.  In a magnitude
+        # tie SuperLU prefers the diagonal pivot, which it finds by the
+        # column's original index, so the rows are relabelled with the
+        # columns (permuting columns alone can pick another pivot).
+        # Each column keeps its entries in their original sequence, the
+        # order the pivot search meets them in; the flag stops splu from
+        # sorting them.
+        perm, inverse, positions, indices, indptr = order
+        ordered = csc_matrix((csc.data.take(positions), indices, indptr),
+                             shape=csc.shape)
+        ordered.has_canonical_format = True
+        lu = splu(ordered, permc_spec="NATURAL")
+        return (lambda b: lu.solve(b.take(inverse)).take(perm),
+                lambda b: lu.solve(b.take(inverse), trans="T").take(perm))
+
+    def _record_order(self, perm_c: np.ndarray) -> None:
+        """Keep SuperLU's column order for the topology's later
+        factorisations: original row and column ``k`` become ``perm_c[k]``
+        of the pre-ordered matrix, whose column ``j`` is original column
+        ``inverse[j]``; ``positions`` maps its CSC ``data`` slots to the
+        original ones."""
+        perm = np.asarray(perm_c, dtype=np.intp)
+        inverse = np.argsort(perm)
+        counts = np.diff(self.indptr)[inverse]
+        indptr = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        positions = (np.repeat(self.indptr[inverse] - indptr[:-1], counts)
+                     + np.arange(self.nnz))
+        indices = perm[self.indices[positions]].astype(np.int32)
+        self._order = (perm, inverse, positions, indices, indptr)
 
     def gather(self, dense_matrix: np.ndarray, out: np.ndarray) -> None:
         """Fill a CSC ``data`` array from the dense stamp buffer."""
@@ -308,8 +376,9 @@ class SparseNewtonSolver:
     (:func:`~repro.spice.analysis.engine.modified_newton`) — damping,
     convergence test, Jacobian staleness policy — so the two engines
     agree to solver tolerance; only its three steps differ: CSC assembly
-    (pure, or dense then gathered), ``splu`` and ``lu.solve`` instead of
-    dense getrf/getrs.
+    (pure, or dense then gathered), SuperLU factors through
+    :meth:`SparsePattern.factorize` and their solves instead of dense
+    getrf/getrs.
     """
 
     def __init__(self, workspace: MNAWorkspace,
@@ -326,7 +395,8 @@ class SparseNewtonSolver:
             (np.zeros(self.pattern.nnz), self.pattern.indices,
              self.pattern.indptr),
             shape=(workspace.size, workspace.size))
-        self._lu = None
+        #: Solve with the last factors (:meth:`SparsePattern.factorize`).
+        self._solve: Optional[_Solve] = None
         #: Optional :class:`~repro.recovery.health.ConditionProbe`
         #: (duck-typed, as on :class:`FastNewtonSolver`).
         self.condition_probe = None
@@ -377,21 +447,18 @@ class SparseNewtonSolver:
     def _factorize(self) -> None:
         self.stats.factorizations += 1
         try:
-            self._lu = splu(self._csc, permc_spec=PERMC_SPEC)
+            self._solve, solve_t = self.pattern.factorize(self._csc)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
         if self.condition_probe is not None:
-            lu = self._lu
             csc = self._csc
             self.condition_probe.after_factorization(
-                lambda b: lu.solve(b),
-                lambda b: lu.solve(b, trans="T"),
-                lambda: _csc_norm1(csc),
+                self._solve, solve_t, lambda: _csc_norm1(csc),
                 self.workspace.size)
 
     def _update(self, x: np.ndarray) -> np.ndarray:
         residual = self._csc @ x - self.workspace.rhs
-        return -self._lu.solve(residual)
+        return -self._solve(residual)
 
     def solve(self, x0: np.ndarray, time: float,
               prev_voltages: Optional[np.ndarray], gmin: float,

@@ -8,9 +8,13 @@ control of adaptive runs, the block-diagonal ensemble — while
 waveform contract on randomized circuits.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from repro.cells.miniarray import build_mini_array
 from repro.errors import AnalysisError
 from repro.mtj.device import MTJState
 from repro.mtj.parameters import PAPER_TABLE_I
@@ -23,11 +27,13 @@ from repro.spice.analysis import (
 )
 from repro.spice.analysis.engine import (
     JACOBIAN_MAX_AGE,
+    VECTORIZE_MTJ_THRESHOLD,
     MNAWorkspace,
     SolverStats,
     jacobian_refresh,
 )
 from repro.spice.analysis.sparse import (
+    PERMC_SPEC,
     SparseNewtonSolver,
     SparsePattern,
     clear_pattern_cache,
@@ -71,8 +77,6 @@ def grouped_array_circuit(rows=3, cols=3) -> Circuit:
     """A small 1T-1MTJ array: ≥4 FETs and ≥4 MTJs with no other
     nonlinear devices, so both vectorised groups engage and the sparse
     solver takes the pure-CSC assembly path."""
-    from repro.cells.miniarray import build_mini_array
-
     return build_mini_array(rows=rows, cols=cols, active_rows=1,
                             access_time=0.5e-9)
 
@@ -184,6 +188,229 @@ class TestSparseSolver:
         diff = float(np.max(np.abs(fast.node_voltages
                                    - sparse.node_voltages)))
         assert diff <= WAVEFORM_TOL
+
+
+# ---------------------------------------------------------------------------
+# SuperLU column order, recorded once per topology
+# ---------------------------------------------------------------------------
+
+
+def proposed_latch_circuit() -> Circuit:
+    """The proposed 2-bit latch restoring (1, 0): scalar-stamped
+    junctions beside the MOSFET group, so the sparse solver assembles
+    densely and gathers."""
+    from repro.cells.nvlatch_2bit import build_proposed_latch
+    from repro.nv.base import get_backend
+
+    nv = get_backend("mtj")
+    schedule = nv.restore_schedule("proposed", bits=(1, 0), vdd=1.1,
+                                   cycles=1)
+    return build_proposed_latch(schedule, stored_bits=(1, 0), vdd=1.1,
+                                backend=nv).circuit
+
+
+def floating_source_circuit() -> Circuit:
+    """A source floating between two equal resistors to ground: the ±1
+    entries of its branch column tie at the pivot search, where SuperLU
+    prefers the diagonal, so a column-only reordering picks another
+    pivot here."""
+    c = Circuit("floating-source")
+    c.add_vsource("vf", "a", "b", 0.1)
+    c.add_resistor("ra", "a", "0", 1e6)
+    c.add_resistor("rb", "b", "0", 1e6)
+    return c
+
+
+def _same_csc(a, b) -> bool:
+    """Same structure and the same bits in every stored value."""
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
+
+
+class TestRecordedColumnOrder:
+    """Every factorisation after a topology's first hands SuperLU the
+    matrix in the order the first one chose (``permc_spec="NATURAL"``);
+    the factors and solves must be those of ordering on every call."""
+
+    @pytest.mark.parametrize("builder", [
+        grouped_array_circuit, partial(build_mini_array, rows=8, cols=4),
+        mtj_read_circuit, proposed_latch_circuit, floating_source_circuit,
+    ], ids=["pure-csc", "array-8x4", "dense-route", "proposed-latch",
+            "tied-pivots"])
+    def test_factors_match_per_call_ordering(self, builder, monkeypatch):
+        import repro.spice.analysis.sparse as sparse
+
+        factors = []
+
+        def recording_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(sparse, "splu", recording_splu)
+        circuit = builder()
+        circuit.finalize()
+        ws = MNAWorkspace(circuit, dt=1e-12)
+        pattern = SparsePattern(ws)
+        solver = SparseNewtonSolver(ws, pattern=pattern)
+        csc = solver._csc
+        rng = np.random.default_rng(7)
+        for iterate in range(3):
+            ws.begin_step(0.2e-9, rng.uniform(0.0, 1.1, ws.num_nodes))
+            x = rng.uniform(0.0, 1.1, ws.size)
+            for gmin in (0.0, 1e-12):
+                solver._assemble(x, gmin, None)
+                if iterate == 0 and gmin == 0.0:
+                    pattern.factorize(csc)  # records the order
+                solve, solve_t = pattern.factorize(csc)
+                natural = factors[-1]
+                reference = splu(csc, permc_spec=PERMC_SPEC)
+                order = reference.perm_c
+                assert np.array_equal(pattern._order[0], order)
+                assert np.array_equal(natural.perm_c, np.arange(ws.size))
+                assert _same_csc(natural.L, reference.L)
+                assert _same_csc(natural.U, reference.U)
+                # Row k of the original is row order[k] of the ordered.
+                assert np.array_equal(natural.perm_r.take(order),
+                                      reference.perm_r)
+                b = rng.standard_normal(ws.size)
+                assert (solve(b).tobytes()
+                        == reference.solve(b).tobytes())
+                assert (solve_t(b).tobytes()
+                        == reference.solve(b, trans="T").tobytes())
+        assert len(factors) == 7
+
+    @pytest.mark.parametrize("builder", [grouped_array_circuit,
+                                         mtj_read_circuit],
+                             ids=["pure-csc", "dense-route"])
+    def test_runs_match_per_call_ordering(self, builder, monkeypatch):
+        # The oracle is the same run with the order never recorded, so
+        # every factorisation orders its columns itself.
+        import repro.spice.analysis.sparse as sparse
+
+        specs = []
+
+        def recording_splu(*args, permc_spec, **kwargs):
+            specs.append(permc_spec)
+            return splu(*args, permc_spec=permc_spec, **kwargs)
+
+        def run():
+            clear_pattern_cache()
+            return run_transient(builder(), 0.6e-9, 2e-12, engine="sparse")
+
+        monkeypatch.setattr(sparse, "splu", recording_splu)
+        try:
+            recorded = run()
+            assert specs.count(PERMC_SPEC) == 1
+            assert specs.count("NATURAL") == recorded.stats.factorizations - 1
+            monkeypatch.setattr(SparsePattern, "_record_order",
+                                lambda self, perm_c: None)
+            per_call = run()
+        finally:
+            clear_pattern_cache()
+        for name in ("times", "node_voltages", "branch_currents"):
+            assert (getattr(recorded, name).tobytes()
+                    == getattr(per_call, name).tobytes())
+        assert recorded.stats == per_call.stats
+        assert recorded.health == per_call.health
+        assert recorded.health.condition_checks > 0
+
+    def test_threads_racing_to_record_the_order_agree(self):
+        # A pattern is shared process-wide: threads that factorise a new
+        # topology at once all record the order, and every solve must
+        # still be the per-call one.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        circuit = grouped_array_circuit()
+        circuit.finalize()
+        ws = MNAWorkspace(circuit, dt=1e-12)
+        pattern = SparsePattern(ws)
+        solver = SparseNewtonSolver(ws, pattern=pattern)
+        rng = np.random.default_rng(3)
+        ws.begin_step(0.2e-9, rng.uniform(0.0, 1.1, ws.num_nodes))
+        solver._assemble(rng.uniform(0.0, 1.1, ws.size), 0.0, None)
+        b = rng.standard_normal(ws.size)
+        expected = splu(solver._csc, permc_spec=PERMC_SPEC).solve(b)
+
+        def factor_and_solve(_):
+            return pattern.factorize(solver._csc)[0](b).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                solves = list(pool.map(factor_and_solve, range(64),
+                                       timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert solves == [expected.tobytes()] * 64
+
+
+# ---------------------------------------------------------------------------
+# MTJ group P/AP mask
+# ---------------------------------------------------------------------------
+
+
+class TestFrozenJunctionMask:
+    """A grouped junction's P/AP mask is re-read every timepoint only
+    when some junction of the group can switch."""
+
+    @staticmethod
+    def write_beside_reads() -> Circuit:
+        """One junction written P→AP from a pulse source through a
+        series resistor, beside enough read-only junctions for the
+        vectorised MTJ group to engage."""
+        c = Circuit("write-beside-reads")
+        c.add_vsource("vw", "drv", "0",
+                      Pulse(0.0, 1.1, delay=0.05e-9, rise=10e-12,
+                            width=8e-9))
+        c.add_resistor("rs", "drv", "top", 1.5e3)
+        c.add_mtj("bit", "top", "0", state=MTJState.PARALLEL, dynamic=True)
+        c.add_capacitor("cl", "top", "0", 0.2e-15)
+        c.add_vsource("vr", "rd", "0", 0.1)
+        for i in range(VECTORIZE_MTJ_THRESHOLD - 1):
+            c.add_resistor(f"rr{i}", "rd", f"s{i}", 4e3)
+            c.add_mtj(f"m{i}", f"s{i}", "0", dynamic=False,
+                      state=(MTJState.PARALLEL, MTJState.ANTIPARALLEL)[i % 2])
+        return c
+
+    def test_switching_junction_flips_when_the_naive_engine_flips(self):
+        workspace = MNAWorkspace(self.write_beside_reads(), dt=5e-12)
+        assert workspace.mtj_group is not None
+        assert not workspace._mask_frozen
+        runs = {}
+        for engine in ("naive", "fast", "sparse"):
+            circuit = self.write_beside_reads()
+            result = run_transient(circuit, 3e-9, 5e-12, engine=engine)
+            events = circuit.device("bit").switching.events
+            runs[engine] = (result, [event.time for event in events])
+        naive, flips = runs["naive"]
+        assert len(flips) == 1 and flips[0] < 2e-9
+        for engine in ("fast", "sparse"):
+            result, engine_flips = runs[engine]
+            assert engine_flips == flips
+            diff = float(np.max(np.abs(result.node_voltages
+                                       - naive.node_voltages)))
+            assert diff <= WAVEFORM_TOL
+
+    @pytest.mark.parametrize("engine", ["fast", "sparse"])
+    def test_read_only_array_reads_the_mask_once_per_run(self, engine,
+                                                         monkeypatch):
+        from repro.spice.analysis.engine import _MTJGroup
+
+        reads = []
+        read_states = _MTJGroup.read_states
+
+        def counted(group):
+            reads.append(group)
+            return read_states(group)
+
+        monkeypatch.setattr(_MTJGroup, "read_states", counted)
+        result = run_transient(build_mini_array(rows=3, cols=3), 0.5e-9,
+                               2.5e-12, engine=engine)
+        assert result.stats.timesteps == 200
+        assert len(reads) == 1
 
 
 # ---------------------------------------------------------------------------
