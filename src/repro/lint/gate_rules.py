@@ -20,12 +20,16 @@ synthetic scan designs — are informational.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.cells.library import NV_1BIT_CELL, NV_2BIT_CELL
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import rule
-from repro.physd.netlist import GateNetlist, Instance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # Importing repro.physd loads placement and the clock tree (scipy's
+    # spatial package): too much for the SPICE pre-flight to pay.
+    from repro.physd.netlist import GateNetlist, Instance
 
 #: Cells that attach passively (no driven output pin).
 _PASSIVE_CELLS = frozenset({NV_1BIT_CELL, NV_2BIT_CELL})

@@ -213,12 +213,21 @@ def monte_carlo_ensemble(
     (:func:`repro.spice.analysis.ensemble.run_ensemble_transient`): its
     samples are stamped together as one block-diagonal system, and each
     sample's Newton update is solved against that sample's own LU.  A
-    sample whose step fails leaves its chunk and reruns alone as a scalar
-    run through the recovery ladder.
+    trailing single sample joins the chunk before it, so with ``chunk``
+    of at least 2 every sample of a ``count`` of at least 2 runs batched;
+    ``chunk=1`` runs each sample through the scalar engine.  A sample
+    whose step fails leaves its chunk and reruns alone as a scalar run
+    through the recovery ladder.
     Because the chunking and the per-chunk math are both independent of
     the pool, the returned list is bit-identical for every ``workers``
     setting (``tests/test_parallel.py`` pins ``workers=1`` against
     ``workers=4``).
+
+    A batched result's waveforms are views of its chunk's sample-major
+    block (see :func:`~repro.spice.analysis.ensemble.run_ensemble_transient`).
+    An ``extract`` that returns the result or one of its waveform arrays
+    keeps the whole block alive until every value returned from that
+    chunk is dropped; return a copy to keep one sample's waveform alone.
     """
     import functools
 
@@ -237,6 +246,10 @@ def monte_carlo_ensemble(
     samples = monte_carlo_parameters(params, variation, count=count,
                                      seed=seed, clip_sigma=clip_sigma)
     chunks = [samples[i:i + chunk] for i in range(0, len(samples), chunk)]
+    if chunk > 1 and len(chunks) > 1 and len(chunks[-1]) == 1:
+        # A one-sample batch is a scalar run, which rounds differently
+        # below the scalar engine's grouping thresholds.
+        chunks[-2:] = [chunks[-2] + chunks[-1]]
     task = functools.partial(
         _ensemble_chunk_task, build, extract, stop_time, dt, integrator,
         initial_voltages,

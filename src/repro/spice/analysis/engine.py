@@ -53,8 +53,10 @@ from repro.spice.devices.base import Device, EvalContext
 from repro.spice.devices.mosfet import MOSFET
 from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.devices.passive import Capacitor
+from repro.spice.devices.sources import VoltageSource
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
+from repro.spice.waveforms import DC
 
 #: Minimum transistor count before the vectorised MOSFET group pays off;
 #: below this the per-device scalar stamp (identical to the naive path)
@@ -610,6 +612,32 @@ class _RHSView(MNAStamper):
         self.rhs = rhs
 
 
+def _split_step_devices(devices: Sequence[Device], num_nodes: int,
+                        num_branches: int, dt: Optional[float],
+                        integrator: str) -> Tuple[np.ndarray, List[Device]]:
+    """The step-tier RHS of linear devices, split by whether it changes.
+
+    Returns the base step RHS, holding the stamps of the DC voltage
+    sources, and the other devices with a per-timepoint RHS, in device
+    order.  A step starts from a copy of the base and stamps the rest.  A
+    voltage source writes only its own branch row, which no other step
+    device touches, so stamping the DC ones first and once moves no bit.
+    """
+    base = np.zeros(num_nodes + num_branches)
+    view = _RHSView(num_nodes, num_branches, base)
+    ctx = EvalContext(voltages=np.zeros(0), prev_voltages=None, time=0.0,
+                      dt=dt, integrator=integrator)
+    varying: List[Device] = []
+    for device in devices:
+        if type(device).stamp_step is Device.stamp_step:
+            continue  # the base-class no-op
+        if type(device) is VoltageSource and type(device.waveform) is DC:
+            device.stamp_step(view, ctx)
+        else:
+            varying.append(device)
+    return base, varying
+
+
 class MNAWorkspace:
     """Preallocated MNA system with cached static stamps for one run.
 
@@ -620,7 +648,8 @@ class MNAWorkspace:
        (``stamp_static``); invariant across the whole analysis;
     2. **step**   — rebuilt once per timepoint: RHS of sources and
        capacitor companions (``stamp_step``), which depend on time and the
-       previous accepted solution but not on the Newton iterate;
+       previous accepted solution but not on the Newton iterate (the DC
+       voltage sources' part is stamped once and copied in);
     3. **iterate** — rebuilt every Newton iteration: nonlinear device
        stamps (MOSFETs vectorised, MTJs and any other ``nonlinear``
        device through their ordinary ``stamp``).
@@ -676,12 +705,14 @@ class MNAWorkspace:
         self._mask_frozen = all(_frozen(m) for m in mtjs)
 
         # Per-step device lists, built once: the linear devices with a
-        # per-timepoint RHS, and every device with state to advance after
-        # an accepted step (in iterate, MOSFET, MTJ, linear order).  The
-        # base-class no-ops and the junctions that cannot switch are
-        # skipped.
-        self._step_devices = [d for d in self._linear_devices
-                              if type(d).stamp_step is not Device.stamp_step]
+        # per-timepoint RHS that changes (the DC voltage sources are
+        # stamped once, into the base step RHS), and every device with
+        # state to advance after an accepted step (in iterate, MOSFET,
+        # MTJ, linear order).  The base-class no-ops and the junctions that
+        # cannot switch are skipped.
+        self._base_step_rhs, self._step_devices = _split_step_devices(
+            self._linear_devices, self.num_nodes, self.num_branches, dt,
+            integrator)
         self._stateful_devices = [
             d for d in (self._iterate_devices
                         + (self.fet_group.fets if self.fet_group else [])
@@ -720,7 +751,7 @@ class MNAWorkspace:
         """Rebuild the iterate-free RHS for a new timepoint."""
         self._time = time
         self._prev_voltages = prev_voltages
-        self._step_rhs[:] = 0.0
+        np.copyto(self._step_rhs, self._base_step_rhs)
         view = self._step_view
         ctx = EvalContext(voltages=np.zeros(0), prev_voltages=prev_voltages,
                           time=time, dt=self.dt, integrator=self.integrator)

@@ -15,9 +15,11 @@ across samples.  This module advances **all N samples together**:
   transistors of all samples, one TMR evaluation for all junctions, one
   ``np.add.at`` per group and array.  The static tier is stamped once
   (samples share their linear sub-circuit when the device fingerprints
-  agree, which Monte-Carlo populations do).  The one batch-specific
-  device model is the vectorised STT switching integration, which owns
-  the P/AP mask the shared MTJ group stamps from.
+  agree, which Monte-Carlo populations do), and an assembly restores
+  only the matrix slots the device groups and gmin write.  The one
+  batch-specific device model is the vectorised STT switching
+  integration, which owns the P/AP mask the shared MTJ group stamps
+  from.
 * :class:`EnsembleNewtonSolver` runs the fast engine's damped
   **modified Newton per sample**: each sample keeps its own LU factors
   (raw LAPACK ``getrf``/``getrs``, as bound in
@@ -28,8 +30,9 @@ across samples.  This module advances **all N samples together**:
   sample axis.
 * :func:`run_ensemble_transient` steps the stack on the fixed grid of
   :func:`~repro.spice.analysis.transient.run_transient`, from its t = 0
-  solution, and returns one ordinary
-  :class:`~repro.spice.analysis.transient.TransientResult` per sample.
+  solution, records it sample-major and returns one ordinary
+  :class:`~repro.spice.analysis.transient.TransientResult` per sample,
+  whose waveforms are views of that sample's rows.
 
 Failures take the scalar path.  A sample whose step fails leaves the
 batch at that step and, once the batch finishes, reruns alone as
@@ -82,6 +85,7 @@ from repro.spice.analysis.engine import (
     _MOSFETGroup,
     _MTJGroup,
     _RHSView,
+    _split_step_devices,
     jacobian_refresh,
 )
 from repro.spice.analysis.mna import MNAStamper
@@ -97,8 +101,15 @@ from repro.spice.netlist import Circuit
 #: Default number of samples advanced per batched workspace.  Chunking is
 #: a *fixed* partition of the sample list (never derived from the worker
 #: count), which is what keeps chunked parallel runs bit-identical to
-#: serial ones.
-ENSEMBLE_CHUNK = 32
+#: serial ones.  A batch pays the fixed cost of a Newton iteration (its
+#: numpy calls and Python bookkeeping) once for all its samples, so the
+#: bound on the batch is memory: a batch records sample-major waveform
+#: blocks that its results view without copying, and 64 samples of the
+#: 48-unknown 2-bit latch over 639 timepoints hold 15.7 MB, as much as
+#: 32 samples held when each result copied its waveforms out.  The
+#: ``chunk=`` argument of :func:`repro.mtj.variation.monte_carlo_ensemble`
+#: sets smaller chunks, so that ``workers > 1`` has more chunks to spread.
+ENSEMBLE_CHUNK = 64
 
 
 class _EnsembleMTJs:
@@ -223,9 +234,11 @@ class EnsembleWorkspace:
         self.rhs = np.zeros((n, s))
         self._matrix_flat = self.matrix.reshape(-1)
         self._rhs_flat = self.rhs.reshape(-1)
-        self._static = np.zeros((n, s, s))
         self._step_rhs = np.zeros((n, s))
-        self._diag = np.arange(self.num_nodes, dtype=np.intp)
+        #: Flat slots of every sample's node diagonal (where gmin goes).
+        self._diag = (np.arange(n, dtype=np.intp)[:, None] * (s * s)
+                      + np.arange(self.num_nodes, dtype=np.intp) * (s + 1)
+                      ).ravel()
 
         fets: List[List[MOSFET]] = [[] for _ in range(n)]
         caps: List[List[Capacitor]] = [[] for _ in range(n)]
@@ -256,11 +269,30 @@ class EnsembleWorkspace:
         # Shared-linear fast path: when every sample's linear devices are
         # value-identical (the Monte-Carlo case — only MTJ parameters
         # vary), the static matrix and the per-step source RHS are
-        # computed once and broadcast.
+        # computed once and broadcast; the DC sources' part of that RHS
+        # is stamped once, into a base row.
         fp0 = _linear_fingerprints(linear[0])
         self._shared_linear = fp0 is not None and all(
             _linear_fingerprints(linear[i]) == fp0 for i in range(1, n))
+        if self._shared_linear:
+            self._base_row, self._step_devices = _split_step_devices(
+                linear[0], self.num_nodes, self.num_branches, dt,
+                integrator)
         self._build_static()
+        # The iterate tier writes only the device groups' slots and the
+        # node diagonal, so assembly restores just those to their static
+        # values; every other slot keeps the static stamp from the build.
+        # A per-sample generic device may write anywhere: then every
+        # iteration starts from a full copy of the static stack.
+        if any(self._iterate):
+            self._static: Optional[np.ndarray] = self.matrix.copy()
+        else:
+            self._static = None
+            self._restore = np.unique(np.concatenate(
+                [self._diag] + [group.flat_index
+                                for group in (self.fet_group, self.mtj_group)
+                                if group is not None]))
+            self._restore_values = self._matrix_flat[self._restore]
         self._time = 0.0
         self._prev: Optional[np.ndarray] = None
 
@@ -280,6 +312,7 @@ class EnsembleWorkspace:
             integrator=self.integrator)
 
     def _build_static(self) -> None:
+        """Stamp the static tier into :attr:`matrix`."""
         ctx = self._static_ctx()
         if self._shared_linear:
             base = np.zeros((self.size, self.size))
@@ -287,16 +320,16 @@ class EnsembleWorkspace:
                                  matrix=base, rhs=np.zeros(self.size))
             for device in self._linear[0]:
                 device.stamp_static(stamper, ctx)
-            self._static[:] = base[None, :, :]
+            self.matrix[:] = base[None, :, :]
         else:
             for i in range(self.count):
                 stamper = MNAStamper(self.num_nodes, self.num_branches,
-                                     matrix=self._static[i],
+                                     matrix=self.matrix[i],
                                      rhs=np.zeros(self.size))
                 for device in self._linear[i]:
                     device.stamp_static(stamper, ctx)
         if self.cap_group is not None:
-            self.cap_group.stamp_static(self._static.reshape(-1))
+            self.cap_group.stamp_static(self._matrix_flat)
 
     def begin_step(self, time: float, prev: Optional[np.ndarray]) -> None:
         """Rebuild the iterate-free RHS stack for a new timepoint.
@@ -309,17 +342,17 @@ class EnsembleWorkspace:
                 f"got shape {prev.shape}")
         self._time = time
         self._prev = prev
-        self._step_rhs[:] = 0.0
         if self._shared_linear:
-            row = np.zeros(self.size)
+            row = self._base_row.copy()
             view = _RHSView(self.num_nodes, self.num_branches, row)
             ctx = EvalContext(voltages=np.zeros(0), prev_voltages=None,
                               time=time, dt=self.dt,
                               integrator=self.integrator)
-            for device in self._linear[0]:
+            for device in self._step_devices:
                 device.stamp_step(view, ctx)
             self._step_rhs[:] = row[None, :]
         else:
+            self._step_rhs[:] = 0.0
             for i in range(self.count):
                 view = _RHSView(self.num_nodes, self.num_branches,
                                 self._step_rhs[i])
@@ -335,10 +368,13 @@ class EnsembleWorkspace:
 
     def assemble(self, x: np.ndarray, gmin: float = 0.0) -> None:
         """Assemble every sample's system at the iterate stack ``x``."""
-        np.copyto(self.matrix, self._static)
+        if self._static is None:
+            self._matrix_flat[self._restore] = self._restore_values
+        else:
+            np.copyto(self.matrix, self._static)
         np.copyto(self.rhs, self._step_rhs)
         if gmin > 0.0 and self.num_nodes:
-            self.matrix[:, self._diag, self._diag] += gmin
+            self._matrix_flat[self._diag] += gmin
         if self.fet_group is not None:
             self.fet_group.stamp(self._matrix_flat, self._rhs_flat, x)
         if self.mtj_group is not None:
@@ -381,11 +417,12 @@ class EnsembleNewtonSolver:
     update from stale factors.  Damping, convergence, freezing and
     failure are per-sample masks.  Assembly and residuals are batched
     over the sample axis; the factor and solve calls loop over the
-    samples that need them.
-    On a 32-sample chunk of the 48-unknown 2-bit latch (one BLAS thread,
-    2-vCPU x86-64 VM) that loop factors in ~0.5 ms and solves in ~0.1 ms,
-    against 2.0 ms to invert the stack, 1.6 ms for scipy's batched
-    ``lu_factor`` (0.36 ms per ``lu_solve``) and 5.5 ms for SuperLU on the
+    samples that need them, and each ``getrs`` solves in place in the
+    sample's row of :attr:`correction`.
+    On a 64-sample chunk of the 48-unknown 2-bit latch (one BLAS thread,
+    2-vCPU x86-64 VM) that loop factors in ~1.3 ms and solves in ~0.15 ms,
+    against 3.5 ms to invert the stack, 2.6 ms for scipy's batched
+    ``lu_factor`` (0.6 ms per ``lu_solve``) and 5.3 ms for SuperLU on the
     block-diagonal system.  No decision reads another sample, so a
     sample's iterates do not depend on the batch it runs in.
     """
@@ -404,6 +441,11 @@ class EnsembleNewtonSolver:
         #: Per-sample ``getrf`` factors ``(lu, piv)``.
         self._lu: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
             [None] * count)
+        #: ``A₀⁻¹·F(x)`` per sample, each row solved in place by ``getrs``
+        #: (:attr:`_rows` are its row views); the rows of samples that
+        #: converged or left go stale.
+        self.correction = np.zeros((count, workspace.size))
+        self._rows = list(self.correction)
 
     def _factorize(self, samples: np.ndarray) -> None:
         """Fresh LU factors for each listed sample; a singular one leaves
@@ -419,15 +461,23 @@ class EnsembleNewtonSolver:
             else:
                 self._lu[sample] = (lu, piv)
 
-    def _corrections(self, samples: np.ndarray, residual: np.ndarray,
-                     out: np.ndarray) -> None:
-        """``out[i] = A₀⁻¹·residual[i]`` against the stored factors of
-        each listed sample still in the batch; a failed solve leaves it."""
+    def _corrections(self, samples: np.ndarray,
+                     residual: np.ndarray) -> None:
+        """``correction[i] = A₀⁻¹·residual[i]`` against the stored factors
+        of each listed sample still in the batch; a failed solve leaves
+        it.  The residual rows are copied into :attr:`correction` in one
+        batched copy, and ``getrs`` overwrites each (``overwrite_b``), so
+        a solve allocates no array."""
         getrs = _engine._getrs
         factors = self._lu
-        for sample in samples[~self.failed[samples]].tolist():
+        rows = self._rows
+        samples = samples[~self.failed[samples]]
+        self.correction[samples] = residual[samples]
+        for sample in samples.tolist():
             lu, piv = factors[sample]
-            out[sample], info = getrs(lu, piv, residual[sample])
+            # Positional trans=0, overwrite_b=1: keywords cost f2py
+            # about 0.4 µs a call.
+            _, info = getrs(lu, piv, rows[sample], 0, 1)
             if info != 0:
                 self.failed[sample] = True
 
@@ -445,8 +495,7 @@ class EnsembleNewtonSolver:
         count = ws.count
         failed = self.failed
         x = x0.copy()
-        # A₀⁻¹·F(x) per sample; rows of converged samples go stale.
-        correction = np.zeros_like(x)
+        correction = self.correction
         converged = np.zeros(count, dtype=bool)
         last_factor = np.zeros(count, dtype=np.intp)
         max_dv = np.full(count, np.inf)
@@ -462,7 +511,7 @@ class EnsembleNewtonSolver:
             self.reuses[active & ~fresh] += 1
             self._factorize(np.flatnonzero(fresh))
             residual = np.matmul(ws.matrix, x[:, :, None])[:, :, 0] - ws.rhs
-            self._corrections(np.flatnonzero(active), residual, correction)
+            self._corrections(np.flatnonzero(active), residual)
             bad = np.flatnonzero(
                 active & ~failed & ~np.isfinite(correction).all(axis=1))
             if bad.size:
@@ -473,7 +522,7 @@ class EnsembleNewtonSolver:
                 self.factorizations[stale] += 1
                 last_factor[stale] = iteration
                 self._factorize(stale)
-                self._corrections(stale, residual, correction)
+                self._corrections(stale, residual)
                 failed[stale] |= ~np.isfinite(correction[stale]).all(axis=1)
             if failed.any():
                 # A sample that left takes no update and never converges.
@@ -516,6 +565,12 @@ def run_ensemble_transient(
     identical by construction).  A failing sample reruns under the
     default recovery policy, so the call fails only where that scalar
     run fails.
+
+    A batched result's ``node_voltages`` and ``branch_currents`` are
+    views of its own rows of the batch's sample-major ``(N, steps + 1,
+    ·)`` blocks: C-contiguous, disjoint from every other sample's, and
+    not copied.  So a batch's blocks stay alive until every result of
+    the batch is dropped; copy a waveform out to keep it alone.
     """
     from repro.recovery.health import SolverHealth
     from repro.spice.analysis.transient import (
@@ -591,8 +646,8 @@ def run_ensemble_transient(
                 timesteps=control.steps,
             )
             results[i] = TransientResult(
-                circuits[i], times.copy(), voltages[:, i].copy(),
-                currents[:, i].copy(), stats=stats, health=SolverHealth())
+                circuits[i], times.copy(), voltages[i], currents[i],
+                stats=stats, health=SolverHealth())
 
         left = np.flatnonzero(solver.failed).tolist()
         if _obs_active():

@@ -149,7 +149,13 @@ class _FixedSteps:
     """Step control of a fixed-step run: step ``k`` ends at ``k·dt``,
     every step is accepted, a failed solve climbs the recovery ladder,
     and samples fill preallocated output arrays (``x0`` is one solution
-    or a batch's ``(N, size)`` stack of them)."""
+    or a batch's ``(N, size)`` stack of them).
+
+    The outputs are sample-major: a batch records into ``(N, steps + 1,
+    nodes)`` and ``(N, steps + 1, branches)`` blocks, so sample *i*'s
+    waveforms are the C-contiguous row ``voltages[i]`` and a batched run
+    hands each sample its row as a view.  A scalar run has batch shape
+    ``()`` and records ``(steps + 1, nodes)``."""
 
     #: The ``run_transient`` keywords that select this control.
     request: Dict[str, object] = {}
@@ -161,8 +167,8 @@ class _FixedSteps:
         self.num_nodes = num_nodes
         batch = x0.shape[:-1]
         self.times = np.empty(steps + 1)
-        self.voltages = np.empty((steps + 1, *batch, num_nodes))
-        self.currents = np.empty((steps + 1, *batch, x0.shape[-1] - num_nodes))
+        self.voltages = np.empty((*batch, steps + 1, num_nodes))
+        self.currents = np.empty((*batch, steps + 1, x0.shape[-1] - num_nodes))
         self.step = -1
         self.record(0.0, x0)  # row 0: the initial point
 
@@ -181,8 +187,8 @@ class _FixedSteps:
     def record(self, time: float, x_new: np.ndarray) -> None:
         step = self.step = self.step + 1
         self.times[step] = time
-        self.voltages[step] = x_new[..., :self.num_nodes]
-        self.currents[step] = x_new[..., self.num_nodes:]
+        self.voltages[..., step, :] = x_new[..., :self.num_nodes]
+        self.currents[..., step, :] = x_new[..., self.num_nodes:]
 
     def finish(self):
         return self.times, self.voltages, self.currents, None

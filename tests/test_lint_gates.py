@@ -1,6 +1,13 @@
 """Tests for the gate-netlist lint pack and GateNetlist.validate."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.cells.library import build_default_library
 from repro.errors import NetlistError
@@ -101,3 +108,22 @@ class TestValidateCollectsAll:
         nl.add_instance("ff_main", "DFF_X1", ["d", "clk", "q"])
         with pytest.raises(NetlistError, match="did you mean.*'ff_main'"):
             nl.instance("ff_man")
+
+
+class TestImportCost:
+    def test_importing_lint_leaves_physd_unloaded(self):
+        # The SPICE pre-flight imports repro.lint; the gate pack names
+        # GateNetlist only in annotations, so the physical-design package
+        # (placement, clock tree, scipy.spatial) must stay unloaded.
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        probe = ("import sys, repro.lint; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m == 'repro.physd' or m.startswith('repro.physd.')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -202,6 +202,31 @@ class TestEnsembleWorkerIndependence:
         assert len(whole) == 6
         assert pairs == whole  # bytes-level equality, not approx
 
+    def test_trailing_single_sample_runs_batched(self, monkeypatch):
+        # With count=3 and chunk=2 the third sample would be a one-sample
+        # chunk, i.e. a scalar run that rounds differently from a batch:
+        # it joins the chunk before it instead.
+        import repro.spice.analysis.transient as transient
+        from repro.mtj.variation import monte_carlo_ensemble
+
+        scalar_runs = []
+        scalar = transient.run_transient
+
+        def counting(*args, **kwargs):
+            scalar_runs.append(args[0].name)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(transient, "run_transient", counting)
+        kwargs = dict(params=PAPER_TABLE_I, stop_time=0.2e-9, dt=4e-12,
+                      count=3, seed=DEFAULT_SEED, workers=1)
+        folded = monte_carlo_ensemble(mc_bitline, bitline_waveform,
+                                      chunk=2, **kwargs)
+        assert scalar_runs == []
+        whole = monte_carlo_ensemble(mc_bitline, bitline_waveform,
+                                     chunk=3, **kwargs)
+        assert len(folded) == 3
+        assert folded == whole  # bytes-level equality, not approx
+
     def test_ensemble_mc_chunking_stays_inside_accuracy_contract(self):
         # A one-sample chunk runs the scalar fast engine, so chunk=1 is
         # not bit-identical to a batch, but it must stay inside the 1 µV

@@ -8,6 +8,8 @@ control of adaptive runs, the block-diagonal ensemble — while
 waveform contract on randomized circuits.
 """
 
+import itertools
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.mtj.device import MTJState
 from repro.mtj.parameters import PAPER_TABLE_I
 from repro.mtj.variation import monte_carlo_parameters
 from repro.spice import Circuit, Pulse
+from repro.spice.devices.base import TwoTerminal
 from repro.spice.analysis import (
     EnsembleWorkspace,
     run_ensemble_transient,
@@ -556,6 +559,32 @@ def _sample_circuits(count, seed=11):
     return [mtj_read_circuit(params=p) for p in samples]
 
 
+@dataclass
+class _SquareLawConductor(TwoTerminal):
+    """A nonlinear two-terminal that no device group covers (i = k·v·|v|,
+    Newton-linearised): the ensemble stamps it per sample through its
+    ordinary ``stamp``, anywhere in the sample's matrix."""
+
+    k: float = 1e-4
+
+    def stamp(self, stamper, ctx) -> None:
+        v = self.branch_voltage(ctx)
+        g = 2.0 * self.k * abs(v) + 1e-9
+        offset = self.k * v * abs(v) - g * v
+        stamper.add_conductance(self.positive, self.negative, g)
+        stamper.add_current(self.positive, -offset)
+        stamper.add_current(self.negative, offset)
+
+
+def _generic_device_circuits(count):
+    circuits = _sample_circuits(count)
+    for circuit in circuits:
+        circuit._register(_SquareLawConductor(positive=circuit.node("bl0"),
+                                              negative=circuit.node("bl1")),
+                          "sq")
+    return circuits
+
+
 class TestEnsemble:
     def test_matches_per_sample_scalar_runs(self):
         n = 5
@@ -740,6 +769,57 @@ class TestEnsemble:
             assert np.array_equal(result.branch_currents,
                                   reference.branch_currents)
             assert result.health.clean
+
+    def test_results_are_disjoint_contiguous_rows(self):
+        # Each batched result's waveforms are a view of its own row of
+        # the batch's sample-major block: C-contiguous, overlapping no
+        # other sample's, so writing into one result leaves the others.
+        circuits = _sample_circuits(3)
+        results = run_ensemble_transient(circuits, 0.4e-9, 2e-12)
+        steps = len(results[0].times)
+        arrays = [(r.node_voltages, r.branch_currents) for r in results]
+        for voltages, currents in arrays:
+            assert voltages.shape == (steps, circuits[0].num_nodes)
+            assert currents.shape == (steps, circuits[0].num_branches)
+            assert voltages.flags.c_contiguous
+            assert currents.flags.c_contiguous
+        for i, j in itertools.combinations(range(len(arrays)), 2):
+            for a in arrays[i]:
+                for b in arrays[j]:
+                    assert not np.shares_memory(a, b), (i, j)
+        before = [(v.copy(), c.copy()) for v, c in arrays]
+        results[1].node_voltages[:] = np.nan
+        results[1].branch_currents[:] = np.nan
+        for k in (0, 2):
+            assert np.array_equal(arrays[k][0], before[k][0])
+            assert np.array_equal(arrays[k][1], before[k][1])
+
+    @pytest.mark.parametrize("build", [_sample_circuits,
+                                       _generic_device_circuits],
+                             ids=["grouped", "generic-device"])
+    def test_dirty_slot_assembly_matches_a_full_copy(self, build):
+        # Assembly restores only the slots the iterate tier writes (the
+        # device groups' and the node diagonal, where gmin goes) to their
+        # static values; a per-sample generic device may write anywhere,
+        # so that batch restores the whole static stack.  Either way each
+        # assembly must equal one that starts from a full copy of the
+        # static stack, whatever earlier iterates and gmins left behind.
+        count = 3
+        dirty = EnsembleWorkspace(build(count), 2e-12)
+        full = EnsembleWorkspace(build(count), 2e-12)
+        assert (dirty._static is not None) == (build is
+                                               _generic_device_circuits)
+        full._static = full.matrix.copy()  # the static stack, as built
+        rng = np.random.default_rng(29)
+        shape = (count, dirty.size)
+        for step, gmin in enumerate((0.0, 1e-3, 1e-3, 0.0, 1e-9, 0.0)):
+            prev = rng.uniform(-0.2, 1.3, shape)
+            x = rng.uniform(-0.2, 1.3, shape)
+            for workspace in (dirty, full):
+                workspace.begin_step((step + 1) * 2e-12, prev)
+                workspace.assemble(x, gmin=gmin)
+            assert np.array_equal(dirty.matrix, full.matrix), (step, gmin)
+            assert np.array_equal(dirty.rhs, full.rhs), (step, gmin)
 
     def test_nandspin_batch_runs_as_scalar_runs(self):
         # The batch integrates STT switching only, so a batch holding
