@@ -10,14 +10,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cells.control import ControlSchedule
-from repro.core.merge import MergeResult
 from repro.errors import AnalysisError
 from repro.layout.cell_layout import CellPlan
-from repro.physd.placement.result import Placement
 from repro.units import to_microns
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.merge import MergeResult
+    from repro.physd.placement.result import Placement
 
 
 def render_control_sequence(

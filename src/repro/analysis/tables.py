@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cells.characterize import (
     LatchMetrics,
@@ -18,11 +27,8 @@ from repro.cells.characterize import (
     characterize_standard,
 )
 from repro.cells.sizing import DEFAULT_SIZING, LatchSizing
-from repro.core.evaluate import SystemResult, evaluate_benchmarks
-from repro.core.flow import FlowConfig
 from repro.errors import AnalysisError
 from repro.mtj.parameters import MTJParameters, PAPER_TABLE_I
-from repro.physd.benchmarks import BENCHMARKS
 from repro.spice.corners import CORNER_ORDER, SimulationCorner, _sweep_corners
 from repro.units import (
     MICRO,
@@ -31,6 +37,10 @@ from repro.units import (
     to_microamps,
     to_square_microns,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.evaluate import SystemResult
+    from repro.core.flow import FlowConfig
 
 
 def render_text_table(headers: Sequence[str], rows: Iterable[Sequence[str]],
@@ -235,7 +245,11 @@ def _build_table3(
     caller-supplied ``config`` wins outright (its ``costs`` already pin
     the technology).
     """
+    from repro.core.evaluate import evaluate_benchmarks
+    from repro.physd.benchmarks import BENCHMARKS
+
     if config is None:
+        from repro.core.flow import FlowConfig
         from repro.nv.base import get_backend
 
         config = FlowConfig(costs=get_backend(backend).cell_costs())
@@ -246,6 +260,8 @@ def _build_table3(
 
 
 def render_table3(results: Sequence[Tuple[SystemResult, int]]) -> str:
+    from repro.physd.benchmarks import BENCHMARKS
+
     rows = []
     total_area_impr = 0.0
     total_energy_impr = 0.0

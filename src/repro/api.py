@@ -32,8 +32,8 @@ this session started it.
 
 Every flow method speaks the canonical parameter vocabulary of
 :mod:`repro.flow_params` — the same ``backend=``, ``engine=``,
-``design=`` keywords the service registry and ``repro submit --param``
-accept, validated by the same code path.  A per-call ``engine=``
+``design=`` keywords the CLI's flow options accept, validated by the
+same code path.  A per-call ``engine=``
 overrides the session's engine for that flow only.
 """
 

@@ -12,8 +12,7 @@ Commands:
 
 Every flow subcommand accepts the same ``--engine``/``--workers``/
 ``--backend`` options — the canonical vocabulary of
-:mod:`repro.flow_params`, shared with ``Session`` methods and
-``repro submit --param``.
+:mod:`repro.flow_params`, shared with ``Session`` methods.
 
 * ``flow <benchmark>`` — one benchmark in detail, optional DEF/SVG output,
 * ``layout`` — the NV cell layouts (paper Fig 8),
@@ -26,11 +25,7 @@ Every flow subcommand accepts the same ``--engine``/``--workers``/
   table plus ``profile.json``/``trace.json`` (Chrome-loadable),
 * ``cache`` — inspect and maintain the content-addressed result cache:
   ``stats``, size-bounded ``gc``, ``clear``, and ``verify`` (re-runs
-  sampled entries and asserts bit-exact agreement),
-* ``serve`` — run the simulation service: async job queue, persistent
-  SQLite job store, request coalescing, HTTP JSON API over ``Session``,
-* ``submit`` — submit one job to a running service (optionally wait),
-* ``jobs`` — list/inspect/cancel jobs on a running service.
+  sampled entries and asserts bit-exact agreement).
 """
 
 from __future__ import annotations
@@ -468,139 +463,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json as _json
-    import signal
-    import threading
-
-    from repro.errors import ServiceError
-    from repro.service import JobManager, ServiceConfig, ServiceServer
-
-    try:
-        config = ServiceConfig(
-            cache=args.cache, engine=args.engine,
-            session_workers=args.session_workers,
-            worker_threads=args.worker_threads, quota=args.quota)
-        manager = JobManager(args.db, config)
-        server = ServiceServer(manager, host=args.host, port=args.port,
-                               verbose=args.verbose).start()
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    info = {
-        "url": server.url,
-        "db": manager.store.path,
-        "journal_mode": manager.store.journal_mode(),
-        "worker_threads": config.worker_threads,
-        "quota": config.quota,
-        "states": manager.counts(),
-    }
-    print(_json.dumps(info))
-    sys.stdout.flush()
-    if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as handle:
-            _json.dump(info, handle)
-
-    stop = threading.Event()
-    try:  # signals only bind from the main thread (tests run us in one)
-        signal.signal(signal.SIGINT, lambda *_: stop.set())
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    except ValueError:
-        pass
-    try:
-        if args.run_seconds is not None:
-            stop.wait(args.run_seconds)
-        else:
-            while not stop.wait(0.5):
-                pass
-    finally:
-        server.stop()
-    return 0
-
-
-def _submit_params(args: argparse.Namespace) -> dict:
-    """Merge ``--params JSON`` with repeated ``--param KEY=VALUE``
-    options (values parse as JSON, falling back to bare strings)."""
-    import json as _json
-
-    from repro.errors import ServiceError
-
-    if args.params:
-        try:
-            params = _json.loads(args.params)
-        except _json.JSONDecodeError as exc:
-            raise ServiceError(f"--params is not JSON: {exc}") from exc
-        if not isinstance(params, dict):
-            raise ServiceError("--params must be a JSON object")
-    else:
-        params = {}
-    for item in args.param or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise ServiceError(
-                f"--param wants KEY=VALUE, got {item!r}")
-        try:
-            params[key] = _json.loads(value)
-        except _json.JSONDecodeError:
-            params[key] = value
-    return params
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient
-
-    try:
-        client = ServiceClient(args.url)
-        record = client.submit(args.flow, _submit_params(args),
-                               tenant=args.tenant, priority=args.priority)
-        if args.wait:
-            record = client.result(record["job_id"], wait=True,
-                                   timeout=args.timeout)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(_json.dumps(record, indent=2))
-    if args.wait:
-        return 0 if record["state"] == "done" else 1
-    return 0
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient
-
-    needs_id = args.action in ("show", "result", "cancel")
-    if needs_id and not args.job_id:
-        print(f"error: 'jobs {args.action}' needs a job id",
-              file=sys.stderr)
-        return 2
-    try:
-        client = ServiceClient(args.url)
-        if args.action == "list":
-            body = {"jobs": client.jobs(state=args.state,
-                                        tenant=args.tenant)}
-        elif args.action == "show":
-            body = client.status(args.job_id)
-        elif args.action == "result":
-            body = client.result(args.job_id, wait=args.wait,
-                                 timeout=args.timeout)
-        else:  # cancel
-            body = client.cancel(args.job_id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(_json.dumps(body, indent=2))
-    if args.action == "result" and body.get("state") == "failed":
-        return 1
-    return 0
-
-
 def _add_flow_options(parser: argparse.ArgumentParser,
                       backend: bool = True,
                       workers: bool = True) -> None:
@@ -788,84 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--workers", type=int, default=None,
                     help="worker processes for the flow (default: auto)")
     pp.set_defaults(func=_cmd_profile)
-
-    pv = sub.add_parser(
-        "serve",
-        help="run the simulation service: async job queue + HTTP JSON "
-             "API over Session (submit/status/result/cancel)")
-    pv.add_argument("--host", default="127.0.0.1",
-                    help="bind address (default: 127.0.0.1)")
-    pv.add_argument("--port", type=int, default=8040,
-                    help="TCP port; 0 binds an ephemeral port "
-                         "(the startup JSON names it)")
-    pv.add_argument("--db", default="repro-jobs.sqlite", metavar="PATH",
-                    help="SQLite job database (WAL); queued jobs survive "
-                         "restarts and resume from here")
-    pv.add_argument("--cache", metavar="DIR",
-                    help="content-addressed result-cache directory for "
-                         "job sessions")
-    pv.add_argument("--engine", choices=["naive", "fast", "sparse"],
-                    help="solver engine for job sessions")
-    pv.add_argument("--session-workers", type=int, default=1,
-                    help="process-level parallelism inside one job")
-    pv.add_argument("--worker-threads", type=int, default=1,
-                    help="concurrently executing jobs")
-    pv.add_argument("--quota", type=int, default=16,
-                    help="max queued+running jobs per tenant (0 = off)")
-    pv.add_argument("--run-seconds", type=float, default=None,
-                    metavar="SECONDS",
-                    help="serve for a bounded time then exit "
-                         "(CI smoke; default: until SIGINT/SIGTERM)")
-    pv.add_argument("--ready-file", metavar="PATH",
-                    help="write the startup info JSON (incl. the bound "
-                         "URL) to PATH once listening")
-    pv.add_argument("--verbose", action="store_true",
-                    help="log every HTTP request to stderr")
-    pv.set_defaults(func=_cmd_serve)
-
-    pu = sub.add_parser(
-        "submit",
-        help="submit a job to a running service and print its record")
-    pu.add_argument("flow",
-                    help="flow name (table2, table3, campaign, compare)")
-    pu.add_argument("--url", default="http://127.0.0.1:8040",
-                    help="service base URL")
-    pu.add_argument("--params", metavar="JSON",
-                    help='flow parameters as one JSON object, e.g. '
-                         '\'{"corners": ["typical"], "dt": 4e-12}\'')
-    pu.add_argument("--param", action="append", metavar="KEY=VALUE",
-                    help="one flow parameter (VALUE parses as JSON, "
-                         "else a string); repeatable")
-    pu.add_argument("--tenant", default="default")
-    pu.add_argument("--priority", type=int, default=0,
-                    help="higher runs earlier")
-    pu.add_argument("--wait", action="store_true",
-                    help="block until the job is terminal; exit 1 unless "
-                         "it is 'done'")
-    pu.add_argument("--timeout", type=float, default=600.0,
-                    help="--wait bound [s]")
-    pu.set_defaults(func=_cmd_submit)
-
-    pj = sub.add_parser(
-        "jobs",
-        help="list/inspect/cancel jobs on a running service")
-    pj.add_argument("action", choices=["list", "show", "result", "cancel"],
-                    help="'list' all jobs, 'show' one record, 'result' "
-                         "a resolved result (exit 1 when failed), or "
-                         "'cancel' a queued job / coalesced follower")
-    pj.add_argument("job_id", nargs="?",
-                    help="job id (show/result/cancel)")
-    pj.add_argument("--url", default="http://127.0.0.1:8040",
-                    help="service base URL")
-    pj.add_argument("--state", choices=["queued", "running", "coalesced",
-                                        "done", "failed", "cancelled"],
-                    help="list: filter by state")
-    pj.add_argument("--tenant", help="list: filter by tenant")
-    pj.add_argument("--wait", action="store_true",
-                    help="result: block until terminal")
-    pj.add_argument("--timeout", type=float, default=600.0,
-                    help="result --wait bound [s]")
-    pj.set_defaults(func=_cmd_jobs)
 
     pc = sub.add_parser(
         "cache",

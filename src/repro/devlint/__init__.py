@@ -55,7 +55,6 @@ from repro.devlint import rules_cachekey  # noqa: F401,E402
 from repro.devlint import rules_serialization  # noqa: F401,E402
 from repro.devlint import rules_obs  # noqa: F401,E402
 from repro.devlint import rules_recovery  # noqa: F401,E402
-from repro.devlint import rules_service  # noqa: F401,E402
 
 
 def lint_paths(paths: Sequence[str],

@@ -149,14 +149,3 @@ class SerializationError(ReproError):
 class CacheError(ReproError):
     """The simulation result cache could not derive a key or service a
     request (uncacheable device, unusable cache directory, ...)."""
-
-
-class ServiceError(ReproError):
-    """The simulation service rejected or could not execute a request
-    (unknown flow or job, non-canonical parameters, unusable job
-    database, ...)."""
-
-
-class QuotaError(ServiceError):
-    """A tenant's active-job quota is exhausted; retry after some of the
-    tenant's queued or running jobs finish."""

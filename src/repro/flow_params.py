@@ -1,9 +1,8 @@
 """Canonical flow parameters — one vocabulary, one validation path.
 
-Every surface that launches a flow — :class:`repro.api.Session` methods,
-the service's ``@flow_runner`` registry (``repro serve`` / ``repro
-submit``), and the CLI subcommands — accepts the *same* canonical
-keyword arguments, declared here once per flow:
+Every surface that launches a flow — :class:`repro.api.Session` methods
+and the CLI subcommands — accepts the *same* canonical keyword
+arguments, declared here once per flow:
 
 * ``backend=`` — the NV storage technology (:mod:`repro.nv`);
 * ``engine=`` — the solver engine (``"naive"``/``"fast"``/``"sparse"``);
@@ -12,12 +11,7 @@ keyword arguments, declared here once per flow:
   ``samples=``, ...).
 
 :func:`validate_flow_params` is the single gate: unknown flows and
-unknown parameter names are rejected with difflib suggestions, so a
-typo fails identically whether it arrives as a Python kwarg, an HTTP
-submission, or ``repro submit --param``.  The service layer additionally
-restricts each flow to the JSON-safe subset (:data:`SERVICE_PARAMS`) —
-object-valued knobs like ``sizing=`` or a custom ``config=`` cannot
-travel through a job queue.
+unknown parameter names are rejected with difflib suggestions.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from repro.errors import AnalysisError, suggest_names
 
 __all__ = [
     "FLOW_PARAMS",
-    "SERVICE_PARAMS",
     "validate_flow_params",
 ]
 
@@ -46,16 +39,6 @@ FLOW_PARAMS: Dict[str, Tuple[str, ...]] = {
     "sweep": ("engine", "workers", "corners"),
     "compare": ("backends", "engine", "workers",
                 "quick", "benchmarks", "samples", "dt"),
-}
-
-#: JSON-safe subset per flow — what a service submission may carry.
-SERVICE_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "table2": ("backend", "engine", "corners", "dt", "include_write"),
-    "table3": ("backend", "engine", "benchmarks"),
-    "campaign": ("backend", "engine", "design", "specs", "samples", "seed",
-                 "vdd", "dt", "timeout", "retries"),
-    "compare": ("backends", "engine", "quick", "benchmarks", "samples",
-                "dt"),
 }
 
 

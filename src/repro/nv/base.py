@@ -23,8 +23,8 @@ system-level cell costs     :meth:`NVBackend.cell_costs`
 ==========================  =================================================
 
 Backends register under a short name (``"mtj"``, ``"nandspin"``) and are
-selected with ``backend=`` on the cell builders, ``Session`` flows, the
-service flow registry and the CLI.  Two backends never share cache
+selected with ``backend=`` on the cell builders, ``Session`` flows and
+the CLI.  Two backends never share cache
 entries: the builders stamp the backend fingerprint onto the circuit and
 :func:`repro.cache.keys.circuit_fingerprint` digests it.
 """

@@ -1,7 +1,13 @@
 """Tests for the analysis/reporting layer (tables, figures, reports)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis.figures import (
     floorplan_ascii,
     floorplan_svg,
@@ -144,3 +150,25 @@ class TestReport:
     def test_artifacts_listed(self):
         record = ExperimentRecord("F8", "Layout", artifacts=["fig8.svg"])
         assert "`fig8.svg`" in record.as_markdown()
+
+
+class TestImportCost:
+    def test_table2_leaves_the_placer_unloaded(self):
+        # Table II places nothing: the Table III builders import the
+        # system flow on call, and the figures name placement types only
+        # in annotations, so physical design and scipy.spatial stay out.
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p])
+        probe = ("import sys, repro.analysis, repro.api\n"
+                 "with repro.api.Session(workers=1) as session:\n"
+                 "    session.table2(corners=['typical'], dt=4e-12,\n"
+                 "                   include_write=False)\n"
+                 "print(sorted(m for m in sys.modules if m.startswith(\n"
+                 "    ('repro.physd', 'repro.core', 'scipy.spatial'))))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ A Session binds cache/engine/workers/obs once, drives every high-level
 flow, and restores whatever it changed on close.  The PR-5 deprecated
 free functions (``build_table2``/``build_table3``/``sweep_corners``/
 ``restore_failure_rate``) are gone; these tests pin their removal and
-the canonical-parameter validation shared with the service registry.
+the canonical-parameter validation shared with the CLI.
 """
 
 import pytest
@@ -210,7 +210,7 @@ class TestWrappersRemoved:
 
 class TestCanonicalParams:
     """Session methods validate kwargs against ``repro.flow_params`` —
-    the same vocabulary the service registry and ``repro submit`` use."""
+    the same vocabulary the CLI's flow options use."""
 
     def test_unknown_kwarg_is_rejected_with_suggestion(self):
         with Session(workers=1) as session:
@@ -229,13 +229,3 @@ class TestCanonicalParams:
         with Session(workers=1) as session:
             session.sweep(corner_name, corners=["typical"], engine="naive")
             assert get_default_engine() == previous
-
-    def test_service_registry_speaks_the_same_vocabulary(self):
-        from repro.flow_params import FLOW_PARAMS, SERVICE_PARAMS
-        from repro.service.jobs import FLOWS
-
-        for flow, spec in FLOWS.items():
-            assert spec.allowed_params == frozenset(SERVICE_PARAMS[flow])
-            # The JSON-safe service subset never invents a name the
-            # Session method would reject.
-            assert set(SERVICE_PARAMS[flow]) <= set(FLOW_PARAMS[flow])

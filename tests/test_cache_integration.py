@@ -321,8 +321,8 @@ class TestDedupScheduler:
 
 
 class TestDedupSchedulerConcurrentCallers:
-    """dedup_map called from many threads at once (the service tier's
-    worker threads do exactly this): every caller must get the right
+    """dedup_map called from many threads at once (it is public, so any
+    threaded caller may do this): every caller must get the right
     result order and the shared scheduler counters must account for
     every call exactly — no lost increments."""
 

@@ -1,16 +1,14 @@
-"""Tests for the sizing exploration and the energy-breakdown API."""
+"""Tests for the energy-breakdown API and the read's response to sizing."""
 
-import math
+import dataclasses
 
 import pytest
 
-from repro.cells.characterize import proposed_energy_breakdown
-from repro.cells.explore import (
-    EXPLORABLE_FIELDS,
-    render_sweep,
-    sweep_sizing,
+from repro.cells.characterize import (
+    characterize_standard,
+    proposed_energy_breakdown,
 )
-from repro.errors import AnalysisError
+from repro.cells.sizing import DEFAULT_SIZING
 
 
 class TestEnergyBreakdown:
@@ -36,40 +34,12 @@ class TestEnergyBreakdown:
 
 
 class TestSizingSweep:
-    def test_unknown_field_rejected(self):
-        with pytest.raises(AnalysisError):
-            sweep_sizing("magic_width", [1e-7])
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(AnalysisError):
-            sweep_sizing("output_load", [])
-
-    def test_unknown_design_rejected(self):
-        with pytest.raises(AnalysisError):
-            sweep_sizing("output_load", [1e-15], design="quantum")
-
     def test_output_load_slows_the_read(self):
-        points = sweep_sizing("output_load", [0.6e-15, 2.4e-15],
-                              design="standard", dt=2e-12)
-        assert all(p.read_ok for p in points)
-        assert points[1].read_delay > points[0].read_delay
-
-    def test_failed_points_reported_not_raised(self):
-        # An absurdly weak enable device cannot resolve in the window.
-        points = sweep_sizing("enable_width", [5e-9], design="standard",
-                              dt=2e-12)
-        assert len(points) == 1
-        if not points[0].read_ok:
-            assert math.isnan(points[0].read_delay)
-
-    def test_render(self):
-        points = sweep_sizing("output_load", [1.2e-15], design="standard",
-                              dt=2e-12)
-        text = render_sweep(points)
-        assert "output_load" in text and "delay" in text
-
-    def test_explorable_fields_are_sizing_fields(self):
-        from repro.cells.sizing import LatchSizing
-
-        for field in EXPLORABLE_FIELDS:
-            assert hasattr(LatchSizing(), field)
+        delays = []
+        for load in (0.6e-15, 2.4e-15):
+            metrics = characterize_standard(
+                sizing=dataclasses.replace(DEFAULT_SIZING, output_load=load),
+                bits=(1,), include_write=False, dt=2e-12)
+            assert metrics.read_values_ok
+            delays.append(metrics.read_delay)
+        assert delays[1] > delays[0]

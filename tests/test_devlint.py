@@ -34,9 +34,9 @@ def lint_source(tmp_path, source, name="mod.py"):
 
 
 class TestRegistry:
-    def test_thirteen_rules_registered_with_dev_prefix(self):
+    def test_twelve_rules_registered_with_dev_prefix(self):
         ids = rule_ids()
-        assert len(ids) == 13
+        assert len(ids) == 12
         assert all(rule_id.startswith("dev.") for rule_id in ids)
 
     def test_rules_run_recorded_even_when_clean(self, tmp_path):
