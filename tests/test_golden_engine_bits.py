@@ -1,7 +1,8 @@
 """Bit-for-bit pin of the three SPICE engines.
 
 ``tests/golden/engine_digests.json`` holds, for each run below, one
-sha256 over its waveforms and its :class:`SolverStats` work counters:
+sha256 over its waveforms and, in plain text next to it, its
+:class:`SolverStats` work counters:
 
 * ``fast/<backend>/<design>`` — a one-cycle restore of each Table II
   latch (MTJ and NAND-SPIN backends, standard 1-bit and proposed 2-bit
@@ -13,13 +14,15 @@ sha256 over its waveforms and its :class:`SolverStats` work counters:
   advanced as one batched transient (``run_ensemble_transient``).
 
 Every float enters the hash as ``float.hex``, times first, then node
-voltages and branch currents row by row, then the counters by name, so a
-digest moves when any stamp, Newton update or step decision changes by
-one ulp.  The faults baseline pins the MTJ fast path through Table II's
-metrics; this file pins the waveforms of every engine the paper's flows
-use.  The digests read the same with 1 and 2 BLAS threads.  Regenerate
-only for an intentional change that moves engine bits, with a note in
-the commit message:
+voltages and branch currents row by row, so a digest moves when any
+stamp, Newton update or step decision changes by one ulp.  The tests
+check the counters before the hash: a change that moves waveform bits
+but no Newton decision fails on the hash alone, with the counters shown
+unchanged.  The faults baseline pins the MTJ fast path through Table
+II's metrics; this file pins the waveforms of every engine the paper's
+flows use.  The digests read the same with 1 and 2 BLAS threads.
+Regenerate only for an intentional change that moves engine bits, with
+a note in the commit message:
 
     PYTHONPATH=src python -c "import tests.test_golden_engine_bits as t; t.regenerate()"
 """
@@ -58,18 +61,34 @@ COUNTERS = ("solves", "iterations", "factorizations", "reuses",
             "recovered_steps")
 
 
-def result_digest(result: TransientResult) -> str:
-    """sha256 of a run's times, node voltages, branch currents and work
-    counters."""
+def waveform_digest(result: TransientResult) -> str:
+    """sha256 of a run's times, node voltages and branch currents."""
     digest = hashlib.sha256()
     for name in ("times", "node_voltages", "branch_currents"):
         values = getattr(result, name).ravel().tolist()
         digest.update(f"{name}:{len(values)}\n".encode())
         digest.update(",".join(v.hex() for v in values).encode())
-    counters = result.stats.to_json()
-    for name in COUNTERS:
-        digest.update(f"\n{name}={counters[name]}".encode())
     return digest.hexdigest()
+
+
+def counters(result: TransientResult) -> Dict[str, int]:
+    """A run's solver work counters by name."""
+    recorded = result.stats.to_json()
+    return {name: recorded[name] for name in COUNTERS}
+
+
+def pin(result: TransientResult) -> Dict[str, object]:
+    """The golden entry of a run: its counters and its waveform digest."""
+    return {"counters": counters(result),
+            "waveforms": waveform_digest(result)}
+
+
+def check_pin(key: str, result: TransientResult,
+              golden: Dict[str, Dict[str, object]]) -> None:
+    assert counters(result) == golden[key]["counters"], (
+        f"{key}: solver counters moved")
+    assert waveform_digest(result) == golden[key]["waveforms"], (
+        f"{key}: waveforms moved")
 
 
 def _latch_run(backend: str, design: str) -> TransientResult:
@@ -114,37 +133,35 @@ RUNS: Dict[str, Callable[[], TransientResult]] = {
 RUNS["sparse/mini_array"] = _array_run
 
 
-def compute_digests() -> Dict[str, str]:
-    digests = {key: result_digest(run()) for key, run in RUNS.items()}
+def compute_pins() -> Dict[str, Dict[str, object]]:
+    pins = {key: pin(run()) for key, run in RUNS.items()}
     for i, result in enumerate(_ensemble_runs()):
-        digests[f"ensemble/mc{i}"] = result_digest(result)
-    return digests
+        pins[f"ensemble/mc{i}"] = pin(result)
+    return pins
 
 
 @pytest.fixture(scope="module")
 def golden():
     with GOLDEN_PATH.open() as f:
-        return json.load(f)["digests"]
+        return json.load(f)["runs"]
 
 
 @pytest.mark.parametrize("key", sorted(RUNS))
 def test_scalar_engine_bits_unchanged(golden, key):
-    assert result_digest(RUNS[key]()) == golden[key], (
-        f"{key}: waveforms or solver counters moved")
+    check_pin(key, RUNS[key](), golden)
 
 
 def test_batched_engine_bits_unchanged(golden):
-    moved = [f"ensemble/mc{i}" for i, result in enumerate(_ensemble_runs())
-             if result_digest(result) != golden[f"ensemble/mc{i}"]]
-    assert not moved, f"waveforms or solver counters moved: {moved}"
+    for i, result in enumerate(_ensemble_runs()):
+        check_pin(f"ensemble/mc{i}", result, golden)
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
     """Rewrite the golden file from fresh runs (see module docs)."""
     golden = {
-        "note": "sha256 of engine waveforms and solver counters; see "
+        "note": "solver counters and sha256 of engine waveforms; see "
                 "tests/test_golden_engine_bits.py.",
-        "digests": compute_digests(),
+        "runs": compute_pins(),
     }
     with GOLDEN_PATH.open("w") as f:
         json.dump(golden, f, indent=2)
