@@ -9,23 +9,26 @@ Commands:
 * ``compare`` — cross-technology NV backend comparison: Table II/III
   metrics and a reliability campaign per backend, one column each
   (``--quick`` for the CI smoke shape, ``--json`` for an artifact),
-
-Every flow subcommand accepts the same ``--engine``/``--workers``/
-``--backend`` options — the canonical vocabulary of
-:mod:`repro.flow_params`, shared with ``Session`` methods.
-
 * ``flow <benchmark>`` — one benchmark in detail, optional DEF/SVG output,
 * ``layout`` — the NV cell layouts (paper Fig 8),
 * ``standby`` — power-gating break-even comparison,
 * ``wer`` — write-error-rate margins vs pulse width,
 * ``lint`` — static ERC/lint diagnostics over cells and benchmarks,
+* ``devlint`` — AST-based correctness rules over the repro source itself
+  (determinism, cache-key completeness, schema hygiene),
 * ``faults`` — fault injection: list models, run a resilient
   restore-failure campaign, or report write-path isolation,
+* ``recovery`` — solver resilience: explain the recovery ladder or run
+  its corpus smoke,
 * ``profile`` — run a named flow under the tracer and emit a breakdown
   table plus ``profile.json``/``trace.json`` (Chrome-loadable),
 * ``cache`` — inspect and maintain the content-addressed result cache:
   ``stats``, size-bounded ``gc``, ``clear``, and ``verify`` (re-runs
   sampled entries and asserts bit-exact agreement).
+
+Every flow subcommand accepts the same ``--engine``/``--workers``/
+``--backend`` options — the canonical vocabulary of
+:mod:`repro.flow_params`, shared with ``Session`` methods.
 """
 
 from __future__ import annotations

@@ -16,24 +16,28 @@ need re-linearisation.  This module exploits that:
   instead of N Python calls) when the circuit has enough of them.
 * :func:`modified_newton` is the damped modified-Newton loop of both
   scalar engines: the LU factorisation of the Jacobian is reused across
-  iterations (only the residual is refreshed), with automatic fallback
-  to a full refactorisation when convergence slows down or stalls.
-  :class:`FastNewtonSolver` supplies its dense assembly, factorisation
-  (LAPACK getrf) and update (getrs) steps;
+  iterations, with automatic fallback to a full refactorisation when
+  convergence slows down or stalls.  A reuse iteration assembles
+  nothing: it evaluates device currents only and forms the residual
+  ``F(x) = G·x − b_step + gmin·x + Σ device currents``
+  (:meth:`MNAWorkspace.residual`).  :class:`FastNewtonSolver` supplies
+  its dense assembly, factorisation (LAPACK getrf) and update (getrs)
+  steps;
   :func:`~repro.spice.analysis.transient.run_transient` selects it with
   ``engine="fast"`` (the default) and keeps the legacy path under
   ``engine="naive"`` so tests can compare the two.
 
 Equivalence contract, enforced by ``tests/test_engine_equivalence.py``:
 the workspace assembly matches the naive :class:`MNAStamper` assembly to
-≤ 1e-12 and fast waveforms match naive waveforms to ≤ 1 µV.
+≤ 1e-12, the reuse residual matches the assembled ``A(x)·x − b(x)`` to
+≤ 1e-12 relative, and fast waveforms match naive waveforms to ≤ 1 µV.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,6 +207,10 @@ def engine_config_fingerprint() -> Dict[str, object]:
         "vectorize_mtj_threshold": VECTORIZE_MTJ_THRESHOLD,
         "jacobian_max_age": JACOBIAN_MAX_AGE,
         "scipy_lu": _HAVE_SCIPY,
+        # Algorithm revision marker: a Newton iteration that reuses the LU
+        # factors forms its residual from the device currents instead of
+        # an assembled A(x)·x − b(x), which moves the last bits.
+        "reuse_residual_from_currents": True,
         "sparse": sparse_config_fingerprint(),
     }
 
@@ -376,14 +384,37 @@ class _MOSFETGroup:
                               + scatter_fet)
         self.rhs_index, self.rhs_sign, self.rhs_fet = _rhs_scatter(
             ((drain, -1.0), (source, 1.0)), base)
+        self._inject_sign = -self.rhs_sign
+        #: Drain currents of the last stamp (a batch's reuse samples read
+        #: them instead of a second device pass).
+        self.stamped_currents = np.zeros(count)
 
-    def _interp(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised EKV interpolation F(x) = ln²(1+eˣ) and 2·ln(1+eˣ)·σ(x)
-        over the (2, N) forward/reverse block."""
+    def _channel(self, voltages: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Drain currents and the intermediates the partials reuse.
+
+        Returns ``(i_drain, primed, x, log_term, delta_i, vds_p, root,
+        m)``: ``x`` is the (2, N) forward/reverse overdrive over 2V_t and
+        ``log_term`` its ln(1+eˣ), so F(x) = ln²(1+eˣ).  :meth:`evaluate`
+        and :meth:`currents` share this one expression tree, so the
+        currents of a stamp and of a currents-only pass are the same bits.
+        """
+        primed = self._gather(voltages)
+        vp_pinch = (primed[2] - primed[3] - self.vth0) / self.slope
+        # Rows (forward, reverse): u_f = v_P − v_SB, u_r = v_P − v_DB.
+        x = (vp_pinch - (primed[0:2] - primed[3:5])) / self._two_vt
         log_term = np.logaddexp(self._zeros, x)
-        # σ(x) = eˣ/(1+eˣ) = exp(x − ln(1+eˣ)), stable for both signs.
-        sigmoid = np.exp(x - log_term)
-        return log_term * log_term, self._twos * log_term * sigmoid
+        f = log_term * log_term
+        delta_i = f[0] - f[1]
+        vds_p = primed[1] - primed[0]
+        root = np.sqrt(vds_p * vds_p + self._eps_sq)
+        h = root - self._eps
+        m = self._ones + self.lam * h
+        i_drain = self.sign * (self.i_spec * delta_i * m)
+        return i_drain, primed, x, log_term, delta_i, vds_p, root, m
+
+    def currents(self, voltages: np.ndarray) -> np.ndarray:
+        """Drain currents alone: no partials and no sigmoid ``exp``."""
+        return self._channel(voltages)[0]
 
     def evaluate(self, voltages: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,25 +425,15 @@ class _MOSFETGroup:
         offset current of the linearisation.  ``partials`` is the group's
         buffer, overwritten by the next call.
         """
-        primed = self._gather(voltages)
-        vsp, vdp, vgp, vbp = primed[0], primed[1], primed[2], primed[3]
-        vp_pinch = (vgp - vbp - self.vth0) / self.slope
-        # Rows (forward, reverse): u_f = v_P − v_SB, u_r = v_P − v_DB.
-        overdrive = vp_pinch - (primed[0:2] - primed[3:5])
-
-        f, df = self._interp(overdrive / self._two_vt)
-        df = df / self._two_vt
-        f_f, f_r = f[0], f[1]
+        (i_drain, primed, x, log_term, delta_i, vds_p, root,
+         m) = self._channel(voltages)
+        # dF/du = 2·ln(1+eˣ)·σ(x) / 2V_t, with σ(x) = eˣ/(1+eˣ)
+        # = exp(x − ln(1+eˣ)), stable for both signs.
+        sigmoid = np.exp(x - log_term)
+        df = self._twos * log_term * sigmoid / self._two_vt
         df_f, df_r = df[0], df[1]
-
-        delta_i = f_f - f_r
-        vds_p = vdp - vsp
-        root = np.sqrt(vds_p * vds_p + self._eps_sq)
-        h = root - self._eps
-        m = self._ones + self.lam * h
         dm_dvds = self.lam * vds_p / root
 
-        i_drain = self.sign * (self.i_spec * delta_i * m)
         partials = self.partials
         gate_term = self.i_spec * m * (df_f - df_r)
         clm_term = delta_i * dm_dvds
@@ -435,12 +456,39 @@ class _MOSFETGroup:
         """Stamp with a caller-supplied slot mapping: ``target[index]``
         must alias the same matrix slots as ``matrix_flat[flat_index]``
         (the sparse engine passes CSC data positions)."""
-        _i_drain, partials, const = self.evaluate(voltages)
+        self.stamped_currents, partials, const = self.evaluate(voltages)
         np.add.at(target, index,
                   partials.ravel().take(self._scatter_take)
                   * self.scatter_sign)
         np.add.at(rhs, self.rhs_index,
                   self.rhs_sign * const.take(self.rhs_fet))
+
+    def inject(self, residual: np.ndarray, currents: np.ndarray) -> None:
+        """Add the drain currents to a Newton residual: +i on the drain
+        row, −i on the source row (what a stamp's ``A·x − b`` holds
+        there)."""
+        np.add.at(residual, self.rhs_index,
+                  self._inject_sign * currents.take(self.rhs_fet))
+
+
+def _current_route(device: Device
+                   ) -> Optional[Tuple[Callable[[EvalContext], float],
+                                       int, int]]:
+    """``(current, into, out_of)`` of an ungrouped nonlinear device whose
+    stamp linearises one terminal current, or ``None``.
+
+    The stamp's ``A_dev·x − b_dev`` at the iterate is then that current
+    itself, ``+i`` on the row it flows out of the circuit into the device
+    and ``−i`` on the row it returns on: a MOSFET's drain current (drain
+    → source) and a junction's ``g·v`` (free → ref).  A subclass that
+    overrides the stamp or the current keeps the generic route.
+    """
+    kind = type(device)
+    if kind.stamp is MOSFET.stamp and kind.drain_current is MOSFET.drain_current:
+        return device.drain_current, device.drain, device.source
+    if kind.stamp is MTJElement.stamp and kind.current is MTJElement.current:
+        return device.current, device.free, device.ref
+    return None
 
 
 def _frozen(device: Device) -> bool:
@@ -487,6 +535,10 @@ class _MTJGroup:
             _conductance_scatter(self.free, self.ref, base, size))
         self.rhs_index, self.rhs_sign, self.rhs_mtj = _rhs_scatter(
             ((self.free, -1.0), (self.ref, 1.0)), base)
+        self._inject_sign = -self.rhs_sign
+        #: Junction currents of the last stamp (see
+        #: :attr:`_MOSFETGroup.stamped_currents`).
+        self.stamped_currents = np.zeros(len(mtjs))
         #: P/AP mask the stamps read (``None``: read the elements).
         self.is_ap: Optional[np.ndarray] = None
 
@@ -496,9 +548,9 @@ class _MTJGroup:
             (m.device.state is not MTJState.PARALLEL for m in self.mtjs),
             dtype=bool, count=len(self.mtjs))
 
-    def electrical(self, voltages: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bias, conductance and conductance derivative per junction."""
+    def _conductance(self, voltages: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """``(v, |v|, is_ap, denom, r_ap, g)`` per junction: bias,
+        conductance and the roll-off terms its derivative reuses."""
         terminal = self._gather(voltages)
         v = terminal[0] - terminal[1]
         av = np.abs(v)
@@ -507,6 +559,17 @@ class _MTJGroup:
         denom = 1.0 + ratio * ratio
         r_ap = self.r_p * (1.0 + self.tmr0 / denom)
         g = np.where(is_ap, 1.0 / r_ap, 1.0 / self.r_p)
+        return v, av, is_ap, denom, r_ap, g
+
+    def currents(self, voltages: np.ndarray) -> np.ndarray:
+        """Junction currents g·v, free → ref, without the derivative."""
+        v, _, _, _, _, g = self._conductance(voltages)
+        return g * v
+
+    def electrical(self, voltages: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bias, conductance and conductance derivative per junction."""
+        v, av, is_ap, denom, r_ap, g = self._conductance(voltages)
         dr_dv = (self.r_p * self.tmr0 * (-1.0 / (denom * denom))
                  * (2.0 * av / (self.v_h * self.v_h)))
         dg = np.where(is_ap, -dr_dv / (r_ap * r_ap), 0.0)
@@ -523,11 +586,18 @@ class _MTJGroup:
         :meth:`_MOSFETGroup.stamp_into`)."""
         v, g, dg = self.electrical(voltages)
         g_eff = np.maximum(g + np.abs(v) * dg, 0.1 * g)
-        const = g * v - g_eff * v
+        self.stamped_currents = current = g * v
+        const = current - g_eff * v
         np.add.at(target, index,
                   self.scatter_sign * g_eff.take(self.scatter_mtj))
         np.add.at(rhs, self.rhs_index,
                   self.rhs_sign * const.take(self.rhs_mtj))
+
+    def inject(self, residual: np.ndarray, currents: np.ndarray) -> None:
+        """Add the junction currents to a Newton residual: +i on the free
+        row, −i on the reference row."""
+        np.add.at(residual, self.rhs_index,
+                  self._inject_sign * currents.take(self.rhs_mtj))
 
 
 class _CapacitorGroup:
@@ -650,9 +720,11 @@ class MNAWorkspace:
        capacitor companions (``stamp_step``), which depend on time and the
        previous accepted solution but not on the Newton iterate (the DC
        voltage sources' part is stamped once and copied in);
-    3. **iterate** — rebuilt every Newton iteration: nonlinear device
-       stamps (MOSFETs vectorised, MTJs and any other ``nonlinear``
-       device through their ordinary ``stamp``).
+    3. **iterate** — rebuilt on every Newton iteration that refactorises:
+       nonlinear device stamps (MOSFETs vectorised, MTJs and any other
+       ``nonlinear`` device through their ordinary ``stamp``).  An
+       iteration that reuses the factors evaluates the device currents
+       only (:meth:`residual`).
     """
 
     def __init__(self, circuit: Circuit, dt: Optional[float] = None,
@@ -723,6 +795,20 @@ class MNAWorkspace:
                                    self._step_rhs)
         self._iterate_view = MNAStamper(self.num_nodes, self.num_branches,
                                         matrix=self.matrix, rhs=self.rhs)
+        # The reuse residual's view of the ungrouped iterate devices: the
+        # ones that inject one terminal current, and the rest, whose
+        # A_dev·x − b_dev comes from their stamps into a scratch system.
+        self._current_routes: List[
+            Tuple[Callable[[EvalContext], float], int, int]] = []
+        self._stamped_devices: List[Device] = []
+        for device in self._iterate_devices:
+            route = _current_route(device)
+            if route is None:
+                self._stamped_devices.append(device)
+            else:
+                self._current_routes.append(route)
+        self._scratch = (MNAStamper(self.num_nodes, self.num_branches)
+                         if self._stamped_devices else None)
 
         self._build_static()
         # Reusable EvalContext scaffolding.
@@ -815,6 +901,55 @@ class MNAWorkspace:
                     timing[key] = timing.get(key, 0.0) + (t1 - t0)
                     t0 = t1
 
+    def residual(self, x: np.ndarray, gmin: float = 0.0,
+                 timing: Optional[Dict[str, float]] = None,
+                 static=None) -> np.ndarray:
+        """The Newton residual ``F(x) = A(x)·x − b(x)`` at the iterate,
+        formed without assembling ``A(x)``.
+
+        ``F(x) = G·x − b_step + gmin·x_nodes`` plus each nonlinear
+        device's current injection: the MOSFET group's drain currents
+        from a currents-only EKV pass, the MTJ group's ``g·v``, the
+        current of an ungrouped MOSFET or junction, and ``A_dev·x −
+        b_dev`` from the stamp of any other iterate device.  ``G`` is the
+        static matrix, or ``static`` when the caller holds it in another
+        form (the sparse engine's CSC copy).  ``timing`` bills the whole
+        pass to ``"residual"``.
+        """
+        t0 = _time.perf_counter() if timing is not None else 0.0
+        if static is None:
+            static = self._static_matrix
+        f = static @ x - self._step_rhs
+        voltages = x[: self.num_nodes]
+        if gmin > 0.0 and self.num_nodes:
+            f[: self.num_nodes] += gmin * voltages
+        if self.fet_group is not None:
+            self.fet_group.inject(f, self.fet_group.currents(voltages))
+        if self.mtj_group is not None:
+            self.mtj_group.inject(f, self.mtj_group.currents(voltages))
+        if self._iterate_devices:
+            ctx = EvalContext(voltages=voltages,
+                              prev_voltages=self._prev_voltages,
+                              time=self._time, dt=self.dt, gmin=gmin,
+                              integrator=self.integrator)
+            for current, into, out_of in self._current_routes:
+                i = current(ctx)
+                if into >= 0:
+                    f[into] += i
+                if out_of >= 0:
+                    f[out_of] -= i
+            scratch = self._scratch
+            if scratch is not None:
+                scratch.matrix.fill(0.0)
+                scratch.rhs.fill(0.0)
+                for device in self._stamped_devices:
+                    device.stamp(scratch, ctx)
+                f += scratch.matrix @ x - scratch.rhs
+        if timing is not None:
+            timing["residual"] = (timing.get("residual", 0.0)
+                                  + (_time.perf_counter() - t0))
+        return f
+
     def update_state(self, x: np.ndarray) -> None:
         """Advance stateful devices after an accepted timepoint."""
         voltages = x[: self.num_nodes]
@@ -851,20 +986,26 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     """One converged damped modified-Newton solve at a timepoint: the
     Newton loop of both scalar engines.
 
-    ``solver`` supplies ``workspace``, ``stats`` and three steps:
-    ``_assemble(x, gmin, timing)`` builds the system at the iterate,
-    ``_factorize()`` LU-factorises its matrix and ``_update(x)`` returns
-    ``−A₀⁻¹·F(x)``, the update of the residual ``F(x) = A(x)·x − b(x)``
-    against the last factors ``A₀`` (renewed under
-    :func:`jacobian_refresh`).  Raises :class:`ConvergenceError` on
-    failure, like the naive ``_newton``.
+    Each iteration first decides under :func:`jacobian_refresh` whether
+    to renew the LU factors ``A₀``.  A refresh iteration assembles the
+    system at the iterate, factorises it and forms the residual ``F(x) =
+    A(x)·x − b(x)`` from it; a reuse iteration assembles nothing and
+    takes ``F(x)`` from the device currents
+    (:meth:`MNAWorkspace.residual`).  ``solver`` supplies ``workspace``,
+    ``stats`` and four steps: ``_assemble(x, gmin, timing)`` builds the
+    system, ``_factorize()`` LU-factorises its matrix,
+    ``_residual(x, gmin, timing)`` forms a reuse iteration's ``F(x)`` and
+    ``_update(x, residual)`` returns ``−A₀⁻¹·F(x)``, with ``F(x)`` from
+    the assembled system when ``residual`` is ``None``.  Raises
+    :class:`ConvergenceError` on failure, like the naive ``_newton``.
     """
     ws = solver.workspace
     ws.begin_step(time, prev_voltages)
     num_nodes = ws.num_nodes
     stats = solver.stats
-    assemble, factorize, update = (solver._assemble, solver._factorize,
-                                   solver._update)
+    assemble, factorize, residual, update = (
+        solver._assemble, solver._factorize, solver._residual,
+        solver._update)
     timing = stats.stamp_seconds if _obs_active() else None
     x = x0.copy()
     last_factor = 0
@@ -872,25 +1013,28 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     max_dv = np.inf
     for iteration in range(1, max_iterations + 1):
         stats.iterations += 1
-        assemble(x, gmin, timing)
         fresh = jacobian_refresh(iteration, last_factor, max_dv,
                                  prev_max_dv)
         try:
             if fresh:
+                assemble(x, gmin, timing)
                 factorize()
                 last_factor = iteration
+                f = None
             else:
                 stats.reuses += 1
-            delta = update(x)
+                f = residual(x, gmin, timing)
+            delta = update(x, f)
             finite = np.isfinite(delta).all()
             if not finite and not fresh:
-                # Stale factorisation went bad: refactor and retry once
-                # (the retried update still counts as a reuse).
+                # Stale factorisation went bad: assemble, refactor and
+                # retry once (the retried update still counts as a reuse).
                 stats.singular_retries += 1
+                assemble(x, gmin, timing)
                 factorize()
                 last_factor = iteration
                 stats.reuses += 1
-                delta = update(x)
+                delta = update(x, f)
                 finite = np.isfinite(delta).all()
             if not finite:
                 raise np.linalg.LinAlgError("non-finite Newton update")
@@ -923,7 +1067,8 @@ def modified_newton(solver, x0: np.ndarray, time: float,
 class FastNewtonSolver:
     """Damped modified Newton (:func:`modified_newton`) over an
     :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors.
-    Without scipy every update is a full dense solve."""
+    Without scipy every update is a full dense solve, so every iteration
+    assembles."""
 
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None):
@@ -961,11 +1106,20 @@ class FastNewtonSolver:
                          if matrix.size else 0.0),
                 self.workspace.size)
 
-    def _update(self, x: np.ndarray) -> np.ndarray:
+    def _residual(self, x: np.ndarray, gmin: float,
+                  timing: Optional[Dict[str, float]]) -> Optional[np.ndarray]:
+        if not _HAVE_SCIPY:  # pragma: no cover - every update solves densely
+            self._assemble(x, gmin, timing)
+            return None
+        return self.workspace.residual(x, gmin, timing)
+
+    def _update(self, x: np.ndarray,
+                residual: Optional[np.ndarray]) -> np.ndarray:
         ws = self.workspace
         if not _HAVE_SCIPY:  # pragma: no cover - full dense solve, no reuse
             return np.linalg.solve(ws.matrix, ws.rhs) - x
-        residual = ws.matrix @ x - ws.rhs
+        if residual is None:
+            residual = ws.matrix @ x - ws.rhs
         lu, piv = self._lu
         delta, info = _getrs(lu, piv, residual)
         if info != 0:

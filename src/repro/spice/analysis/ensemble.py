@@ -25,9 +25,13 @@ across samples.  This module advances **all N samples together**:
   (raw LAPACK ``getrf``/``getrs``, as bound in
   :mod:`~repro.spice.analysis.engine`) and refreshes them under the
   shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule,
-  evaluated per sample.  Damping, convergence, freezing and failure
-  are per-sample masks; assembly and residuals are batched over the
-  sample axis.
+  evaluated per sample.  A sample that reuses its factors takes its
+  residual from the device currents, without assembly
+  (:meth:`EnsembleWorkspace.residual`); the batch assembles only on an
+  iteration where some sample refreshes, and that one assembly also
+  supplies the reusing samples' currents.  Damping, convergence,
+  freezing and failure are per-sample masks; assembly and residuals are
+  batched over the sample axis.
 * :func:`run_ensemble_transient` steps the stack on the fixed grid of
   :func:`~repro.spice.analysis.transient.run_transient`, from its t = 0
   solution, records it sample-major and returns one ordinary
@@ -141,8 +145,7 @@ class _EnsembleMTJs:
         """Vectorised :meth:`SwitchingModel.step` over every junction."""
         if not self.has_switching.any():
             return
-        v, g, _dg = self.group.electrical(voltages)
-        current = g * v
+        current = self.group.currents(voltages)
         target_ap = current > 0.0
         moving = ((current != 0.0) & (target_ap != self.is_ap)
                   & self.has_switching)
@@ -279,6 +282,12 @@ class EnsembleWorkspace:
                 linear[0], self.num_nodes, self.num_branches, dt,
                 integrator)
         self._build_static()
+        #: The static stack G, whose product G·x starts a reuse residual:
+        #: one ``(1, s, s)`` block that broadcasts when every sample's is
+        #: the same (a Monte-Carlo population's), else all ``N``.
+        alike = bool((self.matrix == self.matrix[:1]).all())
+        self._static_stack = (self.matrix[:1] if alike
+                              else self.matrix).copy()
         # The iterate tier writes only the device groups' slots and the
         # node diagonal, so assembly restores just those to their static
         # values; every other slot keeps the static stamp from the build.
@@ -286,8 +295,13 @@ class EnsembleWorkspace:
         # iteration starts from a full copy of the static stack.
         if any(self._iterate):
             self._static: Optional[np.ndarray] = self.matrix.copy()
+            #: Scratch system of one sample's generic devices (reuse
+            #: residual: their A_dev·x − b_dev).
+            self._scratch: Optional[MNAStamper] = MNAStamper(
+                self.num_nodes, self.num_branches)
         else:
             self._static = None
+            self._scratch = None
             self._restore = np.unique(np.concatenate(
                 [self._diag] + [group.flat_index
                                 for group in (self.fet_group, self.mtj_group)
@@ -366,8 +380,15 @@ class EnsembleWorkspace:
         if self.cap_group is not None and prev is not None:
             self.cap_group.step_rhs(self._step_rhs.reshape(-1), prev)
 
-    def assemble(self, x: np.ndarray, gmin: float = 0.0) -> None:
-        """Assemble every sample's system at the iterate stack ``x``."""
+    def assemble(self, x: np.ndarray, gmin: float = 0.0,
+                 samples: Optional[np.ndarray] = None) -> None:
+        """Assemble every sample's system at the iterate stack ``x``.
+
+        The device groups stamp every sample and keep their currents for
+        :meth:`residual`; the per-sample generic devices stamp only the
+        listed ``samples`` (all by default), so a sample that takes a
+        reuse residual instead is not evaluated twice.
+        """
         if self._static is None:
             self._matrix_flat[self._restore] = self._restore_values
         else:
@@ -379,13 +400,51 @@ class EnsembleWorkspace:
             self.fet_group.stamp(self._matrix_flat, self._rhs_flat, x)
         if self.mtj_group is not None:
             self.mtj_group.stamp(self._matrix_flat, self._rhs_flat, x)
-        for i, devices in enumerate(self._iterate):
-            if devices:
-                view = MNAStamper(self.num_nodes, self.num_branches,
-                                  matrix=self.matrix[i], rhs=self.rhs[i])
-                ctx = self._sample_ctx(i, x, gmin)
-                for device in devices:
-                    device.stamp(view, ctx)
+        for i in self._generic_samples(samples):
+            view = MNAStamper(self.num_nodes, self.num_branches,
+                              matrix=self.matrix[i], rhs=self.rhs[i])
+            ctx = self._sample_ctx(i, x, gmin)
+            for device in self._iterate[i]:
+                device.stamp(view, ctx)
+
+    def _generic_samples(self, samples: Optional[np.ndarray]) -> List[int]:
+        """The listed samples (all by default) that hold generic devices."""
+        listed = range(self.count) if samples is None else samples.tolist()
+        return [i for i in listed if self._iterate[i]]
+
+    def residual(self, x: np.ndarray, gmin: float = 0.0,
+                 samples: Optional[np.ndarray] = None,
+                 assembled: bool = False) -> np.ndarray:
+        """Every sample's Newton residual ``F(x) = A(x)·x − b(x)`` at the
+        iterate stack, formed without assembling: ``G·x − b_step +
+        gmin·x_nodes`` plus the device groups' current injections, and
+        ``A_dev·x − b_dev`` of the generic devices of the listed
+        ``samples`` (all by default; the other rows lack that term).
+        ``assembled`` takes the groups' currents from the assembly at
+        ``x`` that just ran instead of a currents-only pass; both are the
+        same bits, so a sample's residual does not depend on whether
+        another sample refreshed its factors.  Returns the ``(N, size)``
+        stack.
+        """
+        f = np.matmul(self._static_stack, x[:, :, None])[:, :, 0]
+        f -= self._step_rhs
+        num_nodes = self.num_nodes
+        if gmin > 0.0 and num_nodes:
+            f[:, :num_nodes] += gmin * x[:, :num_nodes]
+        flat = f.reshape(-1)
+        for group in (self.fet_group, self.mtj_group):
+            if group is not None:
+                group.inject(flat, group.stamped_currents if assembled
+                             else group.currents(x))
+        scratch = self._scratch
+        for i in self._generic_samples(samples):
+            scratch.matrix.fill(0.0)
+            scratch.rhs.fill(0.0)
+            ctx = self._sample_ctx(i, x, gmin)
+            for device in self._iterate[i]:
+                device.stamp(scratch, ctx)
+            f[i] += scratch.matrix @ x[i] - scratch.rhs
+        return f
 
     def update_state(self, x: np.ndarray) -> None:
         """Advance every sample's stateful devices after an accepted step."""
@@ -414,7 +473,9 @@ class EnsembleNewtonSolver:
     ``A₀·δ = −F(x)`` against them with ``getrs``, refactorising when the
     shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule says
     so for that sample, and refactorising once to retry a non-finite
-    update from stale factors.  Damping, convergence, freezing and
+    update from stale factors.  A refreshing sample's ``F(x)`` is
+    ``A(x)·x − b(x)`` of the batch assembly, a reusing sample's comes
+    from the device currents.  Damping, convergence, freezing and
     failure are per-sample masks.  Assembly and residuals are batched
     over the sample axis; the factor and solve calls loop over the
     samples that need them, and each ``getrs`` solves in place in the
@@ -503,24 +564,41 @@ class EnsembleNewtonSolver:
         for iteration in range(1, max_iterations + 1):
             active = ~(converged | failed)
             self.iterations[active] += 1
-            ws.assemble(x, gmin=gmin)
             fresh = active & jacobian_refresh(iteration, last_factor,
                                               max_dv, prev_max_dv)
+            reuse = active & ~fresh
             last_factor[fresh] = iteration
             self.factorizations[fresh] += 1
-            self.reuses[active & ~fresh] += 1
-            self._factorize(np.flatnonzero(fresh))
-            residual = np.matmul(ws.matrix, x[:, :, None])[:, :, 0] - ws.rhs
+            self.reuses[reuse] += 1
+            refresh = np.flatnonzero(fresh)
+            reused = np.flatnonzero(reuse)
+            if refresh.size:
+                # One batch assembly serves both kinds of sample: the
+                # refreshing ones factorise it and take A(x)·x − b(x),
+                # the reusing ones take its device currents.
+                ws.assemble(x, gmin=gmin, samples=refresh)
+                self._factorize(refresh)
+                residual = (np.matmul(ws.matrix, x[:, :, None])[:, :, 0]
+                            - ws.rhs)
+                if reused.size:
+                    residual = np.where(
+                        reuse[:, None],
+                        ws.residual(x, gmin, samples=reused, assembled=True),
+                        residual)
+            else:
+                residual = ws.residual(x, gmin, samples=reused)
             self._corrections(np.flatnonzero(active), residual)
             bad = np.flatnonzero(
                 active & ~failed & ~np.isfinite(correction).all(axis=1))
             if bad.size:
                 failed[bad[fresh[bad]]] = True
-                # Stale factors went bad: refactor and retry once.
+                # Stale factors went bad: assemble, refactor and retry
+                # once with the same residual.
                 stale = bad[~fresh[bad]]
                 self.singular_retries[stale] += 1
                 self.factorizations[stale] += 1
                 last_factor[stale] = iteration
+                ws.assemble(x, gmin=gmin, samples=stale)
                 self._factorize(stale)
                 self._corrections(stale, residual)
                 failed[stale] |= ~np.isfinite(correction[stale]).all(axis=1)

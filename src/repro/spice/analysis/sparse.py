@@ -29,7 +29,9 @@ macros expensive.  This module adds the sparse tier on top of the same
   pattern-gathered (or pure) CSC assembly and
   ``scipy.sparse.linalg.splu`` in place of dense LAPACK getrf, so
   factorisation cost follows the fill-in of the sparse structure
-  instead of n³.
+  instead of n³.  A reuse iteration assembles nothing: it takes the
+  residual from the device currents, with the static matrix's product
+  ``G·x`` on a CSC copy of it.
 * :class:`LTEStepControl` — local-truncation-error timestep control for
   ``engine="sparse"`` transients, one of the two step controls of
   :func:`~repro.spice.analysis.transient.run_transient`'s timestep loop.
@@ -375,10 +377,11 @@ class SparseNewtonSolver:
     Runs the fast engine's Newton loop
     (:func:`~repro.spice.analysis.engine.modified_newton`) — damping,
     convergence test, Jacobian staleness policy — so the two engines
-    agree to solver tolerance; only its three steps differ: CSC assembly
+    agree to solver tolerance; only its steps differ: CSC assembly
     (pure, or dense then gathered), SuperLU factors through
     :meth:`SparsePattern.factorize` and their solves instead of dense
-    getrf/getrs.
+    getrf/getrs, and ``G·x`` of the reuse residual on the CSC static
+    matrix.
     """
 
     def __init__(self, workspace: MNAWorkspace,
@@ -407,9 +410,14 @@ class SparseNewtonSolver:
         # with ungrouped nonlinear devices keep the dense-assemble +
         # gather route (those devices need an MNAStamper to write to).
         self._pure = not workspace._iterate_devices
+        # The static matrix in CSC form: the pure assembly's starting
+        # point and the linear part G·x of every reuse residual.
+        self._static_data = np.empty(self.pattern.nnz)
+        self.pattern.gather(workspace._static_matrix, self._static_data)
+        self._static_csc = csc_matrix(
+            (self._static_data, self.pattern.indices, self.pattern.indptr),
+            shape=(workspace.size, workspace.size))
         if self._pure:
-            self._static_data = np.empty(self.pattern.nnz)
-            self.pattern.gather(workspace._static_matrix, self._static_data)
             size = workspace.size
             self._gmin_pos = (self.pattern.csc_positions(
                 np.arange(workspace.num_nodes, dtype=np.intp) * (size + 1))
@@ -456,8 +464,15 @@ class SparseNewtonSolver:
                 self._solve, solve_t, lambda: _csc_norm1(csc),
                 self.workspace.size)
 
-    def _update(self, x: np.ndarray) -> np.ndarray:
-        residual = self._csc @ x - self.workspace.rhs
+    def _residual(self, x: np.ndarray, gmin: float,
+                  timing: Optional[Dict[str, float]]) -> np.ndarray:
+        return self.workspace.residual(x, gmin, timing,
+                                       static=self._static_csc)
+
+    def _update(self, x: np.ndarray,
+                residual: Optional[np.ndarray]) -> np.ndarray:
+        if residual is None:
+            residual = self._csc @ x - self.workspace.rhs
         return -self._solve(residual)
 
     def solve(self, x0: np.ndarray, time: float,

@@ -161,6 +161,9 @@ class TestSparseInvalidation:
         sparse_cfg = request["engine_config"]["sparse"]
         assert sparse_cfg["source_breakpoints"] is True
         assert sparse_cfg["failed_step_halving"] is True
+        # Reuse iterations take the residual from the device currents.
+        assert request["engine_config"]["reuse_residual_from_currents"] \
+            is True
         assert "permc_spec" in sparse_cfg
         tampered = dict(request, engine_config={
             **request["engine_config"],
