@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +93,9 @@ class SolverStats:
     Kept as plain attribute increments so the untraced hot path pays
     integer adds only; :meth:`flush_to` moves the totals into the
     observability metrics registry once per analysis when a session is
-    active.  ``stamp_seconds`` holds per-device-class assembly time and
-    is only populated while tracing is on (it needs clock reads).
+    active.  ``stamp_seconds`` holds per-device-class assembly time, and
+    under ``"residual"`` the device evaluation of reuse iterations; it is
+    only populated while tracing is on (it needs clock reads).
     """
 
     solves: int = 0
@@ -384,7 +385,6 @@ class _MOSFETGroup:
                               + scatter_fet)
         self.rhs_index, self.rhs_sign, self.rhs_fet = _rhs_scatter(
             ((drain, -1.0), (source, 1.0)), base)
-        self._inject_sign = -self.rhs_sign
         #: Drain currents of the last stamp (a batch's reuse samples read
         #: them instead of a second device pass).
         self.stamped_currents = np.zeros(count)
@@ -467,28 +467,19 @@ class _MOSFETGroup:
         """Add the drain currents to a Newton residual: +i on the drain
         row, −i on the source row (what a stamp's ``A·x − b`` holds
         there)."""
-        np.add.at(residual, self.rhs_index,
-                  self._inject_sign * currents.take(self.rhs_fet))
+        np.subtract.at(residual, self.rhs_index,
+                       self.rhs_sign * currents.take(self.rhs_fet))
 
 
-def _current_route(device: Device
-                   ) -> Optional[Tuple[Callable[[EvalContext], float],
-                                       int, int]]:
-    """``(current, into, out_of)`` of an ungrouped nonlinear device whose
-    stamp linearises one terminal current, or ``None``.
-
-    The stamp's ``A_dev·x − b_dev`` at the iterate is then that current
-    itself, ``+i`` on the row it flows out of the circuit into the device
-    and ``−i`` on the row it returns on: a MOSFET's drain current (drain
-    → source) and a junction's ``g·v`` (free → ref).  A subclass that
-    overrides the stamp or the current keeps the generic route.
-    """
+def _plain_junction(device: Device) -> bool:
+    """Whether a device is a junction whose stamp linearises its own
+    current ``g·v`` (free → ref): its ``A_dev·x − b_dev`` at the iterate
+    is then ``+g·v`` on the free row and ``−g·v`` on the reference row.
+    The NAND-SPIN junction qualifies; a subclass that overrides the stamp
+    or the current does not."""
     kind = type(device)
-    if kind.stamp is MOSFET.stamp and kind.drain_current is MOSFET.drain_current:
-        return device.drain_current, device.drain, device.source
-    if kind.stamp is MTJElement.stamp and kind.current is MTJElement.current:
-        return device.current, device.free, device.ref
-    return None
+    return (kind.stamp is MTJElement.stamp
+            and kind.current is MTJElement.current)
 
 
 def _frozen(device: Device) -> bool:
@@ -535,7 +526,6 @@ class _MTJGroup:
             _conductance_scatter(self.free, self.ref, base, size))
         self.rhs_index, self.rhs_sign, self.rhs_mtj = _rhs_scatter(
             ((self.free, -1.0), (self.ref, 1.0)), base)
-        self._inject_sign = -self.rhs_sign
         #: Junction currents of the last stamp (see
         #: :attr:`_MOSFETGroup.stamped_currents`).
         self.stamped_currents = np.zeros(len(mtjs))
@@ -596,8 +586,8 @@ class _MTJGroup:
     def inject(self, residual: np.ndarray, currents: np.ndarray) -> None:
         """Add the junction currents to a Newton residual: +i on the free
         row, −i on the reference row."""
-        np.add.at(residual, self.rhs_index,
-                  self._inject_sign * currents.take(self.rhs_mtj))
+        np.subtract.at(residual, self.rhs_index,
+                       self.rhs_sign * currents.take(self.rhs_mtj))
 
 
 class _CapacitorGroup:
@@ -796,17 +786,12 @@ class MNAWorkspace:
         self._iterate_view = MNAStamper(self.num_nodes, self.num_branches,
                                         matrix=self.matrix, rhs=self.rhs)
         # The reuse residual's view of the ungrouped iterate devices: the
-        # ones that inject one terminal current, and the rest, whose
-        # A_dev·x − b_dev comes from their stamps into a scratch system.
-        self._current_routes: List[
-            Tuple[Callable[[EvalContext], float], int, int]] = []
-        self._stamped_devices: List[Device] = []
-        for device in self._iterate_devices:
-            route = _current_route(device)
-            if route is None:
-                self._stamped_devices.append(device)
-            else:
-                self._current_routes.append(route)
+        # junctions inject their own current, and every other device's
+        # A_dev·x − b_dev comes from its stamp into a scratch system.
+        self._junctions = [d for d in self._iterate_devices
+                           if _plain_junction(d)]
+        self._stamped_devices = [d for d in self._iterate_devices
+                                 if not _plain_junction(d)]
         self._scratch = (MNAStamper(self.num_nodes, self.num_branches)
                          if self._stamped_devices else None)
 
@@ -909,9 +894,9 @@ class MNAWorkspace:
 
         ``F(x) = G·x − b_step + gmin·x_nodes`` plus each nonlinear
         device's current injection: the MOSFET group's drain currents
-        from a currents-only EKV pass, the MTJ group's ``g·v``, the
-        current of an ungrouped MOSFET or junction, and ``A_dev·x −
-        b_dev`` from the stamp of any other iterate device.  ``G`` is the
+        from a currents-only EKV pass, the MTJ group's ``g·v``, an
+        ungrouped junction's :meth:`~MTJElement.current`, and ``A_dev·x
+        − b_dev`` from the stamp of any other iterate device.  ``G`` is the
         static matrix, or ``static`` when the caller holds it in another
         form (the sparse engine's CSC copy).  ``timing`` bills the whole
         pass to ``"residual"``.
@@ -932,12 +917,12 @@ class MNAWorkspace:
                               prev_voltages=self._prev_voltages,
                               time=self._time, dt=self.dt, gmin=gmin,
                               integrator=self.integrator)
-            for current, into, out_of in self._current_routes:
-                i = current(ctx)
-                if into >= 0:
-                    f[into] += i
-                if out_of >= 0:
-                    f[out_of] -= i
+            for junction in self._junctions:
+                i = junction.current(ctx)
+                if junction.free >= 0:
+                    f[junction.free] += i
+                if junction.ref >= 0:
+                    f[junction.ref] -= i
             scratch = self._scratch
             if scratch is not None:
                 scratch.matrix.fill(0.0)

@@ -89,7 +89,7 @@ def test_dense_residual_matches_assembly(name, gmin):
     if name == "square_law":
         assert workspace._stamped_devices
     if name == "random_mtj_read" or name.endswith("_latch"):
-        assert workspace._current_routes
+        assert workspace._junctions
     for time, prev, x in seeded_points(rng, workspace):
         workspace.begin_step(time, prev)
         direct = workspace.residual(x, gmin)
