@@ -16,9 +16,11 @@ need re-linearisation.  This module exploits that:
   instead of N Python calls) when the circuit has enough of them.
 * :func:`modified_newton` is the damped modified-Newton loop of both
   scalar engines: the LU factorisation of the Jacobian is reused across
-  iterations, with automatic fallback to a full refactorisation when
-  convergence slows down or stalls.  A reuse iteration assembles
-  nothing: it evaluates device currents only and forms the residual
+  iterations and across timepoints, with a full refactorisation when
+  the factors grow old or convergence stalls, and on the first
+  iteration after a solve that did not converge at the same gmin.  A
+  reuse iteration assembles nothing: it evaluates device currents only
+  and forms the residual
   ``F(x) = G·x − b_step + gmin·x + Σ device currents``
   (:meth:`MNAWorkspace.residual`).  :class:`FastNewtonSolver` supplies
   its dense assembly, factorisation (LAPACK getrf) and update (getrs)
@@ -80,7 +82,9 @@ VECTORIZE_MOSFET_THRESHOLD = 4
 #: ``x * x`` — dG/dV differs in 179 of 200,000 random AP biases (G in
 #: none).
 VECTORIZE_MTJ_THRESHOLD = 5
-#: Refactorise the Jacobian at least every this many iterations.
+#: Refactorise the Jacobian at least every this many iterations, counted
+#: from the factorising one across timepoints: factors a converged solve
+#: leaves serve the next timepoint's first iterations.
 JACOBIAN_MAX_AGE = 6
 #: Smoothing of the channel-length-modulation overdrive (mirrors mosfet.py).
 _CLM_EPSILON = 1e-3
@@ -212,24 +216,32 @@ def engine_config_fingerprint() -> Dict[str, object]:
         # factors forms its residual from the device currents instead of
         # an assembled A(x)·x − b(x), which moves the last bits.
         "reuse_residual_from_currents": True,
+        # Algorithm revision marker: LU factors carry from a converged
+        # timepoint to the next instead of being renewed on every
+        # timepoint's first iteration, which moves the last bits.
+        "jacobian_carried_across_timepoints": True,
         "sparse": sparse_config_fingerprint(),
     }
 
 
-def jacobian_refresh(iteration, last_factor, max_dv, prev_max_dv):
+def jacobian_refresh(no_factors, age, max_dv, prev_max_dv):
     """The modified-Newton LU refresh rule every Newton loop shares.
 
-    Refactorise on the first iteration of a ``solve()``, once the factors
+    Refactorise when the solver holds no usable factors, once the factors
     are :data:`JACOBIAN_MAX_AGE` iterations old, or when the last update
-    stopped shrinking (``max_dv > 0.5 · prev_max_dv``).  ``last_factor``
-    is the iteration that last factorised; ``max_dv`` / ``prev_max_dv``
-    are the undamped update norms of the previous two iterations
-    (``inf`` before there are any).  Scalars give a ``bool``; per-sample
-    arrays (the batched ensemble) give a mask whose every element is the
-    decision a scalar call on that sample's values makes.
+    stopped shrinking (``max_dv > 0.5 · prev_max_dv``).  Factors are
+    usable when this ``solve()`` made them or the solver's previous
+    ``solve()`` converged with them at the same gmin, so they carry
+    across timepoints.  ``age`` counts the iterations since the one that
+    factorised, this one included, across timepoints; ``max_dv`` /
+    ``prev_max_dv`` are the undamped update norms of the previous two
+    iterations of this ``solve()`` (``inf`` before there are any).
+    Scalars give a ``bool``; per-sample arrays (the batched ensemble)
+    give a mask whose every element is the decision a scalar call on
+    that sample's values makes.
     """
-    return ((iteration == 1)
-            | (iteration - last_factor >= JACOBIAN_MAX_AGE)
+    return (no_factors
+            | (age >= JACOBIAN_MAX_AGE)
             | (max_dv > 0.5 * prev_max_dv))
 
 
@@ -976,8 +988,15 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     system at the iterate, factorises it and forms the residual ``F(x) =
     A(x)·x − b(x)`` from it; a reuse iteration assembles nothing and
     takes ``F(x)`` from the device currents
-    (:meth:`MNAWorkspace.residual`).  ``solver`` supplies ``workspace``,
-    ``stats`` and four steps: ``_assemble(x, gmin, timing)`` builds the
+    (:meth:`MNAWorkspace.residual`).  The factors outlive the call: a
+    solve that converges leaves ``solver._carried = (gmin, age)``, and
+    the next solve at that gmin starts on them, so a timepoint's first
+    iteration is a reuse iteration unless they are
+    :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises, a
+    solve at another gmin and the no-scipy dense fallback (which holds
+    no factors) refactorise on their first iteration.  ``solver``
+    supplies ``workspace``, ``stats``, ``_carried`` (``None`` on a new
+    solver) and four steps: ``_assemble(x, gmin, timing)`` builds the
     system, ``_factorize()`` LU-factorises its matrix,
     ``_residual(x, gmin, timing)`` forms a reuse iteration's ``F(x)`` and
     ``_update(x, residual)`` returns ``−A₀⁻¹·F(x)``, with ``F(x)`` from
@@ -993,18 +1012,22 @@ def modified_newton(solver, x0: np.ndarray, time: float,
         solver._update)
     timing = stats.stamp_seconds if _obs_active() else None
     x = x0.copy()
-    last_factor = 0
+    carried, solver._carried = solver._carried, None
+    factored = (_HAVE_SCIPY and carried is not None
+                and carried[0] == gmin)
+    age = carried[1] if factored else 0
     prev_max_dv = np.inf
     max_dv = np.inf
     for iteration in range(1, max_iterations + 1):
         stats.iterations += 1
-        fresh = jacobian_refresh(iteration, last_factor, max_dv,
-                                 prev_max_dv)
+        age += 1
+        fresh = jacobian_refresh(not factored, age, max_dv, prev_max_dv)
         try:
             if fresh:
                 assemble(x, gmin, timing)
                 factorize()
-                last_factor = iteration
+                factored = True
+                age = 0
                 f = None
             else:
                 stats.reuses += 1
@@ -1017,7 +1040,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
                 stats.singular_retries += 1
                 assemble(x, gmin, timing)
                 factorize()
-                last_factor = iteration
+                age = 0
                 stats.reuses += 1
                 delta = update(x, f)
                 finite = np.isfinite(delta).all()
@@ -1039,6 +1062,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
             x = x + delta
             if max_dv < vtol:
                 stats.solves += 1
+                solver._carried = (gmin, age)
                 return x
     raise ConvergenceError(
         f"Newton failed to converge in {max_iterations} iterations "
@@ -1051,14 +1075,16 @@ def modified_newton(solver, x0: np.ndarray, time: float,
 
 class FastNewtonSolver:
     """Damped modified Newton (:func:`modified_newton`) over an
-    :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors.
-    Without scipy every update is a full dense solve, so every iteration
-    assembles."""
+    :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors that
+    carry from one converged timepoint to the next.  Without scipy every
+    update is a full dense solve, so every iteration assembles."""
 
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None):
         self.workspace = workspace
         self._lu = None
+        #: ``(gmin, age)`` of the factors the last converged solve left.
+        self._carried: Optional[Tuple[float, int]] = None
         #: Work counters, shared with the caller when one is passed in
         #: (``run_transient`` aggregates them across every timestep).
         self.stats = stats if stats is not None else SolverStats()

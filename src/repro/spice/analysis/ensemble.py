@@ -25,7 +25,8 @@ across samples.  This module advances **all N samples together**:
   (raw LAPACK ``getrf``/``getrs``, as bound in
   :mod:`~repro.spice.analysis.engine`) and refreshes them under the
   shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule,
-  evaluated per sample.  A sample that reuses its factors takes its
+  evaluated per sample; a sample's factors and their age carry from
+  one timepoint to the next.  A sample that reuses its factors takes its
   residual from the device currents, without assembly
   (:meth:`EnsembleWorkspace.residual`); the batch assembles only on an
   iteration where some sample refreshes, and that one assembly also
@@ -473,7 +474,11 @@ class EnsembleNewtonSolver:
     ``A₀·δ = −F(x)`` against them with ``getrs``, refactorising when the
     shared :func:`~repro.spice.analysis.engine.jacobian_refresh` rule says
     so for that sample, and refactorising once to retry a non-finite
-    update from stale factors.  A refreshing sample's ``F(x)`` is
+    update from stale factors.  A sample's factors carry into the next
+    timepoint when it converged, and their age counts only the
+    iterations that sample took: a sample that converged early does not
+    age while the rest of its batch iterates, so its decisions are those
+    of its scalar run.  A refreshing sample's ``F(x)`` is
     ``A(x)·x − b(x)`` of the batch assembly, a reusing sample's comes
     from the device currents.  Damping, convergence, freezing and
     failure are per-sample masks.  Assembly and residuals are batched
@@ -502,6 +507,11 @@ class EnsembleNewtonSolver:
         #: Per-sample ``getrf`` factors ``(lu, piv)``.
         self._lu: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
             [None] * count)
+        #: Samples whose factors the last solve, at :attr:`_carried_gmin`,
+        #: converged with, and the age of every sample's factors.
+        self._carried = np.zeros(count, dtype=bool)
+        self._carried_gmin: Optional[float] = None
+        self._age = np.zeros(count, dtype=np.intp)
         #: ``A₀⁻¹·F(x)`` per sample, each row solved in place by ``getrs``
         #: (:attr:`_rows` are its row views); the rows of samples that
         #: converged or left go stale.
@@ -558,16 +568,19 @@ class EnsembleNewtonSolver:
         x = x0.copy()
         correction = self.correction
         converged = np.zeros(count, dtype=bool)
-        last_factor = np.zeros(count, dtype=np.intp)
+        no_factors = ~self._carried | (gmin != self._carried_gmin)
+        age = self._age
         max_dv = np.full(count, np.inf)
         prev_max_dv = max_dv
         for iteration in range(1, max_iterations + 1):
             active = ~(converged | failed)
             self.iterations[active] += 1
-            fresh = active & jacobian_refresh(iteration, last_factor,
-                                              max_dv, prev_max_dv)
+            age[active] += 1
+            fresh = active & jacobian_refresh(no_factors, age, max_dv,
+                                              prev_max_dv)
             reuse = active & ~fresh
-            last_factor[fresh] = iteration
+            no_factors[fresh] = False
+            age[fresh] = 0
             self.factorizations[fresh] += 1
             self.reuses[reuse] += 1
             refresh = np.flatnonzero(fresh)
@@ -597,7 +610,7 @@ class EnsembleNewtonSolver:
                 stale = bad[~fresh[bad]]
                 self.singular_retries[stale] += 1
                 self.factorizations[stale] += 1
-                last_factor[stale] = iteration
+                age[stale] = 0
                 ws.assemble(x, gmin=gmin, samples=stale)
                 self._factorize(stale)
                 self._corrections(stale, residual)
@@ -619,6 +632,8 @@ class EnsembleNewtonSolver:
                 break
         failed |= ~converged
         self.solves[converged] += 1
+        self._carried = converged
+        self._carried_gmin = gmin
         return x
 
 

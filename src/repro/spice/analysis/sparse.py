@@ -400,6 +400,8 @@ class SparseNewtonSolver:
             shape=(workspace.size, workspace.size))
         #: Solve with the last factors (:meth:`SparsePattern.factorize`).
         self._solve: Optional[_Solve] = None
+        #: ``(gmin, age)`` of the factors the last converged solve left.
+        self._carried: Optional[Tuple[float, int]] = None
         #: Optional :class:`~repro.recovery.health.ConditionProbe`
         #: (duck-typed, as on :class:`FastNewtonSolver`).
         self.condition_probe = None

@@ -164,6 +164,9 @@ class TestSparseInvalidation:
         # Reuse iterations take the residual from the device currents.
         assert request["engine_config"]["reuse_residual_from_currents"] \
             is True
+        # LU factors carry from one converged timepoint to the next.
+        assert request["engine_config"][
+            "jacobian_carried_across_timepoints"] is True
         assert "permc_spec" in sparse_cfg
         tampered = dict(request, engine_config={
             **request["engine_config"],

@@ -7,17 +7,26 @@ That must be the assembled system's ``A(x)·x − b(x)``, to 1e-12 of the
 magnitude of the terms each row sums (``|A(x)|·|x| + |b(x)|``), on the
 dense workspace, the sparse engine's pure-CSC route, circuits with
 ungrouped and generic iterate devices, and every block of a batch.  The
-Newton loops assemble only to factorise.
+Newton loops assemble only to factorise, and their LU factors carry from
+a converged timepoint to the next, but not past a failed solve or into a
+solve at another gmin.
 """
 
 import numpy as np
 import pytest
 
 from repro.cells.nvlatch_1bit import build_standard_latch
+from repro.errors import ConvergenceError
 from repro.nv.base import get_backend
 from repro.spice.analysis import engine as engine_module
-from repro.spice.analysis.engine import FastNewtonSolver, MNAWorkspace
+from repro.spice.analysis.dc import FLOOR_GMIN
+from repro.spice.analysis.engine import (
+    JACOBIAN_MAX_AGE,
+    FastNewtonSolver,
+    MNAWorkspace,
+)
 from repro.spice.analysis.ensemble import (
+    EnsembleNewtonSolver,
     EnsembleWorkspace,
     run_ensemble_transient,
 )
@@ -175,6 +184,9 @@ def test_scalar_run_assembles_once_per_factorisation(engine, solver,
     assert stats.reuses > 0 and stats.factorizations > 0
     assert stats.singular_retries == 0
     assert len(calls) == stats.factorizations
+    # The factors carry across timepoints: most timepoints factorise
+    # nothing.
+    assert stats.factorizations < stats.timesteps
 
 
 def test_singular_retry_assembles_before_it_refactorises(monkeypatch):
@@ -217,3 +229,129 @@ def test_batch_assembles_only_for_refreshing_samples(monkeypatch):
     assert min(listed) >= 1
     assert sum(listed) == sum(r.stats.factorizations for r in results)
     assert sum(r.stats.reuses for r in results) > 0
+
+
+# ---------------------------------------------------------------------------
+# LU factors carry across timepoints only from a converged solve
+# ---------------------------------------------------------------------------
+
+
+SOLVE = dict(max_iterations=150, vtol=1e-7, damping=0.4)
+
+
+class _Steps:
+    """A scalar solver stepped by hand on the fixed grid, recording
+    whether each solve factorised on its first iteration."""
+
+    def __init__(self, cls, monkeypatch):
+        self.workspace = MNAWorkspace(grouped_array_circuit(), dt=DT)
+        self.solver = cls(self.workspace)
+        self.factorised_at = []
+        original = cls._factorize
+
+        def recorded(solver):
+            self.factorised_at.append(solver.stats.iterations)
+            return original(solver)
+
+        monkeypatch.setattr(cls, "_factorize", recorded)
+        self.x = np.zeros(self.workspace.size)
+        self.step = 0
+
+    def advance(self, gmin=FLOOR_GMIN):
+        """Solve the next timepoint; whether its first iteration
+        factorised."""
+        self.step += 1
+        first = self.solver.stats.iterations + 1
+        x = self.solver.solve(self.x, self.step * DT,
+                              self.x[: self.workspace.num_nodes].copy(),
+                              gmin, **SOLVE)
+        self.workspace.update_state(x)
+        self.x = x
+        return first in self.factorised_at
+
+    def advance_to_young_factors(self, gmin=FLOOR_GMIN):
+        """Step until the carried factors would still serve two more
+        iterations, so that a refactorisation on the next first
+        iteration is not the age rule's."""
+        for _ in range(50):
+            self.advance(gmin)
+            if self.solver._carried[1] + 2 < JACOBIAN_MAX_AGE:
+                return
+        raise AssertionError("the factors never stayed young")
+
+
+@pytest.mark.parametrize("cls", [FastNewtonSolver, SparseNewtonSolver],
+                         ids=["fast", "sparse"])
+def test_converged_solve_carries_its_factors(cls, monkeypatch):
+    steps = _Steps(cls, monkeypatch)
+    assert steps.advance()  # a new solver holds no factors
+    steps.advance_to_young_factors()
+    assert not steps.advance()
+
+
+@pytest.mark.parametrize("cls", [FastNewtonSolver, SparseNewtonSolver],
+                         ids=["fast", "sparse"])
+def test_failed_solve_leaves_no_factors(cls, monkeypatch):
+    steps = _Steps(cls, monkeypatch)
+    steps.advance_to_young_factors()
+    # One iteration from a far-off start: a reuse iteration, then raise.
+    factorised = len(steps.factorised_at)
+    with pytest.raises(ConvergenceError):
+        steps.solver.solve(steps.x + 0.3, (steps.step + 1) * DT,
+                           steps.x[: steps.workspace.num_nodes].copy(),
+                           FLOOR_GMIN, 1, SOLVE["vtol"], SOLVE["damping"])
+    assert len(steps.factorised_at) == factorised
+    assert steps.advance()
+
+
+@pytest.mark.parametrize("cls", [FastNewtonSolver, SparseNewtonSolver],
+                         ids=["fast", "sparse"])
+def test_solve_at_another_gmin_refactorises(cls, monkeypatch):
+    steps = _Steps(cls, monkeypatch)
+    steps.advance_to_young_factors()
+    assert steps.advance(gmin=1e-9)
+    steps.advance_to_young_factors(gmin=1e-9)
+    assert steps.advance()
+
+
+def test_batch_carries_factors_per_sample_at_one_gmin(monkeypatch):
+    # The batch keeps each sample's factors and their age under the same
+    # rule: a solve at the gmin of the last one starts on the young
+    # factors, a solve at another gmin refactorises every sample first.
+    workspace = EnsembleWorkspace(_sample_circuits(3), DT)
+    solver = EnsembleNewtonSolver(workspace)
+    calls = []
+    original = EnsembleNewtonSolver._factorize
+
+    def recorded(self, samples):
+        calls.append((samples.tolist(), self.iterations.copy()))
+        return original(self, samples)
+
+    monkeypatch.setattr(EnsembleNewtonSolver, "_factorize", recorded)
+    x = np.zeros(workspace.rhs.shape)
+
+    def first_iteration_factorises(step, gmin=FLOOR_GMIN):
+        """Which samples factorise on the solve's first iteration."""
+        nonlocal x
+        del calls[:]
+        first = solver.iterations + 1
+        x = solver.solve(x, step * DT, x.copy(), gmin, **SOLVE)
+        workspace.update_state(x)
+        assert not solver.failed.any()
+        return next((samples for samples, at in calls
+                     if (at[samples] == first[samples]).all()), [])
+
+    assert first_iteration_factorises(1) == [0, 1, 2]
+    step = 1
+    for gmin in (FLOOR_GMIN, 1e-9):
+        while not (solver._age + 2 < JACOBIAN_MAX_AGE).any():
+            step += 1
+            assert step < 50, "the factors never stayed young"
+            first_iteration_factorises(step)
+        young = np.flatnonzero(solver._age + 2 < JACOBIAN_MAX_AGE).tolist()
+        step += 1
+        factorised = first_iteration_factorises(step, gmin)
+        if gmin == FLOOR_GMIN:
+            assert not set(young) & set(factorised)
+        else:
+            assert factorised == [0, 1, 2]

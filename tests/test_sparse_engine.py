@@ -859,33 +859,28 @@ class TestJacobianRefreshRule:
     @staticmethod
     def _cases():
         inf = float("inf")
-        for iteration in range(1, 2 * JACOBIAN_MAX_AGE + 2):
-            for last_factor in range(iteration):
+        for no_factors in (False, True):
+            for age in range(1, 2 * JACOBIAN_MAX_AGE + 2):
                 for max_dv, prev_max_dv in ((inf, inf), (0.3, inf),
                                             (0.2, 0.3), (0.2, 0.4),
                                             (0.2, 0.5), (1e-7, 1e-6),
                                             (0.0, 0.0)):
-                    yield iteration, last_factor, max_dv, prev_max_dv
+                    yield no_factors, age, max_dv, prev_max_dv
 
     def test_scalar_matches_the_fast_engine_rule(self):
-        for iteration, last_factor, max_dv, prev_max_dv in self._cases():
-            stale = iteration - last_factor
-            expected = (iteration == 1 or stale >= JACOBIAN_MAX_AGE
-                        or (stale >= 1 and max_dv > 0.5 * prev_max_dv))
-            decision = jacobian_refresh(iteration, last_factor, max_dv,
+        for no_factors, age, max_dv, prev_max_dv in self._cases():
+            expected = (no_factors or age >= JACOBIAN_MAX_AGE
+                        or max_dv > 0.5 * prev_max_dv)
+            decision = jacobian_refresh(no_factors, age, max_dv,
                                         prev_max_dv)
             assert isinstance(decision, bool)
             assert decision == expected
 
     def test_per_sample_arrays_decide_like_scalars(self):
         cases = list(self._cases())
-        for iteration in {case[0] for case in cases}:
-            rows = [case for case in cases if case[0] == iteration]
-            last_factor = np.array([row[1] for row in rows], dtype=np.intp)
-            max_dv = np.array([row[2] for row in rows])
-            prev_max_dv = np.array([row[3] for row in rows])
-            mask = jacobian_refresh(iteration, last_factor, max_dv,
-                                    prev_max_dv)
-            assert mask.dtype == bool
-            assert mask.tolist() == [
-                jacobian_refresh(*row) for row in rows]
+        no_factors, age, max_dv, prev_max_dv = (
+            np.array(column) for column in zip(*cases))
+        assert no_factors.dtype == bool and age.dtype.kind == "i"
+        mask = jacobian_refresh(no_factors, age, max_dv, prev_max_dv)
+        assert mask.dtype == bool
+        assert mask.tolist() == [jacobian_refresh(*case) for case in cases]
