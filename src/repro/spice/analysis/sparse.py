@@ -376,12 +376,12 @@ class SparseNewtonSolver:
 
     Runs the fast engine's Newton loop
     (:func:`~repro.spice.analysis.engine.modified_newton`) — damping,
-    convergence test, Jacobian staleness policy — so the two engines
-    agree to solver tolerance; only its steps differ: CSC assembly
-    (pure, or dense then gathered), SuperLU factors through
-    :meth:`SparsePattern.factorize` and their solves instead of dense
-    getrf/getrs, and ``G·x`` of the reuse residual on the CSC static
-    matrix.
+    convergence test, Jacobian staleness policy, factors carried across
+    timepoints — so the two engines agree to solver tolerance; only its
+    steps differ: CSC assembly (pure, or dense then gathered), SuperLU
+    factors through :meth:`SparsePattern.factorize` and their solves
+    instead of dense getrf/getrs, and ``G·x`` of the reuse residual on
+    the CSC static matrix.
     """
 
     def __init__(self, workspace: MNAWorkspace,
