@@ -15,7 +15,7 @@ A :class:`Session` binds, once:
 
 * ``cache`` — a result-cache directory (:mod:`repro.cache`); analyses
   run inside the session hit the persistent store automatically.
-* ``engine`` — the solver engine (``"fast"``/``"naive"``/``"sparse"``),
+* ``engine`` — the solver engine (``"fast"``/``"sparse"``),
   applied via
   :func:`~repro.spice.analysis.transient.set_default_engine` so it
   reaches every transient without threading ``engine=`` through five

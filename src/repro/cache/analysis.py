@@ -26,11 +26,11 @@ acceptance gate can be asserted without a tracing session.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import CacheError
+from repro.errors import AnalysisError, CacheError
 from repro.obs import span as _obs_span
 from repro.cache.keys import (
     dc_request,
@@ -264,8 +264,31 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
 
     Returns ``{"key", "kind", "ok", "detail"}``.  The recompute runs
     under :func:`bypassed` so it can neither hit the entry being checked
-    nor overwrite it.
+    nor overwrite it.  An entry whose request this version rejects (an
+    engine or a recovery-policy field that no longer exists) is not ok,
+    with the rejection as its detail.
     """
+    def verdict(ok: bool, detail: str) -> Dict[str, Any]:
+        return {"key": entry.key, "kind": entry.kind, "ok": ok,
+                "detail": detail}
+
+    try:
+        checks = _replay(entry)
+    except AnalysisError as exc:
+        return verdict(False, f"cannot replay: {exc}")
+    for label, recomputed, stored_blob in checks:
+        recomputed_bytes = np.ascontiguousarray(
+            np.asarray(recomputed, dtype=np.float64)).tobytes()
+        stored_bytes = np.ascontiguousarray(
+            _decode_array(stored_blob)).tobytes()
+        if recomputed_bytes != stored_bytes:
+            return verdict(False, f"{label} differs from stored bits")
+    return verdict(True, "recompute is bit-identical")
+
+
+def _replay(entry: CacheEntry) -> List[Tuple[str, Any, Dict[str, Any]]]:
+    """Recompute an entry from its request record; returns ``(label,
+    recomputed array, stored blob)`` triples to compare."""
     from repro.recovery.policy import RecoveryPolicy
     from repro.spice.analysis.dc import solve_dc
     from repro.spice.analysis.transient import run_transient
@@ -275,9 +298,6 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
     raw_policy = request.get("recovery")
     policy = (RecoveryPolicy.from_fingerprint(raw_policy)
               if raw_policy is not None else None)
-
-    def bits(blob: Dict[str, Any]) -> bytes:
-        return np.ascontiguousarray(_decode_array(blob)).tobytes()
 
     with bypassed():
         if entry.kind == "transient":
@@ -297,15 +317,15 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
                 lte_tol=adaptive_cfg.get("lte_tol"),
                 max_dt_factor=adaptive_cfg.get("max_dt_factor"),
                 recovery=policy)
-            checks = [
+            return [
                 ("times", result.times, entry.result["times"]),
                 ("node_voltages", result.node_voltages,
                  entry.result["node_voltages"]),
                 ("branch_currents", result.branch_currents,
                  entry.result["branch_currents"]),
             ]
-        elif entry.kind == "dc":
-            result = solve_dc(
+        if entry.kind == "dc":
+            dc = solve_dc(
                 circuit, time=request["time"],
                 initial_guess=(dict(request["initial_guess"])
                                if request["initial_guess"] is not None
@@ -313,19 +333,9 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
                 max_iterations=request["max_iterations"],
                 vtol=request["vtol"], damping=request["damping"], lint="off",
                 recovery=policy)
-            checks = [
-                ("voltages", result.voltages, entry.result["voltages"]),
-                ("branch_currents", result.branch_currents,
+            return [
+                ("voltages", dc.voltages, entry.result["voltages"]),
+                ("branch_currents", dc.branch_currents,
                  entry.result["branch_currents"]),
             ]
-        else:
-            raise CacheError(f"cannot verify entry of kind {entry.kind!r}")
-
-    for label, recomputed, stored_blob in checks:
-        recomputed_bytes = np.ascontiguousarray(
-            np.asarray(recomputed, dtype=np.float64)).tobytes()
-        if recomputed_bytes != bits(stored_blob):
-            return {"key": entry.key, "kind": entry.kind, "ok": False,
-                    "detail": f"{label} differs from stored bits"}
-    return {"key": entry.key, "kind": entry.kind, "ok": True,
-            "detail": "recompute is bit-identical"}
+    raise CacheError(f"cannot verify entry of kind {entry.kind!r}")

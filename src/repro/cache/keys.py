@@ -9,9 +9,8 @@ everything the analysis result depends on:
   the MTJ's *initial* magnetisation state and switching-model charge);
 * the analysis options (stop time, timestep, integrator, tolerances,
   initial conditions / DC seed);
-* the engine configuration (selected engine plus the fast-engine
-  constants and whether the LAPACK LU path is available — a scipy-less
-  host must not share entries with a scipy host);
+* the engine configuration (selected engine plus the fast- and
+  sparse-engine constants);
 * a code-version salt (:data:`CACHE_SALT`), so upgrading the package
   invalidates every prior entry at once.
 

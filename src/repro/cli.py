@@ -375,7 +375,7 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     # action == "smoke"
     from repro.recovery.smoke import render_smoke_report, run_smoke
 
-    print(f"Running the recovery corpus on all engines "
+    print(f"Running the recovery corpus on the fast and sparse engines "
           f"(artifacts -> {args.out})...", file=sys.stderr)
     report = run_smoke(args.out)
     print(render_smoke_report(report))
@@ -472,7 +472,9 @@ def _add_flow_options(parser: argparse.ArgumentParser,
     """The unified per-flow options — every subcommand that runs a flow
     accepts the same ``--engine`` / ``--workers`` / ``--backend`` spelling
     (the canonical vocabulary of :mod:`repro.flow_params`)."""
-    parser.add_argument("--engine", choices=["naive", "fast", "sparse"],
+    from repro.flow_params import ENGINES
+
+    parser.add_argument("--engine", choices=ENGINES,
                         help="solver engine for this run "
                              "(default: session default)")
     if workers:
@@ -633,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("action", choices=["explain", "smoke"],
                     help="'explain' prints the recovery ladder, policy "
                          "fingerprint fields and the pathological corpus; "
-                         "'smoke' runs the corpus on all engines and writes "
-                         "metrics + forensics artifacts")
+                         "'smoke' runs the corpus on the fast and sparse "
+                         "engines and writes metrics + forensics artifacts")
     pr.add_argument("--out", default="recovery-smoke", metavar="DIR",
                     help="artifact directory for 'smoke' "
                          "(default: recovery-smoke)")

@@ -32,7 +32,7 @@ from repro.devlint.registry import rule
 #: name ends in one of these, made from inside a ConvergenceError
 #: handler, is an inline retry.
 _SOLVER_CALL_TAILS = {
-    "solve", "_newton", "newton_step", "solve_dc", "run_transient",
+    "solve", "_newton", "solve_dc", "run_transient",
     "run_ensemble_transient", "modified_newton",
 }
 

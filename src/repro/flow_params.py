@@ -5,7 +5,7 @@ and the CLI subcommands — accepts the *same* canonical keyword
 arguments, declared here once per flow:
 
 * ``backend=`` — the NV storage technology (:mod:`repro.nv`);
-* ``engine=`` — the solver engine (``"naive"``/``"fast"``/``"sparse"``);
+* ``engine=`` — the solver engine, one of :data:`ENGINES`;
 * ``design=`` — the latch design (``"standard"``/``"proposed"``);
 * plus the flow's own knobs (``corners=``, ``benchmarks=``,
   ``samples=``, ...).
@@ -21,9 +21,16 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.errors import AnalysisError, suggest_names
 
 __all__ = [
+    "ENGINES",
     "FLOW_PARAMS",
     "validate_flow_params",
 ]
+
+#: The solver engines ``engine=`` accepts (checked by
+#: :func:`~repro.spice.analysis.transient.run_transient`).  Declared in
+#: this dependency-free module so the CLI parser can list them without
+#: importing the solver.
+ENGINES = ("fast", "sparse")
 
 #: Canonical parameter names per flow (the Python-level surface:
 #: ``Session.table2(**params)`` etc.).  ``workers`` is accepted

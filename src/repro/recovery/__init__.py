@@ -19,7 +19,6 @@ from repro.recovery.policy import (
     DEFAULT_POLICY,
     KNOWN_RUNGS,
     RUNG_DAMPING,
-    RUNG_ENGINE_FALLBACK,
     RUNG_GMIN,
     RUNG_INTEGRATOR_SWITCH,
     RUNG_TIMESTEP_CUT,
@@ -34,7 +33,6 @@ __all__ = [
     "ForensicsBundle",
     "KNOWN_RUNGS",
     "RUNG_DAMPING",
-    "RUNG_ENGINE_FALLBACK",
     "RUNG_GMIN",
     "RUNG_INTEGRATOR_SWITCH",
     "RUNG_TIMESTEP_CUT",

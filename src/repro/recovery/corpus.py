@@ -6,8 +6,8 @@ it is pathological, tuned so that:
 * with recovery disabled the run hard-fails
   (:class:`~repro.errors.ConvergenceError`) on every engine, and
 * with the entry's policy the ladder rescues it deterministically —
-  the same rungs fire the same number of times on naive, fast and
-  sparse, and the recovered waveforms agree across engines;
+  the same rungs fire the same number of times on fast and sparse,
+  and the recovered waveforms agree across the two engines;
 
 except for the entries marked otherwise (``near-singular-divider``
 completes healthily but trips condition warnings;
@@ -142,7 +142,7 @@ class CorpusEntry:
             "recovery": self.policy if recovery is None else recovery,
         }
 
-    def run(self, engine: str = "naive",
+    def run(self, engine: str = "fast",
             recovery: Optional[RecoveryPolicy] = None):
         """Run the entry under ``engine``; returns the
         :class:`~repro.spice.analysis.transient.TransientResult`."""

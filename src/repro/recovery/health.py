@@ -216,8 +216,7 @@ class ConditionProbe:
     and the sparse mirror) call :meth:`after_factorization` from inside
     ``_factorize`` with closures over the fresh LU; the probe decides —
     purely from its own deterministic counter — whether this
-    factorisation gets estimated.  ``estimate_dense`` is the naive-path
-    variant for solvers that do not keep a factorisation around.
+    factorisation gets estimated.
     """
 
     def __init__(self, health: SolverHealth,
@@ -242,26 +241,6 @@ class ConditionProbe:
         if not self._due():
             return
         kappa = norm1() * hager_inverse_norm1(solve, solve_t, n)
-        self._record(kappa)
-
-    def estimate_dense(self, matrix: np.ndarray) -> None:
-        """Probe a dense system directly (naive engine: no retained LU,
-        so the O(n³) explicit estimate is fine — it replaces one of the
-        dense solves the naive path performs anyway)."""
-        if not self._due():
-            return
-        n = matrix.shape[0]
-        if n == 0:
-            return
-        try:
-            kappa = float(np.linalg.cond(matrix, 1))
-        except np.linalg.LinAlgError:
-            kappa = CONDITION_CAP
-        if not np.isfinite(kappa):
-            kappa = CONDITION_CAP
-        self._record(kappa)
-
-    def _record(self, kappa: float) -> None:
         warned = self.health.note_condition(kappa, self.warn_threshold)
         if warned:
             from repro.obs import is_active as _obs_active

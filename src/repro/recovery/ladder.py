@@ -1,7 +1,7 @@
 """The recovery ladder: deterministic escalation for failed solves.
 
 One :class:`TransientStepper` owns per-step advancement for every
-fast/sparse/naive transient run, fixed-step or adaptive.  The happy
+fast or sparse transient run, fixed-step or adaptive.  The happy
 path is exactly the pre-ladder hot loop — one solver call, one state
 settle — and every escalation is a pure function of (policy, failing
 step), so recovered waveforms are bit-identical for any worker count
@@ -17,10 +17,9 @@ step:
 * ``timestep-cut``      — re-cover the failing interval with 2^k
   substeps (the step re-doubles back onto the output grid by
   construction);
-* ``integrator-switch`` — trap→BE for the offending step only;
-* ``engine-fallback``   — sparse→fast→naive, never upward.
+* ``integrator-switch`` — trap→BE for the offending step only.
 
-Cross-workspace rungs (cut / switch / fallback) move capacitor state
+Cross-workspace rungs (cut / switch) move capacitor state
 through the devices themselves (``MNAWorkspace.flush_state`` /
 ``reload_state``) and snapshot all mutable device state first, so a
 failed rung leaves no trace and a successful one leaves the primary
@@ -39,13 +38,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
 from repro.recovery.health import ConditionProbe, SolverHealth, guard_finite
 from repro.recovery.policy import (
     DEFAULT_POLICY,
     RUNG_DAMPING,
-    RUNG_ENGINE_FALLBACK,
     RUNG_GMIN,
     RUNG_INTEGRATOR_SWITCH,
     RUNG_TIMESTEP_CUT,
@@ -116,13 +114,13 @@ def restore_device_state(snapshot: List[Tuple[Any, str, Any]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Engine attempts: one uniform solve/settle interface per (engine, dt,
-# integrator) triple
+# Attempts: one workspace and Newton solver per (dt, integrator) pair
 # ---------------------------------------------------------------------------
 
 
 class _WorkspaceAttempt:
-    """Fast/sparse attempt: a dedicated workspace + Newton solver."""
+    """One attempt of the run's engine: a dedicated workspace + Newton
+    solver."""
 
     def __init__(self, circuit: Circuit, engine: str, dt: float,
                  integrator: str, stats, probe: Optional[ConditionProbe]):
@@ -146,8 +144,7 @@ class _WorkspaceAttempt:
         return self.solver.solve(x, time, prev_nodes, gmin, max_iterations,
                                  vtol, damping)
 
-    def settle(self, x: np.ndarray, time: float,
-               prev_nodes: np.ndarray) -> None:
+    def settle(self, x: np.ndarray) -> None:
         self.workspace.update_state(x)
 
     def flush(self) -> None:
@@ -155,48 +152,6 @@ class _WorkspaceAttempt:
 
     def reload(self) -> None:
         self.workspace.reload_state()
-
-
-class _NaiveAttempt:
-    """Re-stamp-everything attempt; device state lives on the devices
-    themselves, so flush/reload are no-ops."""
-
-    def __init__(self, circuit: Circuit, engine: str, dt: float,
-                 integrator: str, stats, probe: Optional[ConditionProbe]):
-        circuit.finalize()
-        self.circuit = circuit
-        self.dt = dt
-        self.integrator = integrator
-        self.stats = stats
-        self.probe = probe
-        self.num_nodes = circuit.num_nodes
-
-    def solve(self, x: np.ndarray, time: float, prev_nodes: np.ndarray,
-              gmin: float, max_iterations: int, vtol: float,
-              damping: float) -> np.ndarray:
-        from repro.spice.analysis.dc import newton_step
-
-        return newton_step(
-            self.circuit, x, time, prev_nodes, self.dt,
-            integrator=self.integrator, max_iterations=max_iterations,
-            vtol=vtol, damping=damping, gmin=gmin, stats=self.stats,
-            probe=self.probe,
-        )
-
-    def settle(self, x: np.ndarray, time: float,
-               prev_nodes: np.ndarray) -> None:
-        ctx = EvalContext(
-            voltages=x[:self.num_nodes], prev_voltages=prev_nodes,
-            time=time, dt=self.dt, integrator=self.integrator,
-        )
-        for device in self.circuit.devices:
-            device.update_state(ctx)
-
-    def flush(self) -> None:
-        pass
-
-    def reload(self) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +167,13 @@ class TransientStepper:
     solver or a recovery rung.  ``control`` is the run's step control:
     it may reject a solved step before it settles, and cut dt after a
     failed solve before the step climbs the ladder.  Attempts are built
-    lazily, one per (engine, dt, integrator).
+    lazily, one per (dt, integrator).
     """
 
     def __init__(self, circuit: Circuit, engine: str, dt: float,
                  integrator: str, max_iterations: int, vtol: float,
                  damping: float, stats, floor_gmin: float, control,
                  policy: Optional[RecoveryPolicy] = None):
-        if engine not in ("fast", "naive", "sparse"):
-            raise AnalysisError(f"unknown engine {engine!r}")
         self.circuit = circuit
         self.engine = engine
         self.dt = dt
@@ -234,17 +187,17 @@ class TransientStepper:
         self.policy = DEFAULT_POLICY if policy is None else policy
         self.health = SolverHealth()
         self.probe = ConditionProbe(self.health, self.policy)
-        self._attempts: Dict[Tuple[str, float, str], Any] = {}
-        self._attempt(engine, dt, integrator)
+        self._attempts: Dict[Tuple[float, str], _WorkspaceAttempt] = {}
+        self._attempt(dt, integrator)
         self.num_nodes = circuit.num_nodes
 
-    def _attempt(self, engine: str, dt: float, integrator: str):
-        key = (engine, dt, integrator)
+    def _attempt(self, dt: float, integrator: str) -> _WorkspaceAttempt:
+        key = (dt, integrator)
         attempt = self._attempts.get(key)
         if attempt is None:
-            kind = _NaiveAttempt if engine == "naive" else _WorkspaceAttempt
-            attempt = self._attempts[key] = kind(
-                self.circuit, engine, dt, integrator, self.stats, self.probe)
+            attempt = self._attempts[key] = _WorkspaceAttempt(
+                self.circuit, self.engine, dt, integrator, self.stats,
+                self.probe)
         return attempt
 
     # -- public driver interface ------------------------------------------
@@ -255,7 +208,7 @@ class TransientStepper:
         escalates through the ladder on failure.  Returns the accepted
         solution, or ``None`` when the step control rejected the step
         or cut its dt (nothing settled; the caller proposes again)."""
-        primary = self._attempt(self.engine, dt, self.integrator)
+        primary = self._attempt(dt, self.integrator)
         try:
             x_new = primary.solve(x, time, prev_nodes, self.floor_gmin,
                                   self.max_iterations, self.vtol,
@@ -271,7 +224,7 @@ class TransientStepper:
         if not self.control.accept(x_new):
             self.stats.lte_rejects += 1
             return None
-        primary.settle(x_new, time, prev_nodes)
+        primary.settle(x_new)
         return x_new
 
     # -- rung machinery ----------------------------------------------------
@@ -327,20 +280,13 @@ class TransientStepper:
                 pieces = 2 ** cuts
                 yield (f"dt/{pieces}",
                        lambda p=pieces: self._alternate_attempt(
-                           primary, self.engine, self.integrator, dt, p,
-                           x0, time, prev_nodes))
+                           primary, self.integrator, dt, p, x0, time,
+                           prev_nodes))
         elif rung == RUNG_INTEGRATOR_SWITCH:
             if self.integrator == "trap":
                 yield ("trap->be",
                        lambda: self._alternate_attempt(
-                           primary, self.engine, "be", dt, 1, x0, time,
-                           prev_nodes))
-        elif rung == RUNG_ENGINE_FALLBACK:
-            for engine in policy.fallback_engines(self.engine):
-                yield (f"engine={engine}",
-                       lambda e=engine: self._alternate_attempt(
-                           primary, e, self.integrator, dt, 1, x0, time,
-                           prev_nodes))
+                           primary, "be", dt, 1, x0, time, prev_nodes))
 
     def _primary_attempt(self, primary, x0: np.ndarray, time: float,
                          prev_nodes: np.ndarray, gmin: float,
@@ -351,17 +297,17 @@ class TransientStepper:
             self.max_iterations if max_iterations is None else max_iterations,
             self.vtol, self.damping if damping is None else damping)
         guard_finite(x, f"engine={self.engine} t={time:g} s", self.health)
-        primary.settle(x, time, prev_nodes)
+        primary.settle(x)
         return x
 
-    def _alternate_attempt(self, primary, engine: str, integrator: str,
-                           dt: float, pieces: int, x0: np.ndarray,
-                           time: float, prev_nodes: np.ndarray) -> np.ndarray:
+    def _alternate_attempt(self, primary, integrator: str, dt: float,
+                           pieces: int, x0: np.ndarray, time: float,
+                           prev_nodes: np.ndarray) -> np.ndarray:
         """Re-cover [time − dt, time] with ``pieces`` substeps on an
-        alternate (engine, dt/pieces, integrator) attempt, committing
-        device state only if the whole interval succeeds."""
+        alternate (dt/pieces, integrator) attempt, committing device
+        state only if the whole interval succeeds."""
         sub_dt = dt / pieces
-        attempt = self._attempt(engine, sub_dt, integrator)
+        attempt = self._attempt(sub_dt, integrator)
         primary.flush()
         snapshot = snapshot_device_state(self.circuit)
         try:
@@ -373,7 +319,7 @@ class TransientStepper:
                 # Land the last substep exactly on the grid point.
                 t_k = time if k == pieces else t_start + k * sub_dt
                 x = self._solve_with_gmins(attempt, x, t_k, prev)
-                attempt.settle(x, t_k, prev)
+                attempt.settle(x)
                 prev = x[:self.num_nodes].copy()
             attempt.flush()
             primary.reload()
@@ -386,13 +332,11 @@ class TransientStepper:
     def _solve_with_gmins(self, attempt, x: np.ndarray, time: float,
                           prev: np.ndarray) -> np.ndarray:
         """One substep solve, with the policy gmin ladder folded in so
-        the cut/switch/fallback rungs compose with gmin stepping.
+        the cut/switch rungs compose with gmin stepping.
 
-        Alternate attempts run with the scaled iteration budget (as the
-        damping rung does): a fallback engine may need more iterations
-        than the primary for the same step — the fast engine's Jacobian
-        reuse, for instance, trades per-iteration progress for speed —
-        and a recovery attempt should not fail on that margin.
+        Alternate attempts run with the scaled iteration budget, as the
+        damping rung does: a step that failed once gets the larger budget
+        on every rung that retries it.
         """
         iterations = self.max_iterations * self.policy.iteration_scale
         last: Optional[ConvergenceError] = None

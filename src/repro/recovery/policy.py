@@ -27,18 +27,17 @@ RUNG_GMIN = "gmin"
 RUNG_DAMPING = "damping"
 RUNG_TIMESTEP_CUT = "timestep-cut"
 RUNG_INTEGRATOR_SWITCH = "integrator-switch"
-RUNG_ENGINE_FALLBACK = "engine-fallback"
 
 #: All rung names the ladder implements (validation set).
 KNOWN_RUNGS = (RUNG_GMIN, RUNG_DAMPING, RUNG_TIMESTEP_CUT,
-               RUNG_INTEGRATOR_SWITCH, RUNG_ENGINE_FALLBACK)
+               RUNG_INTEGRATOR_SWITCH)
 
 #: Default escalation order.  ``gmin`` stays first so that circuits the
 #: legacy single hard-coded retry (transient.py's old ``1e-9``) used to
 #: rescue keep producing bit-identical waveforms under the default
 #: policy.
 DEFAULT_RUNGS = (RUNG_GMIN, RUNG_DAMPING, RUNG_TIMESTEP_CUT,
-                 RUNG_INTEGRATOR_SWITCH, RUNG_ENGINE_FALLBACK)
+                 RUNG_INTEGRATOR_SWITCH)
 
 #: gmin values tried by the ``gmin`` rung (strong to weak); the first
 #: entry reproduces the historical hard-coded strong-gmin retry.
@@ -55,10 +54,6 @@ DEFAULT_ITERATION_SCALE = 2
 #: interval is re-covered with 2^k substeps, i.e. the step re-doubles
 #: back to the grid by construction).
 DEFAULT_MAX_TIMESTEP_CUTS = 3
-
-#: ``engine-fallback`` rung: escalation order; the ladder falls from
-#: the current engine toward the end of this tuple, never backwards.
-DEFAULT_ENGINE_ORDER = ("sparse", "fast", "naive")
 
 #: Estimate the 1-norm condition number on every Nth new LU
 #: factorisation (0 disables).  Interval-gated so the Hager probe stays
@@ -103,7 +98,6 @@ class RecoveryPolicy:
     damping_scale: float = DEFAULT_DAMPING_SCALE
     iteration_scale: int = DEFAULT_ITERATION_SCALE
     max_timestep_cuts: int = DEFAULT_MAX_TIMESTEP_CUTS
-    engine_order: Tuple[str, ...] = DEFAULT_ENGINE_ORDER
     condition_interval: int = DEFAULT_CONDITION_INTERVAL
     condition_warn: float = DEFAULT_CONDITION_WARN
     dc_gmin_start: float = DEFAULT_DC_GMIN_START
@@ -156,14 +150,6 @@ class RecoveryPolicy:
             kwargs[name] = tuple(value) if isinstance(value, list) else value
         return cls(**kwargs)
 
-    def fallback_engines(self, engine: str) -> Tuple[str, ...]:
-        """Engines the ``engine-fallback`` rung may try after ``engine``
-        (strictly later in :attr:`engine_order`; never falls upward)."""
-        order = list(self.engine_order)
-        if engine in order:
-            return tuple(order[order.index(engine) + 1:])
-        return tuple(order)
-
 
 #: Shared default: the policy every analysis uses unless the caller
 #: passes its own.
@@ -179,7 +165,7 @@ def recovery_config_fingerprint() -> Dict[str, Any]:
     return {
         "known_rungs": list(KNOWN_RUNGS),
         "rung_names": [RUNG_GMIN, RUNG_DAMPING, RUNG_TIMESTEP_CUT,
-                       RUNG_INTEGRATOR_SWITCH, RUNG_ENGINE_FALLBACK],
+                       RUNG_INTEGRATOR_SWITCH],
         "defaults": DEFAULT_POLICY.fingerprint(),
         "default_fields": {
             "rungs": list(DEFAULT_RUNGS),
@@ -187,7 +173,6 @@ def recovery_config_fingerprint() -> Dict[str, Any]:
             "damping_scale": DEFAULT_DAMPING_SCALE,
             "iteration_scale": DEFAULT_ITERATION_SCALE,
             "max_timestep_cuts": DEFAULT_MAX_TIMESTEP_CUTS,
-            "engine_order": list(DEFAULT_ENGINE_ORDER),
             "condition_interval": DEFAULT_CONDITION_INTERVAL,
             "condition_warn": DEFAULT_CONDITION_WARN,
             "dc_gmin_start": DEFAULT_DC_GMIN_START,

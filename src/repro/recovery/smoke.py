@@ -1,10 +1,10 @@
 """The ``repro recovery smoke`` flow: corpus under the ladder, on CI.
 
-Runs every pathological corpus entry on all three engines, twice each
-(recovery off → must hard-fail, recovery on → must complete or, for
-the exhaustion entry, fail *with* a forensics bundle), checks that the
-expected rungs fired and that recovered waveforms agree across engines
-within :data:`WAVEFORM_TOL`, then writes:
+Runs every pathological corpus entry on the fast and sparse engines,
+twice each (recovery off → must hard-fail, recovery on → must complete
+or, for the exhaustion entry, fail *with* a forensics bundle), checks
+that the expected rungs fired and that recovered waveforms agree across
+the engines within :data:`WAVEFORM_TOL`, then writes:
 
 * ``<out>/recovery_metrics.json`` — the observability counter dump,
   including the ``recovery.*`` ladder counters;
@@ -29,11 +29,10 @@ import numpy as np
 from repro.errors import ConvergenceError
 from repro.recovery.corpus import CorpusEntry, corpus_entries
 from repro.recovery.policy import RecoveryPolicy
+from repro.spice.analysis.transient import ENGINES
 
 #: Cross-engine agreement bound for recovered waveforms [V].
 WAVEFORM_TOL = 1e-6
-
-ENGINES = ("naive", "fast", "sparse")
 
 
 def _run_entry(entry: CorpusEntry, engine: str,

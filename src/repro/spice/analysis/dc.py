@@ -86,7 +86,6 @@ def _newton(
     integrator: str = "be",
     deadline: Optional[float] = None,
     source_scale: float = 1.0,
-    probe=None,
 ) -> tuple:
     """One Newton solve; returns ``(x, iterations)`` or raises.
 
@@ -97,9 +96,10 @@ def _newton(
     through every remaining iteration and gmin stage.
 
     ``source_scale`` scales every independent source (the recovery
-    ladder's source-stepping homotopy); ``probe`` is an optional
-    :class:`~repro.recovery.health.ConditionProbe` sampling the stamped
-    system's conditioning.
+    ladder's source-stepping homotopy).  ``prev_voltages``/``dt``/
+    ``integrator`` make it a transient timepoint solve with capacitor
+    companions: the full-restamp reference transient the engines are
+    tested against drives it that way.
     """
     num_nodes = circuit.num_nodes
     x = x0.copy()
@@ -130,8 +130,6 @@ def _newton(
                 f"singular MNA matrix at gmin={gmin:g} (iteration {iteration})",
                 iterations=iteration,
             ) from exc
-        if probe is not None:
-            probe.estimate_dense(stamper.matrix)
 
         delta = x_new - x
         dv = delta[:num_nodes]
@@ -151,37 +149,6 @@ def _newton(
         residual=max_dv,
         state=x.copy(),
     )
-
-
-def newton_step(
-    circuit: Circuit,
-    x0: np.ndarray,
-    time: float,
-    prev_voltages: np.ndarray,
-    dt: float,
-    integrator: str = "be",
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    vtol: float = DEFAULT_VTOL,
-    damping: float = DEFAULT_DAMPING,
-    gmin: float = FLOOR_GMIN,
-    stats=None,
-    probe=None,
-) -> np.ndarray:
-    """Newton solve for one transient timepoint (used by the transient
-    driver).  ``stats`` — optional
-    :class:`~repro.spice.analysis.engine.SolverStats` accumulating the
-    naive engine's iteration counts for observability; ``probe`` — an
-    optional :class:`~repro.recovery.health.ConditionProbe`."""
-    x, iterations = _newton(
-        circuit, x0, time, gmin, max_iterations, vtol, damping,
-        prev_voltages=prev_voltages, dt=dt, integrator=integrator,
-        probe=probe,
-    )
-    if stats is not None:
-        stats.iterations += iterations
-        stats.solves += 1
-        stats.factorizations += iterations  # one dense solve per iteration
-    return x
 
 
 def solve_dc(

@@ -1,6 +1,6 @@
 """Fast-path simulation engine: cached MNA assembly + Jacobian reuse.
 
-The naive transient path re-allocates a dense MNA system and re-stamps
+A full-restamp Newton re-allocates a dense MNA system and re-stamps
 *every* device on *every* Newton iteration.  For the latch circuits the
 device population is dominated by linear elements (resistors, the
 capacitors' companion conductances, source incidence rows) whose matrix
@@ -26,13 +26,14 @@ need re-linearisation.  This module exploits that:
   its dense assembly, factorisation (LAPACK getrf) and update (getrs)
   steps;
   :func:`~repro.spice.analysis.transient.run_transient` selects it with
-  ``engine="fast"`` (the default) and keeps the legacy path under
-  ``engine="naive"`` so tests can compare the two.
+  ``engine="fast"`` (the default).
 
 Equivalence contract, enforced by ``tests/test_engine_equivalence.py``:
-the workspace assembly matches the naive :class:`MNAStamper` assembly to
-≤ 1e-12, the reuse residual matches the assembled ``A(x)·x − b(x)`` to
-≤ 1e-12 relative, and fast waveforms match naive waveforms to ≤ 1 µV.
+the workspace assembly matches the full-restamp :class:`MNAStamper`
+assembly to ≤ 1e-12, the reuse residual matches the assembled
+``A(x)·x − b(x)`` to ≤ 1e-12 relative, and fast waveforms match the
+full-restamp reference transient there (``naive_transient``) to
+≤ 1 µV.
 """
 
 from __future__ import annotations
@@ -42,15 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # LU reuse via LAPACK getrf/getrs; graceful degradation without scipy.
-    from scipy.linalg import get_lapack_funcs
-
-    _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"),
-                                      (np.empty((1, 1)), np.empty(1)))
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _HAVE_SCIPY = False
+from scipy.linalg import get_lapack_funcs
 
 from repro.errors import ConvergenceError
 from repro.mtj.device import MTJState
@@ -64,8 +57,13 @@ from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
 from repro.spice.waveforms import DC
 
+#: Raw LAPACK LU handles; module-level names so a profiler can rebind
+#: them (the ensemble reads them from here at call time).
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"),
+                                  (np.empty((1, 1)), np.empty(1)))
+
 #: Minimum transistor count before the vectorised MOSFET group pays off;
-#: below this the per-device scalar stamp (identical to the naive path)
+#: below this the per-device scalar stamp (the one a full restamp uses)
 #: is cheaper than numpy call overhead.  The two round differently: the
 #: scalar EKV interpolation goes through math.exp/math.log1p, the group
 #: through np.logaddexp (dF differs in 86 % of 200,000 random overdrives).
@@ -202,16 +200,13 @@ class SolverStats:
 def engine_config_fingerprint() -> Dict[str, object]:
     """The engine configuration a cache key must capture: anything that
     could change the bit pattern of a solution between two hosts or two
-    builds.  The LAPACK-LU availability flag matters because the fast
-    engine's Jacobian-reuse path only runs with scipy present, and a
-    different factorisation route can differ in final bits."""
+    builds."""
     from repro.spice.analysis.sparse import sparse_config_fingerprint
 
     return {
         "vectorize_mosfet_threshold": VECTORIZE_MOSFET_THRESHOLD,
         "vectorize_mtj_threshold": VECTORIZE_MTJ_THRESHOLD,
         "jacobian_max_age": JACOBIAN_MAX_AGE,
-        "scipy_lu": _HAVE_SCIPY,
         # Algorithm revision marker: a Newton iteration that reuses the LU
         # factors forms its residual from the device currents instead of
         # an assembled A(x)·x − b(x), which moves the last bits.
@@ -992,16 +987,15 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     solve that converges leaves ``solver._carried = (gmin, age)``, and
     the next solve at that gmin starts on them, so a timepoint's first
     iteration is a reuse iteration unless they are
-    :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises, a
-    solve at another gmin and the no-scipy dense fallback (which holds
-    no factors) refactorise on their first iteration.  ``solver``
-    supplies ``workspace``, ``stats``, ``_carried`` (``None`` on a new
+    :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises and a
+    solve at another gmin refactorise on their first iteration.
+    ``solver`` supplies ``workspace``, ``stats``, ``_carried`` (``None`` on a new
     solver) and four steps: ``_assemble(x, gmin, timing)`` builds the
     system, ``_factorize()`` LU-factorises its matrix,
     ``_residual(x, gmin, timing)`` forms a reuse iteration's ``F(x)`` and
     ``_update(x, residual)`` returns ``−A₀⁻¹·F(x)``, with ``F(x)`` from
     the assembled system when ``residual`` is ``None``.  Raises
-    :class:`ConvergenceError` on failure, like the naive ``_newton``.
+    :class:`ConvergenceError` on failure, like the DC ``_newton``.
     """
     ws = solver.workspace
     ws.begin_step(time, prev_voltages)
@@ -1013,8 +1007,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     timing = stats.stamp_seconds if _obs_active() else None
     x = x0.copy()
     carried, solver._carried = solver._carried, None
-    factored = (_HAVE_SCIPY and carried is not None
-                and carried[0] == gmin)
+    factored = carried is not None and carried[0] == gmin
     age = carried[1] if factored else 0
     prev_max_dv = np.inf
     max_dv = np.inf
@@ -1076,8 +1069,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
 class FastNewtonSolver:
     """Damped modified Newton (:func:`modified_newton`) over an
     :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors that
-    carry from one converged timepoint to the next.  Without scipy every
-    update is a full dense solve, so every iteration assembles."""
+    carry from one converged timepoint to the next."""
 
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None):
@@ -1101,8 +1093,6 @@ class FastNewtonSolver:
         # Raw LAPACK getrf: skips the scipy wrapper overhead (asarray +
         # finiteness checks) that showed up in per-iteration profiles.
         self.stats.factorizations += 1
-        if not _HAVE_SCIPY:  # pragma: no cover - the update solves densely
-            return
         lu, piv, info = _getrf(self.workspace.matrix)
         if info != 0:
             raise np.linalg.LinAlgError(
@@ -1118,17 +1108,12 @@ class FastNewtonSolver:
                 self.workspace.size)
 
     def _residual(self, x: np.ndarray, gmin: float,
-                  timing: Optional[Dict[str, float]]) -> Optional[np.ndarray]:
-        if not _HAVE_SCIPY:  # pragma: no cover - every update solves densely
-            self._assemble(x, gmin, timing)
-            return None
+                  timing: Optional[Dict[str, float]]) -> np.ndarray:
         return self.workspace.residual(x, gmin, timing)
 
     def _update(self, x: np.ndarray,
                 residual: Optional[np.ndarray]) -> np.ndarray:
         ws = self.workspace
-        if not _HAVE_SCIPY:  # pragma: no cover - full dense solve, no reuse
-            return np.linalg.solve(ws.matrix, ws.rhs) - x
         if residual is None:
             residual = ws.matrix @ x - ws.rhs
         lu, piv = self._lu

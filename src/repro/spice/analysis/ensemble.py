@@ -690,11 +690,11 @@ def run_ensemble_transient(
                              vtol=vtol, damping=damping, engine="fast",
                              lint="off")
 
-    if (len(circuits) == 1 or not _engine._HAVE_SCIPY
+    if (len(circuits) == 1
             or any(isinstance(d, MTJElement) and type(d) is not MTJElement
                    for c in circuits for d in c.devices)):
-        # One sample is a scalar run, the per-sample LU reuse needs
-        # scipy's LAPACK handles, and the batch models STT switching only.
+        # One sample is a scalar run, and the batch models STT switching
+        # only.
         return [run_alone(c) for c in circuits]
 
     span = _obs_span("analysis.ensemble_transient", category="analysis",

@@ -52,9 +52,9 @@ macros expensive.  This module adds the sparse tier on top of the same
 
 Equivalence contract (enforced by ``tests/test_engine_differential.py``
 and ``tests/test_sparse_engine.py``): non-adaptive sparse waveforms match
-the naive and fast engines to ≤ 1 µV on every node; adaptive runs keep
-the golden Table II metrics inside the 0.1 % band
-(``tests/test_golden_table2_sparse.py``).
+the fast engine and the full-restamp reference transient to ≤ 1 µV on
+every node; adaptive runs keep the golden Table II metrics inside the
+0.1 % band (``tests/test_golden_table2_sparse.py``).
 """
 
 from __future__ import annotations
@@ -63,14 +63,8 @@ import time as _time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-
-try:  # sparse LU via SuperLU; the sparse engine needs scipy.
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
-    _HAVE_SPLU = True
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _HAVE_SPLU = False
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from repro.errors import AnalysisError
 from repro.obs import is_active as _obs_active
@@ -115,7 +109,6 @@ _PATTERN_CACHE_LIMIT = 64
 def sparse_config_fingerprint() -> Dict[str, object]:
     """Sparse/adaptive engine configuration a cache key must capture."""
     return {
-        "scipy_splu": _HAVE_SPLU,
         "permc_spec": PERMC_SPEC,
         "lte_tol_default": DEFAULT_LTE_TOL,
         "max_dt_factor_default": DEFAULT_MAX_DT_FACTOR,
@@ -387,9 +380,6 @@ class SparseNewtonSolver:
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None,
                  pattern: Optional[SparsePattern] = None):
-        if not _HAVE_SPLU:  # pragma: no cover - scipy is a declared dep
-            raise AnalysisError(
-                "engine='sparse' needs scipy.sparse.linalg.splu")
         self.workspace = workspace
         self.stats = stats if stats is not None else SolverStats()
         self.pattern = pattern if pattern is not None else get_pattern(

@@ -21,17 +21,15 @@ starts (everything at 0 V) are modelled.
 
 Engine selection: ``engine="fast"`` (the default) runs the cached-assembly
 modified-Newton engine of :mod:`repro.spice.analysis.engine`;
-``engine="naive"`` keeps the legacy re-stamp-everything path;
 ``engine="sparse"`` runs the CSC/SuperLU core of
 :mod:`repro.spice.analysis.sparse` (symbolic-pattern reuse, optional
-LTE-adaptive timestep via ``adaptive=True``).  All engines are
-equivalent to ≤ 1 µV on every node waveform (enforced by
-``tests/test_engine_equivalence.py`` and
-``tests/test_engine_differential.py``); the fast path is typically 2–4×
-faster than naive on the latch circuits, and sparse wins further with
-node count.  ``set_default_engine`` switches the session-wide default
-(used by benchmarks to time the paths through code that does not thread
-the ``engine`` argument).
+LTE-adaptive timestep via ``adaptive=True``).  Both match a full-restamp
+reference transient (``naive_transient`` in
+``tests/test_engine_equivalence.py``) to ≤ 1 µV on every node waveform
+(enforced there and in ``tests/test_engine_differential.py``); sparse
+wins over fast with node count.  ``set_default_engine`` switches the
+session-wide default (used by benchmarks to time the paths through code
+that does not thread the ``engine`` argument).
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 import numpy as np
 
 from repro.errors import AnalysisError, ConvergenceError, suggest_names
+from repro.flow_params import ENGINES
 from repro.obs import is_active as _obs_active
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
@@ -59,9 +58,6 @@ from repro.spice.netlist import Circuit
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.health import SolverHealth
     from repro.spice.analysis.engine import SolverStats
-
-#: Engines accepted by :func:`run_transient`.
-ENGINES = ("fast", "naive", "sparse")
 
 #: Session-wide default engine (see :func:`set_default_engine`).
 _default_engine = "fast"
@@ -251,7 +247,7 @@ def run_transient(
     * ``dc_seed`` — initial guess handed to the t=0 DC solve (selects the
       branch of bistable circuits).
     * ``on_step(time, node_voltages)`` — observer hook.
-    * ``engine`` — ``"fast"``, ``"naive"`` or ``"sparse"``; ``None`` uses
+    * ``engine`` — ``"fast"`` or ``"sparse"``; ``None`` uses
       the session default (see :func:`set_default_engine`).
     * ``adaptive`` — LTE-controlled internal timestep (``engine="sparse"``
       with the ``be`` integrator only); ``dt`` becomes the base step of
@@ -271,10 +267,10 @@ def run_transient(
     * ``recovery`` — optional
       :class:`~repro.recovery.policy.RecoveryPolicy` configuring the
       solver-resilience ladder (gmin / damping / timestep-cut /
-      integrator-switch / engine-fallback escalation on failed steps,
-      condition probes, forensics).  The policy fingerprint is part of
-      the cache key; recovered results are bit-identical across worker
-      counts and cache replays.
+      integrator-switch escalation on failed steps, condition probes,
+      forensics).  The policy fingerprint is part of the cache key;
+      recovered results are bit-identical across worker counts and cache
+      replays.
     """
     _check_run_args(stop_time, dt, integrator)
     if timeout is not None and timeout <= 0.0:

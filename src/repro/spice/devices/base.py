@@ -69,7 +69,7 @@ class Device:
     Stamping contract (used by both solver paths):
 
     * ``stamp(stamper, ctx)`` — the full linearised companion model.  The
-      naive engine calls this on every device, every Newton iteration.
+      DC Newton calls this on every device, every Newton iteration.
     * ``nonlinear`` — class attribute.  ``True`` (the safe default) means
       the stamp depends on the Newton iterate and must be re-applied every
       iteration.  ``False`` declares the *linear-device split* below, which

@@ -60,8 +60,8 @@ def _no_leaked_cache():
 class TestSessionLifecycle:
     def test_close_restores_engine_and_cache(self, tmp_path):
         previous = get_default_engine()
-        session = Session(cache=str(tmp_path / "c"), engine="naive")
-        assert get_default_engine() == "naive"
+        session = Session(cache=str(tmp_path / "c"), engine="sparse")
+        assert get_default_engine() == "sparse"
         assert cache_store.get_active_cache() is not None
         session.close()
         assert get_default_engine() == previous
@@ -98,7 +98,7 @@ class TestSessionLifecycle:
 
     def test_double_close_and_exit_after_close_are_noops(self, tmp_path):
         previous = get_default_engine()
-        session = Session(cache=str(tmp_path / "c"), engine="naive")
+        session = Session(cache=str(tmp_path / "c"), engine="sparse")
         session.close()
         session.close()
         session.__exit__(None, None, None)  # with-block after manual close
@@ -109,10 +109,10 @@ class TestSessionLifecycle:
         """A constructor that raises part-way (obs=True while tracing is
         already active) must not leak the engine/cache it already set."""
         previous = get_default_engine()
-        assert previous != "naive"
+        assert previous != "sparse"
         with Session(obs=True):
             with pytest.raises(AnalysisError, match="already active"):
-                Session(cache=str(tmp_path / "c"), engine="naive",
+                Session(cache=str(tmp_path / "c"), engine="sparse",
                         obs=True)
             assert get_default_engine() == previous
             assert cache_store.get_active_cache() is None
@@ -227,5 +227,5 @@ class TestCanonicalParams:
 
         previous = get_default_engine()
         with Session(workers=1) as session:
-            session.sweep(corner_name, corners=["typical"], engine="naive")
+            session.sweep(corner_name, corners=["typical"], engine="sparse")
             assert get_default_engine() == previous

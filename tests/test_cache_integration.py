@@ -112,7 +112,7 @@ class TestInvalidation:
     def test_engine_option_change_misses(self, active_cache):
         _run(engine="fast")
         before = _counters()
-        _run(engine="naive")
+        _run(engine="sparse")
         delta = _delta(before, _counters())
         # The transient (engine in its key) misses and re-stores; the
         # internal DC solve is engine-independent and legitimately hits.
@@ -381,3 +381,28 @@ class TestVerifyEntry:
             verdict = verify_entry(entry)
             assert not verdict["ok"]
             assert "node_voltages" in verdict["detail"]
+
+    def test_entries_of_a_removed_engine_or_policy_field_fail_cleanly(
+            self, active_cache, capsys):
+        # Entries written before the naive engine and the engine-fallback
+        # rung went carry engine="naive" or a policy engine_order.  This
+        # version rejects both, so verify reports such an entry as not ok
+        # and `repro cache verify` exits 1, as on a mismatch.
+        from repro.cache.analysis import verify_entry
+        from repro.cli import main
+
+        _run()
+        for entry in active_cache.entries():
+            if entry.kind == "transient":
+                entry.request["engine"] = "naive"
+                expected = "unknown engine 'naive'"
+            else:
+                entry.request["recovery"]["engine_order"] = [
+                    "sparse", "fast", "naive"]
+                expected = "unknown recovery-policy field 'engine_order'"
+            verdict = verify_entry(entry)
+            assert not verdict["ok"]
+            assert expected in verdict["detail"]
+            active_cache.store(entry)
+        assert main(["cache", "verify", "--dir", active_cache.root]) == 1
+        assert capsys.readouterr().out.count("cannot replay") == 2

@@ -19,6 +19,7 @@ from repro.cache.keys import (
     request_key,
     transient_request,
 )
+from repro.spice.analysis.transient import ENGINES
 from repro.spice.devices.passive import Resistor
 from repro.spice.netlist import Circuit
 from repro.spice.waveforms import PWL, Pulse
@@ -102,7 +103,7 @@ class TestInvalidation:
         ("vtol", 1e-9),
         ("damping", 0.5),
         ("max_iterations", 61),
-        ("engine", "naive"),
+        ("engine", "sparse"),
         ("initial_voltages", {"in": 0.5}),
         ("dc_seed", {"out": 0.1}),
     ])
@@ -129,8 +130,8 @@ class TestSparseInvalidation:
 
     def test_every_engine_selection_digests_distinctly(self):
         keys = {engine: _transient_key(_rc_circuit(), engine=engine)
-                for engine in ("naive", "fast", "sparse")}
-        assert len(set(keys.values())) == 3
+                for engine in ENGINES}
+        assert len(set(keys.values())) == len(ENGINES)
 
     def test_adaptive_toggle_changes_key(self):
         fixed = _transient_key(_rc_circuit(), engine="sparse",

@@ -1,9 +1,10 @@
-"""Cross-engine differential harness: naive vs fast vs sparse.
+"""Cross-engine differential harness: fast and sparse vs the naive oracle.
 
 Every circuit here is generated from a seeded random *spec* — a flat
-list of section descriptors — then simulated under all three engines.
-Any pair of engines disagreeing by more than 1 µV on any node at any
-timepoint is a failure; before failing, the harness *shrinks* the spec
+list of section descriptors — then simulated by both engines and by the
+full-restamp reference transient (:func:`naive_transient`).  Any pair of
+the three disagreeing by more than 1 µV on any node at any timepoint is
+a failure; before failing, the harness *shrinks* the spec
 (greedily dropping sections while the disagreement reproduces) and
 prints the minimal failing netlist, so a regression arrives as a small
 reproducible circuit instead of a 30-device haystack.
@@ -20,8 +21,9 @@ import pytest
 from repro.mtj.device import MTJState
 from repro.spice import Circuit, Pulse
 from repro.spice.analysis import run_transient
+from repro.spice.analysis.transient import ENGINES
+from tests.test_engine_equivalence import naive_transient
 
-ENGINES = ("naive", "fast", "sparse")
 WAVEFORM_TOL = 1e-6  # 1 µV
 STOP_TIME = 0.5e-9
 DT = 2e-12
@@ -94,13 +96,15 @@ def build_spec(spec) -> Circuit:
 
 
 def max_disagreement(spec):
-    """Worst pairwise node-voltage deviation across the three engines,
-    or None when any engine fails to simulate the spec."""
+    """Worst pairwise node-voltage deviation across the oracle and the
+    engines, or None when any of them fails to simulate the spec."""
     waves = []
-    for engine in ENGINES:
+    for engine in ("oracle",) + ENGINES:
         try:
-            result = run_transient(build_spec(spec), STOP_TIME, DT,
-                                   engine=engine, lint="off")
+            result = (naive_transient(build_spec(spec), STOP_TIME, DT)
+                      if engine == "oracle" else
+                      run_transient(build_spec(spec), STOP_TIME, DT,
+                                    engine=engine, lint="off"))
         except Exception:
             return None
         waves.append(result.node_voltages)

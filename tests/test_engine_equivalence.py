@@ -1,26 +1,37 @@
-"""Fast engine ↔ naive path equivalence.
+"""Fast engine ↔ naive reference equivalence.
 
 The fast engine (:mod:`repro.spice.analysis.engine`) must be a pure
 optimisation: for any circuit the cached three-tier assembly produces the
 same MNA system as re-stamping every device through the naive
 :class:`MNAStamper` (≤ 1e-12 element-wise), and ``engine="fast"``
-transients match ``engine="naive"`` waveforms to ≤ 1 µV.  The circuits
-below are randomised (seeded) RC ladders, MOSFET chains/latches, and
-MTJ read structures so the contract is checked well beyond the shapes the
-characterisation code happens to build.
+transients match the :func:`naive_transient` oracle's waveforms to
+≤ 1 µV.  The circuits below are randomised (seeded) RC ladders, MOSFET
+chains/latches, and MTJ read structures so the contract is checked well
+beyond the shapes the characterisation code happens to build.
 """
 
 import numpy as np
 import pytest
 
 from repro.spice import Circuit, Pulse
+from repro.spice.analysis.dc import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_VTOL,
+    FLOOR_GMIN,
+    _newton,
+)
 from repro.spice.analysis.engine import (
     MNAWorkspace,
     VECTORIZE_MOSFET_THRESHOLD,
 )
 from repro.spice.analysis.ensemble import EnsembleWorkspace
 from repro.spice.analysis.mna import MNAStamper
-from repro.spice.analysis.transient import run_transient
+from repro.spice.analysis.transient import (
+    TransientResult,
+    _initial_solution,
+    run_transient,
+)
 from repro.spice.devices.base import EvalContext
 from repro.mtj.device import MTJState
 
@@ -109,6 +120,34 @@ def naive_assembly(circuit, x, time, prev_voltages, dt, integrator, gmin):
         device.stamp(stamper, ctx)
     stamper.apply_gmin(gmin)
     return stamper.matrix, stamper.rhs
+
+
+def naive_transient(circuit, stop_time, dt, integrator="be"):
+    """The reference transient every engine is checked against: from the
+    t = 0 DC point, each fixed step ``k·dt`` solves a damped Newton that
+    re-stamps every device on every iteration (``dc._newton``, at the
+    floor gmin), then advances every device's state.  No Jacobian reuse,
+    no recovery ladder: a step that fails raises."""
+    circuit.finalize()
+    circuit.reset_state()
+    x = _initial_solution(circuit, None, None, DEFAULT_MAX_ITERATIONS,
+                          DEFAULT_VTOL, DEFAULT_DAMPING)
+    num_nodes = circuit.num_nodes
+    steps = int(round(stop_time / dt))
+    solutions = [x]
+    for k in range(1, steps + 1):
+        time, prev = k * dt, x[:num_nodes].copy()
+        x, _ = _newton(circuit, x, time, FLOOR_GMIN, DEFAULT_MAX_ITERATIONS,
+                       DEFAULT_VTOL, DEFAULT_DAMPING, prev_voltages=prev,
+                       dt=dt, integrator=integrator)
+        ctx = EvalContext(voltages=x[:num_nodes], prev_voltages=prev,
+                          time=time, dt=dt, integrator=integrator)
+        for device in circuit.devices:
+            device.update_state(ctx)
+        solutions.append(x)
+    stacked = np.array(solutions)
+    return TransientResult(circuit, np.arange(steps + 1) * dt,
+                           stacked[:, :num_nodes], stacked[:, num_nodes:])
 
 
 @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
@@ -204,7 +243,7 @@ def test_workspace_assembly_matches_naive_dc():
 
 
 # ---------------------------------------------------------------------------
-# Waveform equivalence: engine="fast" vs engine="naive"
+# Waveform equivalence: engine="fast" vs the naive_transient oracle
 # ---------------------------------------------------------------------------
 
 
@@ -214,9 +253,7 @@ def test_workspace_assembly_matches_naive_dc():
 def test_fast_waveforms_match_naive(builder, integrator, seed):
     rng = np.random.default_rng(seed)
     circuit = builder(rng)
-    naive = run_transient(circuit, 1e-9, 2e-12, integrator=integrator,
-                          engine="naive")
-    circuit.reset_state()
+    naive = naive_transient(circuit, 1e-9, 2e-12, integrator=integrator)
     fast = run_transient(circuit, 1e-9, 2e-12, integrator=integrator,
                          engine="fast")
     diff = float(np.max(np.abs(naive.node_voltages - fast.node_voltages)))
@@ -230,22 +267,31 @@ def test_fast_is_the_default_engine():
 
 
 def test_unknown_engine_rejected():
+    # "naive" names the tests' reference transient, not an engine.
+    from repro.api import Session
+    from repro.cli import build_parser
     from repro.errors import AnalysisError
 
     rng = np.random.default_rng(0)
-    with pytest.raises(AnalysisError):
-        run_transient(random_rc_ladder(rng), 1e-9, 1e-12, engine="blazing")
+    for engine in ("blazing", "naive"):
+        with pytest.raises(AnalysisError):
+            run_transient(random_rc_ladder(rng), 1e-9, 1e-12, engine=engine)
+        with pytest.raises(AnalysisError):
+            Session(engine=engine)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["table2", "--engine", engine])
+        assert exit_info.value.code == 2
 
 
 def test_jacobian_reuse_matches_full_newton():
     # The default LU-reusing solver, stepped by hand on its own workspace,
-    # converges to the naive engine's points (both satisfy the same
+    # converges to the naive oracle's points (both satisfy the same
     # tolerance on the same residual).
     from repro.spice.analysis.engine import FastNewtonSolver
 
     rng = np.random.default_rng(11)
     circuit = random_mosfet_chain(rng)
-    naive = run_transient(circuit, 0.5e-9, 2e-12, engine="naive")
+    naive = naive_transient(circuit, 0.5e-9, 2e-12)
     circuit.reset_state()
 
     ws = MNAWorkspace(circuit, dt=2e-12, integrator="be")

@@ -1,11 +1,13 @@
 """Golden-metric regression suite for the Table II characterisation.
 
 ``tests/golden/table2.json`` freezes the seed-state metrics of both latch
-designs (typical corner, dt = 2 ps, naive engine).  Any engine change —
-stamp caching, Jacobian reuse, vectorised device models — must reproduce
-these numbers to 0.1 %; a larger drift means the "optimisation" changed
-the physics.  Regenerate the golden file only for an *intentional* model
-change, with ``engine="naive"`` and a note in the commit message:
+designs (typical corner, dt = 2 ps), recorded by the full-restamp engine
+the package once shipped as ``"naive"`` (its ``"engine"`` field).  Any
+engine change — stamp caching, Jacobian reuse, vectorised device models —
+must reproduce these numbers to 0.1 %; a larger drift means the
+"optimisation" changed the physics.  Regenerate the golden file only for
+an *intentional* model change, with a note in the commit message; it
+records from the default engine and names it in the file:
 
     PYTHONPATH=src python -c "import tests.test_golden_table2 as t; t.regenerate()"
 """
@@ -66,25 +68,23 @@ def test_structural_metrics_exact(golden, measured, design):
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    """Rewrite the golden file from a naive-engine run (see module docs)."""
-    from repro.spice.analysis.transient import set_default_engine
+    """Rewrite the golden file from a default-engine run (see module
+    docs)."""
+    from repro.spice.analysis.transient import get_default_engine
 
-    previous = set_default_engine("naive")
-    try:
-        corner = CORNERS["typical"]
-        golden = {"dt": 2e-12, "corner": "typical", "engine": "naive",
-                  "note": "Seed-state Table II metrics (typical corner, "
-                          "dt=2ps); see tests/test_golden_table2.py."}
-        for key, metrics in (
-            ("standard", characterize_standard(corner, dt=2e-12)),
-            ("proposed", characterize_proposed(corner, dt=2e-12)),
-        ):
-            golden[key] = {name: getattr(metrics, name)
-                           for name in FLOAT_METRICS}
-            golden[key]["transistor_count"] = metrics.transistor_count
-            golden[key]["read_values_ok"] = metrics.read_values_ok
-        with GOLDEN_PATH.open("w") as f:
-            json.dump(golden, f, indent=2)
-            f.write("\n")
-    finally:
-        set_default_engine(previous)
+    corner = CORNERS["typical"]
+    golden = {"dt": 2e-12, "corner": "typical",
+              "engine": get_default_engine(),
+              "note": "Seed-state Table II metrics (typical corner, "
+                      "dt=2ps); see tests/test_golden_table2.py."}
+    for key, metrics in (
+        ("standard", characterize_standard(corner, dt=2e-12)),
+        ("proposed", characterize_proposed(corner, dt=2e-12)),
+    ):
+        golden[key] = {name: getattr(metrics, name)
+                       for name in FLOAT_METRICS}
+        golden[key]["transistor_count"] = metrics.transistor_count
+        golden[key]["read_values_ok"] = metrics.read_values_ok
+    with GOLDEN_PATH.open("w") as f:
+        json.dump(golden, f, indent=2)
+        f.write("\n")

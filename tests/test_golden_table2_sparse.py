@@ -1,4 +1,4 @@
-"""Table II under the sparse engine, pinned to the naive-engine golden.
+"""Table II under the sparse engine, pinned to the Table II golden.
 
 Two contracts:
 

@@ -57,7 +57,7 @@ def _rc_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["fast", "naive", "ensemble"])
+@pytest.mark.parametrize("engine", ["fast", "sparse", "ensemble"])
 def test_registry_matches_solver_stats(engine):
     enable_tracing()
     before = metrics().snapshot()["counters"]

@@ -3,7 +3,7 @@ forensics, and the pathological-circuit corpus.
 
 The headline contracts: pathological corpus entries hard-fail without
 recovery and complete deterministically with it (same rungs, recovered
-waveforms within 1 µV across all three engines); a recovered run is
+waveforms within 1 µV across the fast and sparse engines); a recovered run is
 bit-identical across worker counts and cache warm/cold; an exhausted
 ladder produces a forensics bundle with a rebuildable minimal
 reproducer; and the recovery policy is part of the cache key.
@@ -27,11 +27,10 @@ from repro.recovery.ladder import dc_recover
 from repro.recovery.policy import (DEFAULT_POLICY, KNOWN_RUNGS,
                                    RecoveryPolicy)
 from repro.recovery.shrink import greedy_shrink
-from repro.spice.analysis.transient import run_transient
+from repro.spice.analysis.transient import ENGINES, run_transient
 from repro.spice.netlist import Circuit
 
 WAVEFORM_TOL = 1e-6
-ENGINES = ("naive", "fast", "sparse")
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +70,6 @@ class TestRecoveryPolicy:
         record["vibes"] = True
         with pytest.raises(AnalysisError, match="unknown recovery-policy"):
             RecoveryPolicy.from_fingerprint(record)
-
-    def test_fallback_engines_never_fall_upward(self):
-        policy = DEFAULT_POLICY  # order: sparse -> fast -> naive
-        assert policy.fallback_engines("sparse") == ("fast", "naive")
-        assert policy.fallback_engines("fast") == ("naive",)
-        assert policy.fallback_engines("naive") == ()
-        assert policy.fallback_engines("exotic") == policy.engine_order
 
     def test_default_rungs_are_all_known(self):
         assert set(DEFAULT_POLICY.rungs) <= set(KNOWN_RUNGS)
@@ -208,7 +200,7 @@ def test_healthy_circuit_has_clean_health(engine):
 
 
 # ---------------------------------------------------------------------------
-# Pathological corpus across all three engines (shared smoke run)
+# Pathological corpus across both engines (shared smoke run)
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +261,7 @@ def test_exhaustion_forensics_bundle_rebuilds(smoke):
 def test_exhaustion_raises_with_forensics_attached():
     entry = corpus_entry("ladder-exhaustion")
     with pytest.raises(ConvergenceError) as excinfo:
-        entry.run(engine="naive")
+        entry.run(engine="fast")
     bundle = excinfo.value.forensics
     assert bundle is not None
     assert bundle.circuit_name == "instant-edge"
@@ -330,7 +322,7 @@ def test_corpus_lookup():
 def _recovered_digest(name: str) -> str:
     """Digest of a recovered corpus run (module-level: must pickle)."""
     entry = corpus_entry(name)
-    result = entry.run(engine="naive")
+    result = entry.run(engine="fast")
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.node_voltages).tobytes())
     h.update(json.dumps(result.health.to_json(), sort_keys=True).encode())
@@ -368,9 +360,9 @@ class TestRecoveredRunsAndTheCache:
     def test_warm_hit_is_bit_identical_and_keeps_health(self, active_cache):
         entry = corpus_entry("razor-sense")
         before = self._counters()
-        cold = entry.run(engine="naive")
+        cold = entry.run(engine="fast")
         mid = self._counters()
-        warm = entry.run(engine="naive")
+        warm = entry.run(engine="fast")
         after = self._counters()
         assert mid["cache.store"] > before["cache.store"]
         assert after["cache.hit"] > mid["cache.hit"]
@@ -385,14 +377,14 @@ class TestRecoveredRunsAndTheCache:
 
     def test_different_policy_is_a_different_cache_key(self, active_cache):
         entry = corpus_entry("razor-sense")
-        entry.run(engine="naive")
+        entry.run(engine="fast")
         mid = self._counters()
         # Same circuit and run options, different (unexercised) policy
         # knob: must miss, not hit.
         widened = RecoveryPolicy(gmin_ladder=RAZOR_POLICY.gmin_ladder,
                                  shrink_budget=DEFAULT_POLICY.shrink_budget
                                  + 1)
-        entry.run(engine="naive", recovery=widened)
+        entry.run(engine="fast", recovery=widened)
         after = self._counters()
         assert after["cache.hit"] == mid["cache.hit"]
         assert after["cache.miss"] > mid["cache.miss"]
@@ -404,7 +396,7 @@ class TestRecoveredRunsAndTheCache:
             return request_key(transient_request(
                 _healthy_rc(), stop_time=1e-9, dt=1e-10, integrator="be",
                 initial_voltages=None, dc_seed=None, max_iterations=50,
-                vtol=1e-6, damping=0.4, engine="naive", adaptive=None,
+                vtol=1e-6, damping=0.4, engine="fast", adaptive=None,
                 recovery=policy.fingerprint()))
 
         assert (key_for(DEFAULT_POLICY)
@@ -485,7 +477,7 @@ class TestDCRecoveryReporting:
 def _exhausting_task(item, rng):
     """Campaign task that dies on a ladder exhaustion (module-level so
     the campaign machinery can treat it like any real task)."""
-    return corpus_entry("ladder-exhaustion").run(engine="naive")
+    return corpus_entry("ladder-exhaustion").run(engine="fast")
 
 
 def test_campaign_dumps_forensics_bundles(tmp_path):

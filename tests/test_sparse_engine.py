@@ -154,7 +154,6 @@ class TestSparsePattern:
 
     def test_fingerprint_names_the_controller_constants(self):
         fp = sparse_config_fingerprint()
-        assert fp["scipy_splu"] is True
         assert {"permc_spec", "lte_tol_default", "max_dt_factor_default",
                 "mtj_window_fraction"} <= fp.keys()
 
@@ -379,20 +378,24 @@ class TestFrozenJunctionMask:
         return c
 
     def test_switching_junction_flips_when_the_naive_engine_flips(self):
+        # The naive engine is the tests' naive_transient oracle.
+        from tests.test_engine_equivalence import naive_transient
+
         workspace = MNAWorkspace(self.write_beside_reads(), dt=5e-12)
         assert workspace.mtj_group is not None
         assert not workspace._mask_frozen
-        runs = {}
-        for engine in ("naive", "fast", "sparse"):
-            circuit = self.write_beside_reads()
-            result = run_transient(circuit, 3e-9, 5e-12, engine=engine)
-            events = circuit.device("bit").switching.events
-            runs[engine] = (result, [event.time for event in events])
-        naive, flips = runs["naive"]
+
+        def flip_times(circuit):
+            return [e.time for e in circuit.device("bit").switching.events]
+
+        circuit = self.write_beside_reads()
+        naive = naive_transient(circuit, 3e-9, 5e-12)
+        flips = flip_times(circuit)
         assert len(flips) == 1 and flips[0] < 2e-9
         for engine in ("fast", "sparse"):
-            result, engine_flips = runs[engine]
-            assert engine_flips == flips
+            circuit = self.write_beside_reads()
+            result = run_transient(circuit, 3e-9, 5e-12, engine=engine)
+            assert flip_times(circuit) == flips
             diff = float(np.max(np.abs(result.node_voltages
                                        - naive.node_voltages)))
             assert diff <= WAVEFORM_TOL
