@@ -115,7 +115,6 @@ class TransientHandle(_Handle):
 
     def lookup(self):
         """Hydrated :class:`TransientResult` on a hit, else ``None``."""
-        from repro.recovery.health import SolverHealth
         from repro.spice.analysis.engine import SolverStats
         from repro.spice.analysis.transient import TransientResult
 
@@ -136,9 +135,6 @@ class TransientHandle(_Handle):
                 raw_trace = payload.get("dt_trace")
                 dt_trace = (_decode_array(raw_trace)
                             if raw_trace is not None else None)
-                raw_health = payload.get("health")
-                health = (SolverHealth.from_json(raw_health)
-                          if raw_health is not None else None)
                 self.circuit.finalize()
                 _restore_mtj_state(self.circuit, payload["mtj_state"])
             except Exception:  # noqa: BLE001 — broken entry reads as a miss
@@ -148,8 +144,7 @@ class TransientHandle(_Handle):
             _metrics().inc("cache.hit", 1)
             sp.annotate(outcome="hit")
             return TransientResult(self.circuit, times, voltages, currents,
-                                   stats=stats, dt_trace=dt_trace,
-                                   health=health)
+                                   stats=stats, dt_trace=dt_trace)
 
     def store(self, result) -> None:
         """Persist a freshly computed transient (with MTJ end state)."""
@@ -157,13 +152,10 @@ class TransientHandle(_Handle):
             "times": _encode_array(result.times),
             "node_voltages": _encode_array(result.node_voltages),
             "branch_currents": _encode_array(result.branch_currents),
-            "stats": result.stats.to_json() if result.stats is not None
-            else None,
+            "stats": result.stats.to_json(),
             "mtj_state": _capture_mtj_state(self.circuit),
             "dt_trace": (_encode_array(result.dt_trace)
                          if result.dt_trace is not None else None),
-            "health": (result.health.to_json()
-                       if result.health is not None else None),
         })
 
 

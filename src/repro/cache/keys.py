@@ -43,8 +43,11 @@ from repro.spice.devices.sources import CurrentSource, VoltageSource
 from repro.spice.netlist import Circuit
 from repro.spice.waveforms import DC, PWL, Pulse, Waveform
 
-#: Cache format generation; bump to orphan every existing entry.
-CACHE_FORMAT = 1
+#: Cache format generation; bump to orphan every existing entry.  Format
+#: 2 stores one solver record per transient (format 1 kept the recovery
+#: counters apart, so a replay of its ``stats`` alone would read as clean)
+#: and counts a recovered DC solve's failed plain-Newton iterations.
+CACHE_FORMAT = 2
 
 #: Code-version salt mixed into every key: entries written by a
 #: different package version or cache format never collide with ours.

@@ -76,7 +76,7 @@ __all__ = [
 
 #: Modes accepted by the analysis pre-flight (``lint=`` argument of
 #: ``run_transient`` / ``solve_dc``).
-LINT_MODES = ("error", "warn", "off")
+LINT_MODES = ("error", "off")
 
 
 def preflight(circuit: "Circuit", mode: str) -> None:
@@ -85,8 +85,7 @@ def preflight(circuit: "Circuit", mode: str) -> None:
     ``mode="error"`` raises :class:`~repro.errors.NetlistError` (with the
     diagnostics attached) on any error-severity finding, so a malformed
     circuit reports its root cause instead of a downstream Newton
-    non-convergence.  ``mode="warn"`` emits :class:`UserWarning` per
-    error/warn finding and continues; ``mode="off"`` skips the check.
+    non-convergence.  ``mode="off"`` skips the check.
     """
     if mode == "off":
         return
@@ -95,21 +94,14 @@ def preflight(circuit: "Circuit", mode: str) -> None:
 
         raise AnalysisError(
             f"unknown lint mode {mode!r}; expected one of {LINT_MODES}")
-    report = lint_circuit(circuit)
-    if mode == "error":
-        offending = report.errors
-        if offending:
-            raise NetlistError(
-                f"pre-flight ERC found {len(offending)} error(s) in circuit "
-                f"{circuit.name!r} — the analysis would fail or produce "
-                f"garbage:\n" + "\n".join(d.one_line() for d in offending),
-                diagnostics=tuple(offending),
-            )
-    else:
-        import warnings
-
-        for diagnostic in report.at_least(Severity.WARN):
-            warnings.warn(diagnostic.one_line(), stacklevel=3)
+    offending = lint_circuit(circuit).errors
+    if offending:
+        raise NetlistError(
+            f"pre-flight ERC found {len(offending)} error(s) in circuit "
+            f"{circuit.name!r} — the analysis would fail or produce "
+            f"garbage:\n" + "\n".join(d.one_line() for d in offending),
+            diagnostics=tuple(offending),
+        )
 
 
 def lint_circuit(circuit: "Circuit") -> LintReport:

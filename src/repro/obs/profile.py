@@ -130,7 +130,8 @@ _FLOW_BODIES: Dict[str, Callable[[bool, Optional[int]], None]] = {
 
 def _solver_self_check() -> Dict[str, object]:
     """Run a reference transient and compare the registry's counter deltas
-    against the engine's own :class:`SolverStats` totals.
+    against every count of the run's own :class:`SolverStats` record,
+    each under its metric name.
 
     The acceptance contract of the observability subsystem: what the
     metrics registry reports is exactly what the solver did, not an
@@ -156,15 +157,8 @@ def _solver_self_check() -> Dict[str, object]:
     def delta(name: str) -> float:
         return after.get(name, 0.0) - before.get(name, 0.0)
 
-    stats = result.stats
-    checks = {
-        "newton_iterations": (delta("engine.newton_iterations"),
-                              stats.iterations),
-        "jacobian_factorizations": (delta("engine.jacobian_factorizations"),
-                                    stats.factorizations),
-        "jacobian_reuses": (delta("engine.jacobian_reuses"), stats.reuses),
-        "timesteps": (delta("engine.timesteps"), stats.timesteps),
-    }
+    checks = {name: (delta(name), count)
+              for name, count in result.stats.counters().items()}
     return {
         "ok": all(registry == engine for registry, engine in checks.values()),
         "counters": {name: {"registry": registry, "engine": engine}

@@ -1,17 +1,18 @@
 """Solver resilience subsystem: recovery ladder, health guards,
 failure forensics.
 
-Import surface is deliberately thin — policy, health and forensics
+Import surface is deliberately thin — policy, guard and forensics
 types only.  The ladder itself (:mod:`repro.recovery.ladder`) imports
 the analysis engines lazily and is pulled in by the analysis modules,
-not the other way round, keeping the package import-cycle free.
+not the other way round, keeping the package import-cycle free.  What
+the ladder and the guards observe is counted in the analysis's
+:class:`~repro.spice.analysis.engine.SolverStats` record.
 """
 
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
 from repro.recovery.health import (
     CONDITION_CAP,
     ConditionProbe,
-    SolverHealth,
     guard_finite,
     hager_inverse_norm1,
 )
@@ -37,7 +38,6 @@ __all__ = [
     "RUNG_INTEGRATOR_SWITCH",
     "RUNG_TIMESTEP_CUT",
     "RecoveryPolicy",
-    "SolverHealth",
     "greedy_shrink",
     "guard_finite",
     "hager_inverse_norm1",

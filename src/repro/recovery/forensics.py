@@ -66,15 +66,18 @@ class ForensicsBundle:
     #: Device counts before/after shrinking (equal when no shrink ran).
     devices_before: int = 0
     devices_after: int = 0
-    #: Health record at the moment of exhaustion.
-    health: Optional[Dict[str, Any]] = None
+    #: Solver record (:meth:`SolverStats.to_json
+    #: <repro.spice.analysis.engine.SolverStats.to_json>`) at the moment
+    #: of exhaustion.
+    stats: Optional[Dict[str, Any]] = None
 
     def note_rung(self, rung: str, detail: str, outcome: str) -> None:
         self.rung_history.append(
             {"rung": rung, "detail": detail, "outcome": outcome})
 
     def digest(self) -> str:
-        """Content digest of the bundle (stable across workers)."""
+        """Content digest of the bundle (stable across workers, save that
+        a traced run's ``stats`` carries its ``stamp_seconds`` timing)."""
         return stable_digest(self.to_json())
 
     def summary(self) -> str:
@@ -108,7 +111,7 @@ class ForensicsBundle:
             "minimal_circuit": self.minimal_circuit,
             "devices_before": self.devices_before,
             "devices_after": self.devices_after,
-            "health": self.health,
+            "stats": self.stats,
         }
 
     @classmethod
@@ -127,5 +130,5 @@ class ForensicsBundle:
             minimal_circuit=data.get("minimal_circuit"),
             devices_before=int(data.get("devices_before", 0)),
             devices_after=int(data.get("devices_after", 0)),
-            health=data.get("health"),
+            stats=data.get("stats"),
         )

@@ -34,13 +34,13 @@ residual trajectory, then source-stepping homotopy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
-from repro.recovery.health import ConditionProbe, SolverHealth, guard_finite
+from repro.recovery.health import ConditionProbe, guard_finite
 from repro.recovery.policy import (
     DEFAULT_POLICY,
     RUNG_DAMPING,
@@ -52,6 +52,9 @@ from repro.recovery.policy import (
 from repro.spice.devices.base import EvalContext
 from repro.spice.netlist import Circuit
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spice.analysis.engine import SolverStats
+
 #: Wall-clock budget [s] per shrink-candidate simulation while building
 #: a forensics bundle.  Deliberately not part of any cache key: bundles
 #: are diagnostics, not results.
@@ -61,6 +64,11 @@ SHRINK_CANDIDATE_TIMEOUT = 10.0
 def _short(exc: BaseException) -> str:
     """First line of an exception message (rung-history friendly)."""
     return str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+
+
+def _count_rung(stats, rung: str) -> None:
+    """Count one successful firing of ``rung``."""
+    stats.rung_counts[rung] = stats.rung_counts.get(rung, 0) + 1
 
 
 def _probe_policy(policy: RecoveryPolicy) -> RecoveryPolicy:
@@ -185,8 +193,7 @@ class TransientStepper:
         self.floor_gmin = floor_gmin
         self.control = control
         self.policy = DEFAULT_POLICY if policy is None else policy
-        self.health = SolverHealth()
-        self.probe = ConditionProbe(self.health, self.policy)
+        self.probe = ConditionProbe(stats, self.policy)
         self._attempts: Dict[Tuple[float, str], _WorkspaceAttempt] = {}
         self._attempt(dt, integrator)
         self.num_nodes = circuit.num_nodes
@@ -214,11 +221,11 @@ class TransientStepper:
                                   self.max_iterations, self.vtol,
                                   self.damping)
             guard_finite(x_new, f"engine={self.engine} t={time:g} s",
-                         self.health)
+                         self.stats)
         except ConvergenceError as failure:
             if self.control.cut():
-                self.health.note_rung_attempt(RUNG_TIMESTEP_CUT)
-                self.health.note_rung_success(RUNG_TIMESTEP_CUT)
+                self.stats.rungs_climbed += 1
+                _count_rung(self.stats, RUNG_TIMESTEP_CUT)
                 return None
             return self._recover(failure, primary, dt, x, time, prev_nodes)
         if not self.control.accept(x_new):
@@ -237,7 +244,7 @@ class TransientStepper:
         for rung in rungs:
             for detail, attempt in self._rung_attempts(
                     rung, primary, dt, x0, time, prev_nodes):
-                self.health.note_rung_attempt(rung)
+                self.stats.rungs_climbed += 1
                 if rung == RUNG_GMIN:
                     # Counted exactly like the historical hard-coded
                     # retry, so the obs counter keeps its meaning.
@@ -251,8 +258,7 @@ class TransientStepper:
                     continue
                 history.append({"rung": rung, "detail": detail,
                                 "outcome": "recovered"})
-                self.health.note_rung_success(rung)
-                self.health.note_recovered_step()
+                _count_rung(self.stats, rung)
                 self.stats.recovered_steps += 1
                 return x_new
         self._raise_exhausted(failure, history, x0, time, prev_nodes, dt)
@@ -296,7 +302,7 @@ class TransientStepper:
             x0, time, prev_nodes, gmin,
             self.max_iterations if max_iterations is None else max_iterations,
             self.vtol, self.damping if damping is None else damping)
-        guard_finite(x, f"engine={self.engine} t={time:g} s", self.health)
+        guard_finite(x, f"engine={self.engine} t={time:g} s", self.stats)
         primary.settle(x)
         return x
 
@@ -346,7 +352,7 @@ class TransientStepper:
                                       iterations, self.vtol,
                                       self.damping)
                 return guard_finite(x_new, f"substep t={time:g} s",
-                                    self.health)
+                                    self.stats)
             except ConvergenceError as exc:
                 last = exc
         assert last is not None
@@ -366,7 +372,7 @@ class TransientStepper:
             time=time,
             message=_short(failure),
             last_state=[float(v) for v in np.asarray(last_state).ravel()],
-            health=self.health.to_json(),
+            stats=self.stats.to_json(),
         )
         for entry in history:
             bundle.note_rung(entry["rung"], entry["detail"],
@@ -470,7 +476,7 @@ def dc_recover(
     first_failure: ConvergenceError,
     policy: Optional[RecoveryPolicy] = None,
     deadline: Optional[float] = None,
-) -> Tuple[np.ndarray, int, SolverHealth, List[str]]:
+) -> Tuple[np.ndarray, "SolverStats", List[str]]:
     """Recover a failed plain-Newton DC solve.
 
     Stage 1 — gmin homotopy: strong conductance to ground, reduced one
@@ -481,20 +487,22 @@ def dc_recover(
     along the way.  ``newton`` is the DC module's ``_newton`` (injected
     to keep the import graph acyclic).
 
-    Returns ``(x, total_iterations, health, trajectory)`` where
-    ``trajectory`` names every stage and its outcome — the residual
-    norm trajectory the failure message reports.  Raises
-    :class:`ConvergenceError` with a :class:`ForensicsBundle` when both
-    homotopies are exhausted.
+    Returns ``(x, stats, trajectory)``: ``stats`` counts the Newton
+    iterations of every attempt, the failed plain-Newton one included,
+    and the homotopy stages; ``trajectory`` names every stage and its
+    outcome — the residual norm trajectory the failure message reports.
+    Raises :class:`ConvergenceError` with a :class:`ForensicsBundle`
+    when both homotopies are exhausted.
     """
+    from repro.spice.analysis.engine import SolverStats
+
     policy = DEFAULT_POLICY if policy is None else policy
-    health = SolverHealth()
+    stats = SolverStats(iterations=first_failure.iterations)
     trajectory: List[str] = [
         f"plain newton: {_short(first_failure)} "
         f"(max dV={first_failure.residual:g} V)"]
 
     x = x0
-    total_iterations = 0
     gmin = policy.dc_gmin_start
     gmin_failure: Optional[ConvergenceError] = None
     failed_gmin = 0.0
@@ -510,16 +518,16 @@ def dc_recover(
                 f"gmin {gmin:g}: stalled after {exc.iterations} iterations "
                 f"(max dV={exc.residual:g} V)")
             break
-        total_iterations += iterations
-        health.dc_gmin_stages += 1
+        stats.iterations += iterations
+        stats.dc_gmin_stages += 1
         trajectory.append(f"gmin {gmin:g}: converged in {iterations} "
                           f"iterations")
         gmin /= policy.dc_gmin_reduction
     else:
-        return x, total_iterations, health, trajectory
+        return x, stats, trajectory
 
     assert gmin_failure is not None
-    total_iterations += gmin_failure.iterations
+    stats.iterations += gmin_failure.iterations
     timed_out = _timed_out(deadline)
     source_steps = (policy.dc_source_steps
                     if policy.enabled and not timed_out else ())
@@ -538,15 +546,15 @@ def dc_recover(
                     f"source step {scale:g}: stalled after "
                     f"{exc.iterations} iterations "
                     f"(max dV={exc.residual:g} V)")
-                total_iterations += exc.iterations
+                stats.iterations += exc.iterations
                 break
-            total_iterations += iterations
-            health.dc_source_steps += 1
-            health.note_rung_success("dc-source-stepping")
+            stats.iterations += iterations
+            stats.dc_source_steps += 1
+            _count_rung(stats, "dc-source-stepping")
             trajectory.append(f"source step {scale:g}: converged in "
                               f"{iterations} iterations")
         else:
-            return x, total_iterations, health, trajectory
+            return x, stats, trajectory
 
     final = source_failure if source_failure is not None else gmin_failure
     timed_out = _timed_out(deadline)
@@ -556,13 +564,13 @@ def dc_recover(
         stage = f"gmin stepping stalled at gmin={failed_gmin:g}"
     reason = ("exceeded its wall-clock timeout during homotopy"
               if timed_out else stage)
-    bundle = _dc_bundle(circuit, final, trajectory, health,
+    bundle = _dc_bundle(circuit, final, trajectory, stats,
                         policy, time, max_iterations, vtol, damping,
                         shrink=not timed_out)
     raise ConvergenceError(
         f"{reason}: {_short(final)}; residual trajectory: "
         + " | ".join(trajectory),
-        iterations=total_iterations,
+        iterations=stats.iterations,
         residual=final.residual, state=final.state, forensics=bundle,
     ) from first_failure
 
@@ -576,7 +584,7 @@ def _timed_out(deadline: Optional[float]) -> bool:
 
 
 def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
-               trajectory: List[str], health: SolverHealth,
+               trajectory: List[str], stats: "SolverStats",
                policy: RecoveryPolicy, time: float, max_iterations: int,
                vtol: float, damping: float, shrink: bool) -> ForensicsBundle:
     from repro.errors import CacheError
@@ -586,7 +594,7 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
         time=time, message=_short(failure),
         last_state=(None if failure.state is None
                     else [float(v) for v in np.asarray(failure.state)]),
-        health=health.to_json(),
+        stats=stats.to_json(),
     )
     for line in trajectory:
         stage, _, outcome = line.partition(": ")

@@ -44,13 +44,13 @@ def _run_entry(entry: CorpusEntry, engine: str,
         bundle = exc.forensics
         return {"status": "failed", "error": str(exc),
                 "forensics": None if bundle is None else bundle.to_json()}
-    health = result.health
+    stats = result.stats
     return {
         "status": "ok",
-        "rung_counts": dict(health.rung_counts) if health else {},
-        "recovered_steps": health.recovered_steps if health else 0,
-        "condition_warnings": health.condition_warnings if health else 0,
-        "worst_condition": health.worst_condition if health else 0.0,
+        "rung_counts": dict(stats.rung_counts),
+        "recovered_steps": stats.recovered_steps,
+        "condition_warnings": stats.condition_warnings,
+        "worst_condition": stats.worst_condition,
         "voltages": result.node_voltages,
     }
 

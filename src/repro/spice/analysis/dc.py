@@ -28,6 +28,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
 from repro.spice.devices.base import EvalContext
 from repro.spice.devices.sources import VoltageSource
+from repro.spice.analysis.engine import SolverStats
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
 
@@ -174,11 +175,10 @@ def solve_dc(
     start at 0 V.  For bistable circuits (sense amplifiers, latches) the
     seed selects the solution branch.
 
-    ``lint`` selects the ERC pre-flight mode (``"error"``/``"warn"``/
-    ``"off"``, see :func:`repro.lint.preflight`): circuits whose MNA
-    system is structurally singular (floating nodes, voltage-source
-    loops) are reported by name up front instead of as a gmin-stepping
-    stall.
+    ``lint`` selects the ERC pre-flight mode (``"error"`` or ``"off"``,
+    see :func:`repro.lint.preflight`): circuits whose MNA system is
+    structurally singular (floating nodes, voltage-source loops) are
+    reported by name up front instead of as a gmin-stepping stall.
 
     ``timeout`` bounds the *wall-clock* seconds spent across all Newton
     iterations and gmin stages; crossing it raises
@@ -227,7 +227,7 @@ def solve_dc(
             x, iterations = _newton(
                 circuit, x0, time, FLOOR_GMIN, max_iterations, vtol, damping,
                 deadline=deadline)
-            _flush_dc_metrics(sp, iterations, gmin_stages=0)
+            _flush_dc_metrics(sp, SolverStats(iterations=iterations))
             result = DCResult(circuit, x[: circuit.num_nodes],
                               x[circuit.num_nodes:], iterations, FLOOR_GMIN)
             if cache_handle is not None:
@@ -249,30 +249,24 @@ def solve_dc(
         # in repro.recovery.)
         from repro.recovery.ladder import dc_recover
 
-        x, total_iterations, health, _trajectory = dc_recover(
+        x, stats, _trajectory = dc_recover(
             circuit, _newton, x0, time, max_iterations, vtol, damping,
             FLOOR_GMIN, last_error, policy=policy, deadline=deadline,
         )
-        _flush_dc_metrics(sp, total_iterations, health.dc_gmin_stages,
-                          health=health)
+        _flush_dc_metrics(sp, stats)
         result = DCResult(circuit, x[: circuit.num_nodes],
-                          x[circuit.num_nodes:], total_iterations, FLOOR_GMIN)
+                          x[circuit.num_nodes:], stats.iterations, FLOOR_GMIN)
         if cache_handle is not None:
             cache_handle.store(result)
         return result
 
 
-def _flush_dc_metrics(sp, iterations: int, gmin_stages: int,
-                      health=None) -> None:
+def _flush_dc_metrics(sp, stats: SolverStats) -> None:
     """Record a finished DC solve in the metrics registry (no-op while
     observability is off) and annotate the enclosing span."""
     if not _obs_active():
         return
-    sp.annotate(newton_iterations=iterations, gmin_stages=gmin_stages)
+    sp.annotate(**stats.as_attrs())
     registry = _obs_metrics()
     registry.inc("engine.dc_solves", 1)
-    registry.inc("engine.newton_iterations", iterations)
-    if gmin_stages:
-        registry.inc("engine.gmin_stepping_stages", gmin_stages)
-    if health is not None:
-        health.flush_to(registry)
+    stats.flush_to(registry)

@@ -38,8 +38,9 @@ full-restamp reference transient there (``naive_transient``) to
 
 from __future__ import annotations
 
+import copy
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,16 +89,48 @@ JACOBIAN_MAX_AGE = 6
 _CLM_EPSILON = 1e-3
 
 
+#: The one metric name of each :class:`SolverStats` field (names only,
+#: so no cache key holds it).  A dict field adds one metric per key
+#: (``recovery.rung.gmin``); ``worst_condition`` is a gauge, every other
+#: field a counter.
+METRIC_NAMES = {  # devlint: not-keyed
+    "solves": "engine.solves",
+    "iterations": "engine.newton_iterations",
+    "factorizations": "engine.jacobian_factorizations",
+    "reuses": "engine.jacobian_reuses",
+    "singular_retries": "engine.singular_retries",
+    "gmin_retries": "engine.gmin_retries",
+    "timesteps": "engine.timesteps",
+    "pattern_builds": "engine.sparse_pattern_builds",
+    "pattern_reuses": "engine.sparse_pattern_reuses",
+    "lte_rejects": "engine.lte_rejects",
+    "recovered_steps": "recovery.recovered_steps",
+    "rung_counts": "recovery.rung",
+    "rungs_climbed": "recovery.rungs_climbed",
+    "nonfinite_trips": "recovery.nonfinite_trips",
+    "condition_checks": "recovery.condition_checks",
+    "condition_warnings": "recovery.condition_warnings",
+    "worst_condition": "recovery.worst_condition",
+    "dc_gmin_stages": "recovery.dc_gmin_stages",
+    "dc_source_steps": "recovery.dc_source_steps",
+    "stamp_seconds": "engine.stamp_seconds",
+}
+
+
 @dataclass
 class SolverStats:
-    """Counters the engine maintains about its own work.
+    """The solver record of one analysis: the engine's work and the
+    recovery ladder's.
 
     Kept as plain attribute increments so the untraced hot path pays
     integer adds only; :meth:`flush_to` moves the totals into the
     observability metrics registry once per analysis when a session is
-    active.  ``stamp_seconds`` holds per-device-class assembly time, and
-    under ``"residual"`` the device evaluation of reuse iterations; it is
-    only populated while tracing is on (it needs clock reads).
+    active, each under its name in :data:`METRIC_NAMES`.  Round-tripped
+    through the result cache, so a recovered run stays distinguishable
+    from a clean one on a warm hit.  ``stamp_seconds`` holds
+    per-device-class assembly time, and under ``"residual"`` the device
+    evaluation of reuse iterations; it is only populated while tracing is
+    on (it needs clock reads).
     """
 
     solves: int = 0
@@ -113,88 +146,72 @@ class SolverStats:
     pattern_reuses: int = 0
     #: Adaptive timestep control: steps rejected by the LTE estimator.
     lte_rejects: int = 0
-    #: Timesteps completed only via the recovery ladder (any rung); the
-    #: detailed per-rung breakdown lives on
-    #: :class:`~repro.recovery.health.SolverHealth`.
+    #: Timesteps completed only via the recovery ladder (any rung).
     recovered_steps: int = 0
+    #: Successful rung firings by rung name.
+    rung_counts: Dict[str, int] = field(default_factory=dict)
+    #: Rung attempts during recoveries (failed rungs included).
+    rungs_climbed: int = 0
+    #: NaN/Inf solutions caught by the finiteness guard.
+    nonfinite_trips: int = 0
+    #: Condition probes run / probes that crossed the WARN threshold.
+    condition_checks: int = 0
+    condition_warnings: int = 0
+    #: Largest κ₁ estimate seen (0.0 when never probed).
+    worst_condition: float = 0.0
+    #: DC recovery: gmin homotopy stages and source-stepping stages run.
+    dc_gmin_stages: int = 0
+    dc_source_steps: int = 0
     stamp_seconds: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def clean(self) -> bool:
+        """True when no rung fired and no guard tripped."""
+        return not (self.rung_counts or self.recovered_steps
+                    or self.nonfinite_trips or self.condition_warnings
+                    or self.dc_source_steps)
+
+    def counters(self) -> Dict[str, int]:
+        """Every count under its metric name, one per rung for
+        ``rung_counts``."""
+        counts: Dict[str, int] = {}
+        for name, metric in METRIC_NAMES.items():
+            value = getattr(self, name)
+            if name == "rung_counts":
+                counts.update((f"{metric}.{rung}", value[rung])
+                              for rung in sorted(value))
+            elif isinstance(value, int):
+                counts[metric] = value
+        return counts
+
     def flush_to(self, registry) -> None:
-        """Add these totals to an :class:`repro.obs.MetricsRegistry`."""
-        registry.inc("engine.solves", self.solves)
-        registry.inc("engine.newton_iterations", self.iterations)
-        registry.inc("engine.jacobian_factorizations", self.factorizations)
-        registry.inc("engine.jacobian_reuses", self.reuses)
-        if self.singular_retries:
-            registry.inc("engine.singular_retries", self.singular_retries)
-        if self.gmin_retries:
-            registry.inc("engine.gmin_retries", self.gmin_retries)
-        if self.timesteps:
-            registry.inc("engine.timesteps", self.timesteps)
-        if self.pattern_builds:
-            registry.inc("engine.sparse_pattern_builds", self.pattern_builds)
-        if self.pattern_reuses:
-            registry.inc("engine.sparse_pattern_reuses", self.pattern_reuses)
-        if self.lte_rejects:
-            registry.inc("engine.lte_rejects", self.lte_rejects)
-        if self.recovered_steps:
-            registry.inc("engine.recovered_steps", self.recovered_steps)
+        """Add the non-zero totals to an :class:`repro.obs.MetricsRegistry`."""
+        for metric, count in self.counters().items():
+            if count:
+                registry.inc(metric, count)
+        if self.worst_condition > 0.0:
+            registry.set_gauge(METRIC_NAMES["worst_condition"],
+                               self.worst_condition)
         for device_class in sorted(self.stamp_seconds):
-            registry.inc(f"engine.stamp_seconds.{device_class}",
+            registry.inc(f"{METRIC_NAMES['stamp_seconds']}.{device_class}",
                          self.stamp_seconds[device_class])
 
     def as_attrs(self) -> Dict[str, int]:
-        """Span-attribute form (the trace viewer's tooltip payload)."""
-        return {
-            "solves": self.solves,
-            "newton_iterations": self.iterations,
-            "jacobian_factorizations": self.factorizations,
-            "jacobian_reuses": self.reuses,
-            "singular_retries": self.singular_retries,
-            "gmin_retries": self.gmin_retries,
-            "timesteps": self.timesteps,
-            "pattern_builds": self.pattern_builds,
-            "pattern_reuses": self.pattern_reuses,
-            "lte_rejects": self.lte_rejects,
-            "recovered_steps": self.recovered_steps,
-        }
+        """Span-attribute form (the trace viewer's tooltip payload): the
+        counts under their metric names without the namespace."""
+        return {metric.split(".", 1)[1]: count
+                for metric, count in self.counters().items()}
 
     def to_json(self) -> Dict[str, object]:
-        """Plain-dict form for cache entries: what the original solve
-        cost, replayed verbatim on a hit."""
-        return {
-            "solves": self.solves,
-            "iterations": self.iterations,
-            "factorizations": self.factorizations,
-            "reuses": self.reuses,
-            "singular_retries": self.singular_retries,
-            "gmin_retries": self.gmin_retries,
-            "timesteps": self.timesteps,
-            "pattern_builds": self.pattern_builds,
-            "pattern_reuses": self.pattern_reuses,
-            "lte_rejects": self.lte_rejects,
-            "recovered_steps": self.recovered_steps,
-            "stamp_seconds": dict(self.stamp_seconds),
-        }
+        """Plain-dict form for cache entries and forensics bundles: what
+        the original solve cost, replayed verbatim on a hit."""
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "SolverStats":
-        return cls(
-            solves=int(data.get("solves", 0)),
-            iterations=int(data.get("iterations", 0)),
-            factorizations=int(data.get("factorizations", 0)),
-            reuses=int(data.get("reuses", 0)),
-            singular_retries=int(data.get("singular_retries", 0)),
-            gmin_retries=int(data.get("gmin_retries", 0)),
-            timesteps=int(data.get("timesteps", 0)),
-            pattern_builds=int(data.get("pattern_builds", 0)),
-            pattern_reuses=int(data.get("pattern_reuses", 0)),
-            lte_rejects=int(data.get("lte_rejects", 0)),
-            recovered_steps=int(data.get("recovered_steps", 0)),
-            stamp_seconds={str(k): float(v)
-                           for k, v in dict(
-                               data.get("stamp_seconds", {})).items()},
-        )
+        """Inverse of :meth:`to_json`; a missing field raises KeyError."""
+        return cls(**copy.deepcopy({f.name: data[f.name]
+                                    for f in fields(cls)}))
 
 
 def engine_config_fingerprint() -> Dict[str, object]:

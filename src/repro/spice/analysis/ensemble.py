@@ -42,12 +42,13 @@ across samples.  This module advances **all N samples together**:
 Failures take the scalar path.  A sample whose step fails leaves the
 batch at that step and, once the batch finishes, reruns alone as
 ``run_transient(engine="fast")``, which climbs the recovery ladder and
-returns its :class:`~repro.recovery.health.SolverHealth`; the other
-samples are not touched.  A batched sample's health record is empty: no
-rung fired, no guard tripped, and no condition probe ran.  Circuits with
-a junction whose class is not exactly
-:class:`~repro.spice.devices.mtj_element.MTJElement` (the NAND-SPIN
-junction's SOT erase is not modelled here) run as scalar runs.
+counts its rungs in its
+:class:`~repro.spice.analysis.engine.SolverStats`; the other samples are
+not touched.  A batched sample's record counts no rung, no guard trip
+and no condition probe.  Circuits with a junction whose class is not
+exactly :class:`~repro.spice.devices.mtj_element.MTJElement` (the
+NAND-SPIN junction's SOT erase is not modelled here) run as scalar
+runs.
 
 Determinism: no decision reads another sample, so a sample's result is
 the same bits in any batch — chunk size included — and there is no
@@ -665,7 +666,6 @@ def run_ensemble_transient(
     not copied.  So a batch's blocks stay alive until every result of
     the batch is dropped; copy a waveform out to keep it alone.
     """
-    from repro.recovery.health import SolverHealth
     from repro.spice.analysis.transient import (
         TransientResult,
         _check_run_args,
@@ -740,7 +740,7 @@ def run_ensemble_transient(
             )
             results[i] = TransientResult(
                 circuits[i], times.copy(), voltages[i], currents[i],
-                stats=stats, health=SolverHealth())
+                stats=stats)
 
         left = np.flatnonzero(solver.failed).tolist()
         if _obs_active():

@@ -56,7 +56,6 @@ from repro.spice.analysis.dc import (
 from repro.spice.netlist import Circuit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.recovery.health import SolverHealth
     from repro.spice.analysis.engine import SolverStats
 
 #: Session-wide default engine (see :func:`set_default_engine`).
@@ -87,20 +86,18 @@ class TransientResult:
     times: np.ndarray
     node_voltages: np.ndarray  # shape (steps, num_nodes)
     branch_currents: np.ndarray  # shape (steps, num_branches)
-    #: Engine work counters for this run (Newton iterations, Jacobian
-    #: factorisations vs reuses, ...) — the same totals the
-    #: observability registry receives, so traced campaigns can check
-    #: one against the other.
+    #: Solver record of this run: the engine's work (Newton iterations,
+    #: Jacobian factorisations vs reuses, ...) and the recovery ladder's
+    #: (rungs climbed, condition-probe results, guard trips) — the same
+    #: totals the observability registry receives, so traced campaigns
+    #: can check one against the other.  ``stats.clean`` is True for a
+    #: run that never needed the ladder.  Round-tripped through the
+    #: result cache.
     stats: Optional["SolverStats"] = None
     #: Adaptive runs only: the sequence of accepted internal step sizes
     #: [s] (``None`` for fixed-step runs).  Pinned by the dt-trace golden
     #: file so step-selection changes are visible in review.
     dt_trace: Optional[np.ndarray] = None
-    #: Resilience record for this run (recovery-ladder rungs climbed,
-    #: condition-probe results, guard trips); ``health.clean`` is True
-    #: for a run that never needed the ladder.  Round-tripped through
-    #: the result cache.
-    health: Optional["SolverHealth"] = None
 
     def voltage(self, node_name: str) -> np.ndarray:
         """Waveform of a node voltage [V].
@@ -255,7 +252,7 @@ def run_transient(
       grid.  ``lte_tol``/``max_dt_factor`` tune the controller (defaults
       from :mod:`repro.spice.analysis.sparse`).  A failed solve halves
       the step down to ``dt/4``, then climbs the ``recovery`` ladder.
-    * ``lint`` — ERC pre-flight mode (``"error"``/``"warn"``/``"off"``):
+    * ``lint`` — ERC pre-flight mode (``"error"`` or ``"off"``):
       structurally broken circuits (floating nodes, supply loops, ...)
       raise a :class:`~repro.errors.NetlistError` naming the root-cause
       diagnostic instead of failing later as a Newton non-convergence.
@@ -396,14 +393,12 @@ def run_transient(
 
         if _obs_active():
             stats.flush_to(_obs_metrics())
-            stepper.health.flush_to(_obs_metrics())
             _obs_metrics().inc("analysis.transients", 1)
             run_span.annotate(**stats.as_attrs())
 
         times, voltages, currents, dt_trace = control.finish()
         result = TransientResult(circuit, times, voltages, currents,
-                                 stats=stats, dt_trace=dt_trace,
-                                 health=stepper.health)
+                                 stats=stats, dt_trace=dt_trace)
         if cache_handle is not None:
             cache_handle.store(result)
         return result

@@ -1,7 +1,5 @@
 """Tests for the SPICE ERC rule pack and the analysis pre-flight."""
 
-import warnings
-
 import pytest
 
 from repro.cells.nvlatch_1bit import build_standard_latch
@@ -96,18 +94,13 @@ class TestPreflight:
             solve_dc(_floating_circuit())
         assert excinfo.value.diagnostics
 
-    def test_warn_mode_warns_and_continues(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            preflight(_floating_circuit(), "warn")
-        assert any("spice.floating-node" in str(w.message) for w in caught)
-
     def test_off_mode_skips(self):
         preflight(_floating_circuit(), "off")  # must not raise
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(AnalysisError):
-            preflight(_floating_circuit(), "strict")
+        for mode in ("strict", "warn"):
+            with pytest.raises(AnalysisError):
+                preflight(_floating_circuit(), mode)
 
     def test_series_cap_divider_is_transient_legal(self):
         """A DC-floating but capacitively grounded node warns, not errors,

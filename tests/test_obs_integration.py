@@ -102,11 +102,42 @@ def test_solver_stats_attached_even_when_disabled():
     assert metrics().counter("engine.newton_iterations") == 0
 
 
-def test_dc_iterations_match_registry():
+def test_dc_iterations_match_registry(monkeypatch):
+    from repro.cells.nvlatch_1bit import build_standard_latch
+    from repro.spice.analysis import dc as dc_module
+
+    spent = []  # iterations of every Newton attempt, failed ones included
+    newton = dc_module._newton
+
+    def counted(*args, **kwargs):
+        try:
+            x, iterations = newton(*args, **kwargs)
+        except ConvergenceError as exc:
+            spent.append(exc.iterations)
+            raise
+        spent.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(dc_module, "_newton", counted)
     enable_tracing()
     dc = solve_dc(_rc_circuit())
+    assert spent == [dc.iterations]
     assert metrics().counter("engine.newton_iterations") == dc.iterations
     assert metrics().counter("engine.dc_solves") == 1
+
+    # The idle standard latch (Table II's leakage solve) fails plain
+    # Newton, then converges on the gmin ladder: the failed attempt's
+    # iterations count too.
+    latch = build_standard_latch(vdd=1.1)
+    spent.clear()
+    recovered = solve_dc(latch.circuit, initial_guess={
+        "vdd": 1.1, latch.out: 1.1, latch.outb: 1.1})
+    assert spent[0] == dc_module.DEFAULT_MAX_ITERATIONS
+    assert recovered.iterations == sum(spent)
+    assert (metrics().counter("engine.newton_iterations")
+            == dc.iterations + recovered.iterations)
+    assert metrics().counter("engine.dc_solves") == 2
+    assert metrics().counter("recovery.dc_gmin_stages") == len(spent) - 1
 
 
 def test_stamp_seconds_recorded_per_device_class():

@@ -1,5 +1,5 @@
-"""Solver-resilience subsystem: policy, health guards, recovery ladder,
-forensics, and the pathological-circuit corpus.
+"""Solver-resilience subsystem: policy, the solver record and its
+guards, recovery ladder, forensics, and the pathological-circuit corpus.
 
 The headline contracts: pathological corpus entries hard-fail without
 recovery and complete deterministically with it (same rungs, recovered
@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from repro.cache import store as cache_store
 from repro.errors import AnalysisError, ConvergenceError
 from repro.recovery.corpus import RAZOR_POLICY, corpus_entries, corpus_entry
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
-from repro.recovery.health import (CONDITION_CAP, SolverHealth, guard_finite,
-                                   hager_inverse_norm1)
+from repro.recovery.health import (CONDITION_CAP, ConditionProbe,
+                                   guard_finite, hager_inverse_norm1)
 from repro.recovery.ladder import dc_recover
 from repro.recovery.policy import (DEFAULT_POLICY, KNOWN_RUNGS,
                                    RecoveryPolicy)
 from repro.recovery.shrink import greedy_shrink
+from repro.spice.analysis.engine import METRIC_NAMES, SolverStats
 from repro.spice.analysis.transient import ENGINES, run_transient
 from repro.spice.netlist import Circuit
 
@@ -76,56 +78,93 @@ class TestRecoveryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# SolverHealth and the guards
+# The solver record and the guards
 # ---------------------------------------------------------------------------
 
 
-class TestSolverHealth:
-    def test_json_round_trip(self):
-        health = SolverHealth()
-        health.note_rung_attempt("gmin")
-        health.note_rung_success("gmin")
-        health.note_recovered_step()
-        health.note_condition(1e14, warn_threshold=1e13)
-        clone = SolverHealth.from_json(health.to_json())
-        assert clone.to_json() == health.to_json()
-        assert clone.rung_counts == {"gmin": 1}
-        assert clone.condition_warnings == 1
-        assert clone.worst_condition == 1e14
+def _every_field_distinct() -> SolverStats:
+    """A record whose every field holds its own non-zero value."""
+    stats = SolverStats()
+    for value, f in enumerate(fields(SolverStats), start=1):
+        current = getattr(stats, f.name)
+        if isinstance(current, dict):
+            setattr(stats, f.name, {"a": value, "b": value + 100})
+        else:
+            setattr(stats, f.name, type(current)(value))
+    return stats
 
-    def test_merge_accumulates(self):
-        a, b = SolverHealth(), SolverHealth()
-        a.note_rung_success("gmin")
-        b.note_rung_success("gmin")
-        b.note_rung_success("damping")
-        b.note_condition(1e10, warn_threshold=1e13)
-        a.merge(b)
-        assert a.rung_counts == {"gmin": 2, "damping": 1}
-        assert a.condition_checks == 1
-        assert a.worst_condition == 1e10
+
+class TestSolverStats:
+    def test_one_count_one_field_one_metric_name(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        stats = _every_field_distinct()
+        assert SolverStats.from_json(stats.to_json()) == stats
+        json.dumps(stats.to_json())  # canonical-JSON material
+        assert list(METRIC_NAMES) == [f.name for f in fields(SolverStats)]
+        assert len(set(METRIC_NAMES.values())) == len(METRIC_NAMES)
+
+        # Every value is distinct, so a count flushed twice reads doubled
+        # and a count flushed under two names leaves an extra name.
+        expected = {}
+        for f in fields(SolverStats):
+            value, metric = getattr(stats, f.name), METRIC_NAMES[f.name]
+            if isinstance(value, dict):
+                expected.update((f"{metric}.{key}", value[key])
+                                for key in value)
+            else:
+                expected[metric] = value
+        registry = MetricsRegistry()
+        stats.flush_to(registry)
+        snapshot = registry.snapshot()
+        assert {**snapshot["counters"], **snapshot["gauges"]} == expected
+        assert len(snapshot["counters"]) + len(snapshot["gauges"]) \
+            == len(expected)
+        # A recovered step and a DC gmin stage are counted once, in the
+        # recovery namespace.
+        assert "engine.recovered_steps" not in expected
+        assert "engine.gmin_stepping_stages" not in expected
+
+        attrs = stats.as_attrs()
+        counters = stats.counters()
+        assert len(attrs) == len(counters)
+        for f in fields(SolverStats):
+            value = getattr(stats, f.name)
+            if isinstance(value, int):
+                metric = METRIC_NAMES[f.name]
+                assert counters[metric] == value
+                assert attrs[metric.split(".", 1)[1]] == value
+        for rung, count in stats.rung_counts.items():
+            assert counters[f"recovery.rung.{rung}"] == count
+            assert attrs[f"rung.{rung}"] == count
 
     def test_clean_flips_on_any_event(self):
-        health = SolverHealth()
-        assert health.clean
-        health.note_condition(1e9, warn_threshold=1e13)  # probe, no warn
-        assert health.clean
-        health.note_rung_success("gmin")
-        assert not health.clean
+        stats = SolverStats()
+        assert stats.clean
+        stats.condition_checks += 1  # probe, no warn
+        stats.iterations += 5
+        assert stats.clean
+        stats.rung_counts["gmin"] = 1
+        assert not stats.clean
 
     def test_condition_estimates_are_capped(self):
-        health = SolverHealth()
-        health.note_condition(float("inf"), warn_threshold=1e13)
-        assert health.worst_condition == CONDITION_CAP
-        json.dumps(health.to_json())  # no IEEE infinities in payloads
+        stats = SolverStats()
+        probe = ConditionProbe(stats, RecoveryPolicy(condition_interval=1))
+        probe.after_factorization(lambda b: b, lambda b: b,
+                                  lambda: float("inf"), 2)
+        assert stats.condition_checks == 1
+        assert stats.condition_warnings == 1
+        assert stats.worst_condition == CONDITION_CAP
+        json.dumps(stats.to_json())  # no IEEE infinities in payloads
 
     def test_guard_finite_passes_finite_and_trips_on_nan(self):
-        health = SolverHealth()
+        stats = SolverStats()
         x = np.array([1.0, 2.0])
-        assert guard_finite(x, "test", health) is x
+        assert guard_finite(x, "test", stats) is x
         bad = np.array([1.0, np.nan, np.inf])
         with pytest.raises(ConvergenceError, match="non-finite"):
-            guard_finite(bad, "test", health)
-        assert health.nonfinite_trips == 1
+            guard_finite(bad, "test", stats)
+        assert stats.nonfinite_trips == 1
 
     def test_hager_estimate_tracks_the_true_inverse_norm(self):
         # Fixed ill-scaled system: the estimate is a lower bound on
@@ -193,10 +232,9 @@ def _healthy_rc() -> Circuit:
 def test_healthy_circuit_has_clean_health(engine):
     result = run_transient(_healthy_rc(), stop_time=5e-9, dt=0.5e-9,
                            engine=engine, lint="off")
-    assert result.health is not None
-    assert result.health.clean
-    assert result.health.rung_counts == {}
-    assert result.health.recovered_steps == 0
+    assert result.stats.clean
+    assert result.stats.rung_counts == {}
+    assert result.stats.recovered_steps == 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +333,8 @@ def test_batched_corpus_runs_match_their_scalar_runs(name):
         assert np.array_equal(result.branch_currents,
                               scalar.branch_currents)
         if name == "sharp-edge":
-            assert result.health.rung_counts == scalar.health.rung_counts
-            assert result.health.rung_counts == {"timestep-cut": 1,
+            assert result.stats.rung_counts == scalar.stats.rung_counts
+            assert result.stats.rung_counts == {"timestep-cut": 1,
                                                  "damping": 1}
 
 
@@ -325,7 +363,9 @@ def _recovered_digest(name: str) -> str:
     result = entry.run(engine="fast")
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.node_voltages).tobytes())
-    h.update(json.dumps(result.health.to_json(), sort_keys=True).encode())
+    record = result.stats.to_json()
+    del record["stamp_seconds"]  # timing, filled only under tracing
+    h.update(json.dumps(record, sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -369,11 +409,11 @@ class TestRecoveredRunsAndTheCache:
         assert (warm.node_voltages.tobytes()
                 == cold.node_voltages.tobytes())
         assert warm.branch_currents.tobytes() == cold.branch_currents.tobytes()
-        # The resilience record survives the cache round trip: a warm
-        # recovered run is still distinguishable from a clean one.
-        assert warm.health is not None
-        assert warm.health.to_json() == cold.health.to_json()
-        assert warm.health.rung_counts.get("gmin", 0) > 0
+        # The whole solver record survives the cache round trip, rung
+        # counts included: a warm recovered run is still distinguishable
+        # from a clean one.
+        assert warm.stats == cold.stats
+        assert warm.stats.rung_counts.get("gmin", 0) > 0
 
     def test_different_policy_is_a_different_cache_key(self, active_cache):
         entry = corpus_entry("razor-sense")
@@ -466,7 +506,7 @@ class TestDCRecoveryReporting:
         message = str(excinfo.value)
         assert "gmin stepping stalled at gmin=0.0001" in message
         assert "gmin 0.01: converged in 3 iterations" in message
-        assert excinfo.value.forensics.health["dc_gmin_stages"] == 2
+        assert excinfo.value.forensics.stats["dc_gmin_stages"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,7 @@ class TestRecordedColumnOrder:
             assert (getattr(recorded, name).tobytes()
                     == getattr(per_call, name).tobytes())
         assert recorded.stats == per_call.stats
-        assert recorded.health == per_call.health
-        assert recorded.health.condition_checks > 0
+        assert recorded.stats.condition_checks > 0
 
     def test_threads_racing_to_record_the_order_agree(self):
         # A pattern is shared process-wide: threads that factorise a new
@@ -512,10 +511,10 @@ class TestAdaptiveTransient:
                                 max_iterations=4)
         default = run_transient(mtj_read_circuit(dynamic=False), stop, dt,
                                 engine="sparse", adaptive=True)
-        health = starved.health
-        assert not health.clean
-        assert health.rung_counts.get("timestep-cut", 0) > 0
-        assert health.recovered_steps > 0
+        stats = starved.stats
+        assert not stats.clean
+        assert stats.rung_counts.get("timestep-cut", 0) > 0
+        assert stats.recovered_steps > 0
         assert float(np.min(starved.dt_trace)) \
             >= dt / MIN_DT_DIVISOR * 0.999
         assert float(np.sum(starved.dt_trace)) == pytest.approx(stop,
@@ -636,7 +635,7 @@ class TestEnsemble:
                                   scalar.node_voltages)
             assert np.array_equal(result.branch_currents,
                                   scalar.branch_currents)
-            assert not result.health.clean
+            assert not result.stats.clean
 
     def test_rejects_mismatched_topologies(self):
         circuits = _sample_circuits(2)
@@ -762,7 +761,7 @@ class TestEnsemble:
                               **options)
         assert np.array_equal(sharp.node_voltages, alone.node_voltages)
         assert np.array_equal(sharp.branch_currents, alone.branch_currents)
-        assert sharp.health.rung_counts == {"damping": 1}
+        assert sharp.stats.rung_counts == {"damping": 1}
         pair = run_ensemble_transient(
             [sharp_edge_circuit(100e-12), sharp_edge_circuit(200e-12)],
             **options)
@@ -771,7 +770,7 @@ class TestEnsemble:
                                   reference.node_voltages)
             assert np.array_equal(result.branch_currents,
                                   reference.branch_currents)
-            assert result.health.clean
+            assert result.stats.clean
 
     def test_results_are_disjoint_contiguous_rows(self):
         # Each batched result's waveforms are a view of its own row of
