@@ -185,12 +185,15 @@ def _flow_result(benchmark: str, config: Any = None) -> SystemResult:
     Module-level (hence picklable) and returning only the compact
     :class:`SystemResult`, not the placement-heavy flow artefacts, so the
     process-pool path ships kilobytes instead of megabytes.  The flow
-    import is deferred: :mod:`repro.core.flow` imports this module.
+    import is deferred: :mod:`repro.core.flow` imports this module.  The
+    flow's collector pause holds until those artefacts are dropped here:
+    otherwise the first collection after the flow would scan all of them
+    once on the way out.
     """
-    from repro.core.flow import run_system_flow
+    from repro.core.flow import gc_paused, run_system_flow
 
     with _obs_span("evaluate.flow", category="evaluate",
-                   attrs={"benchmark": benchmark}):
+                   attrs={"benchmark": benchmark}), gc_paused():
         return run_system_flow(benchmark, config).result
 
 

@@ -7,12 +7,20 @@ One call reproduces one row of the paper's Table III:
 3. run the neighbour-pairing script under the 2×-NV-width threshold,
 4. plan the NV-component replacement ECO,
 5. evaluate the area/read-energy against the all-1-bit baseline.
+
+CPython's cyclic garbage collector is paused while the flow runs.  The
+netlist, placement and merge records refer to each other by name, so the
+flow builds no reference cycles: reference counting frees all of it when
+the outcome is dropped, and the collector's repeated scans of the growing
+object graph would find nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.core.evaluate import NVCellCosts, PAPER_COSTS, SystemResult, evaluate_system
 from repro.core.merge import MergeConfig, MergeResult, find_mergeable_pairs
@@ -45,20 +53,39 @@ class FlowOutcome:
     result: SystemResult
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Disable the cyclic collector for the block, then re-enable it only
+    if it was enabled on entry (a caller that had it off keeps it off)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_system_flow(
     benchmark: str,
     config: Optional[FlowConfig] = None,
     netlist: Optional[GateNetlist] = None,
 ) -> FlowOutcome:
-    """Run the full flow for one benchmark and return all artefacts."""
+    """Run the full flow for one benchmark and return all artefacts.
+
+    The cyclic collector is paused for the whole flow (see the module
+    docstring), and the caller's collector state is restored on return
+    and on raise.
+    """
     config = config or FlowConfig()
-    if netlist is None:
-        netlist = generate_benchmark(benchmark, seed=config.seed)
-    placement = place_design(netlist, utilization=config.utilization,
-                             seed=config.seed)
-    merge = find_mergeable_pairs(placement, config.merge)
-    replacement = plan_replacement(placement, merge)
-    result = evaluate_system(benchmark, netlist.num_flip_flops, merge,
-                             config.costs)
+    with gc_paused():
+        if netlist is None:
+            netlist = generate_benchmark(benchmark, seed=config.seed)
+        placement = place_design(netlist, utilization=config.utilization,
+                                 seed=config.seed)
+        merge = find_mergeable_pairs(placement, config.merge)
+        replacement = plan_replacement(placement, merge)
+        result = evaluate_system(benchmark, netlist.num_flip_flops, merge,
+                                 config.costs)
     return FlowOutcome(netlist=netlist, placement=placement, merge=merge,
                        replacement=replacement, result=result)

@@ -137,13 +137,15 @@ class GateNetlist:
         if not self.instances:
             raise NetlistError(f"netlist {self.name!r} has no instances")
         problems: List[str] = []
+        instances = self.instances
         for net in self.nets.values():
+            if all(map(instances.__contains__, net.instances)):
+                continue
             missing = sorted({inst_name for inst_name in net.instances
-                              if inst_name not in self.instances})
-            if missing:
-                names = ", ".join(repr(m) for m in missing)
-                problems.append(
-                    f"net {net.name!r} references missing instance(s) {names}")
+                              if inst_name not in instances})
+            names = ", ".join(repr(m) for m in missing)
+            problems.append(
+                f"net {net.name!r} references missing instance(s) {names}")
         if problems:
             raise NetlistError(
                 f"netlist {self.name!r} has {len(problems)} broken net(s):\n  "

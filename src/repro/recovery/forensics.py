@@ -68,7 +68,7 @@ class ForensicsBundle:
     devices_after: int = 0
     #: Solver record (:meth:`SolverStats.to_json
     #: <repro.spice.analysis.engine.SolverStats.to_json>`) at the moment
-    #: of exhaustion.
+    #: of exhaustion, without its ``stamp_seconds`` timing.
     stats: Optional[Dict[str, Any]] = None
 
     def note_rung(self, rung: str, detail: str, outcome: str) -> None:
@@ -76,8 +76,8 @@ class ForensicsBundle:
             {"rung": rung, "detail": detail, "outcome": outcome})
 
     def digest(self) -> str:
-        """Content digest of the bundle (stable across workers, save that
-        a traced run's ``stats`` carries its ``stamp_seconds`` timing)."""
+        """Content digest of the bundle (stable across workers and
+        tracing)."""
         return stable_digest(self.to_json())
 
     def summary(self) -> str:

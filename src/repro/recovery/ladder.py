@@ -34,6 +34,7 @@ residual trajectory, then source-stepping homotopy.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -73,9 +74,17 @@ def _count_rung(stats, rung: str) -> None:
 
 def _probe_policy(policy: RecoveryPolicy) -> RecoveryPolicy:
     """The policy shrink-oracle runs use: no rungs, no nested shrink."""
-    from dataclasses import replace
-
     return replace(policy, enabled=False, shrink_on_failure=False)
+
+
+def _untimed_json(stats: "SolverStats") -> Dict[str, Any]:
+    """The record a forensics bundle carries: ``stamp_seconds`` emptied.
+
+    That timing is filled only under tracing and already reaches the
+    metrics registry, so leaving it out makes one failure digest the same
+    traced or not.
+    """
+    return replace(stats, stamp_seconds={}).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +381,7 @@ class TransientStepper:
             time=time,
             message=_short(failure),
             last_state=[float(v) for v in np.asarray(last_state).ravel()],
-            stats=self.stats.to_json(),
+            stats=_untimed_json(self.stats),
         )
         for entry in history:
             bundle.note_rung(entry["rung"], entry["detail"],
@@ -594,7 +603,7 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
         time=time, message=_short(failure),
         last_state=(None if failure.state is None
                     else [float(v) for v in np.asarray(failure.state)]),
-        stats=stats.to_json(),
+        stats=_untimed_json(stats),
     )
     for line in trajectory:
         stage, _, outcome = line.partition(": ")

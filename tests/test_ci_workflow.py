@@ -49,10 +49,15 @@ def run_scripts(text):
     return scripts
 
 
-def test_every_repro_command_parses():
+def repro_commands():
+    """The arguments of every ``python -m repro`` command in ci.yml."""
     scripts = run_scripts(CI_YML.read_text(encoding="utf-8"))
-    commands = [m.group(1).strip() for script in scripts
-                for m in _COMMAND.finditer(script)]
+    return [m.group(1).strip() for script in scripts
+            for m in _COMMAND.finditer(script)]
+
+
+def test_every_repro_command_parses():
+    commands = repro_commands()
     assert commands, "no `python -m repro` command found in ci.yml"
     parser = build_parser()
     rejected = []
@@ -62,6 +67,13 @@ def test_every_repro_command_parses():
         except SystemExit:
             rejected.append(command)
     assert not rejected, f"ci.yml runs unknown repro commands: {rejected}"
+
+
+def test_ci_profiles_both_table_flows():
+    parser = build_parser()
+    parsed = [parser.parse_args(shlex.split(c)) for c in repro_commands()]
+    profiled = {args.flow for args in parsed if args.command == "profile"}
+    assert {"table2", "table3"} <= profiled, profiled
 
 
 def test_every_heredoc_import_resolves():

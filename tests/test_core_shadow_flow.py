@@ -1,9 +1,12 @@
 """Tests for the behavioural shadow architecture, the power-gating
 protocol, the k-bit cost model, and the end-to-end system flow."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import flow
 from repro.core.flow import FlowConfig, run_system_flow
 from repro.core.multibit import KBitCostModel, kbit_transistor_count, plan_kbit
 from repro.core.shadow import (
@@ -13,7 +16,7 @@ from repro.core.shadow import (
     PowerState,
     ShadowFlipFlop,
 )
-from repro.errors import AnalysisError, MergeError
+from repro.errors import AnalysisError, MergeError, PlacementError
 
 
 class TestNVBitCell:
@@ -236,3 +239,77 @@ class TestSystemFlow:
 
         cell_gain = 1 - PAPER_COSTS.area_2bit / (2 * PAPER_COSTS.area_1bit)
         assert s344_flow_outcome.result.area_improvement <= cell_gain + 1e-12
+
+
+class TestCollectorPause:
+    """``run_system_flow`` and the Table III row worker pause the cyclic
+    collector for the whole flow and hand the caller's state back."""
+
+    def test_flow_builds_no_reference_cycles(self, s344_flow_outcome):
+        # The pause's premise: reference counting alone frees a dropped
+        # outcome, so a collection afterwards finds nothing unreachable.
+        # (The shared s344 run has already imported what the flow loads.)
+        gc.collect()
+        gc.disable()
+        try:
+            run_system_flow("s5378")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collector_is_off_from_generation_to_evaluation(self,
+                                                            monkeypatch):
+        seen = []
+
+        def recording(step):
+            def wrapped(*args, **kwargs):
+                seen.append((step.__name__, gc.isenabled()))
+                return step(*args, **kwargs)
+            return wrapped
+
+        for name in ("generate_benchmark", "place_design",
+                     "evaluate_system"):
+            monkeypatch.setattr(flow, name, recording(getattr(flow, name)))
+        run_system_flow("s344")
+        assert seen == [("generate_benchmark", False),
+                        ("place_design", False), ("evaluate_system", False)]
+
+    def test_collector_is_back_on_after_return_and_raise(self):
+        assert gc.isenabled()
+        run_system_flow("s344")
+        assert gc.isenabled()
+        with pytest.raises(PlacementError):
+            run_system_flow("s344", FlowConfig(utilization=0.99))
+        assert gc.isenabled()
+
+    def test_a_table3_row_drops_the_artefacts_before_resuming(self):
+        # The row worker holds the pause until the flow's outcome is
+        # dropped, so the collection that follows the flow scans a handful
+        # of young objects, not the ~15,000 of s5378's live artefacts.
+        from repro.core.evaluate import _flow_result
+
+        young = []
+
+        def record(phase, info):
+            if phase == "start":
+                young.append(len(gc.get_objects(generation=0)))
+
+        gc.collect()  # no collection is due on entry to the worker
+        gc.callbacks.append(record)
+        try:
+            _flow_result("s5378")
+        finally:
+            gc.callbacks.remove(record)
+        assert gc.isenabled()
+        assert all(size < 1000 for size in young), young
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_off(self):
+        gc.disable()
+        try:
+            run_system_flow("s344")
+            assert not gc.isenabled()
+            with pytest.raises(PlacementError):
+                run_system_flow("s344", FlowConfig(utilization=0.99))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

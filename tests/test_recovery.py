@@ -307,6 +307,25 @@ def test_exhaustion_raises_with_forensics_attached():
         set(KNOWN_RUNGS) | {"dc-homotopy"})
 
 
+def _exhaustion_digest() -> str:
+    with pytest.raises(ConvergenceError) as excinfo:
+        corpus_entry("ladder-exhaustion").run(engine="fast")
+    return excinfo.value.forensics.digest()
+
+
+def test_exhaustion_digest_is_the_same_traced_or_not():
+    from repro.obs import disable_tracing, enable_tracing
+
+    digests = [_exhaustion_digest()]
+    for _ in range(2):
+        enable_tracing(fresh=True)
+        try:
+            digests.append(_exhaustion_digest())
+        finally:
+            disable_tracing()
+    assert len(set(digests)) == 1, digests
+
+
 # ---------------------------------------------------------------------------
 # Batched runs of the corpus: a failing sample takes the scalar ladder
 # ---------------------------------------------------------------------------
