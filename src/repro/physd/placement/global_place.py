@@ -15,7 +15,8 @@ identical coordinates (e.g. symmetric fanout trees).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from array import array
+from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,28 +77,19 @@ def global_place(
                    attrs={"cells": len(names)}) as span:
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
-
-        rows_i: List[int] = []
-        rows_j: List[int] = []
-        weights: List[float] = []
-        diag = np.zeros(n)
-        bx = np.zeros(n)
-        by = np.zeros(n)
-
         pads = _pad_positions(netlist, floorplan)
 
-        def add_edge(i: int, j: int, w: float) -> None:
-            rows_i.append(i)
-            rows_j.append(j)
-            weights.append(w)
-            diag[i] += w
-            diag[j] += w
-
-        def add_anchor(i: int, px: float, py: float, w: float) -> None:
-            diag[i] += w
-            bx[i] += w * px
-            by[i] += w * py
-
+        # Edges go into typed arrays (16 bytes an edge), and the diagonal
+        # and pad anchors sum in Python floats: a float ``+=`` is the same
+        # IEEE add as a numpy scalar ``+=``, and cheaper.  Each temporary
+        # is dropped once used: the flow's peak memory is the netlist plus
+        # the largest stage peak on top of it.
+        rows_i = array("i")
+        rows_j = array("i")
+        weights = array("d")
+        diag = [0.0] * n
+        bx = [0.0] * n
+        by = [0.0] * n
         for net in netlist.nets.values():
             pins = [index[name] for name in net.instances]
             pad = pads.get(net.name) if net.is_port else None
@@ -107,16 +99,34 @@ def global_place(
             w = 1.0 / (p - 1)
             if p <= CLIQUE_LIMIT:
                 for a in range(len(pins)):
+                    i = pins[a]
                     for b in range(a + 1, len(pins)):
-                        add_edge(pins[a], pins[b], w)
+                        j = pins[b]
+                        rows_i.append(i)
+                        rows_j.append(j)
+                        weights.append(w)
+                        diag[i] += w
+                        diag[j] += w
                     if pad:
-                        add_anchor(pins[a], pad[0], pad[1], w)
+                        diag[i] += w
+                        bx[i] += w * pad[0]
+                        by[i] += w * pad[1]
             else:
                 hub = pins[0]
-                for other in pins[1:]:
-                    add_edge(hub, other, w)
+                for j in pins[1:]:
+                    rows_i.append(hub)
+                    rows_j.append(j)
+                    weights.append(w)
+                    diag[hub] += w
+                    diag[j] += w
                 if pad:
-                    add_anchor(hub, pad[0], pad[1], w)
+                    diag[hub] += w
+                    bx[hub] += w * pad[0]
+                    by[hub] += w * pad[1]
+        del index
+        diag = np.array(diag)
+        bx = np.array(bx)
+        by = np.array(by)
 
         if not np.any(bx) and not np.any(by):
             # No pads at all: anchor everything weakly at the die center.
@@ -133,15 +143,22 @@ def global_place(
         bx += regular * center.x
         by += regular * center.y
 
-        i_arr = np.array(rows_i, dtype=np.int64)
-        j_arr = np.array(rows_j, dtype=np.int64)
-        w_arr = np.array(weights)
-        matrix = sp.coo_matrix(
-            (np.concatenate([-w_arr, -w_arr, diag]),
-             (np.concatenate([i_arr, j_arr, np.arange(n)]),
-              np.concatenate([j_arr, i_arr, np.arange(n)]))),
-            shape=(n, n),
-        ).tocsr()
+        # COO triplets: each edge as (i, j) and (j, i), then the diagonal.
+        # ``tocsr`` sums duplicates in this entry order, so it is kept.
+        m = len(weights)
+        w_arr = np.frombuffer(weights, dtype=np.float64)
+        i_arr = np.frombuffer(rows_i, dtype=np.intc)
+        j_arr = np.frombuffer(rows_j, dtype=np.intc)
+        data = np.empty(2 * m + n)
+        np.negative(w_arr, out=data[:m])
+        np.negative(w_arr, out=data[m:2 * m])
+        data[2 * m:] = diag
+        on_diagonal = np.arange(n, dtype=np.int32)
+        rows = np.concatenate([i_arr, j_arr, on_diagonal])
+        cols = np.concatenate([j_arr, i_arr, on_diagonal])
+        del w_arr, i_arr, j_arr, weights, rows_i, rows_j, diag, on_diagonal
+        matrix = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        del data, rows, cols
 
         preconditioner = sp.diags(1.0 / matrix.diagonal())
         x0 = np.full(n, center.x)
@@ -160,6 +177,7 @@ def global_place(
             )
         # info > 0 (iteration cap) is acceptable: the last iterate is already a
         # good approximate minimiser, and the legaliser absorbs residual error.
+        del matrix, preconditioner, bx, by, x0, y0
 
         rng = np.random.default_rng(seed)
         die = floorplan.die
@@ -178,7 +196,7 @@ def global_place(
         x = _spread_axis(x, die.x_min, die.x_max, SPREADING_BLEND)
         y = _spread_axis(y, die.y_min, die.y_max, SPREADING_BLEND)
 
-        return {name: (float(x[i]), float(y[i])) for name, i in index.items()}
+        return dict(zip(names, zip(x.tolist(), y.tolist())))
 
 
 #: Blend factor of the rank-uniform spreading (1 = fully uniform density,

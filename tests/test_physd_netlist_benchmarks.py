@@ -1,5 +1,8 @@
 """Tests for the gate netlist container and the benchmark generators."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,8 @@ from repro.physd.benchmarks import (
     generate_benchmark,
     generate_from_spec,
 )
-from repro.physd.netlist import GateNetlist
+from repro.physd.netlist import GateNetlist, Instance, Net
+from repro.physd.placement.legalize import _Cluster
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,45 @@ class TestGateNetlist:
         nl.add_net("x", is_port=True)
         nl.add_net("x", is_port=False)
         assert nl.nets["x"].is_port
+
+
+class TestSlottedRecords:
+    """``Instance``, ``Net`` and the legaliser's ``_Cluster`` are slotted:
+    no per-object ``__dict__``, with the dataclass behaviour of before."""
+
+    def test_records_have_no_instance_dict(self, library):
+        records = [Instance("g0", library["INV_X1"]), Net("a"),
+                   _Cluster("g0", 0.0, 1e-7)]
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_default_lists_are_fresh(self, library):
+        assert Net("a").instances is not Net("b").instances
+        cell = library["INV_X1"]
+        assert Instance("g0", cell).nets is not Instance("g1", cell).nets
+        assert Instance("g0", cell).nets == []
+        assert Net("a").is_port is False
+
+    def test_repr_and_eq_are_generated(self, library):
+        net = Net("n1", ["g0", "g1"], is_port=True)
+        assert repr(net) == "Net(name='n1', instances=['g0', 'g1'], is_port=True)"
+        assert net == Net(name="n1", instances=["g0", "g1"], is_port=True)
+        assert net != Net("n1", ["g0", "g1"])
+        cell = library["INV_X1"]
+        assert Instance("g0", cell, ["a", "y"]) == Instance("g0", cell, ["a", "y"])
+        assert Instance("g0", cell, ["a", "y"]) != Instance("g0", cell, ["y"])
+        assert [f.name for f in dataclasses.fields(Instance)] == [
+            "name", "cell", "nets"]
+        assert [f.name for f in dataclasses.fields(Net)] == [
+            "name", "instances", "is_port"]
+
+    def test_generated_netlist_survives_pickle(self):
+        netlist = generate_benchmark("s344", seed=1)
+        copy = pickle.loads(pickle.dumps(netlist))
+        assert list(copy.instances.values()) == list(netlist.instances.values())
+        assert list(copy.nets.values()) == list(netlist.nets.values())
 
 
 class TestBenchmarkSpecs:
