@@ -187,8 +187,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     if args.list_rules:
+        import repro.devlint  # noqa: F401  (registers the dev pack)
+
         for lint_rule in all_rules():
-            print(f"{lint_rule.rule_id:28s} [{lint_rule.kind}] "
+            print(f"{lint_rule.rule_id:36s} [{lint_rule.kind}] "
                   f"{lint_rule.severity}: {lint_rule.description}")
         return 0
 
@@ -230,20 +232,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_devlint(args: argparse.Namespace) -> int:
-    from repro.devlint import all_rules, lint_paths
-    from repro.devlint.selftest import run_self_test
+    from repro.devlint import lint_paths
     from repro.lint.diagnostics import Severity, render_reports_json
-
-    if args.self_test:
-        ok, lines = run_self_test()
-        print("\n".join(lines))
-        return 0 if ok else 1
-
-    if args.list_rules:
-        for dev_rule in all_rules():
-            print(f"{dev_rule.rule_id:36s} {dev_rule.severity}: "
-                  f"{dev_rule.description}")
-        return 0
 
     paths = list(args.paths)
     root = os.getcwd()
@@ -566,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["info", "warn", "error"],
                     help="lowest severity shown in text output")
     pn.add_argument("--self-test", action="store_true",
-                    help="run every rule against the built-in corpus of "
-                         "broken circuits and verify the shipped cells "
-                         "stay clean")
+                    help="run every rule of every pack (devlint's "
+                         "included) against the built-in corpus of broken "
+                         "designs and verify the shipped cells stay clean")
     pn.add_argument("--list-rules", action="store_true",
-                    help="list the registered rules and exit")
+                    help="list the registered rules of every pack and exit")
     pn.set_defaults(func=_cmd_lint)
 
     pd = sub.add_parser(
@@ -586,11 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--min-severity", default="warn",
                     choices=["info", "warn", "error"],
                     help="lowest severity shown in text output")
-    pd.add_argument("--self-test", action="store_true",
-                    help="run every rule against the built-in corpus of "
-                         "broken Python fixtures")
-    pd.add_argument("--list-rules", action="store_true",
-                    help="list the registered rules and exit")
     pd.add_argument("--update-schema-manifest", action="store_true",
                     help="re-derive devlint/schema_manifest.json from the "
                          "analyzed tree (bump SCHEMA_VERSION first)")

@@ -1,8 +1,8 @@
 """Devlint: AST-based correctness analyzer for the repro codebase itself.
 
-Where ``repro lint`` checks *circuits* (ERC, netlist and MTJ rules),
-``repro devlint`` checks the *Python source* for the project-specific
-hazards no generic linter knows about:
+Where the circuit packs of ``repro lint`` check *designs* (ERC, netlist
+and fault-plan rules), ``repro devlint`` checks the *Python source* for
+the project-specific hazards no generic linter knows about:
 
 * determinism — unseeded RNG streams, wall-clock reads on cache-keyed
   paths, unsorted iteration feeding canonical digests;
@@ -13,10 +13,11 @@ hazards no generic linter knows about:
 * cross-process and observability safety — picklable task callables,
   ``with``-managed spans, ``super().__init__`` in error subclasses.
 
-Analysis is purely static (``ast`` + marker comments; linted code is
-never imported) and reports reuse the shared
-:class:`~repro.lint.diagnostics.LintReport`, so text/JSON output renders
-identically to the circuit lint.  Run it with ``repro devlint src`` or
+Its rules are the ``"dev"`` kind of the one rule registry,
+:mod:`repro.lint.registry`; importing this package registers them, and
+``repro lint --self-test`` / ``--list-rules`` cover them with the other
+packs.  Analysis is purely static (``ast`` + marker comments; linted
+code is never imported).  Run it with ``repro devlint src`` or
 programmatically::
 
     from repro.devlint import lint_paths
@@ -34,19 +35,13 @@ from repro.lint.diagnostics import (  # noqa: F401  (re-exported)
     LintReport,
     Severity,
 )
+from repro.lint.registry import run_rules
 
 from repro.devlint.model import (  # noqa: F401
     DEFAULT_EXCLUDES,
     Project,
     PyModule,
     load_project,
-)
-from repro.devlint.registry import (  # noqa: F401
-    DevRule,
-    all_rules,
-    get_rule,
-    rule_ids,
-    run_rules,
 )
 
 # Importing the packs registers their rules (same pattern as repro.lint).
@@ -61,6 +56,6 @@ def lint_paths(paths: Sequence[str],
                target: str = "src",
                excludes: Sequence[str] = DEFAULT_EXCLUDES,
                root: Optional[str] = None) -> LintReport:
-    """Load ``paths`` into a project and run every registered rule."""
-    project = load_project(paths, excludes=excludes, root=root)
-    return run_rules(project, target=target)
+    """Load ``paths`` into a project and run every ``dev`` rule."""
+    return run_rules("dev", load_project(paths, excludes=excludes, root=root),
+                     target)

@@ -1,4 +1,4 @@
-# devlint-expect: dev.bare-convergence-retry
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: ad-hoc convergence retry inside an except handler.
 
 The three shapes the rule must catch: a direct solver re-run at a

@@ -1,4 +1,4 @@
-# devlint-expect: dev.config-constant-unfingerprinted
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: engine constant missing from the config fingerprint."""
 
 SOLVER_TOL = 1e-9

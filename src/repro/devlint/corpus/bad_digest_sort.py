@@ -1,4 +1,4 @@
-# devlint-expect: dev.unsorted-digest-iteration
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: unsorted iteration feeding a canonical digest."""
 
 from repro.serialize import stable_digest

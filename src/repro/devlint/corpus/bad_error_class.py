@@ -1,4 +1,4 @@
-# devlint-expect: dev.error-super-init
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: error subclass dropping the diagnostics-capturing
 super().__init__ call."""
 

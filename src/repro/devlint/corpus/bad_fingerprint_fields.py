@@ -1,4 +1,4 @@
-# devlint-expect: dev.fingerprint-missing-field
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: cache-key serializers missing class fields."""
 
 from dataclasses import dataclass

@@ -1,4 +1,4 @@
-# devlint-expect: dev.serializable-incomplete, dev.schema-version-unbumped
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: Serializable protocol violations and schema drift.
 
 Neither schema is registered in the committed manifest, so the

@@ -1,4 +1,4 @@
-# devlint-expect: dev.span-without-with
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: obs spans driven outside 'with' blocks."""
 
 from repro.obs import span

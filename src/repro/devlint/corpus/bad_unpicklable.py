@@ -1,4 +1,4 @@
-# devlint-expect: dev.unpicklable-task
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: unpicklable callables shipped to worker pools."""
 
 from repro.parallel import parallel_map

@@ -1,4 +1,4 @@
-# devlint-expect: dev.unseeded-rng
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 """Corpus fixture: draws from unseeded global RNG streams."""
 
 import random

@@ -1,4 +1,4 @@
-# devlint-expect: dev.wallclock-dependence
+# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
 # devlint: keyed-path
 """Corpus fixture: wall-clock reads on a cache-keyed path.
 

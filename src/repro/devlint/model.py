@@ -5,9 +5,6 @@ files parsed to ASTs, with the raw source lines kept alongside so rules
 can read the structured **marker comments** that bind analyzer knowledge
 to the code it describes:
 
-* ``# devlint: ignore[rule-id]`` — trailing on a line: suppress that
-  rule's finding on this line (the devlint analogue of ``noqa``; use
-  sparingly and leave a reason in a neighbouring comment).
 * ``# devlint: fingerprint-fields <ClassName>`` — trailing on a
   module-level ``_X_FIELDS = (...)`` tuple: declares that the tuple must
   enumerate every public field of ``ClassName`` (cache-key completeness).
@@ -27,7 +24,8 @@ to the code it describes:
 
 Marker parsing is purely lexical (the analyzer never imports the code it
 lints), which is what lets the self-test corpus ship deliberately broken
-— even syntactically broken — fixtures.
+fixtures.  A false positive is handled through the binding markers or by
+fixing the rule; there is no per-line suppression marker.
 """
 
 from __future__ import annotations
@@ -35,15 +33,17 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import AnalysisError
+
 #: Path fragments excluded from project loads by default.  The corpus is
-#: *deliberately* broken code — only the self-test may lint it.
+#: *deliberately* defective code — only the ``repro lint`` self-test may
+#: lint it.
 DEFAULT_EXCLUDES = ("devlint/corpus",)
 
 _MARKER_RE = re.compile(r"#\s*devlint:\s*(?P<body>.+?)\s*$")
-_IGNORE_RE = re.compile(r"ignore\[(?P<rules>[a-z0-9.,\-\s]+)\]")
 
 
 @dataclass
@@ -53,9 +53,12 @@ class PyModule:
     path: str  #: absolute path
     rel: str   #: path relative to the project root, ``/``-separated
     source: str
-    lines: List[str] = field(default_factory=list)
-    tree: Optional[ast.Module] = None
-    error: str = ""  #: syntax-error message when ``tree`` is ``None``
+    lines: List[str]
+    tree: ast.Module
+
+    def at(self, lineno: int) -> str:
+        """The diagnostic location of 1-based ``lineno``: ``rel:L<n>``."""
+        return f"{self.rel}:L{lineno}"
 
     # -- marker access -----------------------------------------------------
 
@@ -72,18 +75,6 @@ class PyModule:
         the two placements accepted for ``def``/assignment markers."""
         return self.marker(lineno) or self.marker(lineno - 1)
 
-    def suppressed(self, lineno: int, rule_id: str) -> bool:
-        """True when ``lineno`` carries ``# devlint: ignore[...]`` naming
-        ``rule_id`` (with or without the ``dev.`` prefix)."""
-        body = self.marker(lineno)
-        if not body:
-            return False
-        match = _IGNORE_RE.search(body)
-        if not match:
-            return False
-        names = {part.strip() for part in match.group("rules").split(",")}
-        return rule_id in names or rule_id.removeprefix("dev.") in names
-
     def has_module_marker(self, body: str) -> bool:
         """True when any line of the module carries ``# devlint: <body>``."""
         for line in self.lines:
@@ -96,15 +87,11 @@ class PyModule:
 
     def functions(self) -> Iterable[ast.FunctionDef]:
         """Every function/method definition in the module (nested too)."""
-        if self.tree is None:
-            return
         for node in ast.walk(self.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node  # type: ignore[misc]
 
     def classes(self) -> Iterable[ast.ClassDef]:
-        if self.tree is None:
-            return
         for node in ast.walk(self.tree):
             if isinstance(node, ast.ClassDef):
                 yield node
@@ -119,8 +106,6 @@ class PyModule:
         care about.
         """
         aliases: Dict[str, str] = {}
-        if self.tree is None:
-            return aliases
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -234,9 +219,6 @@ class Project:
                 return module
         return None
 
-    def parse_failures(self) -> List[PyModule]:
-        return [m for m in self.modules if m.tree is None]
-
     def find_classes(self, name: str) -> List[Tuple[PyModule, ast.ClassDef]]:
         """Every class definition named ``name`` across the project."""
         found: List[Tuple[PyModule, ast.ClassDef]] = []
@@ -284,8 +266,8 @@ def load_project(paths: Sequence[str],
 
     ``paths`` may mix files and directories; ``excludes`` are substring
     filters on the ``/``-separated relative path (the corpus is excluded
-    by default).  Files that fail to parse are kept as modules with
-    ``tree=None`` so the syntax-error rule can report them.
+    by default).  A file that does not parse raises
+    :class:`~repro.errors.AnalysisError` naming it and the line.
     """
     root = os.path.abspath(root or os.getcwd())
     files: List[str] = []
@@ -313,11 +295,11 @@ def load_project(paths: Sequence[str],
             continue
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        module = PyModule(path=path, rel=rel, source=source,
-                          lines=source.splitlines())
         try:
-            module.tree = ast.parse(source, filename=path)
+            tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            module.error = f"line {exc.lineno}: {exc.msg}"
-        modules.append(module)
+            raise AnalysisError(
+                f"{rel}: line {exc.lineno}: {exc.msg}") from exc
+        modules.append(PyModule(path=path, rel=rel, source=source,
+                                lines=source.splitlines(), tree=tree))
     return Project(root, modules)

@@ -25,9 +25,9 @@ import re
 from typing import List, Set, Tuple
 
 from repro.lint.diagnostics import Severity
+from repro.lint.registry import rule
 
 from repro.devlint.model import PyModule, Project
-from repro.devlint.registry import rule
 
 _FIELDS_MARKER_RE = re.compile(r"^fingerprint-fields\s+(?P<cls>[\w.]+)$")
 _IGNORE_FIELDS_RE = re.compile(
@@ -43,8 +43,6 @@ def _tuple_bindings(
     """``(assignment, class_name, tuple_field_names)`` for every
     module-level tuple carrying a ``fingerprint-fields`` marker."""
     bindings: List[Tuple[ast.Assign, str, List[str]]] = []
-    if module.tree is None:
-        return bindings
     for stmt in module.tree.body:
         if not isinstance(stmt, ast.Assign):
             continue
@@ -66,8 +64,6 @@ def _tuple_bindings(
 def _branch_functions(module: PyModule) -> List[ast.FunctionDef]:
     """Functions carrying the ``fingerprint-branches`` marker."""
     found: List[ast.FunctionDef] = []
-    if module.tree is None:
-        return found
     for node in ast.walk(module.tree):
         if isinstance(node, ast.FunctionDef) and (
                 module.marker_at_or_above(node.lineno) ==
@@ -125,7 +121,7 @@ def _referenced_attrs(branch: ast.If) -> Set[str]:
     return attrs
 
 
-@rule("dev.fingerprint-missing-field", Severity.ERROR,
+@rule("dev.fingerprint-missing-field", "dev", Severity.ERROR,
       "a device/parameter/waveform field is absent from its cache-key "
       "serializer in cache/keys.py")
 def check_fingerprint_completeness(project: Project, emit) -> None:
@@ -139,21 +135,21 @@ def check_fingerprint_completeness(project: Project, emit) -> None:
                 # WARN, not ERROR: legitimate when linting a subtree that
                 # holds keys.py but not the device modules; a typo'd
                 # class name still surfaces on every full run.
-                emit(module, stmt.lineno,
+                emit(module.at(stmt.lineno),
                      f"fingerprint-fields marker names {class_name!r}, "
                      f"which is not defined in the linted tree",
                      hint="fix the marker or widen the devlint path",
                      severity=Severity.WARN)
                 continue
             for missing in sorted(class_fields - set(tuple_fields)):
-                emit(module, stmt.lineno,
+                emit(module.at(stmt.lineno),
                      f"{class_name}.{missing} is not in the fingerprint "
                      f"field tuple — circuits differing only in "
                      f"{missing!r} would share a cache key",
                      hint=f"add {missing!r} to the tuple (cache entries "
                           f"retire automatically)")
             for stale in sorted(set(tuple_fields) - class_fields):
-                emit(module, stmt.lineno,
+                emit(module.at(stmt.lineno),
                      f"fingerprint tuple names {stale!r}, which is not a "
                      f"field of {class_name}",
                      hint="remove the stale entry or restore the field")
@@ -168,7 +164,7 @@ def check_fingerprint_completeness(project: Project, emit) -> None:
                 covered = _referenced_attrs(branch)
                 ignored = _branch_ignored_fields(module, branch)
                 for missing in sorted(class_fields - covered - ignored):
-                    emit(module, branch.lineno,
+                    emit(module.at(branch.lineno),
                          f"{func.name}() branch for {class_name} never "
                          f"reads field {missing!r} — it cannot be part "
                          f"of the cache key",
@@ -178,7 +174,7 @@ def check_fingerprint_completeness(project: Project, emit) -> None:
 
     keys_module = project.module_matching(KEYS_MODULE_SUFFIX)
     if keys_module is not None and not saw_markers:
-        emit(keys_module, 1,
+        emit(keys_module.at(1),
              "cache/keys.py carries no fingerprint-fields / "
              "fingerprint-branches markers — the completeness rule has "
              "nothing to check",
@@ -186,14 +182,12 @@ def check_fingerprint_completeness(project: Project, emit) -> None:
                   "field tuples and dispatch functions")
 
 
-@rule("dev.config-constant-unfingerprinted", Severity.ERROR,
+@rule("dev.config-constant-unfingerprinted", "dev", Severity.ERROR,
       "a public engine constant is missing from the module's "
       "*config_fingerprint record — cached entries would survive a "
       "constant change")
 def check_config_constants(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None:
-            continue
         fingerprint_fns = [
             node for node in module.tree.body
             if isinstance(node, ast.FunctionDef)
@@ -218,7 +212,7 @@ def check_config_constants(project: Project, emit) -> None:
                 continue
             if name in referenced:
                 continue
-            emit(module, stmt.lineno,
+            emit(module.at(stmt.lineno),
                  f"constant {name} is not referenced by any "
                  f"*config_fingerprint() in this module — changing it "
                  f"would not retire cached results",

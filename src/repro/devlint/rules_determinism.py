@@ -13,6 +13,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.lint.diagnostics import Severity
+from repro.lint.registry import rule
 
 from repro.devlint.model import (
     PyModule,
@@ -20,7 +21,6 @@ from repro.devlint.model import (
     parent_map,
     resolve_call_name,
 )
-from repro.devlint.registry import rule
 
 #: ``numpy.random`` attributes that are fine to call: seeded-generator
 #: constructors and the seeding machinery itself.
@@ -69,13 +69,11 @@ def _is_keyed(module: PyModule) -> bool:
     return any(fragment in module.rel for fragment in KEYED_PATH_FRAGMENTS)
 
 
-@rule("dev.unseeded-rng", Severity.ERROR,
+@rule("dev.unseeded-rng", "dev", Severity.ERROR,
       "np.random.* / random.* convenience calls draw from an unseeded "
       "global stream; results change run to run")
 def check_unseeded_rng(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None:
-            continue
         aliases = module.import_aliases()
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -93,7 +91,7 @@ def _check_rng_call(module: PyModule, node: ast.Call, name: str,
         attr = parts[-1]
         if attr == "default_rng":
             if not node.args and not node.keywords:
-                emit(module, node.lineno,
+                emit(module.at(node.lineno),
                      "np.random.default_rng() without a seed draws an "
                      "OS-entropy stream",
                      hint="pass an explicit seed or a spawned SeedSequence "
@@ -101,31 +99,31 @@ def _check_rng_call(module: PyModule, node: ast.Call, name: str,
             return
         if attr in _NP_RANDOM_OK:
             return
-        emit(module, node.lineno,
+        emit(module.at(node.lineno),
              f"np.random.{attr} uses numpy's unseeded global stream",
              hint="draw from a seeded np.random.Generator instead")
         return
     if name == "random.Random" or name == "random.SystemRandom":
         if name == "random.SystemRandom" or (
                 not node.args and not node.keywords):
-            emit(module, node.lineno,
+            emit(module.at(node.lineno),
                  f"{name}() without a seed is irreproducible",
                  hint="pass an explicit seed: random.Random(seed)")
         return
     if parts[0] == "random" and len(parts) == 2 and (
             parts[1] in _STDLIB_RANDOM_FNS):
-        emit(module, node.lineno,
+        emit(module.at(node.lineno),
              f"random.{parts[1]} draws from the shared global stream",
              hint="use a seeded random.Random(seed) instance or numpy "
                   "Generator")
 
 
-@rule("dev.wallclock-dependence", Severity.ERROR,
+@rule("dev.wallclock-dependence", "dev", Severity.ERROR,
       "wall-clock read (time.time / datetime.now / date.today) inside a "
       "cache-keyed or solver-path module")
 def check_wallclock(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None or not _is_keyed(module):
+        if not _is_keyed(module):
             continue
         aliases = module.import_aliases()
         for node in ast.walk(module.tree):
@@ -133,7 +131,7 @@ def check_wallclock(project: Project, emit) -> None:
                 continue
             name = resolve_call_name(node.func, aliases)
             if name in _WALLCLOCK_CALLS:
-                emit(module, node.lineno,
+                emit(module.at(node.lineno),
                      f"{name}() reads the wall clock on the cache-keyed "
                      f"path; the value can leak into results or keys",
                      hint="use time.monotonic()/perf_counter() for "
@@ -145,8 +143,6 @@ def _digest_callers(module: PyModule) -> List[ast.FunctionDef]:
     """Functions that call ``stable_digest``/``canonical_json`` plus
     ``payload`` methods of ``Serializable`` subclasses — the functions
     whose output reaches a canonical digest."""
-    if module.tree is None:
-        return []
     aliases = module.import_aliases()
     digest_fns: List[ast.FunctionDef] = []
     serializable_classes: Set[str] = set()
@@ -196,7 +192,7 @@ def _inside_sorted(node: ast.AST,
     return False
 
 
-@rule("dev.unsorted-digest-iteration", Severity.ERROR,
+@rule("dev.unsorted-digest-iteration", "dev", Severity.ERROR,
       "unsorted dict-view or set iteration in a function feeding "
       "stable_digest/canonical_json — element order leaks into digests")
 def check_unsorted_digest_iteration(project: Project, emit) -> None:
@@ -225,7 +221,7 @@ def check_unsorted_digest_iteration(project: Project, emit) -> None:
                     continue
                 if _inside_sorted(iter_expr, parents, func):
                     continue
-                emit(module, iter_expr.lineno,
+                emit(module.at(iter_expr.lineno),
                      f"iteration over {bad} inside "
                      f"{getattr(func, 'name', '?')}() feeds a canonical "
                      f"digest without a defined order",

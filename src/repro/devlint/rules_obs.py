@@ -10,8 +10,6 @@
   metrics snapshot that :meth:`~repro.errors.ReproError.context_report`
   renders.  Skipping it produces exceptions whose context report is
   silently empty.
-* Files that do not parse cannot be analyzed (or imported): surface the
-  syntax error as a first-class diagnostic instead of dying.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ import ast
 from typing import Dict, List, Set
 
 from repro.lint.diagnostics import Severity
+from repro.lint.registry import rule
 
 from repro.devlint.model import Project, PyModule
-from repro.devlint.registry import rule
 
 #: Local names a span constructor is bound to across the codebase.
 _SPAN_NAMES = {"span", "_obs_span"}
@@ -43,12 +41,7 @@ def _span_call(node: ast.AST) -> bool:
 def _scopes(module: PyModule) -> List[ast.AST]:
     """Module plus every function body — the units span usage is
     resolved within."""
-    scopes: List[ast.AST] = []
-    if module.tree is None:
-        return scopes
-    scopes.append(module.tree)
-    scopes.extend(module.functions())
-    return scopes
+    return [module.tree, *module.functions()]
 
 
 def _direct_statements(scope: ast.AST) -> List[ast.stmt]:
@@ -70,13 +63,11 @@ def _direct_statements(scope: ast.AST) -> List[ast.stmt]:
     return out
 
 
-@rule("dev.span-without-with", Severity.ERROR,
+@rule("dev.span-without-with", "dev", Severity.ERROR,
       "an obs span is opened manually (or never entered) instead of via "
       "a 'with' block")
 def check_span_usage(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None:
-            continue
         for scope in _scopes(module):
             statements = _direct_statements(scope)
             assigned: Dict[str, ast.stmt] = {}
@@ -85,7 +76,7 @@ def check_span_usage(project: Project, emit) -> None:
 
             for stmt in statements:
                 if isinstance(stmt, ast.Expr) and _span_call(stmt.value):
-                    emit(module, stmt.lineno,
+                    emit(module.at(stmt.lineno),
                          "span(...) result is discarded — the span is "
                          "never entered and records nothing",
                          hint="use 'with span(...):' around the timed "
@@ -110,7 +101,7 @@ def check_span_usage(project: Project, emit) -> None:
 
             for name, stmt in assigned.items():
                 if name in entered:
-                    emit(module, entered[name].lineno,
+                    emit(module.at(entered[name].lineno),
                          f"span {name!r} is driven through manual "
                          f"__enter__/__exit__ calls; an exception in "
                          f"between leaks the span",
@@ -118,7 +109,7 @@ def check_span_usage(project: Project, emit) -> None:
                               f"body in a function if control flow "
                               f"makes that awkward)")
                 elif name not in with_names:
-                    emit(module, stmt.lineno,
+                    emit(module.at(stmt.lineno),
                          f"span assigned to {name!r} is never entered "
                          f"with a 'with' block in this scope",
                          hint=f"use 'with {name}:' or drop the span")
@@ -148,7 +139,7 @@ def _repro_error_classes(project: Project) -> Set[str]:
     return known
 
 
-@rule("dev.error-super-init", Severity.ERROR,
+@rule("dev.error-super-init", "dev", Severity.ERROR,
       "a ReproError subclass overrides __init__ without calling "
       "super().__init__ — diagnostics and obs context are dropped")
 def check_error_super_init(project: Project, emit) -> None:
@@ -173,17 +164,9 @@ def check_error_super_init(project: Project, emit) -> None:
                 and node.func.attr == "__init__"
                 for node in ast.walk(init))
             if not calls_super:
-                emit(module, init.lineno,
+                emit(module.at(init.lineno),
                      f"{classdef.name}.__init__ never calls "
                      f"super().__init__ — the exception loses its "
                      f"diagnostics tuple, span stack and metrics "
                      f"snapshot",
                      hint="call super().__init__(message) first")
-
-
-@rule("dev.syntax-error", Severity.ERROR,
-      "a file under analysis does not parse")
-def check_syntax(project: Project, emit) -> None:
-    for module in project.parse_failures():
-        emit(module, 1, f"file does not parse: {module.error}",
-             hint="fix the syntax error")

@@ -24,9 +24,9 @@ import ast
 from typing import Dict, List
 
 from repro.lint.diagnostics import Severity
+from repro.lint.registry import rule
 
 from repro.devlint.model import Project, resolve_call_name
-from repro.devlint.registry import rule
 
 #: Final path components of solver entry points: a call whose dotted
 #: name ends in one of these, made from inside a ConvergenceError
@@ -76,13 +76,11 @@ def _retry(call: ast.Call, functions: Dict[str, List[ast.AST]],
     return ""
 
 
-@rule("dev.bare-convergence-retry", Severity.ERROR,
+@rule("dev.bare-convergence-retry", "dev", Severity.ERROR,
       "an 'except ConvergenceError' handler re-runs a solver inline "
       "instead of escalating through the repro.recovery ladder")
 def check_bare_convergence_retry(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None:
-            continue
         if _LADDER_PATH_FRAGMENT in module.rel:
             continue
         if module.has_module_marker("recovery-exempt"):
@@ -100,7 +98,7 @@ def check_bare_convergence_retry(project: Project, emit) -> None:
             for call in _calls(node.body):
                 retry = _retry(call, functions, aliases)
                 if retry:
-                    emit(module, call.lineno,
+                    emit(module.at(call.lineno),
                          f"convergence failure handled by calling {retry} "
                          f"inline — an ad-hoc retry the recovery-policy "
                          f"fingerprint cannot see",

@@ -23,9 +23,9 @@ import os
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.diagnostics import Severity
+from repro.lint.registry import rule
 
 from repro.devlint.model import Project, PyModule
-from repro.devlint.registry import rule
 
 MANIFEST_NAME = "schema_manifest.json"
 
@@ -117,7 +117,7 @@ def payload_keys(classdef: ast.ClassDef) -> Optional[List[str]]:
     return sorted(keys) if saw_literal else None
 
 
-@rule("dev.serializable-incomplete", Severity.ERROR,
+@rule("dev.serializable-incomplete", "dev", Severity.ERROR,
       "a Serializable subclass is missing part of the protocol "
       "(SCHEMA_VERSION, payload, from_payload)")
 def check_serializable_protocol(project: Project, emit) -> None:
@@ -131,14 +131,14 @@ def check_serializable_protocol(project: Project, emit) -> None:
             if _method(classdef, "from_payload") is None:
                 missing.append("from_payload()")
             if missing:
-                emit(module, classdef.lineno,
+                emit(module.at(classdef.lineno),
                      f"{classdef.name} subclasses Serializable but lacks "
                      f"{', '.join(missing)}",
                      hint="implement the full protocol so round-trips "
                           "are versioned (see repro/serialize.py)")
 
 
-@rule("dev.schema-version-unbumped", Severity.ERROR,
+@rule("dev.schema-version-unbumped", "dev", Severity.ERROR,
       "a Serializable payload's field set drifted from the committed "
       "schema manifest without a SCHEMA_VERSION bump")
 def check_schema_manifest(project: Project, emit) -> None:
@@ -152,7 +152,7 @@ def check_schema_manifest(project: Project, emit) -> None:
                 continue  # protocol-completeness rule covers these
             entry = manifest.get(str(name))
             if entry is None:
-                emit(module, classdef.lineno,
+                emit(module.at(classdef.lineno),
                      f"schema {name!r} is not registered in "
                      f"{MANIFEST_NAME}",
                      hint="run 'repro devlint --update-schema-manifest' "
@@ -166,13 +166,13 @@ def check_schema_manifest(project: Project, emit) -> None:
                 delta = "; ".join(filter(None, [
                     f"added {added}" if added else "",
                     f"removed {removed}" if removed else ""]))
-                emit(module, classdef.lineno,
+                emit(module.at(classdef.lineno),
                      f"payload fields of {name!r} changed ({delta}) but "
                      f"SCHEMA_VERSION is still {version}",
                      hint="bump SCHEMA_VERSION, then run 'repro devlint "
                           "--update-schema-manifest'")
             elif fields != recorded_fields or version != recorded_version:
-                emit(module, classdef.lineno,
+                emit(module.at(classdef.lineno),
                      f"{MANIFEST_NAME} is stale for {name!r} "
                      f"(recorded v{recorded_version}, code is v{version})",
                      hint="run 'repro devlint --update-schema-manifest' "
@@ -223,13 +223,11 @@ def _local_defs(func: ast.FunctionDef) -> Set[str]:
     return names
 
 
-@rule("dev.unpicklable-task", Severity.ERROR,
+@rule("dev.unpicklable-task", "dev", Severity.ERROR,
       "a lambda or function-local def is passed to a worker-pool entry "
       "point; it cannot be pickled into worker processes")
 def check_unpicklable_task(project: Project, emit) -> None:
     for module in project:
-        if module.tree is None:
-            continue
         for func in module.functions():
             local_names = _local_defs(func)
             for node in ast.walk(func):
@@ -244,13 +242,13 @@ def check_unpicklable_task(project: Project, emit) -> None:
                     continue
                 task = node.args[0]
                 if isinstance(task, ast.Lambda):
-                    emit(module, task.lineno,
+                    emit(module.at(task.lineno),
                          f"lambda passed to {callee_name}() cannot be "
                          f"pickled into worker processes",
                          hint="hoist it to a module-level function "
                               "(bind config with functools.partial)")
                 elif isinstance(task, ast.Name) and task.id in local_names:
-                    emit(module, task.lineno,
+                    emit(module.at(task.lineno),
                          f"{task.id!r} is defined inside "
                          f"{func.name}() but passed to {callee_name}(); "
                          f"local functions cannot be pickled into "

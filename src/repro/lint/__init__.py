@@ -5,7 +5,7 @@ mistakes surface as precise, named diagnostics instead of downstream
 solver failures (a floating node, for instance, otherwise shows up as a
 cryptic Newton non-convergence deep inside a transient run).
 
-Two rule packs ship with the framework:
+One registry (:mod:`repro.lint.registry`) holds four rule packs:
 
 * **SPICE ERC** over :class:`repro.spice.netlist.Circuit` — DC
   connectivity (floating nodes predict singular MNA matrices), undriven
@@ -15,6 +15,9 @@ Two rule packs ship with the framework:
 * **Gate-netlist lint** over :class:`repro.physd.netlist.GateNetlist` —
   undriven and multi-driven nets, dangling ports, combinational loops,
   unknown cells and dead (unreachable) logic.
+* **Fault-plan lint** over :class:`repro.faults.inject.InjectionPlan`.
+* **Source lint** (``dev.*``) over the project's own Python source,
+  registered by importing :mod:`repro.devlint`.
 
 Entry points:
 
@@ -22,14 +25,12 @@ Entry points:
 * :func:`assert_lint_clean` — raise :class:`~repro.errors.NetlistError`
   (diagnostics attached) when a subject has error-severity findings,
 * the ``repro lint`` CLI subcommand (text and JSON output, nonzero exit
-  on errors, ``--self-test`` for the crafted bad-circuit corpus),
-* opt-in hooks ``Circuit.finalize(lint=True)`` and
-  ``GateNetlist.validate(lint=True)``,
+  on errors, ``--self-test`` for the crafted bad-design corpus of every
+  pack),
 * the ``lint=`` pre-flight argument of
   :func:`repro.spice.analysis.transient.run_transient` and
   :func:`repro.spice.analysis.dc.solve_dc`.
 """
-
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
@@ -39,7 +40,6 @@ from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.registry import (
     LintRule,
     all_rules,
-    get_rule,
     rule,
     rule_ids,
     rules_for,
@@ -62,7 +62,6 @@ __all__ = [
     "LintRule",
     "rule",
     "all_rules",
-    "get_rule",
     "rule_ids",
     "rules_for",
     "run_rules",

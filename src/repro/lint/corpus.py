@@ -1,21 +1,25 @@
 """Crafted bad-design corpus for the lint self-test.
 
-Each entry builds a deliberately broken circuit or gate netlist and
-names the rule ids it must trigger.  ``repro lint --self-test`` (and the
-test suite) checks that every entry fires its expected rules, that the
-union of entries covers every registered rule, and that the shipped cell
-builders stay clean — the framework's false-negative *and*
+Each entry builds a deliberately broken subject of one rule kind (a
+circuit, a gate netlist, a fault plan, or a ``devlint/corpus`` source
+fixture) and names the rule ids it must trigger.  ``repro lint
+--self-test`` (and the test suite) checks that every entry fires its
+expected rules, that each expected rule is registered for the entry's
+kind, that the entries of each kind cover all of its rules, and that the
+shipped cell builders stay clean — the framework's false-negative *and*
 false-positive guard in one place.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, FrozenSet, List, Tuple
 
 from repro.cells.library import CellLibrary, CellType, build_default_library
 from repro.lint.diagnostics import LintReport, Severity
-from repro.lint.registry import rule_ids, run_rules
+from repro.lint.registry import KINDS, rule_ids, run_rules
 from repro.physd.netlist import GateNetlist
 from repro.spice.netlist import GROUND, Circuit
 from repro.spice.devices.mosfet import NMOS_40LP, PMOS_40LP
@@ -26,7 +30,7 @@ class CorpusEntry:
     """One deliberately broken design and the rules it must trip."""
 
     name: str
-    kind: str  # "spice" | "gates" | "faults"
+    kind: str  # one of repro.lint.registry.KINDS
     build: Callable
     expected_rules: FrozenSet[str]
 
@@ -268,22 +272,63 @@ FAULT_CORPUS: Tuple[CorpusEntry, ...] = (
                 frozenset({"faults.unreachable-injection"})),
 )
 
-CORPUS: Tuple[CorpusEntry, ...] = SPICE_CORPUS + GATE_CORPUS + FAULT_CORPUS
+# -- Python-source entries ---------------------------------------------------
+
+
+def _load_dev_fixture(filename: str):
+    """One ``devlint/corpus`` fixture as a one-file ``Project``."""
+    from repro.devlint.model import load_project
+
+    corpus_dir = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "devlint", "corpus")
+    return load_project([os.path.join(corpus_dir, filename)], excludes=(),
+                        root=corpus_dir)
+
+
+def _dev_entry(filename: str, *expected: str) -> CorpusEntry:
+    return CorpusEntry(filename, "dev", partial(_load_dev_fixture, filename),
+                       frozenset(expected))
+
+
+DEV_CORPUS: Tuple[CorpusEntry, ...] = (
+    _dev_entry("bad_bare_retry.py", "dev.bare-convergence-retry"),
+    _dev_entry("bad_config_constant.py", "dev.config-constant-unfingerprinted"),
+    _dev_entry("bad_digest_sort.py", "dev.unsorted-digest-iteration"),
+    _dev_entry("bad_error_class.py", "dev.error-super-init"),
+    _dev_entry("bad_fingerprint_fields.py", "dev.fingerprint-missing-field"),
+    _dev_entry("bad_serializable.py", "dev.serializable-incomplete",
+               "dev.schema-version-unbumped"),
+    _dev_entry("bad_span.py", "dev.span-without-with"),
+    _dev_entry("bad_unpicklable.py", "dev.unpicklable-task"),
+    _dev_entry("bad_unseeded_rng.py", "dev.unseeded-rng"),
+    _dev_entry("bad_wallclock.py", "dev.wallclock-dependence"),
+)
+
+CORPUS: Tuple[CorpusEntry, ...] = (SPICE_CORPUS + GATE_CORPUS + FAULT_CORPUS
+                                   + DEV_CORPUS)
 
 
 def run_self_test() -> Tuple[bool, List[str]]:
     """Exercise every corpus entry and the shipped cells.
 
-    Returns ``(ok, log_lines)``: the corpus must trip each entry's
-    expected rules, the union must cover every registered rule, and the
-    shipped latch builders must come back clean at warn level."""
+    Returns ``(ok, log_lines)``: each entry must expect only registered
+    rules of its kind and trip all of them, the entries of each kind must
+    cover every rule of that kind, and the shipped latch builders must
+    come back clean at warn level."""
+    import repro.devlint  # noqa: F401  (registers the dev pack)
+
     lines: List[str] = []
     ok = True
     fired: set = set()
 
     for entry in CORPUS:
-        report = entry.lint()
-        got = set(report.rule_ids())
+        unknown = entry.expected_rules - set(rule_ids(entry.kind))
+        if unknown:
+            ok = False
+            lines.append(f"FAIL corpus {entry.name}: expects unknown "
+                         f"{entry.kind} rules {sorted(unknown)}")
+            continue
+        got = set(entry.lint().rule_ids())
         fired |= got
         missing = entry.expected_rules - got
         if missing:
@@ -294,12 +339,15 @@ def run_self_test() -> Tuple[bool, List[str]]:
             lines.append(f"ok   corpus {entry.name}: "
                          f"{sorted(entry.expected_rules)}")
 
-    uncovered = set(rule_ids()) - fired
-    if uncovered:
-        ok = False
-        lines.append(f"FAIL coverage: rules never fired: {sorted(uncovered)}")
-    else:
-        lines.append(f"ok   coverage: all {len(rule_ids())} rules fired")
+    for kind in KINDS:
+        known = set(rule_ids(kind))
+        uncovered = known - fired
+        if uncovered:
+            ok = False
+            lines.append(f"FAIL coverage {kind}: rules never fired: "
+                         f"{sorted(uncovered)}")
+        else:
+            lines.append(f"ok   coverage {kind}: all {len(known)} rules fired")
 
     # False-positive guard: the shipped cells must be clean.
     from repro.cells.nvlatch_1bit import build_standard_latch

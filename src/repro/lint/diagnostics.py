@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SerializationError
 from repro.serialize import Serializable
@@ -70,10 +70,9 @@ class LintReport(Serializable):
     """All diagnostics produced by one lint run over one subject.
 
     ``to_json``/``from_json`` follow the shared
-    :class:`~repro.serialize.Serializable` protocol; the legacy
-    ``as_json_obj``/``render_json`` pair (CLI output shape, with derived
-    severity counts but no rule list) is kept for the ``repro lint
-    --json`` consumers.
+    :class:`~repro.serialize.Serializable` protocol; ``as_json_obj`` is
+    the CLI ``--json`` shape, with derived severity counts but no rule
+    list.
     """
 
     SCHEMA_NAME = "LintReport"
@@ -116,12 +115,6 @@ class LintReport(Serializable):
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)
 
-    def extend(self, other: "LintReport") -> None:
-        self.diagnostics.extend(other.diagnostics)
-        for rule_id in other.rules_run:
-            if rule_id not in self.rules_run:
-                self.rules_run.append(rule_id)
-
     # -- queries -----------------------------------------------------------
 
     def at_least(self, severity: Severity) -> List[Diagnostic]:
@@ -151,12 +144,6 @@ class LintReport(Serializable):
                 seen.append(d.rule)
         return seen
 
-    def by_rule(self) -> Dict[str, List[Diagnostic]]:
-        grouped: Dict[str, List[Diagnostic]] = {}
-        for d in self.diagnostics:
-            grouped.setdefault(d.rule, []).append(d)
-        return grouped
-
     # -- rendering ---------------------------------------------------------
 
     def summary(self) -> str:
@@ -178,17 +165,6 @@ class LintReport(Serializable):
             "infos": len(self.infos),
             "diagnostics": [d.as_dict() for d in self.diagnostics],
         }
-
-    def render_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_json_obj(), indent=indent)
-
-    @staticmethod
-    def merge(reports: Iterable["LintReport"],
-              target: str = "all") -> "LintReport":
-        merged = LintReport(target)
-        for report in reports:
-            merged.extend(report)
-        return merged
 
 
 def render_reports_json(reports: Sequence[LintReport],

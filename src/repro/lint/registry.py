@@ -1,16 +1,23 @@
-"""Rule registry for the lint subsystem.
+"""The rule registry: every static-analysis rule of the project.
 
-Rules self-register at import time via the :func:`rule` decorator; the
-shipped packs live in :mod:`repro.lint.spice_rules` ("spice" kind,
-subject :class:`~repro.spice.netlist.Circuit`),
-:mod:`repro.lint.gate_rules` ("gates" kind, subject
-:class:`~repro.physd.netlist.GateNetlist`) and
-:mod:`repro.lint.fault_rules` ("faults" kind, subject
-:class:`~repro.faults.inject.InjectionPlan`).
+Rules self-register at import time via the :func:`rule` decorator.  Each
+kind is one pack over one subject type:
+
+* ``"spice"`` — :mod:`repro.lint.spice_rules`, over a
+  :class:`~repro.spice.netlist.Circuit`;
+* ``"gates"`` — :mod:`repro.lint.gate_rules`, over a
+  :class:`~repro.physd.netlist.GateNetlist`;
+* ``"faults"`` — :mod:`repro.lint.fault_rules`, over a
+  :class:`~repro.faults.inject.InjectionPlan`;
+* ``"dev"`` — the ``repro.devlint`` rule modules, over a
+  :class:`~repro.devlint.model.Project` of parsed Python source.  They
+  register when :mod:`repro.devlint` is imported, so the SPICE
+  pre-flight never loads them.
 
 A rule is a callable ``check(subject, emit)`` where ``emit(location,
 message, hint="", severity=None)`` records one finding; the registry
-wraps it with the rule's id and default severity.
+wraps it with the rule's id and default severity.  A rule id starts with
+its kind (``"spice.floating-node"``, ``"dev.unseeded-rng"``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.errors import AnalysisError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 
 #: Valid rule kinds and the subject type each pack lints.
-KINDS = ("spice", "gates", "faults")
+KINDS = ("spice", "gates", "faults", "dev")
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,17 @@ class LintRule:
 _REGISTRY: Dict[str, LintRule] = {}
 
 
-def rule(rule_id: str, kind: str, severity: Severity, description: str):
-    """Class-level decorator registering a check function as a rule."""
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise AnalysisError(f"unknown rule kind {kind!r}; expected one of {KINDS}")
+
+
+def rule(rule_id: str, kind: str, severity: Severity, description: str):
+    """Class-level decorator registering a check function as a rule."""
+    _check_kind(kind)
+    if not rule_id.startswith(kind + "."):
+        raise AnalysisError(
+            f"rule id {rule_id!r} must start with its kind, {kind + '.'!r}")
 
     def decorator(check: Callable) -> Callable:
         if rule_id in _REGISTRY:
@@ -66,16 +80,9 @@ def rule_ids(kind: Optional[str] = None) -> List[str]:
             if kind is None or r.kind == kind]
 
 
-def get_rule(rule_id: str) -> LintRule:
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise AnalysisError(
-            f"no lint rule {rule_id!r}; known: {sorted(_REGISTRY)}") from None
-
-
 def run_rules(kind: str, subject, target: str) -> LintReport:
     """Run every registered rule of ``kind`` over ``subject``."""
+    _check_kind(kind)
     report = LintReport(target)
     for lint_rule in rules_for(kind):
         report.rules_run.append(lint_rule.rule_id)

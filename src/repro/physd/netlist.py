@@ -148,15 +148,12 @@ class GateNetlist:
     def port_nets(self) -> List[Net]:
         return [net for net in self.nets.values() if net.is_port]
 
-    def validate(self, lint: bool = False) -> None:
+    def validate(self) -> None:
         """Structural sanity: every net endpoint exists, no empty design.
 
         All offending nets are collected and reported in *one* exception
         message (not just the first), so a botched netlist edit shows
-        its full blast radius at once.  ``lint=True`` additionally runs
-        the gate-netlist lint pack (:mod:`repro.lint`) and raises with
-        the structured diagnostics attached on any error-severity
-        finding.
+        its full blast radius at once.
         """
         if not self.instances:
             raise NetlistError(f"netlist {self.name!r} has no instances")
@@ -175,10 +172,6 @@ class GateNetlist:
                 f"netlist {self.name!r} has {len(problems)} broken net(s):\n  "
                 + "\n  ".join(problems)
             )
-        if lint:
-            from repro.lint import assert_lint_clean
-
-            assert_lint_clean(self)
 
     def summary(self) -> str:
         return (f"{self.name}: {self.num_instances} instances "

@@ -221,15 +221,9 @@ class Circuit:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def finalize(self, lint: bool = False) -> None:
+    def finalize(self) -> None:
         """Assign branch-current indices.  Called automatically by analyses;
         idempotent.  After finalisation the topology is frozen.
-
-        ``lint=True`` additionally runs the SPICE ERC rule pack
-        (:mod:`repro.lint`) and raises :class:`NetlistError` — with the
-        structured diagnostics attached — if any error-severity finding
-        exists.  Lint runs even when the circuit was already finalized,
-        so the opt-in check can be added after the fact.
         """
         if not self._finalized:
             branch = 0
@@ -240,10 +234,6 @@ class Circuit:
                     branch += count
             self._num_branches = branch
             self._finalized = True
-        if lint:
-            from repro.lint import assert_lint_clean
-
-            assert_lint_clean(self)
 
     @property
     def num_branches(self) -> int:

@@ -1,27 +1,30 @@
 """Devlint analyzer: rule behaviour, marker semantics, report round-trips.
 
-The corpus self-test (exercised here too) guards false negatives; the
-whole-tree test guards false positives; the synthetic-project tests pin
-the marker semantics and the cache-key-completeness contract — including
-the headline scenario: deleting a fingerprint field from a copy of the
-real ``cache/keys.py`` must be caught, with the field named.
+The ``dev`` entries of the lint corpus (exercised here too; ``repro lint
+--self-test`` runs them with every other pack) guard false negatives;
+the whole-tree test guards false positives; the synthetic-project tests
+pin the marker semantics and the cache-key-completeness contract —
+including the headline scenario: deleting a fingerprint field from a
+copy of the real ``cache/keys.py`` must be caught, with the field named.
 """
 
-import json
 import os
 import shutil
 import textwrap
+
+import pytest
 
 from repro.devlint import (
     LintReport,
     Severity,
     lint_paths,
-    rule_ids,
 )
 from repro.devlint.model import load_project
 from repro.devlint.rules_cachekey import fingerprint_bindings
 from repro.devlint.rules_serialization import compute_manifest
-from repro.devlint.selftest import corpus_files, expected_rules, run_self_test
+from repro.errors import AnalysisError
+from repro.lint.corpus import DEV_CORPUS
+from repro.lint.registry import rule_ids
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
@@ -34,27 +37,34 @@ def lint_source(tmp_path, source, name="mod.py"):
 
 
 class TestRegistry:
-    def test_twelve_rules_registered_with_dev_prefix(self):
-        ids = rule_ids()
-        assert len(ids) == 12
+    def test_eleven_rules_registered_with_dev_prefix(self):
+        ids = rule_ids("dev")
+        assert len(ids) == 11
         assert all(rule_id.startswith("dev.") for rule_id in ids)
 
     def test_rules_run_recorded_even_when_clean(self, tmp_path):
         report = lint_source(tmp_path, "x = 1\n")
         assert not report.diagnostics
-        assert sorted(report.rules_run) == sorted(rule_ids())
+        assert sorted(report.rules_run) == sorted(rule_ids("dev"))
 
 
 class TestSelfTest:
     def test_corpus_self_test_passes(self):
-        ok, lines = run_self_test()
-        assert ok, "\n".join(lines)
+        for entry in DEV_CORPUS:
+            fired = set(entry.lint().rule_ids())
+            assert entry.expected_rules <= fired, (
+                f"{entry.name} fired {sorted(fired)}")
 
     def test_corpus_covers_every_rule(self):
         expected = set()
-        for path in corpus_files():
-            expected |= expected_rules(path)
-        assert expected == set(rule_ids())
+        for entry in DEV_CORPUS:
+            expected |= entry.expected_rules
+        assert expected == set(rule_ids("dev"))
+
+    def test_unparseable_file_raises_naming_the_line(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def broken(:\n    return 1\n")
+        with pytest.raises(AnalysisError, match="broken.py: line 1"):
+            lint_paths([str(tmp_path)], root=str(tmp_path))
 
 
 class TestDeterminismRules:
@@ -75,15 +85,6 @@ class TestDeterminismRules:
                 return nprand.normal(size=n)
             """)
         assert "dev.unseeded-rng" in report.rule_ids()
-
-    def test_suppression_marker_silences_one_line(self, tmp_path):
-        report = lint_source(tmp_path, """
-            import numpy as np
-
-            def noise(n):
-                return np.random.normal(size=n)  # devlint: ignore[unseeded-rng]
-            """)
-        assert "dev.unseeded-rng" not in report.rule_ids()
 
     def test_wallclock_ignored_off_the_keyed_path(self, tmp_path):
         report = lint_source(tmp_path, """
@@ -298,8 +299,7 @@ class TestReportRoundTrip:
         restored = LintReport.from_json(report.to_json())
         assert restored.diagnostics == report.diagnostics
         assert restored.rules_run == report.rules_run
-        assert json.loads(report.render_json())["errors"] == len(
-            report.errors)
+        assert report.as_json_obj()["errors"] == len(report.errors)
 
 
 class TestWholeTree:

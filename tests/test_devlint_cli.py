@@ -1,8 +1,12 @@
-"""CLI surface of ``repro devlint``: exit codes, output modes, manifest."""
+"""CLI surface of the dev rules: ``repro devlint`` exit codes, output
+modes and manifest, and the dev rows of ``repro lint --list-rules`` and
+``--self-test``."""
 
 import json
 import os
 import textwrap
+
+import pytest
 
 from repro.cli import main
 
@@ -12,15 +16,22 @@ SRC_REPRO = os.path.join(REPO, "src", "repro")
 
 class TestDevlintCommand:
     def test_list_rules(self, capsys):
-        assert main(["devlint", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "dev.unseeded-rng" in out
         assert "dev.fingerprint-missing-field" in out
 
     def test_self_test_passes(self, capsys):
-        assert main(["devlint", "--self-test"]) == 0
+        assert main(["lint", "--self-test"]) == 0
         out = capsys.readouterr().out
-        assert "coverage: all" in out
+        assert "ok   coverage dev: all 11 rules fired" in out
+
+    @pytest.mark.parametrize("flag", ["--self-test", "--list-rules"])
+    def test_registry_flags_are_not_devlint_options(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["devlint", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["devlint", SRC_REPRO]) == 0

@@ -5,6 +5,7 @@ import json
 
 from repro import cli
 from repro.lint.corpus import broken_two_bit_cell
+from repro.lint.registry import KINDS, rule_ids
 
 
 def run_cli(capsys, *argv):
@@ -39,11 +40,14 @@ class TestLintCommand:
         assert code == 0
         assert "spice.floating-node" in out
         assert "gates.comb-loop" in out
+        assert len(out.splitlines()) == len(rule_ids())
 
     def test_self_test(self, capsys):
         code, out, _err = run_cli(capsys, "lint", "--self-test")
         assert code == 0
         assert "FAIL" not in out
+        for kind in KINDS:
+            assert f"ok   coverage {kind}: all {len(rule_ids(kind))}" in out
 
     def test_unknown_target_suggests(self, capsys):
         code, _out, err = run_cli(capsys, "lint", "benchmark")

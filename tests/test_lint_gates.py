@@ -92,7 +92,7 @@ class TestValidateCollectsAll:
         nl.add_instance("u2", "INV_X1", ["b", "a"])  # combinational loop
         nl.validate()  # structurally fine
         with pytest.raises(NetlistError) as excinfo:
-            nl.validate(lint=True)
+            assert_lint_clean(nl)
         assert any(d.rule == "gates.comb-loop"
                    for d in excinfo.value.diagnostics)
 
@@ -110,20 +110,40 @@ class TestValidateCollectsAll:
             nl.instance("ff_man")
 
 
+def _probe_output(probe: str) -> str:
+    """stdout of ``python -c probe`` in a fresh interpreter."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                 if p])
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImportCost:
     def test_importing_lint_leaves_physd_unloaded(self):
         # The SPICE pre-flight imports repro.lint; the gate pack names
         # GateNetlist only in annotations, so the physical-design package
         # (placement, clock tree, scipy.spatial) must stay unloaded.
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if p])
         probe = ("import sys, repro.lint; "
                  "print(sorted(m for m in sys.modules "
                  "if m == 'repro.physd' or m.startswith('repro.physd.')))")
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _probe_output(probe) == "[]"
+
+    def test_preflighted_transient_leaves_dev_pack_unloaded(self):
+        # The dev rules share the registry but register only when
+        # repro.devlint is imported, which no simulation does.
+        probe = (
+            "import sys\n"
+            "from repro.cells.nvlatch_1bit import build_standard_latch\n"
+            "from repro.spice.analysis.transient import run_transient\n"
+            "run_transient(build_standard_latch().circuit, 2e-11, 2e-12)\n"
+            "from repro.lint.registry import rule_ids\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.devlint')))\n"
+            "print(sorted({r.split('.')[0] for r in rule_ids()}))\n")
+        assert _probe_output(probe).splitlines() == [
+            "[]", "['faults', 'gates', 'spice']"]

@@ -9,7 +9,7 @@ from repro.errors import AnalysisError, NetlistError, suggest_names
 from repro.lint import assert_lint_clean, lint_circuit, preflight
 from repro.lint.corpus import SPICE_CORPUS, broken_two_bit_cell, run_self_test
 from repro.lint.diagnostics import Severity
-from repro.lint.registry import all_rules, rule_ids
+from repro.lint.registry import KINDS, all_rules, rule, rule_ids, run_rules
 from repro.spice.analysis.dc import solve_dc
 from repro.spice.analysis.transient import run_transient
 from repro.spice.netlist import GROUND, Circuit
@@ -123,11 +123,6 @@ class TestPreflight:
         assert excinfo.value.diagnostics
         assert_lint_clean(build_standard_latch().circuit)  # clean passes
 
-    def test_finalize_lint_hook(self):
-        with pytest.raises(NetlistError):
-            _floating_circuit().finalize(lint=True)
-        _floating_circuit().finalize()  # opt-in only
-
 
 class TestDiagnosticsPlumbing:
     def test_report_renders_text_and_json(self):
@@ -142,7 +137,19 @@ class TestDiagnosticsPlumbing:
     def test_every_rule_has_description_and_kind(self):
         for lint_rule in all_rules():
             assert lint_rule.description
-            assert lint_rule.kind in ("spice", "gates", "faults")
+            assert lint_rule.kind in KINDS
+            assert lint_rule.rule_id.startswith(lint_rule.kind + ".")
+
+    def test_rule_id_must_start_with_its_kind(self):
+        before = all_rules()
+        with pytest.raises(AnalysisError, match="must start with"):
+            rule("gates.misfiled", "spice", Severity.ERROR, "misfiled")
+        assert all_rules() == before
+
+    def test_run_rules_rejects_an_unknown_kind(self):
+        # A misspelled kind would otherwise run no rule and read clean.
+        with pytest.raises(AnalysisError, match="unknown rule kind 'spcie'"):
+            run_rules("spcie", _floating_circuit(), "x")
 
     def test_severity_parse_and_order(self):
         assert Severity.parse("warn") is Severity.WARN

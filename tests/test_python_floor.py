@@ -7,17 +7,13 @@ and ``__init__`` under ``@dataclass(init=False)`` because
 ``dataclass(slots=True)`` needs 3.10.  These checks read the source
 with the standard library only: every module parses under the 3.9
 grammar, and no ``dataclass(...)`` call passes a 3.10 keyword.
-``devlint/corpus`` is left out: it holds deliberately broken samples
-for the project linter, one of them a syntax error.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-CORPUS = SRC / "devlint" / "corpus"
-MODULES = sorted(path for path in SRC.rglob("*.py")
-                 if CORPUS not in path.parents)
+MODULES = sorted(SRC.rglob("*.py"))
 
 #: ``dataclass`` keywords that Python 3.9 rejects.
 NEWER_DATACLASS_KEYWORDS = {"slots", "kw_only"}
