@@ -205,20 +205,6 @@ class Session:
                                          workers=self._workers(workers),
                                          **kwargs)
 
-    def sweep(self, fn: Any, corners: Optional[Sequence[str]] = None,
-              workers: Optional[int] = None,
-              engine: Optional[str] = None) -> Dict[str, Any]:
-        """Evaluate a picklable ``fn(corner)`` at every named process
-        corner (defaults to the canonical three), deduplicating repeated
-        corners."""
-        from repro.spice.corners import CORNER_ORDER, _sweep_corners
-
-        self._check_open()
-        with _engine_override(engine):
-            return _sweep_corners(
-                fn, corners=CORNER_ORDER if corners is None else corners,
-                workers=self._workers(workers))
-
     def compare(self, backends: Optional[Sequence[Any]] = None,
                 workers: Optional[int] = None,
                 engine: Optional[str] = None, **kwargs: Any):

@@ -1,24 +1,16 @@
-"""Content-addressed simulation result cache + dedup scheduler.
+"""Content-addressed simulation result cache.
 
-Two layers of redundant-work elimination:
-
-* :mod:`repro.cache.store` — persistent memoization.  Once caching is
-  enabled (:func:`enable`, the ``REPRO_CACHE_DIR`` environment variable,
-  or ``repro.api.Session(cache=...)``), every transient/DC analysis is
-  keyed by a SHA-256 digest of its full request (circuit fingerprint +
-  analysis options + engine config + code-version salt,
-  :mod:`repro.cache.keys`) and byte-identical requests — across
-  processes and sessions — return the stored result **bit-exactly**
-  without touching the Newton loop.
-* :mod:`repro.cache.scheduler` — in-batch dedup.  :func:`dedup_map`
-  collapses value-identical items of one fan-out before they reach the
-  process pool (single-flight), so parallel workers never compute the
-  same key twice even on a cold cache.
+Persistent memoization: once caching is enabled (:func:`enable`, the
+``REPRO_CACHE_DIR`` environment variable, or
+``repro.api.Session(cache=...)``), every transient/DC analysis is keyed
+by a SHA-256 digest of its full request (circuit fingerprint + analysis
+options + engine config + code-version salt, :mod:`repro.cache.keys`)
+and byte-identical requests — across processes and sessions — return
+the stored result **bit-exactly** without touching the Newton loop
+(:mod:`repro.cache.store`).
 
 Observability: analyses emit ``cache.hit`` / ``cache.miss`` /
-``cache.store`` counters and annotate their spans with the outcome;
-the scheduler emits ``scheduler.requests`` / ``scheduler.unique`` /
-``scheduler.deduped``.
+``cache.store`` counters and annotate their spans with the outcome.
 """
 
 from repro.cache.keys import (
@@ -29,7 +21,6 @@ from repro.cache.keys import (
     request_key,
     transient_request,
 )
-from repro.cache.scheduler import dedup_map
 from repro.cache.store import (
     CACHE_ENV_VAR,
     CacheEntry,
@@ -48,7 +39,6 @@ __all__ = [
     "bypassed",
     "circuit_fingerprint",
     "dc_request",
-    "dedup_map",
     "disable",
     "enable",
     "get_active_cache",

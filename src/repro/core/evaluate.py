@@ -22,6 +22,7 @@ from typing import Any, List, Optional, Sequence, Union
 from repro.core.merge import MergeResult
 from repro.errors import MergeError
 from repro.obs import span as _obs_span
+from repro.parallel import parallel_map
 from repro.serialize import Serializable
 from repro.layout.cell_layout import plan_proposed_2bit, standard_pair_area
 from repro.layout.design_rules import DesignRules, RULES_40NM
@@ -206,60 +207,13 @@ def evaluate_benchmarks(
 
     ``benchmarks=None`` runs the paper's full benchmark list; results are
     returned in benchmark order and are identical for any ``workers``
-    setting.  A benchmark listed twice is evaluated once and its row
-    shared (:func:`repro.cache.scheduler.dedup_map` — the flow is a pure
-    function of the benchmark name and config).  This is the engine
-    behind :meth:`repro.api.Session.table3`.
+    setting.  This is the engine behind :meth:`repro.api.Session.table3`.
     """
-    from repro.cache.scheduler import dedup_map
-
     if benchmarks is None:
         from repro.physd.benchmarks import BENCHMARKS
 
         benchmarks = list(BENCHMARKS)
     with _obs_span("evaluate.benchmarks", category="evaluate",
                    attrs={"count": len(benchmarks)}):
-        return dedup_map(partial(_flow_result, config=config),
-                         list(benchmarks), workers=workers)
-
-
-def _flow_result_record(item: Any, rng: Any = None) -> dict:
-    """Campaign worker: one benchmark flow → a JSON-able Table III row.
-
-    ``item`` is ``(benchmark, config)``; ``rng`` is the campaign's
-    per-attempt stream, unused because the flow is deterministic.
-    """
-    benchmark, config = item
-    return _flow_result(benchmark, config=config).to_json()
-
-
-def evaluate_benchmarks_resilient(
-    benchmarks: Optional[Sequence[str]] = None,
-    config: Any = None,
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    checkpoint: Optional[str] = None,
-):
-    """:func:`evaluate_benchmarks` through the resilient campaign runner.
-
-    A benchmark whose flow crashes its worker, times out, or keeps
-    failing after ``retries`` reseeded attempts yields ``None`` in its
-    slot instead of sinking the whole Table III sweep; with
-    ``checkpoint`` set, an interrupted sweep resumes without re-running
-    finished benchmarks.  Returns ``(rows, report)`` where ``rows`` is a
-    list of :class:`SystemResult` or ``None`` in benchmark order.
-    """
-    from repro.faults.campaign import run_campaign
-
-    if benchmarks is None:
-        from repro.physd.benchmarks import BENCHMARKS
-
-        benchmarks = list(BENCHMARKS)
-    items = [(name, config) for name in benchmarks]
-    report = run_campaign(_flow_result_record, items, name="table3-sweep",
-                          workers=workers, timeout=timeout, retries=retries,
-                          checkpoint=checkpoint)
-    rows = [SystemResult.from_json(r) if r is not None else None
-            for r in report.results()]
-    return rows, report
+        return parallel_map(partial(_flow_result, config=config),
+                            benchmarks, workers=workers)

@@ -38,10 +38,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AnalysisError
 
-#: Path fragments excluded from project loads by default.  The corpus is
-#: *deliberately* defective code — only the ``repro lint`` self-test may
-#: lint it.
-DEFAULT_EXCLUDES = ("devlint/corpus",)
+#: Directories excluded from project loads by default: the corpus, by
+#: its absolute path, so the working directory cannot cut it out of the
+#: match.  The corpus is *deliberately* defective code — only the
+#: ``repro lint`` self-test may lint it.
+DEFAULT_EXCLUDES = (os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                 "corpus"),)
 
 _MARKER_RE = re.compile(r"#\s*devlint:\s*(?P<body>.+?)\s*$")
 
@@ -264,12 +266,13 @@ def load_project(paths: Sequence[str],
                  root: Optional[str] = None) -> Project:
     """Parse every ``.py`` file under ``paths`` into a :class:`Project`.
 
-    ``paths`` may mix files and directories; ``excludes`` are substring
-    filters on the ``/``-separated relative path (the corpus is excluded
-    by default).  A file that does not parse raises
-    :class:`~repro.errors.AnalysisError` naming it and the line.
+    ``paths`` may mix files and directories; files under an ``excludes``
+    directory are skipped (the corpus by default).  A file that does not
+    parse raises :class:`~repro.errors.AnalysisError` naming it and the
+    line.
     """
     root = os.path.abspath(root or os.getcwd())
+    excluded = tuple(os.path.join(os.path.abspath(d), "") for d in excludes)
     files: List[str] = []
     for path in paths:
         path = os.path.abspath(path)
@@ -290,9 +293,9 @@ def load_project(paths: Sequence[str],
         if path in seen:
             continue
         seen.add(path)
-        rel = os.path.relpath(path, root).replace(os.sep, "/")
-        if any(fragment in rel for fragment in excludes):
+        if path.startswith(excluded):
             continue
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 import json
 import os
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.lint.diagnostics import Severity
 from repro.lint.registry import rule
@@ -30,10 +30,10 @@ from repro.devlint.model import Project, PyModule
 MANIFEST_NAME = "schema_manifest.json"
 
 #: Callables whose first positional argument is shipped to worker
-#: processes and therefore must be picklable.
+#: processes and therefore must be picklable (``monte_carlo_ensemble``
+#: ships its ``build``).
 _SHIPPING_CALLS = {
-    "parallel_map", "dedup_map", "monte_carlo_map", "monte_carlo_campaign",
-    "run_campaign", "ObsTask",
+    "parallel_map", "monte_carlo_ensemble", "run_campaign", "ObsTask",
 }
 
 
@@ -255,8 +255,3 @@ def check_unpicklable_task(project: Project, emit) -> None:
                          f"worker processes",
                          hint="hoist it to module level (bind config "
                               "with functools.partial)")
-
-
-def shipping_calls() -> Tuple[str, ...]:
-    """The audited entry points (exported for docs/tests)."""
-    return tuple(sorted(_SHIPPING_CALLS))

@@ -357,22 +357,15 @@ def load_checkpoint(
                 f"checkpoint {path} is corrupt at line {lineno} (not valid "
                 f"JSON, and not the final line)") from None
         try:
-            index = int(entry["index"])
-            record = TaskRecord(
-                index=index, status=str(entry["status"]),
-                attempts=int(entry["attempts"]), result=entry.get("result"),
-                error=str(entry.get("error", "")),
-                elapsed=float(entry.get("elapsed", 0.0)),
-                forensics=entry.get("forensics"),
-            )
+            record = TaskRecord.from_json(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise CampaignError(
                 f"checkpoint {path} line {lineno} is malformed: {exc}") from exc
-        if not 0 <= index < total:
+        if not 0 <= record.index < total:
             raise CampaignError(
-                f"checkpoint {path} line {lineno} names task {index}, "
+                f"checkpoint {path} line {lineno} names task {record.index}, "
                 f"outside this campaign's 0..{total - 1}")
-        records[index] = record
+        records[record.index] = record
     return records, notes
 
 
@@ -415,7 +408,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
     checkpoint: Optional[str] = None,
-    resume: bool = True,
     forensics_dir: Optional[str] = None,
 ) -> CampaignReport:
     """Run ``fn(item, rng)`` over every item, resiliently.
@@ -426,9 +418,9 @@ def run_campaign(
       worker; a timed-out attempt counts against the retry budget.
     * ``retries`` — extra attempts per task (``max_attempts = retries +
       1``); each attempt reseeds via :func:`task_rng`.
-    * ``checkpoint`` — JSONL path; with ``resume=True`` (default) an
-      existing compatible file short-circuits its completed tasks as
-      ``skipped`` and previously-failed tasks are re-run from attempt 1.
+    * ``checkpoint`` — JSONL path; an existing compatible file is
+      resumed: its completed tasks come back as ``skipped`` and its
+      previously-failed tasks are re-run from attempt 1.
     * ``forensics_dir`` — directory for failure forensics: when a task's
       final attempt died on a solver exhaustion that carries a
       :class:`~repro.recovery.forensics.ForensicsBundle`, its JSON form
@@ -457,7 +449,7 @@ def run_campaign(
     writer: Optional[_CheckpointWriter] = None
     if checkpoint is not None:
         fresh = True
-        if resume and os.path.exists(checkpoint):
+        if os.path.exists(checkpoint):
             loaded, load_notes = load_checkpoint(checkpoint, name, seed, total)
             notes.extend(load_notes)
             done = {i: r for i, r in loaded.items() if r.status == "completed"}

@@ -43,7 +43,6 @@ FLOW_PARAMS: Dict[str, Tuple[str, ...]] = {
     "campaign": ("backend", "engine", "workers",
                  "design", "specs", "samples", "seed", "vdd", "dt",
                  "timeout", "retries", "checkpoint", "forensics_dir"),
-    "sweep": ("engine", "workers", "corners"),
     "compare": ("backends", "engine", "workers",
                 "quick", "benchmarks", "samples", "dt"),
 }

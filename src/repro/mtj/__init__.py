@@ -20,7 +20,6 @@ from repro.mtj.variation import (
     DEFAULT_SEED,
     MTJCorner,
     MTJVariation,
-    monte_carlo_map,
     monte_carlo_parameters,
     sample_parameters,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_SEED",
     "sample_parameters",
     "monte_carlo_parameters",
-    "monte_carlo_map",
     "ThermalStability",
     "WriteErrorModel",
 ]

@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TypeVar
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import DeviceModelError
 from repro.mtj.parameters import MTJParameters
-from repro.parallel import spawn_rngs
+from repro.parallel import parallel_map, spawn_rngs
 
 #: Root seed used whenever a caller does not pass one: Monte-Carlo results
 #: are reproducible *by default* (the DATE year of the paper, for flavour).
 DEFAULT_SEED = 2018
-
-_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -134,32 +132,6 @@ def monte_carlo_parameters(
     ]
 
 
-def monte_carlo_map(
-    fn: Callable[[MTJParameters], _R],
-    params: MTJParameters,
-    variation: Optional[MTJVariation] = None,
-    count: int = 1,
-    seed: int = DEFAULT_SEED,
-    clip_sigma: float = 3.0,
-    workers: Optional[int] = None,
-) -> List[_R]:
-    """Evaluate ``fn`` over a Monte-Carlo parameter population.
-
-    Samples are drawn deterministically (:func:`monte_carlo_parameters`)
-    and evaluated through :func:`repro.cache.scheduler.dedup_map`; ``fn``
-    must be picklable (a module-level function or ``functools.partial``)
-    for the pool path to engage, and the returned list is bit-identical
-    for every ``workers`` setting.  Draws that collide on the exact same
-    parameter set (``MTJParameters`` is frozen, hence value-hashable) are
-    evaluated once — sound because ``fn`` receives only the sample.
-    """
-    from repro.cache.scheduler import dedup_map
-
-    samples = monte_carlo_parameters(params, variation, count=count,
-                                     seed=seed, clip_sigma=clip_sigma)
-    return dedup_map(fn, samples, workers=workers)
-
-
 def _ensemble_chunk_task(build, extract, stop_time, dt, integrator,
                          initial_voltages, max_iterations, vtol, damping,
                          chunk):
@@ -231,7 +203,6 @@ def monte_carlo_ensemble(
     """
     import functools
 
-    from repro.parallel import parallel_map
     from repro.spice.analysis.dc import (
         DEFAULT_DAMPING,
         DEFAULT_MAX_ITERATIONS,
@@ -260,36 +231,3 @@ def monte_carlo_ensemble(
     return [value for chunk_result in chunk_results
             for value in chunk_result]
 
-
-def monte_carlo_campaign(
-    fn: Callable[[MTJParameters, np.random.Generator], _R],
-    params: MTJParameters,
-    variation: Optional[MTJVariation] = None,
-    count: int = 1,
-    seed: int = DEFAULT_SEED,
-    clip_sigma: float = 3.0,
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    checkpoint: Optional[str] = None,
-    name: str = "mtj-mc",
-):
-    """:func:`monte_carlo_map`, resiliently.
-
-    Same deterministic parameter population, but evaluated through
-    :func:`repro.faults.campaign.run_campaign`: per-task ``timeout``,
-    bounded ``retries`` with reseeded per-attempt RNG streams, crashed
-    -worker isolation, and JSONL ``checkpoint``/resume — the runner for
-    10k-sample studies where a handful of pathological samples must not
-    cost the campaign.  ``fn(sample_params, rng)`` must be a picklable
-    module-level callable returning a JSON-serialisable value; returns
-    the :class:`~repro.faults.campaign.CampaignReport` (per-sample
-    results via ``report.results()``, in sample order).
-    """
-    from repro.faults.campaign import run_campaign
-
-    samples = monte_carlo_parameters(params, variation, count=count,
-                                     seed=seed, clip_sigma=clip_sigma)
-    return run_campaign(fn, samples, name=name, seed=seed, workers=workers,
-                        timeout=timeout, retries=retries,
-                        checkpoint=checkpoint)

@@ -82,8 +82,8 @@ class MetricsRegistry:
     """Named counters, gauges and histograms.
 
     Thread-safe: recording and aggregation hold an internal lock, so
-    concurrent callers (``dedup_map`` called from several threads at
-    once) never lose an increment to the read-modify-write race.  The lock is re-entrant because
+    concurrent callers never lose an increment to the
+    read-modify-write race.  The lock is re-entrant because
     :meth:`merge` folds through :meth:`inc`/:meth:`set_gauge`.
     """
 

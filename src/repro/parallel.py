@@ -1,15 +1,20 @@
-"""Deterministic process-pool map for sweeps and Monte-Carlo runs.
+"""Deterministic process-pool map for corner sweeps, Table III and Monte-Carlo.
 
-Two building blocks shared by the corner sweeps, the Monte-Carlo loop and
-the Table III benchmark loop:
+The value-pure fan-out of every flow goes through this module: Table
+II's process corners (:func:`repro.spice.corners._sweep_corners`), Table
+III's benchmark circuits (:func:`repro.core.evaluate.evaluate_benchmarks`)
+and the Monte-Carlo ensemble chunks
+(:func:`repro.mtj.variation.monte_carlo_ensemble`).  Seeded trials that
+need timeouts, retries or a checkpoint go through
+:func:`repro.faults.campaign.run_campaign` instead.
 
 * :func:`parallel_map` — ``map(fn, items)`` over a process pool, with the
   result order always matching the item order and an automatic serial
   fallback (single core, single item, or an environment where process
   pools cannot start — e.g. restricted sandboxes).  Because the work is
   partitioned by *item* and every task is self-contained, the result is
-  **independent of the worker count and chunking** — ``workers=8`` and
-  ``workers=1`` return bit-identical lists.
+  **independent of the worker count** — ``workers=8`` and ``workers=1``
+  return bit-identical lists.
 * :func:`spawn_rngs` — per-task random generators derived from one root
   seed through :class:`numpy.random.SeedSequence` spawning.  Task *i*
   always receives the same stream no matter which process executes it or
@@ -18,8 +23,7 @@ the Table III benchmark loop:
 
 Functions submitted to :func:`parallel_map` must be picklable: module
 level functions, optionally wrapped in :func:`functools.partial` to bind
-configuration (the idiom used by :func:`repro.spice.corners._sweep_corners`
-and :func:`repro.core.evaluate.evaluate_benchmarks`).
+configuration (the idiom all three callers use).
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ def parallel_map(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
     workers: Optional[int] = None,
-    chunksize: int = 1,
 ) -> List[_R]:
     """``[fn(item) for item in items]`` over a process pool.
 
@@ -98,11 +101,10 @@ def parallel_map(
 
             with ProcessPoolExecutor(max_workers=min(workers, len(items)),
                                      initializer=worker_init) as pool:
-                payloads = list(pool.map(ObsTask(fn), items,
-                                         chunksize=max(1, chunksize)))
+                payloads = list(pool.map(ObsTask(fn), items))
             return [merge_payload(p) for p in payloads]
         with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items, chunksize=max(1, chunksize)))
+            return list(pool.map(fn, items))
     except (OSError, BrokenExecutor, ImportError) as exc:
         # No usable process pool here (restricted sandbox, missing
         # semaphores, ...): fall back to the serial path — loudly.

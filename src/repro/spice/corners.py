@@ -31,6 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, TypeVar
 
 from repro.mtj.parameters import MTJParameters
 from repro.mtj.variation import MTJCorner, MTJVariation
+from repro.parallel import parallel_map
 from repro.spice.devices.mosfet import MOSFETModel, NMOS_40LP, PMOS_40LP
 
 _R = TypeVar("_R")
@@ -113,40 +114,8 @@ def _sweep_corners(
     ``corners``.  ``fn`` must be picklable (module-level function or
     ``functools.partial``) for the process-pool path; the result is
     identical for any ``workers`` setting (see :mod:`repro.parallel`).
-    A corner named more than once is evaluated once and its result
-    shared (:func:`repro.cache.scheduler.dedup_map` — sound because
-    ``fn`` sees only the corner value, never an index or RNG).
     """
-    from repro.cache.scheduler import dedup_map
-
     names = list(corners)
-    results = dedup_map(fn, [CORNERS[name] for name in names],
-                        workers=workers)
+    results = parallel_map(fn, [CORNERS[name] for name in names],
+                           workers=workers)
     return dict(zip(names, results))
-
-
-def sweep_corners_resilient(
-    fn: Callable,
-    corners: Sequence[str] = CORNER_ORDER,
-    workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    checkpoint: Optional[str] = None,
-):
-    """:func:`_sweep_corners` through the resilient campaign runner.
-
-    ``fn(corner, rng)`` must be picklable and return a JSON-serialisable
-    value; a corner whose evaluation times out, crashes its worker, or
-    exhausts its retries comes back as ``None`` instead of sinking the
-    sweep.  Returns ``({corner_name: result_or_None},
-    CampaignReport)`` — check ``report.failures()`` before trusting a
-    partially-populated dict.
-    """
-    from repro.faults.campaign import run_campaign
-
-    names = list(corners)
-    report = run_campaign(fn, [CORNERS[name] for name in names],
-                          name="corner-sweep", workers=workers,
-                          timeout=timeout, retries=retries,
-                          checkpoint=checkpoint)
-    return dict(zip(names, report.results())), report

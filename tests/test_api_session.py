@@ -19,11 +19,6 @@ from repro.spice.analysis.transient import get_default_engine
 FAST_TABLE2 = dict(corners=["typical"], dt=4e-12, include_write=False)
 
 
-def corner_name(corner):
-    """Module-level (hence picklable) sweep payload."""
-    return corner.name
-
-
 def _table2_metrics(data):
     """Every measured field of every corner as one nested dict, so a
     comparison covers the full Table II surface, not a sample."""
@@ -139,12 +134,6 @@ class TestSessionLifecycle:
 
 
 class TestSessionFlows:
-    def test_sweep_binds_workers_and_dedupes(self, tmp_path):
-        with Session(workers=1) as session:
-            result = session.sweep(corner_name,
-                                   corners=["typical", "typical"])
-        assert result == {"typical": "typical"}
-
     def test_table2_populates_the_session_cache(self, tmp_path):
         with Session(cache=str(tmp_path / "c"), workers=1) as session:
             data = session.table2(**FAST_TABLE2)
@@ -190,17 +179,31 @@ class TestSessionFlows:
 
 
 class TestWrappersRemoved:
-    """The PR-5 ``DeprecationWarning`` wrappers are deleted, not kept."""
+    """Deprecated wrappers and fan-out entry points no flow called are
+    deleted, not kept."""
 
     def test_deprecated_free_functions_are_gone(self):
+        import importlib.util
+
         import repro.analysis.tables as tables
+        import repro.cache as cache
+        import repro.core.evaluate as evaluate
         import repro.faults as faults
+        import repro.mtj.variation as variation
         import repro.spice.corners as corners
 
         assert not hasattr(tables, "build_table2")
         assert not hasattr(tables, "build_table3")
         assert not hasattr(corners, "sweep_corners")
         assert not hasattr(faults, "restore_failure_rate")
+        assert importlib.util.find_spec("repro.cache.scheduler") is None
+        assert not hasattr(cache, "dedup_map")
+        assert not hasattr(corners, "sweep_corners_resilient")
+        assert not hasattr(evaluate, "evaluate_benchmarks_resilient")
+        assert not hasattr(evaluate, "_flow_result_record")
+        assert not hasattr(variation, "monte_carlo_map")
+        assert not hasattr(variation, "monte_carlo_campaign")
+        assert not hasattr(Session, "sweep")
 
     def test_api_all_is_the_session_surface(self):
         import repro.api
@@ -227,5 +230,5 @@ class TestCanonicalParams:
 
         previous = get_default_engine()
         with Session(workers=1) as session:
-            session.sweep(corner_name, corners=["typical"], engine="sparse")
+            session.table3(["s344"], engine="sparse")
             assert get_default_engine() == previous

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cache import store as cache_store
-from repro.cache.scheduler import dedup_map
 from repro.obs import metrics
 from repro.spice.analysis.dc import solve_dc
 from repro.spice.analysis.transient import run_transient
@@ -31,8 +30,7 @@ def _counters():
     snapshot = metrics().snapshot()["counters"]
     return {name: snapshot.get(name, 0.0)
             for name in ("cache.hit", "cache.miss", "cache.store",
-                         "cache.uncacheable", "scheduler.requests",
-                         "scheduler.unique", "scheduler.deduped")}
+                         "cache.uncacheable")}
 
 
 def _delta(before, after):
@@ -280,82 +278,6 @@ class TestBackendStateHydration:
                    for record in cold_state)
         assert (np.asarray(warm.node_voltages).tobytes()
                 == np.asarray(cold.node_voltages).tobytes())
-
-
-def _double(x):
-    """Module-level (hence picklable) worker for the pool path."""
-    return 2 * x
-
-
-class TestDedupScheduler:
-    def test_identical_items_run_once(self):
-        before = _counters()
-        results = dedup_map(_double, [3, 5, 3, 3, 5, 8], workers=1)
-        assert results == [6, 10, 6, 6, 10, 16]
-        delta = _delta(before, _counters())
-        assert delta["scheduler.requests"] == 6
-        assert delta["scheduler.unique"] == 3
-        assert delta["scheduler.deduped"] == 3
-
-    def test_single_flight_under_process_pool(self):
-        before = _counters()
-        results = dedup_map(_double, [7, 7, 7, 9], workers=2)
-        assert results == [14, 14, 14, 18]
-        delta = _delta(before, _counters())
-        assert delta["scheduler.unique"] == 2
-        assert delta["scheduler.deduped"] == 2
-
-    def test_unhashable_items_fall_back_to_repr(self):
-        before = _counters()
-        results = dedup_map(sum, [[1, 2], [1, 2], [3]], workers=1)
-        assert results == [3, 3, 3]
-        assert _delta(before, _counters())["scheduler.deduped"] == 1
-
-    def test_custom_key(self):
-        results = dedup_map(_double, [1.0, 1, 2], workers=1,
-                            key=lambda x: ("int", int(x)))
-        assert results == [2.0, 2.0, 4]
-
-    def test_empty(self):
-        assert dedup_map(_double, [], workers=2) == []
-
-
-class TestDedupSchedulerConcurrentCallers:
-    """dedup_map called from many threads at once (it is public, so any
-    threaded caller may do this): every caller must get the right
-    result order and the shared scheduler counters must account for
-    every call exactly — no lost increments."""
-
-    THREADS = 8
-    BATCH = [3, 5, 3, 3, 5, 8]
-
-    def test_threaded_callers_get_exact_results_and_counters(self):
-        import threading
-
-        before = _counters()
-        barrier = threading.Barrier(self.THREADS)
-        results = [None] * self.THREADS
-        errors = []
-
-        def call(slot):
-            try:
-                barrier.wait(timeout=10)
-                results[slot] = dedup_map(_double, self.BATCH, workers=1)
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=call, args=(i,))
-                   for i in range(self.THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors
-        assert all(r == [6, 10, 6, 6, 10, 16] for r in results)
-        delta = _delta(before, _counters())
-        assert delta["scheduler.requests"] == self.THREADS * len(self.BATCH)
-        assert delta["scheduler.unique"] == self.THREADS * 3
-        assert delta["scheduler.deduped"] == self.THREADS * 3
 
 
 class TestVerifyEntry:

@@ -225,6 +225,18 @@ class TestSerializationRules:
             """)
         assert "dev.unpicklable-task" not in report.rule_ids()
 
+    def test_lambda_build_for_monte_carlo_ensemble_fires(self, tmp_path):
+        report = lint_source(tmp_path, """
+            from repro.mtj.variation import monte_carlo_ensemble
+
+            def study(params, extract):
+                return monte_carlo_ensemble(lambda p: p, extract, params,
+                                            stop_time=1e-9, dt=1e-12)
+            """)
+        hits = [d for d in report.diagnostics
+                if d.rule == "dev.unpicklable-task"]
+        assert hits and "monte_carlo_ensemble()" in hits[0].message
+
 
 class TestObsRules:
     def test_assign_then_with_is_clean(self, tmp_path):
@@ -306,3 +318,9 @@ class TestWholeTree:
     def test_src_repro_is_devlint_clean(self):
         report = lint_paths([SRC], root=REPO)
         assert not report.has_errors, report.render_text()
+
+    def test_corpus_excluded_when_run_from_inside_devlint(self, monkeypatch):
+        monkeypatch.chdir(os.path.join(SRC, "devlint"))
+        rels = [module.rel for module in load_project(["."])]
+        assert "model.py" in rels
+        assert not [rel for rel in rels if rel.startswith("corpus/")]

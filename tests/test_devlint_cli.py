@@ -4,6 +4,7 @@ modes and manifest, and the dev rows of ``repro lint --list-rules`` and
 
 import json
 import os
+import shutil
 import textwrap
 
 import pytest
@@ -59,10 +60,18 @@ class TestDevlintCommand:
         rules = {d["rule"] for d in report["diagnostics"]}
         assert "dev.unseeded-rng" in rules
 
-    def test_update_schema_manifest_is_idempotent(self, capsys):
-        manifest_path = os.path.join(
-            SRC_REPRO, "devlint", "schema_manifest.json")
-        before = open(manifest_path).read()
+    def test_update_schema_manifest_is_idempotent(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from repro.devlint import rules_serialization
+
+        committed = os.path.join(SRC_REPRO, "devlint", "schema_manifest.json")
+        before = open(committed).read()
+        copy = tmp_path / "schema_manifest.json"
+        shutil.copyfile(committed, copy)
+        monkeypatch.setattr(rules_serialization, "_manifest_path",
+                            lambda: str(copy))
+        monkeypatch.chdir(REPO)
         assert main(["devlint", "--update-schema-manifest"]) == 0
-        assert open(manifest_path).read() == before
+        assert copy.read_text() == before
+        assert open(committed).read() == before
         assert "schema manifest updated" in capsys.readouterr().out

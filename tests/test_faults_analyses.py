@@ -15,7 +15,6 @@ These run full (coarse-step) transients, so the sweeps are kept minimal.
 
 import pytest
 
-from repro.core.evaluate import evaluate_benchmarks_resilient
 from repro.api import Session
 from repro.faults import (
     FaultSpec,
@@ -24,9 +23,6 @@ from repro.faults import (
     store_write_error_rates,
     write_path_isolation,
 )
-from repro.mtj.parameters import PAPER_TABLE_I
-from repro.mtj.variation import monte_carlo_campaign, monte_carlo_parameters
-from repro.spice.corners import sweep_corners_resilient
 
 
 class TestSenseMarginDegradation:
@@ -111,34 +107,3 @@ class TestRestoreFailureRate:
             with Session() as session:
                 session.campaign("standard",
                                  [FaultSpec("bogus.model", 1.0)], samples=1)
-
-
-def _critical_current(params, rng):
-    return float(params.critical_current)
-
-
-def _corner_label(corner, rng):
-    return corner.name
-
-
-class TestResilientWireIns:
-    def test_monte_carlo_campaign_matches_direct_sampling(self):
-        report = monte_carlo_campaign(_critical_current, PAPER_TABLE_I,
-                                      count=3, workers=1)
-        expected = [float(p.critical_current)
-                    for p in monte_carlo_parameters(PAPER_TABLE_I, count=3)]
-        assert report.results() == expected
-
-    def test_sweep_corners_resilient_keeps_order(self):
-        values, report = sweep_corners_resilient(_corner_label, workers=1)
-        assert values == {"fast": "fast", "typical": "typical",
-                          "slow": "slow"}
-        assert report.completed == 3
-
-    def test_evaluate_benchmarks_resilient_round_trips_rows(self):
-        rows, report = evaluate_benchmarks_resilient(["s344"], workers=1)
-        assert report.completed == 1
-        (row,) = rows
-        assert row.benchmark == "s344"
-        assert row.total_flip_flops > 0
-        assert 0.0 < row.area_improvement < 1.0

@@ -166,6 +166,20 @@ class TestCheckpointResume:
         with pytest.raises(CampaignError, match="corrupt"):
             load_checkpoint(path, "campaign", 2018, 3)
 
+    @pytest.mark.parametrize("line", [
+        '{"index": 1}',
+        '[1, 2]',
+        '{"index": "one", "status": "completed", "attempts": 1}',
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, line):
+        path = str(tmp_path / "campaign.jsonl")
+        run_campaign(_square, [1, 2, 3], workers=1, checkpoint=path)
+        lines = open(path).read().splitlines()
+        lines[2] = line
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CampaignError, match="line 3 is malformed"):
+            load_checkpoint(path, "campaign", 2018, 3)
+
     def test_empty_checkpoint_starts_fresh(self, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
         open(path, "w").close()

@@ -161,8 +161,7 @@ def test_global_registry_is_shared():
 
 def test_concurrent_increments_are_not_lost():
     """inc()/observe() are read-modify-write; under threaded callers
-    (e.g. ``dedup_map`` from several threads) the registry lock must
-    make the totals exact."""
+    the registry lock must make the totals exact."""
     import threading
 
     registry = MetricsRegistry()

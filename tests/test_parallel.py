@@ -16,7 +16,6 @@ from repro.mtj.parameters import PAPER_TABLE_I
 from repro.mtj.variation import (
     DEFAULT_SEED,
     MTJVariation,
-    monte_carlo_map,
     monte_carlo_parameters,
     sample_parameters,
 )
@@ -107,13 +106,14 @@ class TestMonteCarloDeterminism:
         assert small == large[:3]
 
     def test_parallel_mc_bit_identical_to_serial(self):
-        serial = monte_carlo_map(resistance_pair, PAPER_TABLE_I,
-                                 count=16, seed=DEFAULT_SEED, workers=1)
+        def population(workers):
+            samples = monte_carlo_parameters(PAPER_TABLE_I, count=16,
+                                             seed=DEFAULT_SEED)
+            return parallel_map(resistance_pair, samples, workers=workers)
+
+        serial = population(1)
         for workers in (2, 5):
-            parallel = monte_carlo_map(resistance_pair, PAPER_TABLE_I,
-                                       count=16, seed=DEFAULT_SEED,
-                                       workers=workers)
-            assert parallel == serial  # bit-identical, not approx
+            assert population(workers) == serial  # bit-identical, not approx
 
     def test_variation_and_clip_respected(self):
         tight = MTJVariation(sigma_ra=0.0, sigma_tmr=0.0, sigma_ic=0.0)
