@@ -55,29 +55,6 @@ def _metrics():
 
 
 # ---------------------------------------------------------------------------
-# Storage end-state capture / restore
-# ---------------------------------------------------------------------------
-
-
-def _capture_mtj_state(circuit) -> List[Dict[str, Any]]:
-    """Per-storage-device end state after a transient, in netlist order.
-
-    Delegates to the NV-backend layer, which knows every technology's
-    device state (MTJ magnetisation + STT progress/events, and the SOT
-    record for NAND-SPIN junctions)."""
-    from repro.nv.base import capture_storage_state
-
-    return capture_storage_state(circuit)
-
-
-def _restore_mtj_state(circuit, records: List[Dict[str, Any]]) -> None:
-    """Write captured storage end state back into the caller's circuit."""
-    from repro.nv.base import hydrate_storage_state
-
-    hydrate_storage_state(circuit, records)
-
-
-# ---------------------------------------------------------------------------
 # Handles
 # ---------------------------------------------------------------------------
 
@@ -115,6 +92,7 @@ class TransientHandle(_Handle):
 
     def lookup(self):
         """Hydrated :class:`TransientResult` on a hit, else ``None``."""
+        from repro.nv.base import hydrate_storage_state
         from repro.spice.analysis.engine import SolverStats
         from repro.spice.analysis.transient import TransientResult
 
@@ -136,7 +114,7 @@ class TransientHandle(_Handle):
                 dt_trace = (_decode_array(raw_trace)
                             if raw_trace is not None else None)
                 self.circuit.finalize()
-                _restore_mtj_state(self.circuit, payload["mtj_state"])
+                hydrate_storage_state(self.circuit, payload["mtj_state"])
             except Exception:  # noqa: BLE001 — broken entry reads as a miss
                 _metrics().inc("cache.miss", 1)
                 sp.annotate(outcome="miss")
@@ -148,12 +126,14 @@ class TransientHandle(_Handle):
 
     def store(self, result) -> None:
         """Persist a freshly computed transient (with MTJ end state)."""
+        from repro.nv.base import capture_storage_state
+
         self._store_entry({
             "times": _encode_array(result.times),
             "node_voltages": _encode_array(result.node_voltages),
             "branch_currents": _encode_array(result.branch_currents),
             "stats": result.stats.to_json(),
-            "mtj_state": _capture_mtj_state(self.circuit),
+            "mtj_state": capture_storage_state(self.circuit),
             "dt_trace": (_encode_array(result.dt_trace)
                          if result.dt_trace is not None else None),
         })

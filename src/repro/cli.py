@@ -18,8 +18,8 @@ Commands:
   (determinism, cache-key completeness, schema hygiene),
 * ``faults`` — fault injection: list models, run a resilient
   restore-failure campaign, or report write-path isolation,
-* ``recovery`` — solver resilience: explain the recovery ladder or run
-  its corpus smoke,
+* ``recovery explain`` — print the recovery ladder and its policy
+  fingerprint,
 * ``profile`` — run a named flow under the tracer and emit a breakdown
   table plus ``profile.json``/``trace.json`` (Chrome-loadable),
 * ``cache`` — inspect and maintain the content-addressed result cache:
@@ -176,15 +176,9 @@ def _lint_cell_builders():
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import lint_circuit, lint_gate_netlist
-    from repro.lint.corpus import run_self_test
     from repro.lint.diagnostics import Severity, render_reports_json
     from repro.lint.registry import all_rules
     from repro.physd.benchmarks import BENCHMARKS, generate_benchmark
-
-    if args.self_test:
-        ok, lines = run_self_test()
-        print("\n".join(lines))
-        return 0 if ok else 1
 
     if args.list_rules:
         import repro.devlint  # noqa: F401  (registers the dev pack)
@@ -346,30 +340,16 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
-    if args.action == "explain":
-        from repro.recovery.corpus import corpus_entries
-        from repro.recovery.policy import DEFAULT_POLICY
+    from repro.recovery.policy import DEFAULT_POLICY
 
-        policy = DEFAULT_POLICY
-        print("recovery ladder (escalation order):")
-        for rung in policy.rungs:
-            print(f"  {rung}")
-        print("policy configuration (fingerprinted into cache keys):")
-        for key, value in sorted(policy.fingerprint().items()):
-            print(f"  {key} = {value}")
-        print("pathological corpus:")
-        for entry in corpus_entries():
-            print(f"  {entry.name}: {entry.description}")
-        return 0
-
-    # action == "smoke"
-    from repro.recovery.smoke import render_smoke_report, run_smoke
-
-    print(f"Running the recovery corpus on the fast and sparse engines "
-          f"(artifacts -> {args.out})...", file=sys.stderr)
-    report = run_smoke(args.out)
-    print(render_smoke_report(report))
-    return 0 if report["ok"] else 1
+    policy = DEFAULT_POLICY
+    print("recovery ladder (escalation order):")
+    for rung in policy.rungs:
+        print(f"  {rung}")
+    print("policy configuration (fingerprinted into cache keys):")
+    for key, value in sorted(policy.fingerprint().items()):
+        print(f"  {key} = {value}")
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -555,10 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--min-severity", default="warn",
                     choices=["info", "warn", "error"],
                     help="lowest severity shown in text output")
-    pn.add_argument("--self-test", action="store_true",
-                    help="run every rule of every pack (devlint's "
-                         "included) against the built-in corpus of broken "
-                         "designs and verify the shipped cells stay clean")
     pn.add_argument("--list-rules", action="store_true",
                     help="list the registered rules of every pack and exit")
     pn.set_defaults(func=_cmd_lint)
@@ -615,16 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     pq.set_defaults(func=_cmd_faults)
 
     pr = sub.add_parser(
-        "recovery",
-        help="solver resilience: explain the ladder, run the corpus smoke")
-    pr.add_argument("action", choices=["explain", "smoke"],
-                    help="'explain' prints the recovery ladder, policy "
-                         "fingerprint fields and the pathological corpus; "
-                         "'smoke' runs the corpus on the fast and sparse "
-                         "engines and writes metrics + forensics artifacts")
-    pr.add_argument("--out", default="recovery-smoke", metavar="DIR",
-                    help="artifact directory for 'smoke' "
-                         "(default: recovery-smoke)")
+        "recovery", help="solver resilience: explain the recovery ladder")
+    pr.add_argument("action", choices=["explain"],
+                    help="'explain' prints the recovery ladder and the "
+                         "policy fingerprint fields")
     pr.set_defaults(func=_cmd_recovery)
 
     pp = sub.add_parser(

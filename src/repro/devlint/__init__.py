@@ -15,9 +15,9 @@ the project-specific hazards no generic linter knows about:
 
 Its rules are the ``"dev"`` kind of the one rule registry,
 :mod:`repro.lint.registry`; importing this package registers them, and
-``repro lint --self-test`` / ``--list-rules`` cover them with the other
-packs.  Analysis is purely static (``ast`` + marker comments; linted
-code is never imported).  Run it with ``repro devlint src`` or
+``repro lint --list-rules`` lists them with the other packs.  Analysis
+is purely static (``ast`` + marker comments; linted code is never
+imported).  Run it with ``repro devlint src`` or
 programmatically::
 
     from repro.devlint import lint_paths
@@ -38,7 +38,6 @@ from repro.lint.diagnostics import (  # noqa: F401  (re-exported)
 from repro.lint.registry import run_rules
 
 from repro.devlint.model import (  # noqa: F401
-    DEFAULT_EXCLUDES,
     Project,
     PyModule,
     load_project,
@@ -54,8 +53,6 @@ from repro.devlint import rules_recovery  # noqa: F401,E402
 
 def lint_paths(paths: Sequence[str],
                target: str = "src",
-               excludes: Sequence[str] = DEFAULT_EXCLUDES,
                root: Optional[str] = None) -> LintReport:
     """Load ``paths`` into a project and run every ``dev`` rule."""
-    return run_rules("dev", load_project(paths, excludes=excludes, root=root),
-                     target)
+    return run_rules("dev", load_project(paths, root=root), target)

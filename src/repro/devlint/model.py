@@ -22,10 +22,10 @@ to the code it describes:
   part of the cache-keyed/solver path even though its path is not in the
   built-in keyed-prefix list.
 
-Marker parsing is purely lexical (the analyzer never imports the code it
-lints), which is what lets the self-test corpus ship deliberately broken
-fixtures.  A false positive is handled through the binding markers or by
-fixing the rule; there is no per-line suppression marker.
+Marker parsing is purely lexical: the analyzer never imports the code it
+lints, so the deliberately broken fixtures of ``tests/devlint_corpus``
+are read, never run.  A false positive is handled through the binding
+markers or by fixing the rule; there is no per-line suppression marker.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AnalysisError
-
-#: Directories excluded from project loads by default: the corpus, by
-#: its absolute path, so the working directory cannot cut it out of the
-#: match.  The corpus is *deliberately* defective code — only the
-#: ``repro lint`` self-test may lint it.
-DEFAULT_EXCLUDES = (os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                 "corpus"),)
 
 _MARKER_RE = re.compile(r"#\s*devlint:\s*(?P<body>.+?)\s*$")
 
@@ -262,17 +255,13 @@ class Project:
 
 
 def load_project(paths: Sequence[str],
-                 excludes: Sequence[str] = DEFAULT_EXCLUDES,
                  root: Optional[str] = None) -> Project:
     """Parse every ``.py`` file under ``paths`` into a :class:`Project`.
 
-    ``paths`` may mix files and directories; files under an ``excludes``
-    directory are skipped (the corpus by default).  A file that does not
-    parse raises :class:`~repro.errors.AnalysisError` naming it and the
-    line.
+    ``paths`` may mix files and directories.  A file that does not parse
+    raises :class:`~repro.errors.AnalysisError` naming it and the line.
     """
     root = os.path.abspath(root or os.getcwd())
-    excluded = tuple(os.path.join(os.path.abspath(d), "") for d in excludes)
     files: List[str] = []
     for path in paths:
         path = os.path.abspath(path)
@@ -293,8 +282,6 @@ def load_project(paths: Sequence[str],
         if path in seen:
             continue
         seen.add(path)
-        if path.startswith(excluded):
-            continue
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()

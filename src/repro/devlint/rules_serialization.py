@@ -29,11 +29,14 @@ from repro.devlint.model import Project, PyModule
 
 MANIFEST_NAME = "schema_manifest.json"
 
-#: Callables whose first positional argument is shipped to worker
-#: processes and therefore must be picklable (``monte_carlo_ensemble``
-#: ships its ``build``).
-_SHIPPING_CALLS = {
-    "parallel_map", "monte_carlo_ensemble", "run_campaign", "ObsTask",
+#: Worker-pool entry points and, in positional order, the parameters of
+#: each that are shipped to worker processes and therefore must be
+#: picklable, whether passed by position or by keyword.
+_SHIPPED_PARAMETERS = {
+    "parallel_map": ("fn",),
+    "run_campaign": ("fn",),
+    "ObsTask": ("fn",),
+    "monte_carlo_ensemble": ("build", "extract"),
 }
 
 
@@ -231,27 +234,29 @@ def check_unpicklable_task(project: Project, emit) -> None:
         for func in module.functions():
             local_names = _local_defs(func)
             for node in ast.walk(func):
-                if not isinstance(node, ast.Call) or not node.args:
+                if not isinstance(node, ast.Call):
                     continue
                 callee = node.func
                 callee_name = callee.id if isinstance(
                     callee, ast.Name) else (
                         callee.attr if isinstance(callee, ast.Attribute)
                         else "")
-                if callee_name not in _SHIPPING_CALLS:
+                shipped = _SHIPPED_PARAMETERS.get(callee_name)
+                if shipped is None:
                     continue
-                task = node.args[0]
-                if isinstance(task, ast.Lambda):
-                    emit(module.at(task.lineno),
-                         f"lambda passed to {callee_name}() cannot be "
-                         f"pickled into worker processes",
-                         hint="hoist it to a module-level function "
-                              "(bind config with functools.partial)")
-                elif isinstance(task, ast.Name) and task.id in local_names:
-                    emit(module.at(task.lineno),
-                         f"{task.id!r} is defined inside "
-                         f"{func.name}() but passed to {callee_name}(); "
-                         f"local functions cannot be pickled into "
-                         f"worker processes",
-                         hint="hoist it to module level (bind config "
-                              "with functools.partial)")
+                for task in node.args[:len(shipped)] + [
+                        kw.value for kw in node.keywords if kw.arg in shipped]:
+                    if isinstance(task, ast.Lambda):
+                        emit(module.at(task.lineno),
+                             f"lambda passed to {callee_name}() cannot be "
+                             f"pickled into worker processes",
+                             hint="hoist it to a module-level function "
+                                  "(bind config with functools.partial)")
+                    elif isinstance(task, ast.Name) and task.id in local_names:
+                        emit(module.at(task.lineno),
+                             f"{task.id!r} is defined inside "
+                             f"{func.name}() but passed to {callee_name}(); "
+                             f"local functions cannot be pickled into "
+                             f"worker processes",
+                             hint="hoist it to module level (bind config "
+                                  "with functools.partial)")

@@ -611,6 +611,7 @@ def run_campaign(
                                   retried=report.retried)
                 registry = _obs_metrics()
                 registry.inc("campaign.runs", 1)
+                registry.inc("campaign.task_seconds", report.elapsed_total)
                 registry.inc("campaign.tasks", total)
                 registry.inc("campaign.attempts", report.attempts_total)
                 registry.inc("campaign.completed", report.completed)
@@ -626,7 +627,6 @@ def run_campaign(
                              if r.forensics is not None)
                 if dumped:
                     registry.inc("campaign.forensics_dumps", dumped)
-                registry.observe("campaign.task_seconds", report.elapsed_total)
         finally:
             if writer is not None:
                 writer.close()

@@ -37,9 +37,8 @@ from repro.spice.netlist import Circuit
 class InjectionPlan:
     """A built circuit plus the fault specs aimed at it.
 
-    The subject type of the ``"faults"`` lint kind: ``lint_injection``
-    (and the corpus self-test) runs the fault rule pack over one of
-    these.
+    The subject type of the ``"faults"`` lint kind: :meth:`lint` runs
+    the fault rule pack over it.
     """
 
     circuit: Circuit

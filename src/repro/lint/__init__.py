@@ -25,8 +25,7 @@ Entry points:
 * :func:`assert_lint_clean` — raise :class:`~repro.errors.NetlistError`
   (diagnostics attached) when a subject has error-severity findings,
 * the ``repro lint`` CLI subcommand (text and JSON output, nonzero exit
-  on errors, ``--self-test`` for the crafted bad-design corpus of every
-  pack),
+  on errors, ``--list-rules`` for every pack),
 * the ``lint=`` pre-flight argument of
   :func:`repro.spice.analysis.transient.run_transient` and
   :func:`repro.spice.analysis.dc.solve_dc`.

@@ -80,7 +80,7 @@ class LintReport(Serializable):
 
     target: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: Rule ids that ran (including clean ones) — used by the self-test.
+    #: Rule ids that ran (including clean ones).
     rules_run: List[str] = field(default_factory=list)
 
     def payload(self) -> Dict[str, object]:

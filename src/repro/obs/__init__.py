@@ -5,8 +5,8 @@ The subsystem has four pieces:
 * :mod:`repro.obs.tracer` — span-based wall-clock tracing with a
   contextvar-nested stack, a free disabled path, and Chrome
   ``trace_event`` export (``about://tracing`` / Perfetto);
-* :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  histograms with exact cross-process merging;
+* :mod:`repro.obs.metrics` — a registry of counters and maxima with
+  exact cross-process merging;
 * :mod:`repro.obs.worker` — per-task delta collection that rides worker
   results back through :func:`repro.parallel.parallel_map`;
 * :mod:`repro.obs.profile` — the ``repro profile`` flows: run a named
@@ -49,7 +49,7 @@ from repro.obs.export import (
     render_breakdown,
     validate_chrome_trace,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry, metrics
+from repro.obs.metrics import MetricsRegistry, metrics
 from repro.obs.tracer import (
     NULL_SPAN,
     SpanRecord,
@@ -72,7 +72,6 @@ __all__ = [
     "get_tracer",
     "is_active",
     "current_span_stack",
-    "Histogram",
     "MetricsRegistry",
     "metrics",
     "SpanAggregate",

@@ -4,7 +4,7 @@
 named flows under it, and packages the outcome three ways:
 
 * a **breakdown table** (per-span self/total time, printed by the CLI),
-* ``profile.json`` — counters, histograms, aggregated spans, and a
+* ``profile.json`` — counters, aggregated spans, and a
   solver self-check (engine counters re-derived from a reference
   transient and compared against the registry),
 * ``trace.json`` — the Chrome ``trace_event`` export, loadable in
@@ -57,7 +57,6 @@ class ProfileResult:
     fast: bool
     wall_s: float
     counters: Dict[str, float]
-    histograms: Dict[str, dict]
     aggregates: List[SpanAggregate]
     #: Span categories present in the trace (sorted).
     categories: List[str]
@@ -72,7 +71,6 @@ class ProfileResult:
             "fast": self.fast,
             "wall_s": self.wall_s,
             "counters": self.counters,
-            "histograms": self.histograms,
             "categories": self.categories,
             "self_check": self.self_check,
             "spans": [agg.to_json() for agg in self.aggregates],
@@ -224,7 +222,7 @@ def run_profile(
 
     result = ProfileResult(
         flow=flow, fast=fast, wall_s=round(wall_s, 3),
-        counters=snapshot["counters"], histograms=snapshot["histograms"],
+        counters=snapshot["counters"],
         aggregates=aggregates, categories=categories,
         self_check=self_check, trace_path=trace_path,
         profile_path=profile_path,

@@ -88,46 +88,41 @@ def _untimed_json(stats: "SolverStats") -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Device-state snapshot (capacitor history, MTJ magnetisation)
+# Device-state snapshot (capacitor history, storage-device state)
 # ---------------------------------------------------------------------------
 
 
-def snapshot_device_state(circuit: Circuit) -> List[Tuple[Any, str, Any]]:
+def snapshot_device_state(circuit: Circuit) -> Tuple[List[Tuple[Any, float]],
+                                                     List[Dict[str, Any]]]:
     """Capture every mutable per-device state so a failed rung attempt
     can be rolled back exactly.
 
-    The only stateful devices in the zoo are capacitors
-    (``_prev_current``) and MTJ elements (magnetisation, switching
-    progress, event log) — the same set the result cache's MTJ-state
-    capture handles.  A new stateful device class must be added here
-    (and there) before the ladder may recover circuits containing it.
+    Capacitors keep their companion current (``_prev_current``); storage
+    devices go through the NV-backend capture the result cache uses
+    (:func:`repro.nv.base.capture_storage_state`: magnetisation, STT
+    progress and events, and a NAND-SPIN junction's SOT record).  A new
+    stateful device class must be covered there before the ladder may
+    recover circuits containing it.
     """
-    from repro.spice.devices.mtj_element import MTJElement
+    from repro.nv.base import capture_storage_state
     from repro.spice.devices.passive import Capacitor
 
-    snapshot: List[Tuple[Any, str, Any]] = []
-    for device in circuit.devices:
-        if isinstance(device, Capacitor):
-            snapshot.append((device, "cap", device._prev_current))
-        elif isinstance(device, MTJElement):
-            switching = device.switching
-            snapshot.append((device, "mtj", (
-                device.device.state,
-                None if switching is None
-                else (switching.progress, len(switching.events)))))
-    return snapshot
+    capacitors = [(device, device._prev_current)
+                  for device in circuit.devices
+                  if isinstance(device, Capacitor)]
+    return capacitors, capture_storage_state(circuit)
 
 
-def restore_device_state(snapshot: List[Tuple[Any, str, Any]]) -> None:
-    for device, kind, state in snapshot:
-        if kind == "cap":
-            device._prev_current = state
-        else:
-            mtj_state, switching_state = state
-            device.device.state = mtj_state
-            if switching_state is not None:
-                device.switching.progress = switching_state[0]
-                del device.switching.events[switching_state[1]:]
+def restore_device_state(circuit: Circuit,
+                         snapshot: Tuple[List[Tuple[Any, float]],
+                                         List[Dict[str, Any]]]) -> None:
+    """Write a :func:`snapshot_device_state` capture back."""
+    from repro.nv.base import hydrate_storage_state
+
+    capacitors, storage = snapshot
+    for device, prev_current in capacitors:
+        device._prev_current = prev_current
+    hydrate_storage_state(circuit, storage)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +335,7 @@ class TransientStepper:
             primary.reload()
             return x
         except ConvergenceError:
-            restore_device_state(snapshot)
+            restore_device_state(self.circuit, snapshot)
             primary.reload()
             raise
 

@@ -91,8 +91,8 @@ _CLM_EPSILON = 1e-3
 
 #: The one metric name of each :class:`SolverStats` field (names only,
 #: so no cache key holds it).  A dict field adds one metric per key
-#: (``recovery.rung.gmin``); ``worst_condition`` is a gauge, every other
-#: field a counter.
+#: (``recovery.rung.gmin``); ``worst_condition`` is a maximum, every
+#: other field a counter.
 METRIC_NAMES = {  # devlint: not-keyed
     "solves": "engine.solves",
     "iterations": "engine.newton_iterations",
@@ -190,8 +190,8 @@ class SolverStats:
             if count:
                 registry.inc(metric, count)
         if self.worst_condition > 0.0:
-            registry.set_gauge(METRIC_NAMES["worst_condition"],
-                               self.worst_condition)
+            registry.set_max(METRIC_NAMES["worst_condition"],
+                             self.worst_condition)
         for device_class in sorted(self.stamp_seconds):
             registry.inc(f"{METRIC_NAMES['stamp_seconds']}.{device_class}",
                          self.stamp_seconds[device_class])

@@ -67,8 +67,6 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.errors import AnalysisError
-from repro.obs import is_active as _obs_active
-from repro.obs import metrics as _obs_metrics
 from repro.spice.devices.base import EvalContext
 from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.analysis.engine import (
@@ -550,7 +548,6 @@ class LTEStepControl:
         self.level = 0
         self.t = 0.0
         self.prev_dt: Optional[float] = None
-        self._registry = _obs_metrics() if _obs_active() else None
 
     def done(self) -> bool:
         return self.t >= self.t_end - 1e-6 * self.dt_base
@@ -609,9 +606,6 @@ class LTEStepControl:
         self.times.append(time)
         self.states.append(x_new.copy())
         self.dt_trace.append(self._dt)
-        if self._registry is not None:
-            self._registry.observe("engine.sparse.dt_over_base",
-                                   self._dt / self.dt_base)
         self.prev_dt = self._dt
         if self._in_switching_window(x_new):
             self.level = min(self.level, 0)

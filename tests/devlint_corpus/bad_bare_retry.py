@@ -1,4 +1,4 @@
-# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
+# Lint corpus fixture; its expected rules are listed in tests/lint_corpus.py.
 """Corpus fixture: ad-hoc convergence retry inside an except handler.
 
 The three shapes the rule must catch: a direct solver re-run at a

@@ -1,4 +1,4 @@
-# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
+# Lint corpus fixture; its expected rules are listed in tests/lint_corpus.py.
 """Corpus fixture: error subclass dropping the diagnostics-capturing
 super().__init__ call."""
 

@@ -1,4 +1,4 @@
-# Self-test fixture; its expected rules are listed in repro/lint/corpus.py.
+# Lint corpus fixture; its expected rules are listed in tests/lint_corpus.py.
 """Corpus fixture: cache-key serializers missing class fields."""
 
 from dataclasses import dataclass

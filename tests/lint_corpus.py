@@ -1,13 +1,11 @@
-"""Crafted bad-design corpus for the lint self-test.
+"""Crafted bad-design corpus of every lint rule kind.
 
 Each entry builds a deliberately broken subject of one rule kind (a
-circuit, a gate netlist, a fault plan, or a ``devlint/corpus`` source
-fixture) and names the rule ids it must trigger.  ``repro lint
---self-test`` (and the test suite) checks that every entry fires its
-expected rules, that each expected rule is registered for the entry's
-kind, that the entries of each kind cover all of its rules, and that the
-shipped cell builders stay clean — the framework's false-negative *and*
-false-positive guard in one place.
+circuit, a gate netlist, a fault plan, or a ``tests/devlint_corpus``
+source fixture) and names the rule ids it must trigger.  The tests check
+that every entry fires its expected rules, that each expected rule is
+registered for the entry's kind, that the entries of each kind cover all
+of its rules, and that the shipped cell builders stay clean.
 """
 
 from __future__ import annotations
@@ -15,11 +13,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, FrozenSet, List, Tuple
+from typing import Callable, FrozenSet, Tuple
 
 from repro.cells.library import CellLibrary, CellType, build_default_library
-from repro.lint.diagnostics import LintReport, Severity
-from repro.lint.registry import KINDS, rule_ids, run_rules
+from repro.lint.diagnostics import LintReport
+from repro.lint.registry import run_rules
 from repro.physd.netlist import GateNetlist
 from repro.spice.netlist import GROUND, Circuit
 from repro.spice.devices.mosfet import NMOS_40LP, PMOS_40LP
@@ -276,12 +274,12 @@ FAULT_CORPUS: Tuple[CorpusEntry, ...] = (
 
 
 def _load_dev_fixture(filename: str):
-    """One ``devlint/corpus`` fixture as a one-file ``Project``."""
+    """One ``tests/devlint_corpus`` fixture as a one-file ``Project``."""
     from repro.devlint.model import load_project
 
-    corpus_dir = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "devlint", "corpus")
-    return load_project([os.path.join(corpus_dir, filename)], excludes=(),
+    corpus_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "devlint_corpus")
+    return load_project([os.path.join(corpus_dir, filename)],
                         root=corpus_dir)
 
 
@@ -307,64 +305,3 @@ DEV_CORPUS: Tuple[CorpusEntry, ...] = (
 CORPUS: Tuple[CorpusEntry, ...] = (SPICE_CORPUS + GATE_CORPUS + FAULT_CORPUS
                                    + DEV_CORPUS)
 
-
-def run_self_test() -> Tuple[bool, List[str]]:
-    """Exercise every corpus entry and the shipped cells.
-
-    Returns ``(ok, log_lines)``: each entry must expect only registered
-    rules of its kind and trip all of them, the entries of each kind must
-    cover every rule of that kind, and the shipped latch builders must
-    come back clean at warn level."""
-    import repro.devlint  # noqa: F401  (registers the dev pack)
-
-    lines: List[str] = []
-    ok = True
-    fired: set = set()
-
-    for entry in CORPUS:
-        unknown = entry.expected_rules - set(rule_ids(entry.kind))
-        if unknown:
-            ok = False
-            lines.append(f"FAIL corpus {entry.name}: expects unknown "
-                         f"{entry.kind} rules {sorted(unknown)}")
-            continue
-        got = set(entry.lint().rule_ids())
-        fired |= got
-        missing = entry.expected_rules - got
-        if missing:
-            ok = False
-            lines.append(f"FAIL corpus {entry.name}: expected "
-                         f"{sorted(missing)} to fire, got {sorted(got)}")
-        else:
-            lines.append(f"ok   corpus {entry.name}: "
-                         f"{sorted(entry.expected_rules)}")
-
-    for kind in KINDS:
-        known = set(rule_ids(kind))
-        uncovered = known - fired
-        if uncovered:
-            ok = False
-            lines.append(f"FAIL coverage {kind}: rules never fired: "
-                         f"{sorted(uncovered)}")
-        else:
-            lines.append(f"ok   coverage {kind}: all {len(known)} rules fired")
-
-    # False-positive guard: the shipped cells must be clean.
-    from repro.cells.nvlatch_1bit import build_standard_latch
-    from repro.cells.nvlatch_1bit_mirrored import build_mirrored_latch
-    from repro.cells.nvlatch_2bit import build_proposed_latch
-    from repro.lint import lint_circuit
-
-    for label, build in (("std1b", build_standard_latch),
-                         ("mirror1b", build_mirrored_latch),
-                         ("prop2b", build_proposed_latch)):
-        report = lint_circuit(build().circuit)
-        noisy = report.at_least(Severity.WARN)
-        if noisy:
-            ok = False
-            lines.append(f"FAIL clean-cell {label}:\n" + "\n".join(
-                d.one_line() for d in noisy))
-        else:
-            lines.append(f"ok   clean-cell {label}")
-
-    return ok, lines

@@ -14,9 +14,9 @@ completes healthily but trips condition warnings;
 ``ladder-exhaustion`` fails *through* the whole ladder, producing a
 forensics bundle).
 
-The corpus is the shared substrate for the recovery test-suite, the
-``repro recovery smoke`` CI job and the documentation walkthroughs —
-tune an entry here and all three see the change.
+``tests/test_recovery.py`` runs every entry on both engines with
+recovery off and on, and the forensics walkthrough in EXPERIMENTS.md
+reads the ``ladder-exhaustion`` entry's bundle.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ class CorpusEntry:
     """
 
     name: str
-    description: str
     builder: Callable[[], Circuit]
     stop_time: float
     dt: float
@@ -167,8 +166,6 @@ def corpus_entries() -> Tuple[CorpusEntry, ...]:
     return (
         CorpusEntry(
             name="razor-sense",
-            description="near-floating sense node under charge "
-                        "injection; rescued by the gmin rung",
             builder=_razor_sense,
             stop_time=2e-6, dt=0.1e-6, max_iterations=4,
             policy=RAZOR_POLICY,
@@ -176,24 +173,18 @@ def corpus_entries() -> Tuple[CorpusEntry, ...]:
         ),
         CorpusEntry(
             name="sharp-edge",
-            description="stiff RC + MOSFET behind a sub-dt input edge; "
-                        "rescued by the timestep-cut rung",
             builder=_sharp_edge,
             stop_time=0.2e-9, dt=10e-12, max_iterations=4,
             expect_rungs=("timestep-cut",),
         ),
         CorpusEntry(
             name="near-singular-divider",
-            description="nine-decade conductance spread around an MTJ; "
-                        "completes but trips condition warnings",
             builder=_near_singular_divider,
             stop_time=0.1e-9, dt=5e-12, max_iterations=50,
             expect_condition_warnings=True,
         ),
         CorpusEntry(
             name="ladder-exhaustion",
-            description="instantaneous edge no rung can rescue; fails "
-                        "through the whole ladder with forensics",
             builder=_instant_edge,
             stop_time=0.2e-9, dt=10e-12, max_iterations=4,
             policy=EXHAUSTION_POLICY,

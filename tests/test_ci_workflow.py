@@ -76,13 +76,6 @@ def test_ci_profiles_both_table_flows():
     assert {"table2", "table3"} <= profiled, profiled
 
 
-def test_ci_runs_the_lint_self_test():
-    # The one corpus gate of every rule pack, devlint's included.
-    parser = build_parser()
-    parsed = [parser.parse_args(shlex.split(c)) for c in repro_commands()]
-    assert any(args.command == "lint" and args.self_test for args in parsed)
-
-
 def test_every_heredoc_import_resolves():
     scripts = run_scripts(CI_YML.read_text(encoding="utf-8"))
     imports = [(m.group(1), m.group(2)) for script in scripts

@@ -1,8 +1,8 @@
 """Devlint analyzer: rule behaviour, marker semantics, report round-trips.
 
-The ``dev`` entries of the lint corpus (exercised here too; ``repro lint
---self-test`` runs them with every other pack) guard false negatives;
-the whole-tree test guards false positives; the synthetic-project tests
+The ``dev`` entries of the lint corpus (``tests/lint_corpus.py`` over the
+``tests/devlint_corpus`` fixtures) guard false negatives; the whole-tree
+test guards false positives; the synthetic-project tests
 pin the marker semantics and the cache-key-completeness contract —
 including the headline scenario: deleting a fingerprint field from a
 copy of the real ``cache/keys.py`` must be caught, with the field named.
@@ -23,8 +23,8 @@ from repro.devlint.model import load_project
 from repro.devlint.rules_cachekey import fingerprint_bindings
 from repro.devlint.rules_serialization import compute_manifest
 from repro.errors import AnalysisError
-from repro.lint.corpus import DEV_CORPUS
 from repro.lint.registry import rule_ids
+from tests.lint_corpus import DEV_CORPUS
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src", "repro")
@@ -236,6 +236,17 @@ class TestSerializationRules:
         hits = [d for d in report.diagnostics
                 if d.rule == "dev.unpicklable-task"]
         assert hits and "monte_carlo_ensemble()" in hits[0].message
+
+    def test_every_shipped_argument_is_audited(self):
+        """A shipped callable past the first argument, or passed by
+        keyword, fires too: ``extract`` of ``monte_carlo_ensemble`` and
+        ``fn=`` of ``parallel_map`` in the corpus fixture."""
+        [entry] = [e for e in DEV_CORPUS if e.name == "bad_unpicklable.py"]
+        messages = {d.location.rsplit(":", 1)[1]: d.message
+                    for d in entry.lint().diagnostics}
+        assert sorted(messages) == ["L15", "L16", "L26", "L28"]
+        assert "monte_carlo_ensemble()" in messages["L26"]
+        assert "parallel_map()" in messages["L28"]
 
 
 class TestObsRules:

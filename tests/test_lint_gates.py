@@ -12,11 +12,11 @@ import repro
 from repro.cells.library import build_default_library
 from repro.errors import NetlistError
 from repro.lint import assert_lint_clean, lint_gate_netlist
-from repro.lint.corpus import GATE_CORPUS
 from repro.lint.diagnostics import Severity
 from repro.lint.gate_rules import pin_roles
 from repro.physd.benchmarks import BENCHMARKS, generate_benchmark
 from repro.physd.netlist import GateNetlist
+from tests.lint_corpus import GATE_CORPUS
 
 
 @pytest.fixture(scope="module")

@@ -31,7 +31,8 @@ def traced_square(x):
     """Module-level (picklable) worker that spans and counts."""
     with span("task.square", category="test", attrs={"x": x}):
         metrics().inc("test.calls")
-        metrics().observe("test.input", x)
+        metrics().inc("test.input", x)
+        metrics().set_max("test.largest", x)
         return x * x
 
 
@@ -69,10 +70,8 @@ def test_worker_metrics_merge_exactly():
     items = list(range(6))
     _, _, snapshot = _traced_run(items, workers=3)
     assert snapshot["counters"]["test.calls"] == len(items)
-    hist = snapshot["histograms"]["test.input"]
-    assert hist["count"] == len(items)
-    assert hist["total"] == float(sum(items))
-    assert hist["min"] == 0.0 and hist["max"] == 5.0
+    assert snapshot["counters"]["test.input"] == sum(items)
+    assert snapshot["maxima"]["test.largest"] == 5.0
 
 
 def test_merged_observability_is_deterministic_across_runs():
@@ -93,7 +92,7 @@ def test_worker_count_does_not_change_merged_shape():
     assert pooled[0] == serial[0]
     assert pooled[1] == serial[1]
     assert pooled[2]["counters"] == serial[2]["counters"]
-    assert pooled[2]["histograms"] == serial[2]["histograms"]
+    assert pooled[2]["maxima"] == serial[2]["maxima"]
 
 
 def test_tracing_off_keeps_plain_pool_path():

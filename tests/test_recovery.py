@@ -20,7 +20,6 @@ import pytest
 
 from repro.cache import store as cache_store
 from repro.errors import AnalysisError, ConvergenceError
-from repro.recovery.corpus import RAZOR_POLICY, corpus_entries, corpus_entry
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
 from repro.recovery.health import (CONDITION_CAP, ConditionProbe,
                                    guard_finite, hager_inverse_norm1)
@@ -31,6 +30,7 @@ from repro.recovery.shrink import greedy_shrink
 from repro.spice.analysis.engine import METRIC_NAMES, SolverStats
 from repro.spice.analysis.transient import ENGINES, run_transient
 from repro.spice.netlist import Circuit
+from tests.recovery_corpus import RAZOR_POLICY, corpus_entries, corpus_entry
 
 WAVEFORM_TOL = 1e-6
 
@@ -117,8 +117,8 @@ class TestSolverStats:
         registry = MetricsRegistry()
         stats.flush_to(registry)
         snapshot = registry.snapshot()
-        assert {**snapshot["counters"], **snapshot["gauges"]} == expected
-        assert len(snapshot["counters"]) + len(snapshot["gauges"]) \
+        assert {**snapshot["counters"], **snapshot["maxima"]} == expected
+        assert len(snapshot["counters"]) + len(snapshot["maxima"]) \
             == len(expected)
         # A recovered step and a DC gmin stage are counted once, in the
         # recovery namespace.
@@ -157,6 +157,30 @@ class TestSolverStats:
         assert stats.worst_condition == CONDITION_CAP
         json.dumps(stats.to_json())  # no IEEE infinities in payloads
 
+    def test_worst_condition_is_the_largest_in_either_merge_order(self):
+        """Two analyses probe κ = 1e9, then 1e3: the registry keeps 1e9,
+        whether both flush into one registry or two workers' snapshots
+        merge into the parent in either order."""
+        from repro.obs.metrics import MetricsRegistry
+
+        name = METRIC_NAMES["worst_condition"]
+        runs = [SolverStats(worst_condition=1e9),
+                SolverStats(worst_condition=1e3)]
+        serial = MetricsRegistry()
+        for stats in runs:
+            stats.flush_to(serial)
+        assert serial.snapshot()["maxima"][name] == 1e9
+        workers = []
+        for stats in runs:
+            worker = MetricsRegistry()
+            stats.flush_to(worker)
+            workers.append(worker.snapshot())
+        for order in (workers, workers[::-1]):
+            parent = MetricsRegistry()
+            for snapshot in order:
+                parent.merge(snapshot)
+            assert parent.snapshot()["maxima"][name] == 1e9
+
     def test_guard_finite_passes_finite_and_trips_on_nan(self):
         stats = SolverStats()
         x = np.array([1.0, 2.0])
@@ -182,6 +206,45 @@ class TestSolverStats:
         flat = np.arange(8.0)
         assert (stamped_matrix_digest(flat.reshape(2, 4))
                 != stamped_matrix_digest(flat.reshape(4, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Ladder rollback of device state
+# ---------------------------------------------------------------------------
+
+
+def test_rollback_restores_nandspin_sot_and_capacitor_state():
+    """A failed cut/switch rung rolls every device back: capacitor
+    history, STT progress and events, and a NAND-SPIN junction's SOT
+    erase progress and events."""
+    from repro.cells.nvlatch_2bit import build_proposed_latch
+    from repro.mtj.device import MTJState
+    from repro.mtj.dynamics import SwitchingEvent
+    from repro.nv.base import capture_storage_state
+    from repro.recovery.ladder import (restore_device_state,
+                                       snapshot_device_state)
+    from repro.spice.devices.passive import Capacitor
+
+    circuit = build_proposed_latch(backend="nandspin").circuit
+    junction = next(d for d in circuit.devices
+                    if getattr(d, "sot", None) is not None)
+    capacitor = next(d for d in circuit.devices if isinstance(d, Capacitor))
+    storage, prev_current = (capture_storage_state(circuit),
+                             capacitor._prev_current)
+
+    snapshot = snapshot_device_state(circuit)
+    event = SwitchingEvent(time=1e-9, new_state=MTJState.ANTIPARALLEL,
+                           current=1e-4)
+    junction.sot.progress = 0.7
+    junction.sot.events.append(event)
+    junction.switching.progress = 0.4
+    junction.switching.events.append(event)
+    capacitor._prev_current = 1e-6
+    restore_device_state(circuit, snapshot)
+
+    assert junction.sot.progress == 0.0 and junction.sot.events == []
+    assert capture_storage_state(circuit) == storage
+    assert capacitor._prev_current == prev_current
 
 
 # ---------------------------------------------------------------------------
@@ -238,62 +301,88 @@ def test_healthy_circuit_has_clean_health(engine):
 
 
 # ---------------------------------------------------------------------------
-# Pathological corpus across both engines (shared smoke run)
+# Pathological corpus across both engines
 # ---------------------------------------------------------------------------
+
+PATHOLOGICAL = [e for e in corpus_entries()
+                if e.expect_rungs or e.expect_failure]
+RECOVERABLE = [e for e in corpus_entries() if not e.expect_failure]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("entry", PATHOLOGICAL, ids=lambda e: e.name)
+def test_pathological_entry_hard_fails_without_recovery(entry, engine):
+    with pytest.raises(ConvergenceError):
+        entry.run(engine=engine, recovery=RecoveryPolicy(enabled=False))
 
 
 @pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
-    from repro.recovery.smoke import run_smoke
+def recovered():
+    """Every recoverable entry on both engines, run under tracing:
+    ``({(name, engine): result}, recovery counters the runs added)``."""
+    from repro.obs import disable_tracing, enable_tracing, metrics
 
-    return run_smoke(str(tmp_path_factory.mktemp("recovery-smoke")))
-
-
-def test_corpus_smoke_has_no_problems(smoke):
-    assert smoke["problems"] == []
-    assert smoke["ok"]
-
-
-def test_corpus_entries_behave_as_tuned(smoke):
-    by_name = {entry["name"]: entry["engines"] for entry in smoke["entries"]}
-    for engine in ENGINES:
-        assert by_name["razor-sense"][engine]["rung_counts"]["gmin"] > 0
-        assert (by_name["sharp-edge"][engine]["rung_counts"]["timestep-cut"]
-                > 0)
-        divider = by_name["near-singular-divider"][engine]
-        assert divider["condition_warnings"] > 0
-        assert divider["worst_condition"] >= 1e13
-        exhausted = by_name["ladder-exhaustion"][engine]
-        assert exhausted["status"] == "failed"
+    enable_tracing()
+    try:
+        before = metrics().snapshot()["counters"]
+        results = {(entry.name, engine): entry.run(engine=engine)
+                   for entry in RECOVERABLE for engine in ENGINES}
+        after = metrics().snapshot()["counters"]
+    finally:
+        disable_tracing()
+    added = {name: value - before.get(name, 0)
+             for name, value in after.items() if name.startswith("recovery.")}
+    return results, added
 
 
-def test_ladder_counters_reach_the_metrics_registry(smoke):
-    counters = smoke["ladder_counters"]
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("entry", RECOVERABLE, ids=lambda e: e.name)
+def test_corpus_entries_behave_as_tuned(entry, engine, recovered):
+    stats = recovered[0][entry.name, engine].stats
+    for rung in entry.expect_rungs:
+        assert stats.rung_counts.get(rung, 0) > 0, stats.rung_counts
+    if entry.expect_condition_warnings:
+        assert stats.condition_warnings > 0
+        assert stats.worst_condition >= entry.policy.condition_warn
+
+
+@pytest.mark.parametrize("entry", RECOVERABLE, ids=lambda e: e.name)
+def test_recovered_waveforms_agree_across_engines(entry, recovered):
+    fast, sparse = (recovered[0][entry.name, engine].node_voltages
+                    for engine in ENGINES)
+    assert float(np.max(np.abs(fast - sparse))) <= WAVEFORM_TOL
+
+
+def test_ladder_counters_reach_the_metrics_registry(recovered):
+    counters = recovered[1]
     assert counters.get("recovery.rung.gmin", 0) > 0
     assert counters.get("recovery.rung.timestep-cut", 0) > 0
     assert counters.get("recovery.recovered_steps", 0) > 0
     assert counters.get("recovery.condition_warnings", 0) > 0
 
 
-def test_exhaustion_forensics_bundle_rebuilds(smoke):
+def test_exhaustion_forensics_bundle_rebuilds():
     from repro.cache.keys import rebuild_circuit
 
-    assert smoke["forensics_path"] is not None
-    with open(smoke["forensics_path"], encoding="utf-8") as handle:
-        bundle = ForensicsBundle.from_json(json.load(handle))
-    assert bundle.analysis == "transient"
-    assert bundle.rung_history, "exhaustion must record the climbed rungs"
-    climbed = {entry["rung"] for entry in bundle.rung_history}
-    assert "gmin" in climbed
-    assert bundle.matrix_digest is not None
-    assert bundle.last_state is not None
-    assert bundle.minimal_circuit is not None
-    assert 0 < bundle.devices_after < bundle.devices_before
-    rebuilt = rebuild_circuit(bundle.minimal_circuit)
-    assert len(rebuilt.devices) == bundle.devices_after
-    # The bundle digest is a pure function of its content.
-    assert bundle.digest() == ForensicsBundle.from_json(
-        bundle.to_json()).digest()
+    for engine in ENGINES:
+        with pytest.raises(ConvergenceError) as excinfo:
+            corpus_entry("ladder-exhaustion").run(engine=engine)
+        raised = excinfo.value.forensics
+        bundle = ForensicsBundle.from_json(
+            json.loads(json.dumps(raised.to_json())))
+        assert bundle.analysis == "transient"
+        assert bundle.engine == engine
+        assert bundle.rung_history, "exhaustion must record the climbed rungs"
+        climbed = {entry["rung"] for entry in bundle.rung_history}
+        assert "gmin" in climbed
+        assert bundle.matrix_digest is not None
+        assert bundle.last_state is not None
+        assert bundle.minimal_circuit is not None
+        assert 0 < bundle.devices_after < bundle.devices_before
+        rebuilt = rebuild_circuit(bundle.minimal_circuit)
+        assert len(rebuilt.devices) == bundle.devices_after
+        # The bundle digest is a pure function of its content.
+        assert bundle.digest() == raised.digest()
 
 
 def test_exhaustion_raises_with_forensics_attached():

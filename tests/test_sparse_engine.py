@@ -68,7 +68,7 @@ def mtj_read_circuit(params=None, widths=(300e-9, 300e-9),
 def sharp_edge_circuit(rise) -> Circuit:
     """The recovery corpus's sharp-edge circuit with an input edge that
     rises in ``rise`` seconds."""
-    from repro.recovery.corpus import corpus_entry
+    from tests.recovery_corpus import corpus_entry
 
     circuit = corpus_entry("sharp-edge").build()
     circuit.device("vin").waveform = Pulse(0.0, 1.1, delay=20e-12,
