@@ -181,13 +181,10 @@ class DCHandle(_Handle):
 
 def transient_handle(circuit, *, stop_time, dt, integrator, initial_voltages,
                      dc_seed, max_iterations, vtol, damping, engine,
-                     adaptive=None, recovery=None
+                     adaptive=False, recovery=True
                      ) -> Optional[TransientHandle]:
     """A handle for this transient request, or ``None`` when caching is
-    off / bypassed / the circuit is uncacheable.  ``adaptive`` is the
-    sparse engine's timestep-control config dict (or ``None``);
-    ``recovery`` the run's
-    :class:`~repro.recovery.policy.RecoveryPolicy` (or ``None``)."""
+    off / bypassed / the circuit is uncacheable."""
     cache = get_active_cache()
     if cache is None:
         return None
@@ -196,9 +193,7 @@ def transient_handle(circuit, *, stop_time, dt, integrator, initial_voltages,
             circuit, stop_time=stop_time, dt=dt, integrator=integrator,
             initial_voltages=initial_voltages, dc_seed=dc_seed,
             max_iterations=max_iterations, vtol=vtol, damping=damping,
-            engine=engine, adaptive=adaptive,
-            recovery=(recovery.fingerprint()
-                      if recovery is not None else None))
+            engine=engine, adaptive=adaptive, recovery=recovery)
         key = request_key(request)
     except CacheError:
         _metrics().inc("cache.uncacheable", 1)
@@ -207,7 +202,7 @@ def transient_handle(circuit, *, stop_time, dt, integrator, initial_voltages,
 
 
 def dc_handle(circuit, *, time, initial_guess, max_iterations, vtol,
-              damping, recovery=None) -> Optional[DCHandle]:
+              damping, recovery=True) -> Optional[DCHandle]:
     """A handle for this DC request, or ``None`` when uncacheable."""
     cache = get_active_cache()
     if cache is None:
@@ -215,9 +210,7 @@ def dc_handle(circuit, *, time, initial_guess, max_iterations, vtol,
     try:
         request = dc_request(circuit, time=time, initial_guess=initial_guess,
                              max_iterations=max_iterations, vtol=vtol,
-                             damping=damping,
-                             recovery=(recovery.fingerprint()
-                                       if recovery is not None else None))
+                             damping=damping, recovery=recovery)
         key = request_key(request)
     except CacheError:
         _metrics().inc("cache.uncacheable", 1)
@@ -237,8 +230,9 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
     Returns ``{"key", "kind", "ok", "detail"}``.  The recompute runs
     under :func:`bypassed` so it can neither hit the entry being checked
     nor overwrite it.  An entry whose request this version rejects (an
-    engine or a recovery-policy field that no longer exists) is not ok,
-    with the rejection as its detail.
+    engine that no longer exists, or a recovery-policy record where this
+    version takes an on/off switch) is not ok, with the rejection as its
+    detail.
     """
     def verdict(ok: bool, detail: str) -> Dict[str, Any]:
         return {"key": entry.key, "kind": entry.kind, "ok": ok,
@@ -261,19 +255,19 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
 def _replay(entry: CacheEntry) -> List[Tuple[str, Any, Dict[str, Any]]]:
     """Recompute an entry from its request record; returns ``(label,
     recomputed array, stored blob)`` triples to compare."""
-    from repro.recovery.policy import RecoveryPolicy
     from repro.spice.analysis.dc import solve_dc
     from repro.spice.analysis.transient import run_transient
 
     request = entry.request
+    recovery = request.get("recovery")
+    if not isinstance(recovery, bool):
+        raise AnalysisError(
+            "request holds a recovery-policy record; this version has one "
+            "recovery ladder, switched on or off")
     circuit = rebuild_circuit(request["circuit"])
-    raw_policy = request.get("recovery")
-    policy = (RecoveryPolicy.from_fingerprint(raw_policy)
-              if raw_policy is not None else None)
 
     with bypassed():
         if entry.kind == "transient":
-            adaptive_cfg = request.get("adaptive") or {}
             result = run_transient(
                 circuit, stop_time=request["stop_time"], dt=request["dt"],
                 integrator=request["integrator"],
@@ -285,10 +279,7 @@ def _replay(entry: CacheEntry) -> List[Tuple[str, Any, Dict[str, Any]]]:
                 max_iterations=request["max_iterations"],
                 vtol=request["vtol"], damping=request["damping"],
                 engine=request["engine"], lint="off",
-                adaptive=bool(adaptive_cfg.get("adaptive", False)),
-                lte_tol=adaptive_cfg.get("lte_tol"),
-                max_dt_factor=adaptive_cfg.get("max_dt_factor"),
-                recovery=policy)
+                adaptive=request["adaptive"], recovery=recovery)
             return [
                 ("times", result.times, entry.result["times"]),
                 ("node_voltages", result.node_voltages,
@@ -304,7 +295,7 @@ def _replay(entry: CacheEntry) -> List[Tuple[str, Any, Dict[str, Any]]]:
                                else None),
                 max_iterations=request["max_iterations"],
                 vtol=request["vtol"], damping=request["damping"], lint="off",
-                recovery=policy)
+                recovery=recovery)
             return [
                 ("voltages", dc.voltages, entry.result["voltages"]),
                 ("branch_currents", dc.branch_currents,

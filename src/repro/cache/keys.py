@@ -8,9 +8,10 @@ everything the analysis result depends on:
   parameter (waveform breakpoints, MOSFET model card, MTJ parameter set,
   the MTJ's *initial* magnetisation state and switching-model charge);
 * the analysis options (stop time, timestep, integrator, tolerances,
-  initial conditions / DC seed);
-* the engine configuration (selected engine plus the fast- and
-  sparse-engine constants);
+  initial conditions / DC seed, the adaptive and recovery switches);
+* the solver configuration (:func:`solver_config`: the fast- and
+  sparse-engine constants, the recovery ladder's constants and the
+  floor gmin) and, for a transient, the selected engine;
 * a code-version salt (:data:`CACHE_SALT`), so upgrading the package
   invalidates every prior entry at once.
 
@@ -47,7 +48,9 @@ from repro.spice.waveforms import DC, PWL, Pulse, Waveform
 #: 2 stores one solver record per transient (format 1 kept the recovery
 #: counters apart, so a replay of its ``stats`` alone would read as clean)
 #: and counts a recovered DC solve's failed plain-Newton iterations.
-CACHE_FORMAT = 2
+#: Format 3 records recovery as an on/off switch (no per-call policy) and
+#: keys DC requests on the solver configuration too.
+CACHE_FORMAT = 3
 
 #: Code-version salt mixed into every key: entries written by a
 #: different package version or cache format never collide with ours.
@@ -284,6 +287,23 @@ def _voltages_fingerprint(
     return [[name, float(value)] for name, value in sorted(voltages.items())]
 
 
+def solver_config() -> Dict[str, Any]:
+    """The solver-configuration record of every request: the fast- and
+    sparse-engine constants, the recovery ladder's constants and the
+    floor gmin every transient step and the final DC solve add to the
+    matrix.  Read at call time, so a changed constant changes every key.
+    """
+    from repro.recovery.policy import recovery_config_fingerprint
+    from repro.spice.analysis import dc
+    from repro.spice.analysis.engine import engine_config_fingerprint
+
+    return {
+        **engine_config_fingerprint(),
+        "ladder": recovery_config_fingerprint(),
+        "floor_gmin": dc.FLOOR_GMIN,
+    }
+
+
 def transient_request(
     circuit: Circuit,
     stop_time: float,
@@ -295,25 +315,16 @@ def transient_request(
     vtol: float,
     damping: float,
     engine: str,
-    adaptive: Optional[Dict[str, Any]] = None,
-    recovery: Optional[Dict[str, Any]] = None,
+    adaptive: bool = False,
+    recovery: bool = True,
 ) -> Dict[str, Any]:
     """The full request record a transient key digests (also stored in
     the cache entry, so verification can replay it).
 
-    ``adaptive`` is the sparse engine's timestep-control configuration
-    (``{"adaptive": bool, "lte_tol": float, "max_dt_factor": int}``) or
-    ``None`` for the fixed-step engines; it is part of the digest so a
-    fixed-step entry can never replay as an adaptive result or vice
-    versa.
-
-    ``recovery`` is the
-    :meth:`~repro.recovery.policy.RecoveryPolicy.fingerprint` of the
-    run's recovery policy: two runs that differ only in how they would
-    *recover* a failing step can produce different bits, so they never
-    share an entry."""
-    from repro.spice.analysis.engine import engine_config_fingerprint
-
+    ``adaptive`` is part of the digest so a fixed-step entry can never
+    replay as an adaptive result or vice versa; ``recovery`` so a run
+    that climbs the recovery ladder never shares an entry with one that
+    raises at its first failed step."""
     return {
         "kind": "transient",
         "salt": CACHE_SALT,
@@ -329,7 +340,7 @@ def transient_request(
         "engine": engine,
         "adaptive": adaptive,
         "recovery": recovery,
-        "engine_config": engine_config_fingerprint(),
+        "solver_config": solver_config(),
     }
 
 
@@ -340,10 +351,10 @@ def dc_request(
     max_iterations: int,
     vtol: float,
     damping: float,
-    recovery: Optional[Dict[str, Any]] = None,
+    recovery: bool = True,
 ) -> Dict[str, Any]:
-    """Request record for a DC operating-point solve.  ``recovery`` is
-    the recovery policy fingerprint (see :func:`transient_request`)."""
+    """Request record for a DC operating-point solve (see
+    :func:`transient_request`)."""
     return {
         "kind": "dc",
         "salt": CACHE_SALT,
@@ -354,6 +365,7 @@ def dc_request(
         "vtol": vtol,
         "damping": damping,
         "recovery": recovery,
+        "solver_config": solver_config(),
     }
 
 

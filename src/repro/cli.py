@@ -18,8 +18,8 @@ Commands:
   (determinism, cache-key completeness, schema hygiene),
 * ``faults`` — fault injection: list models, run a resilient
   restore-failure campaign, or report write-path isolation,
-* ``recovery explain`` — print the recovery ladder and its policy
-  fingerprint,
+* ``recovery explain`` — print the recovery ladder's rung order and
+  its fingerprinted constants,
 * ``profile`` — run a named flow under the tracer and emit a breakdown
   table plus ``profile.json``/``trace.json`` (Chrome-loadable),
 * ``cache`` — inspect and maintain the content-addressed result cache:
@@ -340,14 +340,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
-    from repro.recovery.policy import DEFAULT_POLICY
+    from repro.recovery.policy import RUNGS, recovery_config_fingerprint
 
-    policy = DEFAULT_POLICY
     print("recovery ladder (escalation order):")
-    for rung in policy.rungs:
+    for rung in RUNGS:
         print(f"  {rung}")
-    print("policy configuration (fingerprinted into cache keys):")
-    for key, value in sorted(policy.fingerprint().items()):
+    print("ladder constants (fingerprinted into cache keys):")
+    for key, value in sorted(recovery_config_fingerprint().items()):
         print(f"  {key} = {value}")
     return 0
 
@@ -593,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser(
         "recovery", help="solver resilience: explain the recovery ladder")
     pr.add_argument("action", choices=["explain"],
-                    help="'explain' prints the recovery ladder and the "
-                         "policy fingerprint fields")
+                    help="'explain' prints the recovery ladder's rung "
+                         "order and its fingerprinted constants")
     pr.set_defaults(func=_cmd_recovery)
 
     pp = sub.add_parser(

@@ -3,9 +3,10 @@ recovery ladder.
 
 Before the ladder existed, every engine grew its own hard-coded retry
 (`except ConvergenceError: solve again at gmin=1e-9`).  Those ad-hoc
-blocks are invisible to the :class:`~repro.recovery.policy.RecoveryPolicy`
-fingerprint, so two runs could differ in how they recover — and hence in
-their result bits — while sharing a cache key.  The rule flags any
+blocks are invisible to the ladder's fingerprinted constants
+(:func:`~repro.recovery.policy.recovery_config_fingerprint`), so two
+runs could differ in how they recover — and hence in their result bits —
+while sharing a cache key.  The rule flags any
 ``except`` handler that catches :class:`~repro.errors.ConvergenceError`
 and then calls a solver entry point from the handler body, directly or
 through a function defined in the same module (followed one level
@@ -100,8 +101,8 @@ def check_bare_convergence_retry(project: Project, emit) -> None:
                 if retry:
                     emit(module.at(call.lineno),
                          f"convergence failure handled by calling {retry} "
-                         f"inline — an ad-hoc retry the recovery-policy "
-                         f"fingerprint cannot see",
+                         f"inline — an ad-hoc retry the recovery "
+                         f"ladder's fingerprint cannot see",
                          hint="record the failure and escalate after "
                               "the handler via repro.recovery "
                               "(TransientStepper rungs, dc_recover)")

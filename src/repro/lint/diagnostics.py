@@ -71,23 +71,19 @@ class LintReport(Serializable):
 
     ``to_json``/``from_json`` follow the shared
     :class:`~repro.serialize.Serializable` protocol; ``as_json_obj`` is
-    the CLI ``--json`` shape, with derived severity counts but no rule
-    list.
+    the CLI ``--json`` shape, with derived severity counts.
     """
 
     SCHEMA_NAME = "LintReport"
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     target: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: Rule ids that ran (including clean ones).
-    rules_run: List[str] = field(default_factory=list)
 
     def payload(self) -> Dict[str, object]:
         return {
             "target": self.target,
             "diagnostics": [d.as_dict() for d in self.diagnostics],
-            "rules_run": list(self.rules_run),
         }
 
     @classmethod
@@ -106,7 +102,6 @@ class LintReport(Serializable):
                     )
                     for d in data["diagnostics"]
                 ],
-                rules_run=[str(r) for r in data.get("rules_run", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(

@@ -85,8 +85,6 @@ def run_rules(kind: str, subject, target: str) -> LintReport:
     _check_kind(kind)
     report = LintReport(target)
     for lint_rule in rules_for(kind):
-        report.rules_run.append(lint_rule.rule_id)
-
         def emit(location: str, message: str, hint: str = "",
                  severity: Optional[Severity] = None,
                  _rule: LintRule = lint_rule) -> None:

@@ -1,11 +1,15 @@
 """Solver resilience subsystem: recovery ladder, health guards,
 failure forensics.
 
-Import surface is deliberately thin — policy, guard and forensics
-types only.  The ladder itself (:mod:`repro.recovery.ladder`) imports
-the analysis engines lazily and is pulled in by the analysis modules,
-not the other way round, keeping the package import-cycle free.  What
-the ladder and the guards observe is counted in the analysis's
+There is one ladder.  Its rung order and constants live in
+:mod:`repro.recovery.policy` and enter every transient and DC cache
+key; a run only switches recovery on or off (the ``recovery`` argument
+of ``run_transient`` and ``solve_dc``).  Import surface is deliberately
+thin — rung names, guard and forensics types only.  The ladder itself
+(:mod:`repro.recovery.ladder`) imports the analysis engines lazily and
+is pulled in by the analysis modules, not the other way round, keeping
+the package import-cycle free.  What the ladder and the guards observe
+is counted in the analysis's
 :class:`~repro.spice.analysis.engine.SolverStats` record.
 """
 
@@ -17,27 +21,23 @@ from repro.recovery.health import (
     hager_inverse_norm1,
 )
 from repro.recovery.policy import (
-    DEFAULT_POLICY,
-    KNOWN_RUNGS,
     RUNG_DAMPING,
     RUNG_GMIN,
     RUNG_INTEGRATOR_SWITCH,
     RUNG_TIMESTEP_CUT,
-    RecoveryPolicy,
+    RUNGS,
 )
 from repro.recovery.shrink import greedy_shrink, shrink_failing_circuit
 
 __all__ = [
     "CONDITION_CAP",
     "ConditionProbe",
-    "DEFAULT_POLICY",
     "ForensicsBundle",
-    "KNOWN_RUNGS",
     "RUNG_DAMPING",
     "RUNG_GMIN",
     "RUNG_INTEGRATOR_SWITCH",
     "RUNG_TIMESTEP_CUT",
-    "RecoveryPolicy",
+    "RUNGS",
     "greedy_shrink",
     "guard_finite",
     "hager_inverse_norm1",

@@ -7,9 +7,9 @@ behind LAPACK's ``xLACON``): a handful of extra triangular solves
 against an existing LU factorisation yields a lower bound on
 ``‖A⁻¹‖₁`` that is almost always within a small factor of the truth,
 so ``κ₁ ≈ ‖A‖₁ · est(‖A⁻¹‖₁)`` costs O(n²) per probe instead of the
-O(n³) of an explicit inverse.  Probes are interval-gated by the
-:class:`~repro.recovery.policy.RecoveryPolicy` so healthy circuits pay
-for at most one in every ``condition_interval`` factorisations.
+O(n³) of an explicit inverse.  Probes are interval-gated so healthy
+circuits pay for at most one in every
+:data:`~repro.recovery.policy.CONDITION_INTERVAL` factorisations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro.errors import ConvergenceError
-from repro.recovery.policy import DEFAULT_POLICY, RecoveryPolicy
+from repro.recovery.policy import CONDITION_INTERVAL, CONDITION_WARN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spice.analysis.engine import SolverStats
@@ -88,18 +88,15 @@ class ConditionProbe:
     factorisation gets estimated.
     """
 
-    def __init__(self, stats: "SolverStats",
-                 policy: RecoveryPolicy = DEFAULT_POLICY):
+    def __init__(self, stats: "SolverStats"):
         self.stats = stats
-        self.interval = policy.condition_interval
-        self.warn_threshold = policy.condition_warn
         self._seen = 0
 
     def _due(self) -> bool:
-        if self.interval <= 0:
+        if CONDITION_INTERVAL <= 0:
             return False
         self._seen += 1
-        return (self._seen - 1) % self.interval == 0
+        return (self._seen - 1) % CONDITION_INTERVAL == 0
 
     def after_factorization(self,
                             solve: Callable[[np.ndarray], np.ndarray],
@@ -115,7 +112,7 @@ class ConditionProbe:
         stats.condition_checks += 1
         if kappa > stats.worst_condition:
             stats.worst_condition = kappa
-        if kappa > self.warn_threshold:
+        if kappa > CONDITION_WARN:
             stats.condition_warnings += 1
             from repro.obs import is_active as _obs_active
             from repro.obs import metrics as _obs_metrics

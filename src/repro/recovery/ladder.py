@@ -3,15 +3,15 @@
 One :class:`TransientStepper` owns per-step advancement for every
 fast or sparse transient run, fixed-step or adaptive.  The happy
 path is exactly the pre-ladder hot loop — one solver call, one state
-settle — and every escalation is a pure function of (policy, failing
-step), so recovered waveforms are bit-identical for any worker count
-and cache replay.  An adaptive run first halves a failing step's dt
-down to its ``dt_base/4`` floor (each halving counted as a
-``timestep-cut`` rung); a floor step climbs the ladder like a fixed
-step:
+settle — and every escalation is a pure function of the constants of
+:mod:`repro.recovery.policy` and the failing step, so recovered
+waveforms are bit-identical for any worker count and cache replay.
+An adaptive run first halves a failing step's dt down to its
+``dt_base/4`` floor (each halving counted as a ``timestep-cut`` rung);
+a floor step climbs the ladder like a fixed step:
 
-* ``gmin``              — retry the step at each policy gmin (the
-  historical strong-gmin retry is the default single entry);
+* ``gmin``              — retry the step at each ``GMIN_LADDER`` gmin
+  (its single entry is the historical strong-gmin retry);
 * ``damping``           — tighter dV clamp with a larger iteration
   budget;
 * ``timestep-cut``      — re-cover the failing interval with 2^k
@@ -43,12 +43,19 @@ from repro.errors import ConvergenceError
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
 from repro.recovery.health import ConditionProbe, guard_finite
 from repro.recovery.policy import (
-    DEFAULT_POLICY,
+    DAMPING_SCALE,
+    DC_GMIN_REDUCTION,
+    DC_GMIN_START,
+    DC_SOURCE_STEPS,
+    GMIN_LADDER,
+    ITERATION_SCALE,
+    MAX_TIMESTEP_CUTS,
     RUNG_DAMPING,
     RUNG_GMIN,
     RUNG_INTEGRATOR_SWITCH,
     RUNG_TIMESTEP_CUT,
-    RecoveryPolicy,
+    RUNGS,
+    SHRINK_BUDGET,
 )
 from repro.spice.devices.base import EvalContext
 from repro.spice.netlist import Circuit
@@ -70,11 +77,6 @@ def _short(exc: BaseException) -> str:
 def _count_rung(stats, rung: str) -> None:
     """Count one successful firing of ``rung``."""
     stats.rung_counts[rung] = stats.rung_counts.get(rung, 0) + 1
-
-
-def _probe_policy(policy: RecoveryPolicy) -> RecoveryPolicy:
-    """The policy shrink-oracle runs use: no rungs, no nested shrink."""
-    return replace(policy, enabled=False, shrink_on_failure=False)
 
 
 def _untimed_json(stats: "SolverStats") -> Dict[str, Any]:
@@ -178,14 +180,15 @@ class TransientStepper:
     never needs to know whether the step went through the primary
     solver or a recovery rung.  ``control`` is the run's step control:
     it may reject a solved step before it settles, and cut dt after a
-    failed solve before the step climbs the ladder.  Attempts are built
-    lazily, one per (dt, integrator).
+    failed solve before the step climbs the ladder.  With ``recovery``
+    off a failed step climbs no rung and an exhausted run shrinks
+    nothing.  Attempts are built lazily, one per (dt, integrator).
     """
 
     def __init__(self, circuit: Circuit, engine: str, dt: float,
                  integrator: str, max_iterations: int, vtol: float,
                  damping: float, stats, floor_gmin: float, control,
-                 policy: Optional[RecoveryPolicy] = None):
+                 recovery: bool = True):
         self.circuit = circuit
         self.engine = engine
         self.dt = dt
@@ -196,8 +199,8 @@ class TransientStepper:
         self.stats = stats
         self.floor_gmin = floor_gmin
         self.control = control
-        self.policy = DEFAULT_POLICY if policy is None else policy
-        self.probe = ConditionProbe(stats, self.policy)
+        self.recovery = recovery
+        self.probe = ConditionProbe(stats)
         self._attempts: Dict[Tuple[float, str], _WorkspaceAttempt] = {}
         self._attempt(dt, integrator)
         self.num_nodes = circuit.num_nodes
@@ -244,8 +247,7 @@ class TransientStepper:
                  x0: np.ndarray, time: float,
                  prev_nodes: np.ndarray) -> np.ndarray:
         history: List[Dict[str, str]] = []
-        rungs = self.policy.rungs if self.policy.enabled else ()
-        for rung in rungs:
+        for rung in RUNGS if self.recovery else ():
             for detail, attempt in self._rung_attempts(
                     rung, primary, dt, x0, time, prev_nodes):
                 self.stats.rungs_climbed += 1
@@ -271,22 +273,21 @@ class TransientStepper:
     def _rung_attempts(self, rung: str, primary, dt: float, x0: np.ndarray,
                        time: float, prev_nodes: np.ndarray):
         """Yield ``(detail, thunk)`` sub-attempts for one rung, in
-        deterministic policy order."""
-        policy = self.policy
+        deterministic order."""
         if rung == RUNG_GMIN:
-            for gmin in policy.gmin_ladder:
+            for gmin in GMIN_LADDER:
                 yield (f"gmin={gmin:g}",
                        lambda g=gmin: self._primary_attempt(
                            primary, x0, time, prev_nodes, gmin=g))
         elif rung == RUNG_DAMPING:
-            damping = self.damping * policy.damping_scale
-            iterations = self.max_iterations * policy.iteration_scale
+            damping = self.damping * DAMPING_SCALE
+            iterations = self.max_iterations * ITERATION_SCALE
             yield (f"damping={damping:g} iters={iterations}",
                    lambda: self._primary_attempt(
                        primary, x0, time, prev_nodes, gmin=self.floor_gmin,
                        damping=damping, max_iterations=iterations))
         elif rung == RUNG_TIMESTEP_CUT:
-            for cuts in range(1, policy.max_timestep_cuts + 1):
+            for cuts in range(1, MAX_TIMESTEP_CUTS + 1):
                 pieces = 2 ** cuts
                 yield (f"dt/{pieces}",
                        lambda p=pieces: self._alternate_attempt(
@@ -341,16 +342,16 @@ class TransientStepper:
 
     def _solve_with_gmins(self, attempt, x: np.ndarray, time: float,
                           prev: np.ndarray) -> np.ndarray:
-        """One substep solve, with the policy gmin ladder folded in so
+        """One substep solve, with the rung's gmin ladder folded in so
         the cut/switch rungs compose with gmin stepping.
 
         Alternate attempts run with the scaled iteration budget, as the
         damping rung does: a step that failed once gets the larger budget
         on every rung that retries it.
         """
-        iterations = self.max_iterations * self.policy.iteration_scale
+        iterations = self.max_iterations * ITERATION_SCALE
         last: Optional[ConvergenceError] = None
-        for gmin in (self.floor_gmin,) + self.policy.gmin_ladder:
+        for gmin in (self.floor_gmin,) + GMIN_LADDER:
             try:
                 x_new = attempt.solve(x, time, prev, gmin,
                                       iterations, self.vtol,
@@ -411,9 +412,8 @@ class TransientStepper:
             return
         bundle.devices_before = len(self.circuit.devices)
         bundle.devices_after = bundle.devices_before
-        if not self.policy.shrink_on_failure:
+        if not self.recovery:
             return
-        probe_policy = _probe_policy(self.policy)
 
         def still_fails(candidate: Circuit) -> bool:
             from repro.cache.analysis import bypassed
@@ -427,7 +427,7 @@ class TransientStepper:
                         max_iterations=self.max_iterations, vtol=self.vtol,
                         damping=self.damping, engine=self.engine,
                         lint="off", timeout=SHRINK_CANDIDATE_TIMEOUT,
-                        recovery=probe_policy, **self.control.request)
+                        recovery=False, **self.control.request)
             except ConvergenceError:
                 return True
             except Exception:
@@ -438,7 +438,7 @@ class TransientStepper:
             from repro.recovery.shrink import shrink_failing_circuit
 
             minimal_fp, minimal = shrink_failing_circuit(
-                self.circuit, still_fails, budget=self.policy.shrink_budget)
+                self.circuit, still_fails, budget=SHRINK_BUDGET)
             bundle.minimal_circuit = minimal_fp
             bundle.devices_after = len(minimal.devices)
         except Exception:
@@ -478,18 +478,19 @@ def dc_recover(
     damping: float,
     floor_gmin: float,
     first_failure: ConvergenceError,
-    policy: Optional[RecoveryPolicy] = None,
+    recovery: bool = True,
     deadline: Optional[float] = None,
 ) -> Tuple[np.ndarray, "SolverStats", List[str]]:
     """Recover a failed plain-Newton DC solve.
 
     Stage 1 — gmin homotopy: strong conductance to ground, reduced one
     decade at a time, warm-starting each stage (bit-identical to the
-    historical ``solve_dc`` ladder under the default policy).  Stage 2 —
-    source stepping: when the homotopy stalls, ramp every independent
-    source from a fraction of its value to full scale, warm-starting
-    along the way.  ``newton`` is the DC module's ``_newton`` (injected
-    to keep the import graph acyclic).
+    historical ``solve_dc`` ladder).  Stage 2 — source stepping: when
+    the homotopy stalls, ramp every independent source from a fraction
+    of its value to full scale, warm-starting along the way.  With
+    ``recovery`` off only stage 1 runs, and an exhausted solve shrinks
+    nothing.  ``newton`` is the DC module's ``_newton`` (injected to
+    keep the import graph acyclic).
 
     Returns ``(x, stats, trajectory)``: ``stats`` counts the Newton
     iterations of every attempt, the failed plain-Newton one included,
@@ -500,14 +501,13 @@ def dc_recover(
     """
     from repro.spice.analysis.engine import SolverStats
 
-    policy = DEFAULT_POLICY if policy is None else policy
     stats = SolverStats(iterations=first_failure.iterations)
     trajectory: List[str] = [
         f"plain newton: {_short(first_failure)} "
         f"(max dV={first_failure.residual:g} V)"]
 
     x = x0
-    gmin = policy.dc_gmin_start
+    gmin = DC_GMIN_START
     gmin_failure: Optional[ConvergenceError] = None
     failed_gmin = 0.0
     while gmin >= floor_gmin:
@@ -526,15 +526,14 @@ def dc_recover(
         stats.dc_gmin_stages += 1
         trajectory.append(f"gmin {gmin:g}: converged in {iterations} "
                           f"iterations")
-        gmin /= policy.dc_gmin_reduction
+        gmin /= DC_GMIN_REDUCTION
     else:
         return x, stats, trajectory
 
     assert gmin_failure is not None
     stats.iterations += gmin_failure.iterations
     timed_out = _timed_out(deadline)
-    source_steps = (policy.dc_source_steps
-                    if policy.enabled and not timed_out else ())
+    source_steps = DC_SOURCE_STEPS if recovery and not timed_out else ()
     source_failure: Optional[ConvergenceError] = None
     if source_steps:
         x = x0
@@ -569,7 +568,7 @@ def dc_recover(
     reason = ("exceeded its wall-clock timeout during homotopy"
               if timed_out else stage)
     bundle = _dc_bundle(circuit, final, trajectory, stats,
-                        policy, time, max_iterations, vtol, damping,
+                        recovery, time, max_iterations, vtol, damping,
                         shrink=not timed_out)
     raise ConvergenceError(
         f"{reason}: {_short(final)}; residual trajectory: "
@@ -589,7 +588,7 @@ def _timed_out(deadline: Optional[float]) -> bool:
 
 def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
                trajectory: List[str], stats: "SolverStats",
-               policy: RecoveryPolicy, time: float, max_iterations: int,
+               recovery: bool, time: float, max_iterations: int,
                vtol: float, damping: float, shrink: bool) -> ForensicsBundle:
     from repro.errors import CacheError
 
@@ -618,9 +617,8 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
         return bundle
     bundle.devices_before = len(circuit.devices)
     bundle.devices_after = bundle.devices_before
-    if not (shrink and policy.shrink_on_failure):
+    if not (shrink and recovery):
         return bundle
-    probe_policy = _probe_policy(policy)
 
     def still_fails(candidate: Circuit) -> bool:
         from repro.cache.analysis import bypassed
@@ -632,7 +630,7 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
                          max_iterations=max_iterations, vtol=vtol,
                          damping=damping, lint="off",
                          timeout=SHRINK_CANDIDATE_TIMEOUT,
-                         recovery=probe_policy)
+                         recovery=False)
         except ConvergenceError:
             return True
         except Exception:
@@ -643,7 +641,7 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
         from repro.recovery.shrink import shrink_failing_circuit
 
         minimal_fp, minimal = shrink_failing_circuit(
-            circuit, still_fails, budget=policy.shrink_budget)
+            circuit, still_fails, budget=SHRINK_BUDGET)
         bundle.minimal_circuit = minimal_fp
         bundle.devices_after = len(minimal.devices)
     except Exception:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.obs import is_active as _obs_active
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
@@ -161,15 +161,9 @@ def solve_dc(
     damping: float = DEFAULT_DAMPING,
     lint: str = "error",
     timeout: Optional[float] = None,
-    recovery=None,
+    recovery: bool = True,
 ) -> DCResult:
     """Find the DC operating point with source values evaluated at ``time``.
-
-    ``recovery`` — optional
-    :class:`~repro.recovery.policy.RecoveryPolicy` configuring the DC
-    recovery ladder (gmin homotopy staging, source-stepping homotopy,
-    forensics shrinking).  The policy fingerprint is part of the cache
-    key.
 
     ``initial_guess`` maps node names to seed voltages; unlisted nodes
     start at 0 V.  For bistable circuits (sense amplifiers, latches) the
@@ -184,27 +178,32 @@ def solve_dc(
     iterations and gmin stages; crossing it raises
     :class:`~repro.errors.ConvergenceError` with the last Newton iterate
     attached as ``state``.  Fault-injection campaigns rely on this so one
-    pathological injected circuit cannot stall a whole sweep.
+    pathological injected circuit cannot stall a whole sweep.  A
+    non-positive ``timeout`` raises :class:`~repro.errors.AnalysisError`
+    before the pre-flight.
+
+    ``recovery`` — when plain Newton fails, ``True`` runs the recovery
+    ladder's gmin homotopy, then its source stepping, and shrinks an
+    exhausted circuit to a minimal reproducer for the forensics bundle;
+    ``False`` runs the gmin homotopy only and shrinks nothing.  The
+    switch and the ladder's constants (:mod:`repro.recovery.policy`)
+    are part of the cache key.
     """
+    if timeout is not None and timeout <= 0.0:
+        raise AnalysisError(f"timeout must be positive, got {timeout}")
+
     from repro.lint import preflight
 
     preflight(circuit, lint)
-
-    if timeout is not None and timeout <= 0.0:
-        raise ConvergenceError(f"timeout must be positive, got {timeout}")
     deadline = None if timeout is None else _time.monotonic() + timeout
 
     # Content-addressed result cache: the timeout is a wall-clock budget,
     # not part of the solution, so it is deliberately absent from the key.
     from repro.cache.analysis import dc_handle
 
-    from repro.recovery.policy import DEFAULT_POLICY
-
-    policy = DEFAULT_POLICY if recovery is None else recovery
-
     cache_handle = dc_handle(circuit, time=time, initial_guess=initial_guess,
                              max_iterations=max_iterations, vtol=vtol,
-                             damping=damping, recovery=policy)
+                             damping=damping, recovery=recovery)
     if cache_handle is not None:
         cached = cache_handle.lookup()
         if cached is not None:
@@ -251,7 +250,7 @@ def solve_dc(
 
         x, stats, _trajectory = dc_recover(
             circuit, _newton, x0, time, max_iterations, vtol, damping,
-            FLOOR_GMIN, last_error, policy=policy, deadline=deadline,
+            FLOOR_GMIN, last_error, recovery=recovery, deadline=deadline,
         )
         _flush_dc_metrics(sp, stats)
         result = DCResult(circuit, x[: circuit.num_nodes],

@@ -656,9 +656,9 @@ def run_ensemble_transient(
     one per circuit, in input order.  Options mirror
     :func:`~repro.spice.analysis.transient.run_transient`; the ERC
     pre-flight runs on the first sample (the samples are structurally
-    identical by construction).  A failing sample reruns under the
-    default recovery policy, so the call fails only where that scalar
-    run fails.
+    identical by construction).  A failing sample reruns alone through
+    the recovery ladder, so the call fails only where that scalar run
+    fails.
 
     A batched result's ``node_voltages`` and ``branch_currents`` are
     views of its own rows of the batch's sample-major ``(N, steps + 1,

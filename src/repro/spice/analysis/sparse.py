@@ -77,14 +77,14 @@ from repro.spice.analysis.engine import (
 from repro.spice.analysis.mna import MNAStamper
 from repro.spice.netlist import Circuit
 
-#: Default LTE acceptance tolerance [V] of the adaptive controller: the
+#: LTE acceptance tolerance [V] of the adaptive controller: the
 #: estimated per-step backward-Euler truncation error a step may carry.
 #: Chosen an order of magnitude under the cross-engine 1 µV-class
 #: agreement bound scaled by typical step counts, and verified against
 #: the 0.1 % golden Table II band.
-DEFAULT_LTE_TOL = 2e-5
-#: Default cap on dt growth: dt never exceeds ``max_dt_factor · dt_base``.
-DEFAULT_MAX_DT_FACTOR = 8
+LTE_TOL = 2e-5
+#: Cap on dt growth: dt never exceeds ``MAX_DT_FACTOR · dt_base``.
+MAX_DT_FACTOR = 8
 #: Refinement floor: dt never shrinks below ``dt_base / MIN_DT_DIVISOR``.
 MIN_DT_DIVISOR = 4
 #: Grow the step only when the LTE estimate is under this fraction of the
@@ -108,8 +108,8 @@ def sparse_config_fingerprint() -> Dict[str, object]:
     """Sparse/adaptive engine configuration a cache key must capture."""
     return {
         "permc_spec": PERMC_SPEC,
-        "lte_tol_default": DEFAULT_LTE_TOL,
-        "max_dt_factor_default": DEFAULT_MAX_DT_FACTOR,
+        "lte_tol": LTE_TOL,
+        "max_dt_factor": MAX_DT_FACTOR,
         "min_dt_divisor": MIN_DT_DIVISOR,
         "grow_threshold": GROW_THRESHOLD,
         "mtj_window_fraction": MTJ_WINDOW_FRACTION,
@@ -499,10 +499,10 @@ class LTEStepControl:
     """Local-truncation-error step control of an adaptive sparse run.
 
     dt lives on the ladder ``dt_base·2^k``, ``k`` from
-    ``−log2(MIN_DT_DIVISOR)`` (the floor) to ``log2(max_dt_factor)``.
+    ``−log2(MIN_DT_DIVISOR)`` (the floor) to ``log2(MAX_DT_FACTOR)``.
     :meth:`propose` lands a step on the next source-waveform corner or
     the stop time; :meth:`accept` rejects a solved step (halving dt)
-    whose backward-Euler LTE estimate exceeds ``lte_tol``; :meth:`cut`
+    whose backward-Euler LTE estimate exceeds ``LTE_TOL``; :meth:`cut`
     halves dt after a failed solve while above the floor; :meth:`record`
     caps dt at ``dt_base`` while an MTJ is in a switching window and
     otherwise grows it after a small estimate (never after a
@@ -511,22 +511,15 @@ class LTEStepControl:
     """
 
     def __init__(self, circuit: Circuit, x0: np.ndarray, stop_time: float,
-                 dt_base: float, lte_tol: float, max_dt_factor: int):
-        if lte_tol <= 0.0:
-            raise AnalysisError(f"lte_tol must be positive, got {lte_tol}")
-        if max_dt_factor < 1:
-            raise AnalysisError(
-                f"max_dt_factor must be >= 1, got {max_dt_factor}")
+                 dt_base: float):
         #: The ``run_transient`` keywords that select this control.
-        self.request = {"adaptive": True, "lte_tol": lte_tol,
-                        "max_dt_factor": max_dt_factor}
+        self.request = {"adaptive": True}
         self.num_nodes = circuit.num_nodes
         self.dt_base = dt_base
-        self.lte_tol = lte_tol
         self.steps = int(round(stop_time / dt_base))
         # Fixed-step runs end at steps·dt too.
         self.t_end = self.steps * dt_base
-        self.max_level = max(0, int(np.log2(max_dt_factor)))
+        self.max_level = max(0, int(np.log2(MAX_DT_FACTOR)))
         self.min_level = -int(np.log2(MIN_DT_DIVISOR))
         self.mtjs = [d for d in circuit.devices
                      if isinstance(d, MTJElement) and d.switching is not None]
@@ -586,7 +579,7 @@ class LTEStepControl:
             d0 = (v_cur - v_old) / prev_dt
             curvature = (d1 - d0) / (0.5 * (dt_try + prev_dt))
             err = 0.5 * dt_try * dt_try * float(np.max(np.abs(curvature)))
-            if err > self.lte_tol:
+            if err > LTE_TOL:
                 self.level -= 1
                 return False
         self._err = err
@@ -609,7 +602,7 @@ class LTEStepControl:
         self.prev_dt = self._dt
         if self._in_switching_window(x_new):
             self.level = min(self.level, 0)
-        elif self._err <= GROW_THRESHOLD * self.lte_tol \
+        elif self._err <= GROW_THRESHOLD * LTE_TOL \
                 and self.level < self.max_level:
             self.level += 1
 

@@ -199,7 +199,7 @@ def _check_run_args(stop_time: float, dt: float, integrator: str) -> None:
 
 def _initial_solution(circuit: Circuit, initial_voltages, dc_seed,
                       max_iterations: int, vtol: float, damping: float,
-                      recovery=None, deadline=None) -> np.ndarray:
+                      recovery: bool = True, deadline=None) -> np.ndarray:
     """The t = 0 solution of a finalised circuit: the listed node voltages
     (every other unknown at 0), else the DC point seeded with ``dc_seed``."""
     if initial_voltages is not None:
@@ -233,9 +233,7 @@ def run_transient(
     lint: str = "error",
     timeout: Optional[float] = None,
     adaptive: bool = False,
-    lte_tol: Optional[float] = None,
-    max_dt_factor: Optional[int] = None,
-    recovery=None,
+    recovery: bool = True,
 ) -> TransientResult:
     """Simulate from 0 to ``stop_time`` with step ``dt``.
 
@@ -249,9 +247,9 @@ def run_transient(
     * ``adaptive`` — LTE-controlled internal timestep (``engine="sparse"``
       with the ``be`` integrator only); ``dt`` becomes the base step of
       the dt ladder and the output stays sampled on the fixed ``k·dt``
-      grid.  ``lte_tol``/``max_dt_factor`` tune the controller (defaults
-      from :mod:`repro.spice.analysis.sparse`).  A failed solve halves
-      the step down to ``dt/4``, then climbs the ``recovery`` ladder.
+      grid.  The controller's tolerance and growth cap are the constants
+      of :mod:`repro.spice.analysis.sparse`.  A failed solve halves the
+      step down to ``dt/4``, then climbs the recovery ladder.
     * ``lint`` — ERC pre-flight mode (``"error"`` or ``"off"``):
       structurally broken circuits (floating nodes, supply loops, ...)
       raise a :class:`~repro.errors.NetlistError` naming the root-cause
@@ -261,11 +259,14 @@ def run_transient(
       accepted solution vector as ``state`` and the simulated time
       reached, so fault-injected pathological circuits abort promptly
       instead of grinding through every remaining Newton iteration.
-    * ``recovery`` — optional
-      :class:`~repro.recovery.policy.RecoveryPolicy` configuring the
-      solver-resilience ladder (gmin / damping / timestep-cut /
-      integrator-switch escalation on failed steps, condition probes,
-      forensics).  The policy fingerprint is part of the cache key;
+    * ``recovery`` — ``True`` climbs the recovery ladder of
+      :mod:`repro.recovery` on a failed step (gmin / damping /
+      timestep-cut / integrator-switch, with the constants of
+      :mod:`repro.recovery.policy`), and an exhausted run shrinks its
+      circuit to a minimal reproducer for the forensics bundle.
+      ``False`` climbs no rung (an adaptive run still halves dt down to
+      its floor) and shrinks nothing: the failed step raises.  The
+      switch and the ladder's constants are part of the cache key;
       recovered results are bit-identical across worker counts and cache
       replays.
     """
@@ -278,11 +279,6 @@ def run_transient(
     if engine not in ENGINES:
         raise AnalysisError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
-    from repro.spice.analysis.sparse import (
-        DEFAULT_LTE_TOL,
-        DEFAULT_MAX_DT_FACTOR,
-    )
-
     if adaptive:
         if engine != "sparse":
             raise AnalysisError(
@@ -292,18 +288,10 @@ def run_transient(
             raise AnalysisError(
                 "adaptive timestep control supports the 'be' integrator "
                 f"only (got {integrator!r})")
-    if lte_tol is None:
-        lte_tol = DEFAULT_LTE_TOL
-    if max_dt_factor is None:
-        max_dt_factor = DEFAULT_MAX_DT_FACTOR
 
     from repro.lint import preflight
 
     preflight(circuit, lint)
-
-    from repro.recovery.policy import DEFAULT_POLICY
-
-    policy = DEFAULT_POLICY if recovery is None else recovery
 
     # Content-addressed result cache (repro.cache): when active, a
     # byte-identical prior run is returned directly — waveforms, stats
@@ -317,11 +305,7 @@ def run_transient(
             circuit, stop_time=stop_time, dt=dt, integrator=integrator,
             initial_voltages=initial_voltages, dc_seed=dc_seed,
             max_iterations=max_iterations, vtol=vtol, damping=damping,
-            engine=engine,
-            adaptive={"adaptive": adaptive, "lte_tol": lte_tol,
-                      "max_dt_factor": max_dt_factor}
-            if engine == "sparse" else None,
-            recovery=policy)
+            engine=engine, adaptive=adaptive, recovery=recovery)
         if cache_handle is not None:
             cached = cache_handle.lookup()
             if cached is not None:
@@ -340,14 +324,13 @@ def run_transient(
         circuit.reset_state()
         num_nodes = circuit.num_nodes
         x = _initial_solution(circuit, initial_voltages, dc_seed,
-                              max_iterations, vtol, damping, policy,
+                              max_iterations, vtol, damping, recovery,
                               deadline)
 
         if adaptive:
             from repro.spice.analysis.sparse import LTEStepControl
 
-            control = LTEStepControl(circuit, x, stop_time, dt, lte_tol,
-                                     max_dt_factor)
+            control = LTEStepControl(circuit, x, stop_time, dt)
         else:
             control = _FixedSteps(x, dt, int(round(stop_time / dt)),
                                   num_nodes)
@@ -362,7 +345,7 @@ def run_transient(
                               "engine": engine}):
             stepper = TransientStepper(
                 circuit, engine, dt, integrator, max_iterations, vtol,
-                damping, stats, FLOOR_GMIN, control, policy=policy)
+                damping, stats, FLOOR_GMIN, control, recovery=recovery)
 
         loop_span = _obs_span("engine.timestep_loop", category="engine",
                               attrs={"engine": engine,

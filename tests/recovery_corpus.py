@@ -5,7 +5,7 @@ it is pathological, tuned so that:
 
 * with recovery disabled the run hard-fails
   (:class:`~repro.errors.ConvergenceError`) on every engine, and
-* with the entry's policy the ladder rescues it deterministically —
+* with recovery on the ladder rescues it deterministically —
   the same rungs fire the same number of times on fast and sparse,
   and the recovered waveforms agree across the two engines;
 
@@ -21,10 +21,9 @@ reads the ``ladder-exhaustion`` entry's bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
 
-from repro.recovery.policy import DEFAULT_POLICY, RecoveryPolicy
 from repro.spice.netlist import Circuit
 
 
@@ -34,7 +33,8 @@ def _razor_sense() -> Circuit:
     the per-step voltage target is tens of volts — far beyond what the
     damped Newton can traverse in the entry's iteration budget — while
     a modest extra gmin pins the node and converges in a few
-    iterations, so the gmin rung is the natural rescue."""
+    iterations, so the gmin rung is the natural rescue (where it is not
+    enough, substeps finish the job)."""
     from repro.spice.waveforms import Pulse
 
     c = Circuit("razor-sense")
@@ -106,8 +106,6 @@ def _instant_edge() -> Circuit:
 class CorpusEntry:
     """One pathological circuit and the configuration that makes it so.
 
-    ``policy`` is the recovery policy the entry is tuned for (an entry
-    may need a non-default ladder — e.g. a deeper gmin sequence).
     ``expect_rungs`` names the rungs whose counters must be non-zero
     after a recovered run; ``expect_failure`` marks the entries whose
     *recovered* run still raises (ladder exhaustion).
@@ -119,7 +117,6 @@ class CorpusEntry:
     dt: float
     max_iterations: int
     integrator: str = "be"
-    policy: RecoveryPolicy = field(default=DEFAULT_POLICY)
     expect_rungs: Tuple[str, ...] = ()
     expect_condition_warnings: bool = False
     expect_failure: bool = False
@@ -127,38 +124,25 @@ class CorpusEntry:
     def build(self) -> Circuit:
         return self.builder()
 
-    def run_options(self, recovery: Optional[RecoveryPolicy] = None
-                    ) -> Dict[str, Any]:
+    def run_options(self) -> Dict[str, Any]:
         """Keyword arguments for
         :func:`~repro.spice.analysis.transient.run_transient` (minus
-        the circuit and the engine)."""
+        the circuit, the engine and the recovery switch)."""
         return {
             "stop_time": self.stop_time,
             "dt": self.dt,
             "integrator": self.integrator,
             "max_iterations": self.max_iterations,
             "lint": "off",
-            "recovery": self.policy if recovery is None else recovery,
         }
 
-    def run(self, engine: str = "fast",
-            recovery: Optional[RecoveryPolicy] = None):
+    def run(self, engine: str = "fast", recovery: bool = True):
         """Run the entry under ``engine``; returns the
         :class:`~repro.spice.analysis.transient.TransientResult`."""
         from repro.spice.analysis.transient import run_transient
 
-        return run_transient(self.build(), engine=engine,
-                             **self.run_options(recovery))
-
-
-#: Policy for the razor-sense entry: a deeper gmin sequence, so the
-#: rescue happens on the gmin rung instead of escalating to substeps.
-RAZOR_POLICY = RecoveryPolicy(gmin_ladder=(1e-9, 1e-8, 1e-7))
-
-#: Policy that climbs and exhausts every rung (used by the
-#: ladder-exhaustion entry; shrinking stays on so the forensics bundle
-#: carries a minimal reproducer).
-EXHAUSTION_POLICY = DEFAULT_POLICY
+        return run_transient(self.build(), engine=engine, recovery=recovery,
+                             **self.run_options())
 
 
 def corpus_entries() -> Tuple[CorpusEntry, ...]:
@@ -168,7 +152,6 @@ def corpus_entries() -> Tuple[CorpusEntry, ...]:
             name="razor-sense",
             builder=_razor_sense,
             stop_time=2e-6, dt=0.1e-6, max_iterations=4,
-            policy=RAZOR_POLICY,
             expect_rungs=("gmin",),
         ),
         CorpusEntry(
@@ -187,7 +170,6 @@ def corpus_entries() -> Tuple[CorpusEntry, ...]:
             name="ladder-exhaustion",
             builder=_instant_edge,
             stop_time=0.2e-9, dt=10e-12, max_iterations=4,
-            policy=EXHAUSTION_POLICY,
             expect_failure=True,
         ),
     )

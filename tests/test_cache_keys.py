@@ -49,6 +49,11 @@ def _transient_key(circuit, **overrides):
     return request_key(transient_request(circuit, **options))
 
 
+def _dc_key(circuit):
+    return request_key(dc_request(circuit, time=0.0, initial_guess=None,
+                                  max_iterations=60, vtol=1e-6, damping=1.0))
+
+
 class TestFingerprint:
     def test_identical_builds_digest_identically(self):
         assert (request_key(transient_request(
@@ -125,9 +130,6 @@ class TestSparseInvalidation:
     fixed-step entry must never replay as adaptive (or vice versa), nor
     an entry cross between solver backends."""
 
-    ADAPTIVE = {"adaptive": True, "lte_tol": 2e-5, "max_dt_factor": 8}
-    FIXED = {"adaptive": False, "lte_tol": 2e-5, "max_dt_factor": 8}
-
     def test_every_engine_selection_digests_distinctly(self):
         keys = {engine: _transient_key(_rc_circuit(), engine=engine)
                 for engine in ENGINES}
@@ -135,22 +137,10 @@ class TestSparseInvalidation:
 
     def test_adaptive_toggle_changes_key(self):
         fixed = _transient_key(_rc_circuit(), engine="sparse",
-                               adaptive=self.FIXED)
+                               adaptive=False)
         adaptive = _transient_key(_rc_circuit(), engine="sparse",
-                                  adaptive=self.ADAPTIVE)
+                                  adaptive=True)
         assert fixed != adaptive
-
-    @pytest.mark.parametrize("option, value", [
-        ("lte_tol", 1e-5),
-        ("max_dt_factor", 4),
-    ])
-    def test_controller_option_change_changes_key(self, option, value):
-        base = _transient_key(_rc_circuit(), engine="sparse",
-                              adaptive=self.ADAPTIVE)
-        tuned = _transient_key(
-            _rc_circuit(), engine="sparse",
-            adaptive=dict(self.ADAPTIVE, **{option: value}))
-        assert tuned != base
 
     def test_sparse_controller_constants_are_key_bearing(self):
         # The engine fingerprint embeds the controller constants, so a
@@ -159,20 +149,65 @@ class TestSparseInvalidation:
             _rc_circuit(), stop_time=1e-10, dt=1e-12, integrator="be",
             initial_voltages=None, dc_seed=None, max_iterations=60,
             vtol=1e-6, damping=1.0, engine="sparse")
-        sparse_cfg = request["engine_config"]["sparse"]
+        sparse_cfg = request["solver_config"]["sparse"]
         assert sparse_cfg["source_breakpoints"] is True
         assert sparse_cfg["failed_step_halving"] is True
         # Reuse iterations take the residual from the device currents.
-        assert request["engine_config"]["reuse_residual_from_currents"] \
+        assert request["solver_config"]["reuse_residual_from_currents"] \
             is True
         # LU factors carry from one converged timepoint to the next.
-        assert request["engine_config"][
+        assert request["solver_config"][
             "jacobian_carried_across_timepoints"] is True
         assert "permc_spec" in sparse_cfg
-        tampered = dict(request, engine_config={
-            **request["engine_config"],
+        tampered = dict(request, solver_config={
+            **request["solver_config"],
             "sparse": {**sparse_cfg, "permc_spec": "COLAMD"}})
         assert request_key(tampered) != request_key(request)
+
+
+#: Every constant of the solver-configuration record, with another value.
+_SOLVER_CONSTANTS = [
+    ("repro.spice.analysis.engine", "VECTORIZE_MOSFET_THRESHOLD", 5),
+    ("repro.spice.analysis.engine", "VECTORIZE_MTJ_THRESHOLD", 6),
+    ("repro.spice.analysis.engine", "JACOBIAN_MAX_AGE", 7),
+    ("repro.spice.analysis.sparse", "LTE_TOL", 1e-5),
+    ("repro.spice.analysis.sparse", "MAX_DT_FACTOR", 4),
+    ("repro.spice.analysis.sparse", "MIN_DT_DIVISOR", 8),
+    ("repro.spice.analysis.sparse", "GROW_THRESHOLD", 0.25),
+    ("repro.spice.analysis.sparse", "MTJ_WINDOW_FRACTION", 0.25),
+    ("repro.spice.analysis.sparse", "MTJ_PROGRESS_EPSILON", 1e-8),
+    ("repro.spice.analysis.sparse", "PERMC_SPEC", "COLAMD"),
+    ("repro.recovery.policy", "RUNGS", ("gmin", "damping")),
+    ("repro.recovery.policy", "GMIN_LADDER", (1e-9, 1e-8)),
+    ("repro.recovery.policy", "DAMPING_SCALE", 0.125),
+    ("repro.recovery.policy", "ITERATION_SCALE", 3),
+    ("repro.recovery.policy", "MAX_TIMESTEP_CUTS", 2),
+    ("repro.recovery.policy", "CONDITION_INTERVAL", 1),
+    ("repro.recovery.policy", "CONDITION_WARN", 1e12),
+    ("repro.recovery.policy", "DC_GMIN_START", 1e-3),
+    ("repro.recovery.policy", "DC_GMIN_REDUCTION", 100.0),
+    ("repro.recovery.policy", "DC_SOURCE_STEPS", (0.5, 1.0)),
+    ("repro.recovery.policy", "SHRINK_BUDGET", 16),
+    ("repro.spice.analysis.dc", "FLOOR_GMIN", 1e-11),
+]
+
+
+class TestSolverConfig:
+    """Transient and DC requests carry one solver-configuration record:
+    a change to any engine, sparse or ladder constant, or to the floor
+    gmin every transient step and the final DC solve add, retires both
+    kinds of entry."""
+
+    @pytest.mark.parametrize(
+        "module, name, value",
+        [pytest.param(*c, id=c[1]) for c in _SOLVER_CONSTANTS])
+    def test_constant_change_changes_both_keys(self, monkeypatch, module,
+                                               name, value):
+        before = _transient_key(_rc_circuit()), _dc_key(_rc_circuit())
+        monkeypatch.setattr(f"{module}.{name}", value)
+        after = _transient_key(_rc_circuit()), _dc_key(_rc_circuit())
+        assert after[0] != before[0]
+        assert after[1] != before[1]
 
 
 class TestBackendIdentity:

@@ -1,12 +1,13 @@
-"""Solver-resilience subsystem: policy, the solver record and its
-guards, recovery ladder, forensics, and the pathological-circuit corpus.
+"""Solver-resilience subsystem: the solver record and its guards,
+recovery ladder, forensics, and the pathological-circuit corpus.
 
 The headline contracts: pathological corpus entries hard-fail without
 recovery and complete deterministically with it (same rungs, recovered
 waveforms within 1 µV across the fast and sparse engines); a recovered run is
-bit-identical across worker counts and cache warm/cold; an exhausted
-ladder produces a forensics bundle with a rebuildable minimal
-reproducer; and the recovery policy is part of the cache key.
+bit-identical across worker counts and cache warm/cold, and replays from
+its cache request record; an exhausted ladder produces a forensics bundle
+with a rebuildable minimal reproducer; and the recovery switch is part of
+the cache key.
 """
 
 import hashlib
@@ -19,62 +20,19 @@ import numpy as np
 import pytest
 
 from repro.cache import store as cache_store
-from repro.errors import AnalysisError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.recovery.forensics import ForensicsBundle, stamped_matrix_digest
 from repro.recovery.health import (CONDITION_CAP, ConditionProbe,
                                    guard_finite, hager_inverse_norm1)
 from repro.recovery.ladder import dc_recover
-from repro.recovery.policy import (DEFAULT_POLICY, KNOWN_RUNGS,
-                                   RecoveryPolicy)
+from repro.recovery.policy import CONDITION_WARN, RUNGS
 from repro.recovery.shrink import greedy_shrink
 from repro.spice.analysis.engine import METRIC_NAMES, SolverStats
 from repro.spice.analysis.transient import ENGINES, run_transient
 from repro.spice.netlist import Circuit
-from tests.recovery_corpus import RAZOR_POLICY, corpus_entries, corpus_entry
+from tests.recovery_corpus import corpus_entries, corpus_entry
 
 WAVEFORM_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# RecoveryPolicy
-# ---------------------------------------------------------------------------
-
-
-class TestRecoveryPolicy:
-    def test_fingerprint_round_trips_exactly(self):
-        policy = RecoveryPolicy(gmin_ladder=(1e-9, 1e-8),
-                                damping_scale=0.5, shrink_budget=7)
-        record = policy.fingerprint()
-        assert RecoveryPolicy.from_fingerprint(record) == policy
-        # The record must be canonical-JSON material (tuples flattened).
-        json.dumps(record, sort_keys=True)
-        assert record["gmin_ladder"] == [1e-9, 1e-8]
-
-    def test_every_field_is_fingerprinted(self):
-        record = DEFAULT_POLICY.fingerprint()
-        from dataclasses import fields
-        assert set(record) == {f.name for f in fields(RecoveryPolicy)}
-
-    def test_unknown_rung_is_rejected(self):
-        with pytest.raises(AnalysisError, match="unknown recovery rung"):
-            RecoveryPolicy(rungs=("gmin", "prayer"))
-
-    def test_validation_rejects_bad_knobs(self):
-        with pytest.raises(AnalysisError):
-            RecoveryPolicy(damping_scale=1.5)
-        with pytest.raises(AnalysisError):
-            RecoveryPolicy(gmin_ladder=(0.0,))
-        with pytest.raises(AnalysisError):
-            RecoveryPolicy(dc_source_steps=(0.25, 0.5))  # must end at 1.0
-
-    def test_from_fingerprint_rejects_unknown_fields(self):
-        record = DEFAULT_POLICY.fingerprint()
-        record["vibes"] = True
-        with pytest.raises(AnalysisError, match="unknown recovery-policy"):
-            RecoveryPolicy.from_fingerprint(record)
-
-    def test_default_rungs_are_all_known(self):
-        assert set(DEFAULT_POLICY.rungs) <= set(KNOWN_RUNGS)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +107,7 @@ class TestSolverStats:
 
     def test_condition_estimates_are_capped(self):
         stats = SolverStats()
-        probe = ConditionProbe(stats, RecoveryPolicy(condition_interval=1))
+        probe = ConditionProbe(stats)  # the first factorisation is probed
         probe.after_factorization(lambda b: b, lambda b: b,
                                   lambda: float("inf"), 2)
         assert stats.condition_checks == 1
@@ -313,7 +271,7 @@ RECOVERABLE = [e for e in corpus_entries() if not e.expect_failure]
 @pytest.mark.parametrize("entry", PATHOLOGICAL, ids=lambda e: e.name)
 def test_pathological_entry_hard_fails_without_recovery(entry, engine):
     with pytest.raises(ConvergenceError):
-        entry.run(engine=engine, recovery=RecoveryPolicy(enabled=False))
+        entry.run(engine=engine, recovery=False)
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +301,7 @@ def test_corpus_entries_behave_as_tuned(entry, engine, recovered):
         assert stats.rung_counts.get(rung, 0) > 0, stats.rung_counts
     if entry.expect_condition_warnings:
         assert stats.condition_warnings > 0
-        assert stats.worst_condition >= entry.policy.condition_warn
+        assert stats.worst_condition >= CONDITION_WARN
 
 
 @pytest.mark.parametrize("entry", RECOVERABLE, ids=lambda e: e.name)
@@ -393,7 +351,7 @@ def test_exhaustion_raises_with_forensics_attached():
     assert bundle is not None
     assert bundle.circuit_name == "instant-edge"
     assert {e["rung"] for e in bundle.rung_history} <= (
-        set(KNOWN_RUNGS) | {"dc-homotopy"})
+        set(RUNGS) | {"dc-homotopy"})
 
 
 def _exhaustion_digest() -> str:
@@ -422,14 +380,12 @@ def test_exhaustion_digest_is_the_same_traced_or_not():
 
 def _batched_corpus_run(name: str):
     """A corpus entry run as a two-sample batch, with the entry's options
-    (the batch reruns failing samples under the default policy)."""
+    (the batch reruns failing samples alone through the ladder)."""
     from repro.spice.analysis.ensemble import run_ensemble_transient
 
     entry = corpus_entry(name)
-    options = entry.run_options()
-    del options["recovery"]
     return entry, run_ensemble_transient([entry.build(), entry.build()],
-                                         **options)
+                                         **entry.run_options())
 
 
 @pytest.mark.parametrize("name", ["sharp-edge", "near-singular-divider"])
@@ -524,32 +480,48 @@ class TestRecoveredRunsAndTheCache:
         assert warm.stats.rung_counts.get("gmin", 0) > 0
 
     def test_different_policy_is_a_different_cache_key(self, active_cache):
-        entry = corpus_entry("razor-sense")
-        entry.run(engine="fast")
+        # A healthy run with recovery on and off climbs no rung either
+        # way, yet the two never share an entry: off must miss, not hit.
+        run_transient(_healthy_rc(), stop_time=5e-9, dt=0.5e-9, lint="off")
         mid = self._counters()
-        # Same circuit and run options, different (unexercised) policy
-        # knob: must miss, not hit.
-        widened = RecoveryPolicy(gmin_ladder=RAZOR_POLICY.gmin_ladder,
-                                 shrink_budget=DEFAULT_POLICY.shrink_budget
-                                 + 1)
-        entry.run(engine="fast", recovery=widened)
+        off = run_transient(_healthy_rc(), stop_time=5e-9, dt=0.5e-9,
+                            lint="off", recovery=False)
         after = self._counters()
+        assert off.stats.clean
         assert after["cache.hit"] == mid["cache.hit"]
         assert after["cache.miss"] > mid["cache.miss"]
 
     def test_policy_fingerprint_enters_the_request_key(self):
-        from repro.cache.keys import request_key, transient_request
+        from repro.cache.keys import dc_request, request_key, transient_request
 
-        def key_for(policy):
+        def transient_key(recovery):
             return request_key(transient_request(
                 _healthy_rc(), stop_time=1e-9, dt=1e-10, integrator="be",
                 initial_voltages=None, dc_seed=None, max_iterations=50,
-                vtol=1e-6, damping=0.4, engine="fast", adaptive=None,
-                recovery=policy.fingerprint()))
+                vtol=1e-6, damping=0.4, engine="fast", recovery=recovery))
 
-        assert (key_for(DEFAULT_POLICY)
-                != key_for(RecoveryPolicy(damping_scale=0.125)))
-        assert key_for(DEFAULT_POLICY) == key_for(RecoveryPolicy())
+        def dc_key(recovery):
+            return request_key(dc_request(
+                _healthy_rc(), time=0.0, initial_guess=None,
+                max_iterations=50, vtol=1e-6, damping=0.4,
+                recovery=recovery))
+
+        assert transient_key(True) != transient_key(False)
+        assert transient_key(True) == transient_key(True)
+        assert dc_key(True) != dc_key(False)
+
+    def test_recovered_entries_replay_from_their_request_records(
+            self, active_cache):
+        # The razor-sense run climbs the gmin and timestep-cut rungs; its
+        # transient and DC entries must recompute bit for bit from
+        # nothing but their stored request records.
+        from repro.cache.analysis import verify_entry
+
+        cold = corpus_entry("razor-sense").run(engine="fast")
+        assert cold.stats.rung_counts.get("gmin", 0) > 0
+        verdicts = [verify_entry(entry) for entry in active_cache.entries()]
+        assert {v["kind"] for v in verdicts} == {"transient", "dc"}
+        assert all(v["ok"] for v in verdicts), verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +582,7 @@ class TestDCRecoveryReporting:
             dc_recover(self._divider(), newton, np.zeros(2), time=0.0,
                        max_iterations=50, vtol=1e-6, damping=0.4,
                        floor_gmin=1e-12, first_failure=first,
-                       policy=RecoveryPolicy(dc_source_steps=()))
+                       recovery=False)  # gmin homotopy only
         message = str(excinfo.value)
         assert "gmin stepping stalled at gmin=0.0001" in message
         assert "gmin 0.01: converged in 3 iterations" in message

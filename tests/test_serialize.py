@@ -93,13 +93,12 @@ class TestRealResultClasses:
     def test_lint_report_round_trip(self):
         from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 
-        report = LintReport("cell", rules_run=["spice.floating-node"])
+        report = LintReport("cell")
         report.add(Diagnostic(rule="spice.floating-node",
                               severity=Severity.ERROR, target="cell",
                               location="n1", message="floats", hint="tie it"))
         back = LintReport.from_json(report.to_json())
         assert back.target == "cell"
-        assert back.rules_run == ["spice.floating-node"]
         assert back.diagnostics == report.diagnostics
 
     def test_campaign_report_round_trip(self):

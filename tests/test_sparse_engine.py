@@ -154,7 +154,7 @@ class TestSparsePattern:
 
     def test_fingerprint_names_the_controller_constants(self):
         fp = sparse_config_fingerprint()
-        assert {"permc_spec", "lte_tol_default", "max_dt_factor_default",
+        assert {"permc_spec", "lte_tol", "max_dt_factor",
                 "mtj_window_fraction"} <= fp.keys()
 
 
@@ -433,10 +433,7 @@ class TestAdaptiveTransient:
                           engine="sparse", integrator="trap", adaptive=True)
 
     def test_adaptive_stays_on_output_grid_and_traces_dt(self):
-        from repro.spice.analysis.sparse import (
-            DEFAULT_MAX_DT_FACTOR,
-            MIN_DT_DIVISOR,
-        )
+        from repro.spice.analysis.sparse import MAX_DT_FACTOR, MIN_DT_DIVISOR
 
         dt = 2e-12
         circuit = mtj_read_circuit(dynamic=False)
@@ -447,7 +444,7 @@ class TestAdaptiveTransient:
         assert result.dt_trace is not None and len(result.dt_trace) >= 1
         assert float(np.min(result.dt_trace)) >= dt / MIN_DT_DIVISOR * 0.999
         assert float(np.max(result.dt_trace)) \
-            <= dt * DEFAULT_MAX_DT_FACTOR * 1.001
+            <= dt * MAX_DT_FACTOR * 1.001
         # The controller must actually save work on this smooth circuit.
         assert len(result.dt_trace) < steps
 
@@ -524,12 +521,12 @@ class TestAdaptiveTransient:
         assert diff <= WAVEFORM_TOL
 
     def test_exhausted_floor_step_raises_with_forensics(self, monkeypatch):
-        # With every rung off, the first failing floor step exhausts the
-        # ladder; the forensics bundle's shrink oracle re-runs the
+        # With an empty rung tuple, the first failing floor step exhausts
+        # the ladder; the forensics bundle's shrink oracle re-runs the
         # adaptive request at the base dt.
+        import repro.recovery.ladder as ladder
         import repro.spice.analysis.transient as transient
         from repro.errors import ConvergenceError
-        from repro.recovery.policy import RecoveryPolicy
 
         oracle_requests = []
 
@@ -537,17 +534,18 @@ class TestAdaptiveTransient:
             oracle_requests.append(kwargs)
             return run_transient(*args, **kwargs)
 
+        monkeypatch.setattr(ladder, "RUNGS", ())
+        monkeypatch.setattr(ladder, "SHRINK_BUDGET", 2)
         monkeypatch.setattr(transient, "run_transient", spy)
         with pytest.raises(ConvergenceError,
                            match="no rungs enabled") as excinfo:
             run_transient(mtj_read_circuit(dynamic=False), 0.6e-9, 2e-12,
-                          engine="sparse", adaptive=True, max_iterations=4,
-                          recovery=RecoveryPolicy(enabled=False,
-                                                  shrink_budget=2))
+                          engine="sparse", adaptive=True, max_iterations=4)
         bundle = excinfo.value.forensics
         assert bundle is not None and bundle.analysis == "transient"
         assert oracle_requests
         assert all(request["adaptive"] and request["dt"] == 2e-12
+                   and request["recovery"] is False
                    for request in oracle_requests)
 
 

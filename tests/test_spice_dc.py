@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConvergenceError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.spice import Circuit, solve_dc
 
 
@@ -171,5 +171,11 @@ class TestWallClockTimeout:
         assert limited.voltage("mid") == free.voltage("mid")
 
     def test_non_positive_timeout_rejected(self):
-        with pytest.raises(ConvergenceError, match="positive"):
+        # An argument error, raised before the ERC pre-flight (as
+        # run_transient does), not a solver failure.
+        with pytest.raises(AnalysisError, match="positive"):
             solve_dc(self._divider(), timeout=-1.0)
+        floating = self._divider()
+        floating.add_resistor("r3", "a", "b", 1e3)  # fails the pre-flight
+        with pytest.raises(AnalysisError, match="positive"):
+            solve_dc(floating, timeout=0.0)
