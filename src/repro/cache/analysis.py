@@ -230,9 +230,9 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
     Returns ``{"key", "kind", "ok", "detail"}``.  The recompute runs
     under :func:`bypassed` so it can neither hit the entry being checked
     nor overwrite it.  An entry whose request this version rejects (an
-    engine that no longer exists, or a recovery-policy record where this
-    version takes an on/off switch) is not ok, with the rejection as its
-    detail.
+    engine that no longer exists, a recovery-policy record where this
+    version takes an on/off switch, or a circuit record it cannot
+    rebuild) is not ok, with the rejection as its detail.
     """
     def verdict(ok: bool, detail: str) -> Dict[str, Any]:
         return {"key": entry.key, "kind": entry.kind, "ok": ok,
@@ -240,7 +240,7 @@ def verify_entry(entry: CacheEntry) -> Dict[str, Any]:
 
     try:
         checks = _replay(entry)
-    except AnalysisError as exc:
+    except (AnalysisError, CacheError) as exc:
         return verdict(False, f"cannot replay: {exc}")
     for label, recomputed, stored_blob in checks:
         recomputed_bytes = np.ascontiguousarray(

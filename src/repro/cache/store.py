@@ -14,8 +14,8 @@ Activation is process-global and **off by default**: nothing changes for
 callers until :func:`enable` is called (or the ``REPRO_CACHE_DIR``
 environment variable is set, which is how forked/spawned pool workers
 inherit the parent's cache).  :func:`bypassed` suspends lookups in a
-scope — used by the profile solver self-check, which must measure a real
-solve.
+scope — used where a real solve is the point (cache verification, the
+recovery ladder's shrink candidates).
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def get_active_cache() -> Optional[ResultCache]:
 @contextlib.contextmanager
 def bypassed() -> Iterator[None]:
     """Scope in which analyses ignore the cache entirely (no lookups, no
-    stores).  Used wherever a *real* solve is the point — the profile
-    solver self-check, cache verification recomputes."""
+    stores).  Used wherever a *real* solve is the point — cache
+    verification recomputes, the recovery ladder's shrink candidates."""
     global _bypass_depth
     _bypass_depth += 1
     try:

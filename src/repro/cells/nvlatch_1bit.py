@@ -163,13 +163,6 @@ def build_standard_latch(
     # Output loading: restore buffers + local wiring.
     c.add_capacitor("cload_out", "out", GROUND, sizing.output_load)
     c.add_capacitor("cload_outb", "outb", GROUND, sizing.output_load)
-
-    # The builders guarantee ERC-clean netlists: any future rewiring that
-    # floats a node or couples the write paths fails here, not in a
-    # transient run minutes later.
-    from repro.lint import assert_lint_clean
-
-    assert_lint_clean(c)
     c.nv_backend_fingerprint = nv.fingerprint()
     return StandardNVLatch(
         circuit=c, vdd_source="vdd", out="out", outb="outb",

@@ -168,10 +168,6 @@ def build_mirrored_latch(
 
     c.add_capacitor("cload_out", "out", GROUND, sizing.output_load)
     c.add_capacitor("cload_outb", "outb", GROUND, sizing.output_load)
-
-    from repro.lint import assert_lint_clean
-
-    assert_lint_clean(c)
     return MirroredNVLatch(circuit=c, vdd_source="vdd", out="out",
                            outb="outb", mtj1=mtj1, mtj2=mtj2,
                            schedule=schedule)

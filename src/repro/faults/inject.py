@@ -9,11 +9,11 @@ the *unmodified* characterisation code via the ``build=`` hooks of
 nominal and faulty cells, so any metric difference is attributable to the
 injection alone.
 
-Injection happens strictly *after* the cell builder returns (the builders
-end with an ERC ``assert_lint_clean``, which a stuck-open fault could
-legitimately trip) and strictly *before* any analysis runs (the fast
-engine's workspace caches device references at run time, so earlier
-mutation is always observed).
+Injection happens strictly *after* the cell builder returns and strictly
+*before* any analysis runs: the analysis's ERC pre-flight therefore sees
+the faulty circuit (a stuck-open fault can legitimately trip it), and
+the fast engine's workspace, which caches device references at run
+time, always observes the mutation.
 
 :class:`InjectionPlan` bundles a built circuit with the specs aimed at it
 — the subject of the ``"faults"`` lint pack

@@ -13,10 +13,11 @@ The subsystem has four pieces:
   workload self-traced, print a self-time breakdown, emit
   ``profile.json`` + ``trace.json``.
 
-Instrumented layers: the fast MNA engine (Newton iterations, Jacobian
-factorisations vs reuses, per-device-class stamp time), the DC/transient
-analyses, cell characterisation phases, system benchmark evaluation and
-the fault-campaign runner.  Instrumentation is **off by default**:
+Instrumented layers: the MNA engines (Newton iterations, Jacobian
+factorisations vs reuses), the DC/transient analyses, cell
+characterisation phases, system benchmark evaluation and the
+fault-campaign runner.  Each fact has one sink: the registry holds
+counts (and the largest condition estimate), spans hold time.  Instrumentation is **off by default**:
 :func:`span` returns a shared no-op and hot loops keep local counters
 that are only flushed into the registry while a session is active, so
 the untraced simulator pays a few branch tests per Newton solve.  The

@@ -1,10 +1,11 @@
 """Metrics registry: counters and maxima.
 
 The registry is the *aggregate* half of the observability subsystem: the
-tracer answers "where did the time go", the registry answers "how many /
-how much" — Newton iterations, Jacobian refactorisations vs reuses, gmin
-retries, campaign attempts, per-device-class stamp seconds — and "how
-bad at worst" (the largest condition estimate a solve probed).
+tracer answers "where did the time go", the registry answers "how many"
+— Newton iterations, Jacobian refactorisations vs reuses, gmin retries,
+campaign attempts — and "how bad at worst" (the largest condition
+estimate a solve probed).  Counters hold integer counts only; time
+belongs to spans.
 
 Properties the rest of the stack relies on:
 
@@ -41,13 +42,13 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
+        self.counters: Dict[str, int] = {}
         self.maxima: Dict[str, float] = {}
         self._lock = threading.RLock()
 
     # -- recording ---------------------------------------------------------
 
-    def inc(self, name: str, value: float = 1) -> None:
+    def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` to counter ``name`` (created at 0)."""
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + value
@@ -59,7 +60,7 @@ class MetricsRegistry:
             if value > self.maxima.get(name, float("-inf")):
                 self.maxima[name] = value
 
-    def counter(self, name: str) -> float:
+    def counter(self, name: str) -> int:
         """Current value of a counter (0 when never incremented)."""
         with self._lock:
             return self.counters.get(name, 0)

@@ -4,9 +4,8 @@
 named flows under it, and packages the outcome three ways:
 
 * a **breakdown table** (per-span self/total time, printed by the CLI),
-* ``profile.json`` — counters, aggregated spans, and a
-  solver self-check (engine counters re-derived from a reference
-  transient and compared against the registry),
+* ``profile.json`` — the registry's counters (integer counts) and the
+  aggregated spans (the time),
 * ``trace.json`` — the Chrome ``trace_event`` export, loadable in
   ``about://tracing`` / Perfetto.
 
@@ -56,11 +55,10 @@ class ProfileResult:
     flow: str
     fast: bool
     wall_s: float
-    counters: Dict[str, float]
+    counters: Dict[str, int]
     aggregates: List[SpanAggregate]
     #: Span categories present in the trace (sorted).
     categories: List[str]
-    self_check: Dict[str, object]
     trace_path: str
     profile_path: str
     breakdown: str = field(repr=False, default="")
@@ -72,7 +70,6 @@ class ProfileResult:
             "wall_s": self.wall_s,
             "counters": self.counters,
             "categories": self.categories,
-            "self_check": self.self_check,
             "spans": [agg.to_json() for agg in self.aggregates],
             "trace": os.path.basename(self.trace_path),
         }
@@ -134,49 +131,6 @@ _FLOW_STEPS: Dict[str, Tuple[Tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# Solver self-check
-# ---------------------------------------------------------------------------
-
-
-def _solver_self_check() -> Dict[str, object]:
-    """Run a reference transient and compare the registry's counter deltas
-    against every count of the run's own :class:`SolverStats` record,
-    each under its metric name.
-
-    The acceptance contract of the observability subsystem: what the
-    metrics registry reports is exactly what the solver did, not an
-    approximation layered on top.
-    """
-    from repro.cache.store import bypassed
-    from repro.spice.analysis.transient import run_transient
-    from repro.spice.netlist import Circuit
-
-    circuit = Circuit("obs-self-check")
-    circuit.add_vsource("vs", "in", "0", 1.0)
-    circuit.add_resistor("r1", "in", "out", 1e3)
-    circuit.add_capacitor("c1", "out", "0", 1e-12)
-
-    before = metrics().snapshot()["counters"]
-    # The check compares registry deltas against a *fresh* solve's stats,
-    # so the result cache (if active) must not intercept this transient.
-    with span("profile.self_check", category="profile"), bypassed():
-        result = run_transient(circuit, stop_time=50e-12, dt=1e-12,
-                               initial_voltages={"in": 1.0})
-    after = metrics().snapshot()["counters"]
-
-    def delta(name: str) -> float:
-        return after.get(name, 0.0) - before.get(name, 0.0)
-
-    checks = {name: (delta(name), count)
-              for name, count in result.stats.counters().items()}
-    return {
-        "ok": all(registry == engine for registry, engine in checks.values()),
-        "counters": {name: {"registry": registry, "engine": engine}
-                     for name, (registry, engine) in checks.items()},
-    }
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -204,7 +158,6 @@ def run_profile(
                 for module in imports:
                     importlib.import_module(module)
             body(fast, workers)
-        self_check = _solver_self_check()
         wall_s = time.perf_counter() - start
         snapshot = metrics().snapshot()
         records = list(tracer.records)
@@ -224,8 +177,7 @@ def run_profile(
         flow=flow, fast=fast, wall_s=round(wall_s, 3),
         counters=snapshot["counters"],
         aggregates=aggregates, categories=categories,
-        self_check=self_check, trace_path=trace_path,
-        profile_path=profile_path,
+        trace_path=trace_path, profile_path=profile_path,
         breakdown=render_breakdown(aggregates, title=f"profile: {flow} "
                                    f"({'fast' if fast else 'full'}, "
                                    f"{wall_s:.2f} s wall)"),

@@ -68,7 +68,7 @@ class ForensicsBundle:
     devices_after: int = 0
     #: Solver record (:meth:`SolverStats.to_json
     #: <repro.spice.analysis.engine.SolverStats.to_json>`) at the moment
-    #: of exhaustion, without its ``stamp_seconds`` timing.
+    #: of exhaustion: counts only, so the same traced or not.
     stats: Optional[Dict[str, Any]] = None
 
     def note_rung(self, rung: str, detail: str, outcome: str) -> None:

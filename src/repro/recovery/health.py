@@ -114,8 +114,3 @@ class ConditionProbe:
             stats.worst_condition = kappa
         if kappa > CONDITION_WARN:
             stats.condition_warnings += 1
-            from repro.obs import is_active as _obs_active
-            from repro.obs import metrics as _obs_metrics
-
-            if _obs_active():
-                _obs_metrics().inc("recovery.condition_warnings.live", 1)

@@ -34,7 +34,6 @@ residual trajectory, then source-stepping homotopy.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,16 +76,6 @@ def _short(exc: BaseException) -> str:
 def _count_rung(stats, rung: str) -> None:
     """Count one successful firing of ``rung``."""
     stats.rung_counts[rung] = stats.rung_counts.get(rung, 0) + 1
-
-
-def _untimed_json(stats: "SolverStats") -> Dict[str, Any]:
-    """The record a forensics bundle carries: ``stamp_seconds`` emptied.
-
-    That timing is filled only under tracing and already reaches the
-    metrics registry, so leaving it out makes one failure digest the same
-    traced or not.
-    """
-    return replace(stats, stamp_seconds={}).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,7 @@ class TransientStepper:
             time=time,
             message=_short(failure),
             last_state=[float(v) for v in np.asarray(last_state).ravel()],
-            stats=_untimed_json(self.stats),
+            stats=self.stats.to_json(),
         )
         for entry in history:
             bundle.note_rung(entry["rung"], entry["detail"],
@@ -597,7 +586,7 @@ def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
         time=time, message=_short(failure),
         last_state=(None if failure.state is None
                     else [float(v) for v in np.asarray(failure.state)]),
-        stats=_untimed_json(stats),
+        stats=stats.to_json(),
     )
     for line in trajectory:
         stage, _, outcome = line.partition(": ")

@@ -39,7 +39,6 @@ full-restamp reference transient there (``naive_transient``) to
 from __future__ import annotations
 
 import copy
-import time as _time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,6 @@ from scipy.linalg import get_lapack_funcs
 
 from repro.errors import ConvergenceError
 from repro.mtj.device import MTJState
-from repro.obs import is_active as _obs_active
 from repro.spice.devices.base import Device, EvalContext
 from repro.spice.devices.mosfet import MOSFET
 from repro.spice.devices.mtj_element import MTJElement
@@ -113,7 +111,6 @@ METRIC_NAMES = {  # devlint: not-keyed
     "worst_condition": "recovery.worst_condition",
     "dc_gmin_stages": "recovery.dc_gmin_stages",
     "dc_source_steps": "recovery.dc_source_steps",
-    "stamp_seconds": "engine.stamp_seconds",
 }
 
 
@@ -127,10 +124,8 @@ class SolverStats:
     observability metrics registry once per analysis when a session is
     active, each under its name in :data:`METRIC_NAMES`.  Round-tripped
     through the result cache, so a recovered run stays distinguishable
-    from a clean one on a warm hit.  ``stamp_seconds`` holds
-    per-device-class assembly time, and under ``"residual"`` the device
-    evaluation of reuse iterations; it is only populated while tracing is
-    on (it needs clock reads).
+    from a clean one on a warm hit.  It holds counts only (and the
+    ``worst_condition`` maximum): time goes to spans.
     """
 
     solves: int = 0
@@ -162,7 +157,6 @@ class SolverStats:
     #: DC recovery: gmin homotopy stages and source-stepping stages run.
     dc_gmin_stages: int = 0
     dc_source_steps: int = 0
-    stamp_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -192,9 +186,6 @@ class SolverStats:
         if self.worst_condition > 0.0:
             registry.set_max(METRIC_NAMES["worst_condition"],
                              self.worst_condition)
-        for device_class in sorted(self.stamp_seconds):
-            registry.inc(f"{METRIC_NAMES['stamp_seconds']}.{device_class}",
-                         self.stamp_seconds[device_class])
 
     def as_attrs(self) -> Dict[str, int]:
         """Span-attribute form (the trace viewer's tooltip payload): the
@@ -858,60 +849,29 @@ class MNAWorkspace:
                                   or not self._mask_frozen):
             group.is_ap = group.read_states()
 
-    def assemble(self, x: np.ndarray, gmin: float = 0.0,
-                 timing: Optional[Dict[str, float]] = None) -> None:
+    def assemble(self, x: np.ndarray, gmin: float = 0.0) -> None:
         """Assemble matrix+RHS at the iterate ``x`` into the workspace
-        buffers.
-
-        ``timing`` — optional dict accumulating per-device-class stamp
-        seconds (observability detail; the solver passes
-        ``stats.stamp_seconds`` while a tracing session is active and
-        ``None`` otherwise, so the untraced path takes no clock reads).
-        """
-        t0 = _time.perf_counter() if timing is not None else 0.0
+        buffers."""
         np.copyto(self.matrix, self._static_matrix)
         np.copyto(self.rhs, self._step_rhs)
         if gmin > 0.0 and self.num_nodes:
             self._matrix_flat[: self.num_nodes * self.size + self.num_nodes
                               : self.size + 1] += gmin
         voltages = x[: self.num_nodes]
-        if timing is not None:
-            t1 = _time.perf_counter()
-            timing["static_copy"] = timing.get("static_copy", 0.0) + (t1 - t0)
-            t0 = t1
         if self.fet_group is not None:
             self.fet_group.stamp(self._matrix_flat, self.rhs, voltages)
-            if timing is not None:
-                t1 = _time.perf_counter()
-                timing["MOSFETGroup"] = (timing.get("MOSFETGroup", 0.0)
-                                         + (t1 - t0))
-                t0 = t1
         if self.mtj_group is not None:
             self.mtj_group.stamp(self._matrix_flat, self.rhs, voltages)
-            if timing is not None:
-                t1 = _time.perf_counter()
-                timing["MTJGroup"] = (timing.get("MTJGroup", 0.0)
-                                      + (t1 - t0))
-                t0 = t1
         if self._iterate_devices:
             view = self._iterate_view
             ctx = EvalContext(voltages=voltages,
                               prev_voltages=self._prev_voltages,
                               time=self._time, dt=self.dt, gmin=gmin,
                               integrator=self.integrator)
-            if timing is None:
-                for device in self._iterate_devices:
-                    device.stamp(view, ctx)
-            else:
-                for device in self._iterate_devices:
-                    device.stamp(view, ctx)
-                    t1 = _time.perf_counter()
-                    key = type(device).__name__
-                    timing[key] = timing.get(key, 0.0) + (t1 - t0)
-                    t0 = t1
+            for device in self._iterate_devices:
+                device.stamp(view, ctx)
 
     def residual(self, x: np.ndarray, gmin: float = 0.0,
-                 timing: Optional[Dict[str, float]] = None,
                  static=None) -> np.ndarray:
         """The Newton residual ``F(x) = A(x)·x − b(x)`` at the iterate,
         formed without assembling ``A(x)``.
@@ -922,10 +882,8 @@ class MNAWorkspace:
         ungrouped junction's :meth:`~MTJElement.current`, and ``A_dev·x
         − b_dev`` from the stamp of any other iterate device.  ``G`` is the
         static matrix, or ``static`` when the caller holds it in another
-        form (the sparse engine's CSC copy).  ``timing`` bills the whole
-        pass to ``"residual"``.
+        form (the sparse engine's CSC copy).
         """
-        t0 = _time.perf_counter() if timing is not None else 0.0
         if static is None:
             static = self._static_matrix
         f = static @ x - self._step_rhs
@@ -954,9 +912,6 @@ class MNAWorkspace:
                 for device in self._stamped_devices:
                     device.stamp(scratch, ctx)
                 f += scratch.matrix @ x - scratch.rhs
-        if timing is not None:
-            timing["residual"] = (timing.get("residual", 0.0)
-                                  + (_time.perf_counter() - t0))
         return f
 
     def update_state(self, x: np.ndarray) -> None:
@@ -1007,9 +962,9 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises and a
     solve at another gmin refactorise on their first iteration.
     ``solver`` supplies ``workspace``, ``stats``, ``_carried`` (``None`` on a new
-    solver) and four steps: ``_assemble(x, gmin, timing)`` builds the
+    solver) and four steps: ``_assemble(x, gmin)`` builds the
     system, ``_factorize()`` LU-factorises its matrix,
-    ``_residual(x, gmin, timing)`` forms a reuse iteration's ``F(x)`` and
+    ``_residual(x, gmin)`` forms a reuse iteration's ``F(x)`` and
     ``_update(x, residual)`` returns ``−A₀⁻¹·F(x)``, with ``F(x)`` from
     the assembled system when ``residual`` is ``None``.  Raises
     :class:`ConvergenceError` on failure, like the DC ``_newton``.
@@ -1021,7 +976,6 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     assemble, factorize, residual, update = (
         solver._assemble, solver._factorize, solver._residual,
         solver._update)
-    timing = stats.stamp_seconds if _obs_active() else None
     x = x0.copy()
     carried, solver._carried = solver._carried, None
     factored = carried is not None and carried[0] == gmin
@@ -1034,21 +988,21 @@ def modified_newton(solver, x0: np.ndarray, time: float,
         fresh = jacobian_refresh(not factored, age, max_dv, prev_max_dv)
         try:
             if fresh:
-                assemble(x, gmin, timing)
+                assemble(x, gmin)
                 factorize()
                 factored = True
                 age = 0
                 f = None
             else:
                 stats.reuses += 1
-                f = residual(x, gmin, timing)
+                f = residual(x, gmin)
             delta = update(x, f)
             finite = np.isfinite(delta).all()
             if not finite and not fresh:
                 # Stale factorisation went bad: assemble, refactor and
                 # retry once (the retried update still counts as a reuse).
                 stats.singular_retries += 1
-                assemble(x, gmin, timing)
+                assemble(x, gmin)
                 factorize()
                 age = 0
                 stats.reuses += 1
@@ -1102,9 +1056,8 @@ class FastNewtonSolver:
         #: probed on fresh factorisations, interval-gated by the probe.
         self.condition_probe = None
 
-    def _assemble(self, x: np.ndarray, gmin: float,
-                  timing: Optional[Dict[str, float]]) -> None:
-        self.workspace.assemble(x, gmin, timing)
+    def _assemble(self, x: np.ndarray, gmin: float) -> None:
+        self.workspace.assemble(x, gmin)
 
     def _factorize(self) -> None:
         # Raw LAPACK getrf: skips the scipy wrapper overhead (asarray +
@@ -1124,9 +1077,8 @@ class FastNewtonSolver:
                          if matrix.size else 0.0),
                 self.workspace.size)
 
-    def _residual(self, x: np.ndarray, gmin: float,
-                  timing: Optional[Dict[str, float]]) -> np.ndarray:
-        return self.workspace.residual(x, gmin, timing)
+    def _residual(self, x: np.ndarray, gmin: float) -> np.ndarray:
+        return self.workspace.residual(x, gmin)
 
     def _update(self, x: np.ndarray,
                 residual: Optional[np.ndarray]) -> np.ndarray:

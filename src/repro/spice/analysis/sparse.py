@@ -59,7 +59,6 @@ every node; adaptive runs keep the golden Table II metrics inside the
 
 from __future__ import annotations
 
-import time as _time
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -419,15 +418,13 @@ class SparseNewtonSolver:
                 workspace.mtj_group.flat_index)
                 if workspace.mtj_group is not None else None)
 
-    def _assemble(self, x: np.ndarray, gmin: float,
-                  timing: Optional[Dict[str, float]]) -> None:
+    def _assemble(self, x: np.ndarray, gmin: float) -> None:
         ws = self.workspace
         if not self._pure:
-            ws.assemble(x, gmin, timing)
+            ws.assemble(x, gmin)
             self.pattern.gather(ws.matrix, self._csc.data)
             return
         # Pure-CSC assembly: the iterate straight into the CSC data.
-        t0 = _time.perf_counter() if timing is not None else 0.0
         data = self._csc.data
         np.copyto(data, self._static_data)
         np.copyto(ws.rhs, ws._step_rhs)
@@ -438,9 +435,6 @@ class SparseNewtonSolver:
             ws.fet_group.stamp_into(data, self._fet_pos, ws.rhs, voltages)
         if ws.mtj_group is not None:
             ws.mtj_group.stamp_into(data, self._mtj_pos, ws.rhs, voltages)
-        if timing is not None:
-            timing["csc_assemble"] = (timing.get("csc_assemble", 0.0)
-                                      + (_time.perf_counter() - t0))
 
     def _factorize(self) -> None:
         self.stats.factorizations += 1
@@ -454,10 +448,8 @@ class SparseNewtonSolver:
                 self._solve, solve_t, lambda: _csc_norm1(csc),
                 self.workspace.size)
 
-    def _residual(self, x: np.ndarray, gmin: float,
-                  timing: Optional[Dict[str, float]]) -> np.ndarray:
-        return self.workspace.residual(x, gmin, timing,
-                                       static=self._static_csc)
+    def _residual(self, x: np.ndarray, gmin: float) -> np.ndarray:
+        return self.workspace.residual(x, gmin, static=self._static_csc)
 
     def _update(self, x: np.ndarray,
                 residual: Optional[np.ndarray]) -> np.ndarray:

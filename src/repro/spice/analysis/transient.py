@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -228,7 +228,6 @@ def run_transient(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     vtol: float = DEFAULT_VTOL,
     damping: float = DEFAULT_DAMPING,
-    on_step: Optional[Callable[[float, np.ndarray], None]] = None,
     engine: Optional[str] = None,
     lint: str = "error",
     timeout: Optional[float] = None,
@@ -241,7 +240,6 @@ def run_transient(
       at the given voltage (others at 0 V): models a cold power-up.
     * ``dc_seed`` — initial guess handed to the t=0 DC solve (selects the
       branch of bistable circuits).
-    * ``on_step(time, node_voltages)`` — observer hook.
     * ``engine`` — ``"fast"`` or ``"sparse"``; ``None`` uses
       the session default (see :func:`set_default_engine`).
     * ``adaptive`` — LTE-controlled internal timestep (``engine="sparse"``
@@ -295,21 +293,18 @@ def run_transient(
 
     # Content-addressed result cache (repro.cache): when active, a
     # byte-identical prior run is returned directly — waveforms, stats
-    # and MTJ end state — without entering the Newton loop.  An on_step
-    # observer makes the run side-effecting, so it always computes.
-    cache_handle = None
-    if on_step is None:
-        from repro.cache.analysis import transient_handle
+    # and MTJ end state — without entering the Newton loop.
+    from repro.cache.analysis import transient_handle
 
-        cache_handle = transient_handle(
-            circuit, stop_time=stop_time, dt=dt, integrator=integrator,
-            initial_voltages=initial_voltages, dc_seed=dc_seed,
-            max_iterations=max_iterations, vtol=vtol, damping=damping,
-            engine=engine, adaptive=adaptive, recovery=recovery)
-        if cache_handle is not None:
-            cached = cache_handle.lookup()
-            if cached is not None:
-                return cached
+    cache_handle = transient_handle(
+        circuit, stop_time=stop_time, dt=dt, integrator=integrator,
+        initial_voltages=initial_voltages, dc_seed=dc_seed,
+        max_iterations=max_iterations, vtol=vtol, damping=damping,
+        engine=engine, adaptive=adaptive, recovery=recovery)
+    if cache_handle is not None:
+        cached = cache_handle.lookup()
+        if cached is not None:
+            return cached
 
     from repro.spice.analysis.engine import SolverStats
 
@@ -369,8 +364,6 @@ def run_transient(
                 control.record(time, x_new)
                 t, x = time, x_new
                 prev_nodes = x[:num_nodes].copy()
-                if on_step is not None:
-                    on_step(time, x[:num_nodes])
             if _obs_active():
                 loop_span.annotate(**stats.as_attrs())
 

@@ -91,14 +91,6 @@ class TestColdWarmTransient:
         _run()
         assert _delta(before, _counters()) == {}
 
-    def test_on_step_callback_disables_caching(self, active_cache):
-        # initial_voltages also skips the (independently cached) DC solve,
-        # so an observed on_step transient must produce no cache activity.
-        before = _counters()
-        _run(on_step=lambda t, v: None, initial_voltages={"in": 1.0})
-        _run(on_step=lambda t, v: None, initial_voltages={"in": 1.0})
-        assert _delta(before, _counters()) == {}
-
 
 class TestInvalidation:
     def test_device_parameter_change_misses(self, active_cache):
@@ -317,6 +309,32 @@ class TestVerifyEntry:
                 expected = "recovery-policy record"
             verdict = verify_entry(entry)
             assert not verdict["ok"]
+            assert expected in verdict["detail"]
+            active_cache.store(entry)
+        assert main(["cache", "verify", "--dir", active_cache.root]) == 1
+        assert capsys.readouterr().out.count("cannot replay") == 2
+
+    def test_entries_whose_circuit_cannot_be_rebuilt_fail_cleanly(
+            self, active_cache, capsys):
+        # A circuit record this version cannot rebuild (a device kind it
+        # lacks, or a device missing a field) is not ok either: verify
+        # names the rebuild error, and `repro cache verify` exits 1.
+        from repro.cache.analysis import verify_entry
+        from repro.cli import main
+
+        _run()
+        for entry in active_cache.entries():
+            devices = entry.request["circuit"]["devices"]
+            if entry.kind == "transient":
+                devices[0]["type"] = "memristor"
+                expected = "unknown device kind 'memristor'"
+            else:
+                resistor = next(d for d in devices if d["type"] == "resistor")
+                del resistor["resistance"]
+                expected = "malformed circuit fingerprint"
+            verdict = verify_entry(entry)
+            assert not verdict["ok"]
+            assert verdict["detail"].startswith("cannot replay: ")
             assert expected in verdict["detail"]
             active_cache.store(entry)
         assert main(["cache", "verify", "--dir", active_cache.root]) == 1

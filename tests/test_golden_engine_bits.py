@@ -54,7 +54,7 @@ ENSEMBLE_DT = 4e-12
 ENSEMBLE_SAMPLES = 4
 ARRAY_STOP = 1.5e-9
 ARRAY_DT = 2.5e-12
-#: Counters of :meth:`SolverStats.to_json` (``stamp_seconds`` is timing).
+#: The integer counters of :meth:`SolverStats.to_json` this golden pins.
 COUNTERS = ("solves", "iterations", "factorizations", "reuses",
             "singular_retries", "gmin_retries", "timesteps",
             "pattern_builds", "pattern_reuses", "lte_rejects",

@@ -427,9 +427,7 @@ def _recovered_digest(name: str) -> str:
     result = entry.run(engine="fast")
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.node_voltages).tobytes())
-    record = result.stats.to_json()
-    del record["stamp_seconds"]  # timing, filled only under tracing
-    h.update(json.dumps(record, sort_keys=True).encode())
+    h.update(json.dumps(result.stats.to_json(), sort_keys=True).encode())
     return h.hexdigest()
 
 

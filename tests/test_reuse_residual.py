@@ -118,8 +118,8 @@ def test_sparse_residual_matches_assembly(pure, gmin):
     rng = np.random.default_rng(41)
     for time, prev, x in seeded_points(rng, workspace):
         workspace.begin_step(time, prev)
-        direct = solver._residual(x, gmin, None)
-        solver._assemble(x, gmin, None)
+        direct = solver._residual(x, gmin)
+        solver._assemble(x, gmin)
         assert_residual_matches(direct, solver._csc.toarray(), x,
                                 workspace.rhs)
 

@@ -228,12 +228,6 @@ class TestValidation:
         with pytest.raises(AnalysisError):
             run_transient(rc_circuit(), 1e-9, 1e-12, integrator="euler")
 
-    def test_on_step_callback_invoked(self):
-        calls = []
-        run_transient(rc_circuit(), 0.05e-9, 1e-12,
-                      on_step=lambda t, v: calls.append(t))
-        assert len(calls) == 50
-
 
 class TestEnergyConservation:
     def test_supply_energy_equals_dissipation_plus_storage(self):
