@@ -167,16 +167,18 @@ class TransientStepper:
 
     ``advance`` both solves and settles the step — the caller's loop
     never needs to know whether the step went through the primary
-    solver or a recovery rung.  ``control`` is the run's step control:
-    it may reject a solved step before it settles, and cut dt after a
-    failed solve before the step climbs the ladder.  With ``recovery``
-    off a failed step climbs no rung and an exhausted run shrinks
-    nothing.  Attempts are built lazily, one per (dt, integrator).
+    solver or a recovery rung.  ``control`` is the run's step control,
+    set by the caller once the t = 0 point is known: it may reject a
+    solved step before it settles, and cut dt after a failed solve
+    before the step climbs the ladder.  With ``recovery`` off a failed
+    step climbs no rung and an exhausted run shrinks nothing.  Attempts
+    are built lazily, one per (dt, integrator); the run's own one is
+    built first, and its :attr:`solver` may solve the t = 0 point.
     """
 
     def __init__(self, circuit: Circuit, engine: str, dt: float,
                  integrator: str, max_iterations: int, vtol: float,
-                 damping: float, stats, floor_gmin: float, control,
+                 damping: float, stats, floor_gmin: float,
                  recovery: bool = True):
         self.circuit = circuit
         self.engine = engine
@@ -187,7 +189,7 @@ class TransientStepper:
         self.damping = damping
         self.stats = stats
         self.floor_gmin = floor_gmin
-        self.control = control
+        self.control = None
         self.recovery = recovery
         self.probe = ConditionProbe(stats)
         self._attempts: Dict[Tuple[float, str], _WorkspaceAttempt] = {}
@@ -204,6 +206,11 @@ class TransientStepper:
         return attempt
 
     # -- public driver interface ------------------------------------------
+
+    @property
+    def solver(self):
+        """The Newton solver of the run's own (dt, integrator) attempt."""
+        return self._attempt(self.dt, self.integrator).solver
 
     def advance(self, x: np.ndarray, time: float, prev_nodes: np.ndarray,
                 dt: float) -> Optional[np.ndarray]:

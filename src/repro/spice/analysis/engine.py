@@ -99,8 +99,6 @@ METRIC_NAMES = {  # devlint: not-keyed
     "singular_retries": "engine.singular_retries",
     "gmin_retries": "engine.gmin_retries",
     "timesteps": "engine.timesteps",
-    "pattern_builds": "engine.sparse_pattern_builds",
-    "pattern_reuses": "engine.sparse_pattern_reuses",
     "lte_rejects": "engine.lte_rejects",
     "recovered_steps": "recovery.recovered_steps",
     "rung_counts": "recovery.rung",
@@ -135,10 +133,6 @@ class SolverStats:
     singular_retries: int = 0
     gmin_retries: int = 0
     timesteps: int = 0
-    #: Sparse engine: symbolic pattern analyses performed vs served from
-    #: the topology-keyed registry (see repro.spice.analysis.sparse).
-    pattern_builds: int = 0
-    pattern_reuses: int = 0
     #: Adaptive timestep control: steps rejected by the LTE estimator.
     lte_rejects: int = 0
     #: Timesteps completed only via the recovery ladder (any rung).
@@ -720,7 +714,9 @@ class MNAWorkspace:
     pair.  Assembly proceeds in three tiers:
 
     1. **static** — built once: linear-device matrix stamps
-       (``stamp_static``); invariant across the whole analysis;
+       (``stamp_static``); invariant across the whole analysis, except
+       that a timepoint with no previous solution (the t = 0 operating
+       point) opens the capacitors (:meth:`begin_step`);
     2. **step**   — rebuilt once per timepoint: RHS of sources and
        capacitor companions (``stamp_step``), which depend on time and the
        previous accepted solution but not on the Newton iterate (the DC
@@ -830,20 +826,40 @@ class MNAWorkspace:
         ctx = self._static_ctx()
         for device in self._linear_devices:
             device.stamp_static(stamper, ctx)
-        self.cap_group.stamp_static(self._static_matrix.reshape(-1))
+        # The static entries on the capacitor companion slots before and
+        # after the companions go in: begin_step writes one set or the
+        # other back, so the static tier opens and closes the capacitors
+        # bit for bit.
+        flat = self._static_matrix.reshape(-1)
+        slots = self.cap_group.g_index
+        self._open_entries = flat.take(slots)
+        self.cap_group.stamp_static(flat)
+        self._closed_entries = flat.take(slots)
+        self._capacitors_open = False
 
     def begin_step(self, time: float,
                    prev_voltages: Optional[np.ndarray]) -> None:
-        """Rebuild the iterate-free RHS for a new timepoint."""
+        """Rebuild the iterate-free RHS for a new timepoint.
+
+        With no previous solution (``prev_voltages`` ``None``, the t = 0
+        operating point) the capacitors are open, as in a DC solve: the
+        static tier holds no companion conductances and the step RHS no
+        companion currents until a timepoint with one."""
         self._time = time
         self._prev_voltages = prev_voltages
+        is_open = prev_voltages is None
+        if is_open is not self._capacitors_open:
+            self._capacitors_open = is_open
+            self._static_matrix.reshape(-1)[self.cap_group.g_index] = (
+                self._open_entries if is_open else self._closed_entries)
         np.copyto(self._step_rhs, self._base_step_rhs)
         view = self._step_view
         ctx = EvalContext(voltages=np.zeros(0), prev_voltages=prev_voltages,
                           time=time, dt=self.dt, integrator=self.integrator)
         for device in self._step_devices:
             device.stamp_step(view, ctx)
-        self.cap_group.step_rhs(self._step_rhs, prev_voltages)
+        if not is_open:
+            self.cap_group.step_rhs(self._step_rhs, prev_voltages)
         group = self.mtj_group
         if group is not None and (group.is_ap is None
                                   or not self._mask_frozen):
@@ -960,7 +976,10 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     the next solve at that gmin starts on them, so a timepoint's first
     iteration is a reuse iteration unless they are
     :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises and a
-    solve at another gmin refactorise on their first iteration.
+    solve at another gmin refactorise on their first iteration.  A solve
+    with no previous solution (``prev_voltages`` ``None``: the t = 0
+    operating point, capacitors open) leaves no factors, so the first
+    timestep factorises its own matrix.
     ``solver`` supplies ``workspace``, ``stats``, ``_carried`` (``None`` on a new
     solver) and four steps: ``_assemble(x, gmin)`` builds the
     system, ``_factorize()`` LU-factorises its matrix,
@@ -1026,7 +1045,8 @@ def modified_newton(solver, x0: np.ndarray, time: float,
             x = x + delta
             if max_dv < vtol:
                 stats.solves += 1
-                solver._carried = (gmin, age)
+                if prev_voltages is not None:
+                    solver._carried = (gmin, age)
                 return x
     raise ConvergenceError(
         f"Newton failed to converge in {max_iterations} iterations "

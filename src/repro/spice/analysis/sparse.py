@@ -8,13 +8,14 @@ macros expensive.  This module adds the sparse tier on top of the same
 
 * :class:`SparsePattern` — the CSC sparsity structure of a circuit's MNA
   system, discovered **structurally** (static-matrix nonzeros, the
-  vectorised MOSFET group's scatter indices, and a position-recording
-  stamp pass over every other nonlinear device) so no numerically-zero
-  entry can be missed by value probing.  Patterns are cached in a
-  module-level registry keyed on the *structural* part of the circuit
-  fingerprint (device classes, terminal indices, branch layout), so the
-  symbolic work is paid once per topology: the structure, the scatter
-  map and SuperLU's column order.  The first factorisation of a
+  capacitor companions' and vectorised device groups' scatter indices,
+  and a position-recording stamp pass over every other nonlinear device)
+  so no numerically-zero entry can be missed by value probing, and the
+  pattern is the same with or without a timestep.  Patterns are cached
+  in a module-level registry keyed on the *structural* part of the
+  circuit fingerprint (device classes, terminal indices, branch layout),
+  so the symbolic work is paid once per topology: the structure, the
+  scatter map and SuperLU's column order.  The first factorisation of a
   topology runs SuperLU's own ordering (:data:`PERMC_SPEC`) and records
   the order it chose; every later one hands SuperLU the matrix already
   in that order with ``permc_spec="NATURAL"``.  Two bit rules keep the
@@ -31,7 +32,10 @@ macros expensive.  This module adds the sparse tier on top of the same
   factorisation cost follows the fill-in of the sparse structure
   instead of n³.  A reuse iteration assembles nothing: it takes the
   residual from the device currents, with the static matrix's product
-  ``G·x`` on a CSC copy of it.
+  ``G·x`` on a CSC copy of it.  The same solver finds a DC-started
+  run's t = 0 operating point: a solve with no previous solution runs
+  with the capacitors open, on the run's workspace, pattern and
+  recorded column order, and hands no factors to the first timestep.
 * :class:`LTEStepControl` — local-truncation-error timestep control for
   ``engine="sparse"`` transients, one of the two step controls of
   :func:`~repro.spice.analysis.transient.run_transient`'s timestep loop.
@@ -66,6 +70,8 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from repro.errors import AnalysisError
+from repro.obs import is_active as _obs_active
+from repro.obs import metrics as _obs_metrics
 from repro.spice.devices.base import EvalContext
 from repro.spice.devices.mtj_element import MTJElement
 from repro.spice.analysis.engine import (
@@ -118,6 +124,10 @@ def sparse_config_fingerprint() -> Dict[str, object]:
         # dt down to the floor, then climbs the recovery ladder.
         "source_breakpoints": True,
         "failed_step_halving": True,
+        # Algorithm revision marker: a DC-started run solves its t = 0
+        # point on its own solver, capacitors open, instead of with the
+        # dense DC Newton, which moves the last bits.
+        "own_operating_point": True,
     }
 
 
@@ -204,18 +214,20 @@ class SparsePattern:
     def __init__(self, workspace: MNAWorkspace):
         size = workspace.size
         slots = set()
-        # Tier 1: static-matrix nonzeros (resistors, cap companions,
-        # source incidence).  No cancellation risk: conductance stamps
-        # accumulate with consistent signs and incidence entries are ±1.
+        # Tier 1: static-matrix nonzeros (resistors, source incidence).
+        # No cancellation risk: conductance stamps accumulate with
+        # consistent signs and incidence entries are ±1.
         rows, cols = np.nonzero(workspace._static_matrix)
         slots.update(zip(rows.tolist(), cols.tolist()))
-        # Tier 3a: the vectorised MOSFET / MTJ groups' precomputed scatter.
-        if workspace.fet_group is not None:
-            for flat in workspace.fet_group.flat_index.tolist():
-                slots.add((flat // size, flat % size))
-        if workspace.mtj_group is not None:
-            for flat in workspace.mtj_group.flat_index.tolist():
-                slots.add((flat // size, flat % size))
+        # The capacitor companions' precomputed scatter, which holds
+        # values only when dt is set (so the pattern does not depend on
+        # dt), and tier 3a: the vectorised MOSFET / MTJ groups'.
+        scatters = [workspace.cap_group.g_index]
+        scatters += [group.flat_index
+                     for group in (workspace.fet_group, workspace.mtj_group)
+                     if group is not None]
+        slots.update(divmod(flat, size)
+                     for flat in np.concatenate(scatters).tolist())
         # Tier 3b: every other nonlinear device, structurally recorded.
         slots.update(_record_stamp_positions(
             workspace._iterate_devices, workspace.num_nodes,
@@ -318,25 +330,27 @@ class SparsePattern:
 _pattern_cache: Dict[Tuple, SparsePattern] = {}
 
 
-def get_pattern(circuit: Circuit, workspace: MNAWorkspace,
-                stats: Optional[SolverStats] = None) -> SparsePattern:
+def get_pattern(circuit: Circuit, workspace: MNAWorkspace) -> SparsePattern:
     """Pattern for a topology, from the registry when already analysed.
 
     The registry key is :func:`structure_signature`; a bounded number of
-    topologies is retained (oldest evicted first).
+    topologies is retained (oldest evicted first).  The registry serves
+    the whole process, so its builds and reuses are not a run's work and
+    enter no :class:`SolverStats` record: while tracing, each call counts
+    one ``engine.sparse_pattern_builds`` or
+    ``engine.sparse_pattern_reuses`` in the metrics registry.
     """
     key = structure_signature(circuit)
     pattern = _pattern_cache.get(key)
-    if pattern is not None:
-        if stats is not None:
-            stats.pattern_reuses += 1
-        return pattern
-    pattern = SparsePattern(workspace)
-    if len(_pattern_cache) >= _PATTERN_CACHE_LIMIT:
-        _pattern_cache.pop(next(iter(_pattern_cache)))
-    _pattern_cache[key] = pattern
-    if stats is not None:
-        stats.pattern_builds += 1
+    built = pattern is None
+    if built:
+        pattern = SparsePattern(workspace)
+        if len(_pattern_cache) >= _PATTERN_CACHE_LIMIT:
+            _pattern_cache.pop(next(iter(_pattern_cache)))
+        _pattern_cache[key] = pattern
+    if _obs_active():
+        _obs_metrics().inc("engine.sparse_pattern_builds" if built
+                           else "engine.sparse_pattern_reuses", 1)
     return pattern
 
 
@@ -380,7 +394,7 @@ class SparseNewtonSolver:
         self.workspace = workspace
         self.stats = stats if stats is not None else SolverStats()
         self.pattern = pattern if pattern is not None else get_pattern(
-            workspace.circuit, workspace, self.stats)
+            workspace.circuit, workspace)
         self._csc = csc_matrix(
             (np.zeros(self.pattern.nnz), self.pattern.indices,
              self.pattern.indptr),
@@ -460,8 +474,36 @@ class SparseNewtonSolver:
     def solve(self, x0: np.ndarray, time: float,
               prev_voltages: Optional[np.ndarray], gmin: float,
               max_iterations: int, vtol: float, damping: float) -> np.ndarray:
-        return modified_newton(self, x0, time, prev_voltages, gmin,
-                               max_iterations, vtol, damping)
+        if prev_voltages is not None:
+            return modified_newton(self, x0, time, prev_voltages, gmin,
+                                   max_iterations, vtol, damping)
+        # No previous solution: the t = 0 operating point, with the
+        # capacitors open in the CSC static tier as in the workspace's
+        # (MNAWorkspace.begin_step).  The condition probe watches the
+        # timesteps' matrices, not this one: a node that only capacitors
+        # tie to the circuit rests on gmin here.
+        transient = (self._static_data, self._static_csc,
+                     self.condition_probe)
+        self._static_data, self._static_csc = self._open_static()
+        self.condition_probe = None
+        try:
+            return modified_newton(self, x0, time, None, gmin,
+                                   max_iterations, vtol, damping)
+        finally:
+            (self._static_data, self._static_csc,
+             self.condition_probe) = transient
+
+    def _open_static(self) -> Tuple[np.ndarray, csc_matrix]:
+        """The CSC static tier with the capacitors open: the workspace's
+        static entries on the companion slots from before the companions
+        went in."""
+        ws = self.workspace
+        data = self._static_data.copy()
+        data[self.pattern.csc_positions(ws.cap_group.g_index)] = (
+            ws._open_entries)
+        return data, csc_matrix((data, self.pattern.indices,
+                                 self.pattern.indptr),
+                                shape=(ws.size, ws.size))
 
 
 # ---------------------------------------------------------------------------

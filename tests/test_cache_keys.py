@@ -209,6 +209,22 @@ class TestSolverConfig:
         assert after[0] != before[0]
         assert after[1] != before[1]
 
+    def test_operating_point_marker_changes_the_transient_key(
+            self, monkeypatch):
+        # A DC-started sparse run solves its t = 0 point on its own
+        # solver; the revision marker retires entries from before.
+        from repro.spice.analysis import sparse
+
+        fingerprint = sparse.sparse_config_fingerprint
+        assert fingerprint()["own_operating_point"] is True
+        before = _transient_key(_rc_circuit(), initial_voltages=None,
+                                engine="sparse")
+        monkeypatch.setattr(sparse, "sparse_config_fingerprint",
+                            lambda: {**fingerprint(),
+                                     "own_operating_point": False})
+        assert _transient_key(_rc_circuit(), initial_voltages=None,
+                              engine="sparse") != before
+
 
 class TestBackendIdentity:
     """Two NV backends must never share cache entries: the builders

@@ -162,7 +162,6 @@ def test_registry_holds_counts_and_tracing_leaves_the_record_alone():
         return run_transient(_rc_circuit(), stop_time=50e-12, dt=1e-12,
                              engine=engine, initial_voltages={"in": 1.0})
 
-    run("sparse")  # registers the RC pattern, so both runs below reuse it
     untraced = [run("fast"), run("sparse")]
     enable_tracing()
     traced = [run("fast"), run("sparse")]

@@ -17,12 +17,14 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from repro.cells.miniarray import build_mini_array
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConvergenceError
 from repro.mtj.device import MTJState
+from repro.obs import disable_tracing, enable_tracing, metrics
 from repro.mtj.parameters import PAPER_TABLE_I
 from repro.mtj.variation import monte_carlo_parameters
 from repro.spice import Circuit, Pulse
 from repro.spice.devices.base import TwoTerminal
+from repro.spice.devices.passive import Capacitor
 from repro.spice.analysis import (
     EnsembleWorkspace,
     run_ensemble_transient,
@@ -32,7 +34,6 @@ from repro.spice.analysis.engine import (
     JACOBIAN_MAX_AGE,
     VECTORIZE_MTJ_THRESHOLD,
     MNAWorkspace,
-    SolverStats,
     jacobian_refresh,
 )
 from repro.spice.analysis.sparse import (
@@ -138,19 +139,63 @@ class TestSparsePattern:
         assert structure_signature(a) == structure_signature(wider)
 
     def test_pattern_registry_reuses_per_topology(self):
+        # The registry serves the whole process, so it counts its builds
+        # and reuses in the metrics registry, not in a run's record.
         clear_pattern_cache()
+        disable_tracing()
+        metrics().reset()
         try:
-            stats = SolverStats()
+            enable_tracing()
             circuit = mtj_read_circuit()
             circuit.finalize()
             ws = MNAWorkspace(circuit, dt=1e-12)
-            first = get_pattern(circuit, ws, stats)
-            second = get_pattern(circuit, ws, stats)
+            first = get_pattern(circuit, ws)
+            second = get_pattern(circuit, ws)
             assert first is second
-            assert stats.pattern_builds == 1
-            assert stats.pattern_reuses == 1
+            assert metrics().counter("engine.sparse_pattern_builds") == 1
+            assert metrics().counter("engine.sparse_pattern_reuses") == 1
+        finally:
+            disable_tracing()
+            metrics().reset()
+            clear_pattern_cache()
+
+    def test_run_record_does_not_depend_on_earlier_runs(self):
+        # The first run of a topology builds its pattern and the next
+        # reuses it; their records, and so their forensics bundles, are
+        # the same.
+        from tests.recovery_corpus import corpus_entry
+
+        clear_pattern_cache()
+        try:
+            stats = [run_transient(mtj_read_circuit(), 0.2e-9, 2e-12,
+                                   engine="sparse").stats
+                     for _ in range(2)]
+            digests = []
+            for _ in range(2):
+                with pytest.raises(ConvergenceError) as excinfo:
+                    corpus_entry("ladder-exhaustion").run(engine="sparse")
+                digests.append(excinfo.value.forensics.digest())
         finally:
             clear_pattern_cache()
+        assert stats[0] == stats[1]
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("builder", [
+        partial(build_mini_array, rows=4, cols=4), grouped_array_circuit,
+        mtj_read_circuit], ids=["array-4x4", "pure-csc", "dense-route"])
+    def test_pattern_does_not_depend_on_dt(self, builder):
+        # The capacitor companions hold values only when dt is set; their
+        # slots come from the scatter, so a capacitor-open workspace
+        # finds the transient pattern.
+        circuit = builder()
+        circuit.finalize()
+        assert any(isinstance(d, Capacitor) and min(d.node_indices()) >= 0
+                   for d in circuit.devices)  # a companion off the diagonal
+        opened = SparsePattern(MNAWorkspace(circuit))
+        transient = SparsePattern(MNAWorkspace(circuit, dt=2.5e-12))
+        for name in ("take_flat", "indices", "indptr"):
+            assert np.array_equal(getattr(opened, name),
+                                  getattr(transient, name)), name
 
     def test_fingerprint_names_the_controller_constants(self):
         fp = sparse_config_fingerprint()
@@ -526,7 +571,6 @@ class TestAdaptiveTransient:
         # adaptive request at the base dt.
         import repro.recovery.ladder as ladder
         import repro.spice.analysis.transient as transient
-        from repro.errors import ConvergenceError
 
         oracle_requests = []
 
