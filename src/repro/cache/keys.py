@@ -50,8 +50,9 @@ from repro.spice.waveforms import DC, PWL, Pulse, Waveform
 #: and counts a recovered DC solve's failed plain-Newton iterations.
 #: Format 3 records recovery as an on/off switch (no per-call policy) and
 #: keys DC requests on the solver configuration too.  Format 4's solver
-#: record holds no sparse-pattern registry counts.
-CACHE_FORMAT = 4
+#: record holds no sparse-pattern registry counts.  Format 5's counts the
+#: fixed-step solves that fell back from their predicted Newton start.
+CACHE_FORMAT = 5
 
 #: Code-version salt mixed into every key: entries written by a
 #: different package version or cache format never collide with ours.

@@ -6,6 +6,10 @@ path is exactly the pre-ladder hot loop — one solver call, one state
 settle — and every escalation is a pure function of the constants of
 :mod:`repro.recovery.policy` and the failing step, so recovered
 waveforms are bit-identical for any worker count and cache replay.
+A fixed step's solve starts from the step control's prediction; when
+it fails from there, the step first solves again from the last
+accepted point on the factors the previous step left (counted in
+``predictor_fallbacks``), and only a failure of that solve escalates.
 An adaptive run first halves a failing step's dt down to its
 ``dt_base/4`` floor (each halving counted as a ``timestep-cut`` rung);
 a floor step climbs the ladder like a fixed step:
@@ -213,18 +217,25 @@ class TransientStepper:
         return self._attempt(self.dt, self.integrator).solver
 
     def advance(self, x: np.ndarray, time: float, prev_nodes: np.ndarray,
-                dt: float) -> Optional[np.ndarray]:
+                dt: float, start: Optional[np.ndarray] = None
+                ) -> Optional[np.ndarray]:
         """Solve and settle the step of length ``dt`` ending at ``time``;
         escalates through the ladder on failure.  Returns the accepted
         solution, or ``None`` when the step control rejected the step
-        or cut its dt (nothing settled; the caller proposes again)."""
+        or cut its dt (nothing settled; the caller proposes again).
+
+        ``start`` is the step control's prediction, the Newton start of
+        the solve (``None``: the last accepted point ``x``).  A solve that
+        fails from it is retried once from ``x`` on the factors the
+        previous step left, the solve an unpredicted step makes, before
+        the step control may cut dt and before any rung."""
         primary = self._attempt(dt, self.integrator)
         try:
-            x_new = primary.solve(x, time, prev_nodes, self.floor_gmin,
-                                  self.max_iterations, self.vtol,
-                                  self.damping)
-            guard_finite(x_new, f"engine={self.engine} t={time:g} s",
-                         self.stats)
+            if start is None:
+                x_new = self._solve(primary, x, time, prev_nodes)
+            else:
+                x_new = self._predicted_solve(primary, start, x, time,
+                                              prev_nodes)
         except ConvergenceError as failure:
             if self.control.cut():
                 self.stats.rungs_climbed += 1
@@ -236,6 +247,27 @@ class TransientStepper:
             return None
         primary.settle(x_new)
         return x_new
+
+    def _solve(self, primary, x0: np.ndarray, time: float,
+               prev_nodes: np.ndarray) -> np.ndarray:
+        """The step's solve from ``x0`` at the floor gmin, guarded."""
+        x_new = primary.solve(x0, time, prev_nodes, self.floor_gmin,
+                              self.max_iterations, self.vtol, self.damping)
+        return guard_finite(x_new, f"engine={self.engine} t={time:g} s",
+                            self.stats)
+
+    def _predicted_solve(self, primary, start: np.ndarray, x: np.ndarray,
+                         time: float, prev_nodes: np.ndarray) -> np.ndarray:
+        """The step's solve from the prediction ``start``, retried once
+        from the accepted point ``x`` on the factors it started on."""
+        solver = primary.solver
+        factors = solver._factors, solver._carried
+        try:
+            return self._solve(primary, start, time, prev_nodes)
+        except ConvergenceError:
+            self.stats.predictor_fallbacks += 1
+            solver._factors, solver._carried = factors
+            return self._solve(primary, x, time, prev_nodes)
 
     # -- rung machinery ----------------------------------------------------
 

@@ -37,18 +37,22 @@ across samples.  This module advances **all N samples together**:
   :func:`~repro.spice.analysis.transient.run_transient`, from its t = 0
   solution, records it sample-major and returns one ordinary
   :class:`~repro.spice.analysis.transient.TransientResult` per sample,
-  whose waveforms are views of that sample's rows.
+  whose waveforms are views of that sample's rows.  Each step's Newton
+  solve starts at the fixed-step control's prediction through the last
+  accepted solutions, computed elementwise on the stack, so a sample
+  starts where its scalar run starts.
 
 Failures take the scalar path.  A sample whose step fails leaves the
-batch at that step and, once the batch finishes, reruns alone as
-``run_transient(engine="fast")``, which climbs the recovery ladder and
-counts its rungs in its
+batch at that step (the batch does not retry a failed prediction from
+the last accepted point) and, once the batch finishes, reruns alone as
+``run_transient(engine="fast")``, which retries it, climbs the recovery
+ladder and counts its fallbacks and rungs in its
 :class:`~repro.spice.analysis.engine.SolverStats`; the other samples are
-not touched.  A batched sample's record counts no rung, no guard trip
-and no condition probe.  Circuits with a junction whose class is not
-exactly :class:`~repro.spice.devices.mtj_element.MTJElement` (the
-NAND-SPIN junction's SOT erase is not modelled here) run as scalar
-runs.
+not touched.  A batched sample's record counts no fallback, no rung,
+no guard trip and no condition probe.  Circuits with a junction whose
+class is not exactly
+:class:`~repro.spice.devices.mtj_element.MTJElement` (the NAND-SPIN
+junction's SOT erase is not modelled here) run as scalar runs.
 
 Determinism: no decision reads another sample, so a sample's result is
 the same bits in any batch — chunk size included — and there is no
@@ -719,8 +723,9 @@ def run_ensemble_transient(
         prev = x.copy()
         while not control.done() and not solver.failed.all():
             time, _ = control.propose()
-            x = solver.solve(x, time, prev, FLOOR_GMIN, max_iterations,
-                             vtol, damping)
+            start = control.predict()
+            x = solver.solve(x if start is None else start, time, prev,
+                             FLOOR_GMIN, max_iterations, vtol, damping)
             workspace.update_state(x)
             control.record(time, x)
             prev = x.copy()

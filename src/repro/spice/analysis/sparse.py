@@ -400,7 +400,7 @@ class SparseNewtonSolver:
              self.pattern.indptr),
             shape=(workspace.size, workspace.size))
         #: Solve with the last factors (:meth:`SparsePattern.factorize`).
-        self._solve: Optional[_Solve] = None
+        self._factors: Optional[_Solve] = None
         #: ``(gmin, age)`` of the factors the last converged solve left.
         self._carried: Optional[Tuple[float, int]] = None
         #: Optional :class:`~repro.recovery.health.ConditionProbe`
@@ -453,13 +453,13 @@ class SparseNewtonSolver:
     def _factorize(self) -> None:
         self.stats.factorizations += 1
         try:
-            self._solve, solve_t = self.pattern.factorize(self._csc)
+            self._factors, solve_t = self.pattern.factorize(self._csc)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
         if self.condition_probe is not None:
             csc = self._csc
             self.condition_probe.after_factorization(
-                self._solve, solve_t, lambda: _csc_norm1(csc),
+                self._factors, solve_t, lambda: _csc_norm1(csc),
                 self.workspace.size)
 
     def _residual(self, x: np.ndarray, gmin: float) -> np.ndarray:
@@ -469,7 +469,7 @@ class SparseNewtonSolver:
                 residual: Optional[np.ndarray]) -> np.ndarray:
         if residual is None:
             residual = self._csc @ x - self.workspace.rhs
-        return -self._solve(residual)
+        return -self._factors(residual)
 
     def solve(self, x0: np.ndarray, time: float,
               prev_voltages: Optional[np.ndarray], gmin: float,
@@ -597,6 +597,11 @@ class LTEStepControl:
         # never grows dt.
         self._dt, self._final, self._err = dt_try, final_step, np.inf
         return t + dt_try, dt_try
+
+    def predict(self) -> None:
+        """No prediction: an adaptive step's Newton solve starts at the
+        last accepted point."""
+        return None
 
     def accept(self, x_new: np.ndarray) -> bool:
         """LTE check of the proposed step's solution, before it settles."""

@@ -28,19 +28,26 @@ from repro.spice.netlist import Circuit
 
 
 def _razor_sense() -> Circuit:
-    """Razor-edge sense amplifier: a near-floating sense node (10 GΩ
-    leak) hit by a charge-injection current step.  At the floor gmin
-    the per-step voltage target is tens of volts — far beyond what the
-    damped Newton can traverse in the entry's iteration budget — while
-    a modest extra gmin pins the node and converges in a few
-    iterations, so the gmin rung is the natural rescue (where it is not
-    enough, substeps finish the job)."""
+    """Razor-edge sense node: a near-floating node (10 GΩ leak, about
+    0.5 fF of gate capacitance) is precharged to about −10.8 V by a slow
+    current, left floating, then hit by a charge-injection current step.
+    At the floor gmin the step asks each 0.1 µs timestep to move the
+    node about 2 V, more than the damped Newton (0.4 V an iteration)
+    traverses in the entry's four-iteration budget; the floating node's
+    history predicts no such move, so the predicted start fails, and the
+    retry from the last point too.  At that bias a 1 nS gmin draws
+    about the current the step injects, so the gmin rung converges in
+    two iterations and holds the node: the natural rescue."""
     from repro.spice.waveforms import Pulse
 
     c = Circuit("razor-sense")
     c.add_vsource("vdd", "vdd", "0", 1.1)
+    c.add_isource("ipre", "0", "sense",
+                  Pulse(0.0, 8e-9, delay=0.2e-6, rise=0.2e-6, width=0.6e-6,
+                        fall=0.02e-6))
     c.add_isource("iinj", "0", "sense",
-                  Pulse(0.0, 2e-8, delay=0.2e-6, rise=0.05e-6, width=1.0e-6))
+                  Pulse(0.0, 1.1e-8, delay=1.3e-6, rise=0.02e-6,
+                        width=0.5e-6, fall=0.02e-6))
     c.add_resistor("rleak", "sense", "0", 1e10)
     c.add_nmos("m1", "out", "sense", "0", width=400e-9)
     c.add_resistor("rl", "vdd", "out", 20e3)

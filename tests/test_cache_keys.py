@@ -170,6 +170,7 @@ _SOLVER_CONSTANTS = [
     ("repro.spice.analysis.engine", "VECTORIZE_MOSFET_THRESHOLD", 5),
     ("repro.spice.analysis.engine", "VECTORIZE_MTJ_THRESHOLD", 6),
     ("repro.spice.analysis.engine", "JACOBIAN_MAX_AGE", 7),
+    ("repro.spice.analysis.engine", "PREDICTOR_ORDER", 2),
     ("repro.spice.analysis.sparse", "LTE_TOL", 1e-5),
     ("repro.spice.analysis.sparse", "MAX_DT_FACTOR", 4),
     ("repro.spice.analysis.sparse", "MIN_DT_DIVISOR", 8),
@@ -224,6 +225,64 @@ class TestSolverConfig:
                                      "own_operating_point": False})
         assert _transient_key(_rc_circuit(), initial_voltages=None,
                               engine="sparse") != before
+
+    def test_predictor_marker_changes_the_transient_key(self, monkeypatch):
+        # A fixed step's Newton solve starts from a cubic prediction; the
+        # revision marker retires entries solved from the last point.
+        from repro.spice.analysis import engine
+
+        fingerprint = engine.engine_config_fingerprint
+        assert fingerprint()["fixed_step_predictor_order"] == 3
+        before = _transient_key(_rc_circuit())
+        monkeypatch.setattr(engine, "engine_config_fingerprint",
+                            lambda: _without_predictor(fingerprint()))
+        assert _transient_key(_rc_circuit()) != before
+
+    def test_an_entry_from_before_the_predictor_misses(self, monkeypatch,
+                                                       tmp_path):
+        """A transient stored by the previous revision (cache format 4,
+        no predictor marker) is not served: the run recomputes."""
+        from repro import __version__
+        from repro.cache import keys, store
+        from repro.obs import metrics
+        from repro.spice.analysis import engine
+        from repro.spice.analysis.transient import run_transient
+
+        def counts():
+            counters = metrics().snapshot()["counters"]
+            return {name: counters.get(name, 0)
+                    for name in ("cache.hit", "cache.miss", "cache.store")}
+
+        def run():
+            run_transient(_rc_circuit(), 2e-11, 1e-12,
+                          initial_voltages={"in": 0.0}, lint="off")
+
+        fingerprint = engine.engine_config_fingerprint
+        assert keys.CACHE_FORMAT == 5
+        store.enable(str(tmp_path / "cache"))
+        try:
+            with monkeypatch.context() as previous:
+                previous.setattr(keys, "CACHE_SALT",
+                                 f"repro/{__version__}/cache-v4")
+                previous.setattr(engine, "engine_config_fingerprint",
+                                 lambda: _without_predictor(fingerprint()))
+                before = counts()
+                run()
+                assert counts()["cache.store"] == before["cache.store"] + 1
+            before = counts()
+            run()
+            after = counts()
+        finally:
+            store.disable()
+        assert after["cache.hit"] == before["cache.hit"]
+        assert after["cache.miss"] == before["cache.miss"] + 1
+
+
+def _without_predictor(config):
+    """A solver configuration as the revision before the predicted Newton
+    start recorded it."""
+    return {key: value for key, value in config.items()
+            if key != "fixed_step_predictor_order"}
 
 
 class TestBackendIdentity:

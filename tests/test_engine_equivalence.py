@@ -122,16 +122,20 @@ def naive_assembly(circuit, x, time, prev_voltages, dt, integrator, gmin):
     return stamper.matrix, stamper.rhs
 
 
-def naive_transient(circuit, stop_time, dt, integrator="be"):
+def naive_transient(circuit, stop_time, dt, integrator="be",
+                    initial_voltages=None):
     """The reference transient every engine is checked against: from the
-    t = 0 DC point, each fixed step ``k·dt`` solves a damped Newton that
-    re-stamps every device on every iteration (``dc._newton``, at the
-    floor gmin), then advances every device's state.  No Jacobian reuse,
-    no recovery ladder: a step that fails raises."""
+    t = 0 DC point (or the listed ``initial_voltages``, every other
+    unknown at 0), each fixed step ``k·dt`` solves a damped Newton from
+    the last solution that re-stamps every device on every iteration
+    (``dc._newton``, at the floor gmin), then advances every device's
+    state.  No Jacobian reuse, no prediction, no recovery ladder: a step
+    that fails raises."""
     circuit.finalize()
     circuit.reset_state()
-    x = _initial_solution(circuit, None, None, DEFAULT_MAX_ITERATIONS,
-                          DEFAULT_VTOL, DEFAULT_DAMPING)
+    x = _initial_solution(circuit, initial_voltages, None,
+                          DEFAULT_MAX_ITERATIONS, DEFAULT_VTOL,
+                          DEFAULT_DAMPING)
     num_nodes = circuit.num_nodes
     steps = int(round(stop_time / dt))
     solutions = [x]
