@@ -249,10 +249,17 @@ class TransientStepper:
         return x_new
 
     def _solve(self, primary, x0: np.ndarray, time: float,
-               prev_nodes: np.ndarray) -> np.ndarray:
-        """The step's solve from ``x0`` at the floor gmin, guarded."""
-        x_new = primary.solve(x0, time, prev_nodes, self.floor_gmin,
-                              self.max_iterations, self.vtol, self.damping)
+               prev_nodes: np.ndarray, gmin: Optional[float] = None,
+               damping: Optional[float] = None,
+               max_iterations: Optional[int] = None) -> np.ndarray:
+        """One guarded solve of the step from ``x0`` on the primary
+        attempt, at the run's floor gmin, damping and iteration budget
+        unless given."""
+        x_new = primary.solve(
+            x0, time, prev_nodes,
+            self.floor_gmin if gmin is None else gmin,
+            self.max_iterations if max_iterations is None else max_iterations,
+            self.vtol, self.damping if damping is None else damping)
         return guard_finite(x_new, f"engine={self.engine} t={time:g} s",
                             self.stats)
 
@@ -331,11 +338,8 @@ class TransientStepper:
                          prev_nodes: np.ndarray, gmin: float,
                          damping: Optional[float] = None,
                          max_iterations: Optional[int] = None) -> np.ndarray:
-        x = primary.solve(
-            x0, time, prev_nodes, gmin,
-            self.max_iterations if max_iterations is None else max_iterations,
-            self.vtol, self.damping if damping is None else damping)
-        guard_finite(x, f"engine={self.engine} t={time:g} s", self.stats)
+        x = self._solve(primary, x0, time, prev_nodes, gmin, damping,
+                        max_iterations)
         primary.settle(x)
         return x
 

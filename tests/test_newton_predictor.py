@@ -143,3 +143,33 @@ def test_the_paper_flows_never_fall_back():
     assert added == {"engine.timesteps": 24000 + array.stats.timesteps,
                      "engine.predictor_fallbacks": 0}
     assert array.stats.predictor_fallbacks == 0
+
+
+def test_the_retry_is_the_solve_an_unpredicted_step_makes(monkeypatch):
+    """Every prediction of a latch restore fails (a NaN start): each step
+    then solves from the accepted point on the factors the previous step
+    left, so the waveforms are bit for bit those of a run that predicts
+    nothing."""
+    from repro.cells.nvlatch_1bit import build_standard_latch
+
+    def restore():
+        nv = get_backend("mtj")
+        schedule = nv.restore_schedule("standard", bit=1, vdd=VDD, cycles=1)
+        latch = build_standard_latch(schedule, stored_bit=1, vdd=VDD,
+                                     backend=nv)
+        return run_transient(latch.circuit, schedule.stop_time, READ_DT,
+                             initial_voltages=_cold_start_voltages(VDD),
+                             engine="fast")
+
+    monkeypatch.setattr(_FixedSteps, "predict", lambda self: None)
+    unpredicted = restore()
+    monkeypatch.setattr(_FixedSteps, "predict",
+                        lambda self: np.full_like(self._history[0], np.nan))
+    with np.errstate(invalid="ignore"):
+        failing = restore()
+    assert failing.stats.predictor_fallbacks == failing.stats.timesteps
+    assert failing.stats.rung_counts == {}
+    assert (failing.node_voltages.tobytes()
+            == unpredicted.node_voltages.tobytes())
+    assert (failing.branch_currents.tobytes()
+            == unpredicted.branch_currents.tobytes())
