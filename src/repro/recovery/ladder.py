@@ -32,13 +32,14 @@ workspace exactly as if it had taken the step itself.
 On exhaustion the step raises :class:`~repro.errors.ConvergenceError`
 carrying a :class:`~repro.recovery.forensics.ForensicsBundle`.
 
-:func:`dc_recover` is the DC analogue: staged gmin homotopy with a
-residual trajectory, then source-stepping homotopy.
+:func:`dc_recover` is the DC analogue, on the solver of the failed
+plain-Newton attempt: staged gmin homotopy with a residual trajectory,
+then source-stepping homotopy.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -501,8 +502,7 @@ def _stamped_matrix(circuit: Circuit, x: np.ndarray, time: float,
 
 
 def dc_recover(
-    circuit: Circuit,
-    newton: Callable[..., Tuple[np.ndarray, int]],
+    solver,
     x0: np.ndarray,
     time: float,
     max_iterations: int,
@@ -511,32 +511,36 @@ def dc_recover(
     floor_gmin: float,
     first_failure: ConvergenceError,
     recovery: bool = True,
-    deadline: Optional[float] = None,
-) -> Tuple[np.ndarray, "SolverStats", List[str]]:
-    """Recover a failed plain-Newton DC solve.
+) -> np.ndarray:
+    """Recover a failed plain-Newton DC solve on the scalar Newton
+    ``solver`` that attempted it (its workspace's capacitors open).
 
     Stage 1 — gmin homotopy: strong conductance to ground, reduced one
-    decade at a time, warm-starting each stage (bit-identical to the
-    historical ``solve_dc`` ladder).  Stage 2 — source stepping: when
-    the homotopy stalls, ramp every independent source from a fraction
-    of its value to full scale, warm-starting along the way.  With
-    ``recovery`` off only stage 1 runs, and an exhausted solve shrinks
-    nothing.  ``newton`` is the DC module's ``_newton`` (injected to
-    keep the import graph acyclic).
+    decade at a time, warm-starting each stage.  Stage 2 — source
+    stepping: when the homotopy stalls, ramp every independent source
+    from a fraction of its value to full scale, warm-starting along the
+    way; the workspace's step RHS, which holds the sources alone while
+    the capacitors are open, is scaled by
+    ``MNAWorkspace.source_scale``.  With ``recovery`` off only stage 1
+    runs, and an exhausted solve shrinks nothing.  A stage raises once
+    ``solver.deadline`` passes, and the ladder then stops.
 
-    Returns ``(x, stats, trajectory)``: ``stats`` counts the Newton
-    iterations of every attempt, the failed plain-Newton one included,
-    and the homotopy stages; ``trajectory`` names every stage and its
-    outcome — the residual norm trajectory the failure message reports.
+    Returns the solution.  ``solver.stats`` counts the Newton work of
+    every attempt, as the solver records it, and the homotopy stages.
     Raises :class:`ConvergenceError` with a :class:`ForensicsBundle`
-    when both homotopies are exhausted.
+    when both homotopies are exhausted; its message carries every
+    stage and its outcome, the residual trajectory of the solve.
     """
-    from repro.spice.analysis.engine import SolverStats
-
-    stats = SolverStats(iterations=first_failure.iterations)
+    stats = solver.stats
+    circuit = solver.workspace.circuit
     trajectory: List[str] = [
         f"plain newton: {_short(first_failure)} "
         f"(max dV={first_failure.residual:g} V)"]
+
+    def attempt(x: np.ndarray, gmin: float) -> Tuple[np.ndarray, int]:
+        before = stats.iterations
+        x = solver.solve(x, time, None, gmin, max_iterations, vtol, damping)
+        return x, stats.iterations - before
 
     x = x0
     gmin = DC_GMIN_START
@@ -544,9 +548,7 @@ def dc_recover(
     failed_gmin = 0.0
     while gmin >= floor_gmin:
         try:
-            x, iterations = newton(
-                circuit, x, time, gmin, max_iterations, vtol, damping,
-                deadline=deadline)
+            x, iterations = attempt(x, gmin)
         except ConvergenceError as exc:
             gmin_failure = exc
             failed_gmin = gmin
@@ -554,52 +556,48 @@ def dc_recover(
                 f"gmin {gmin:g}: stalled after {exc.iterations} iterations "
                 f"(max dV={exc.residual:g} V)")
             break
-        stats.iterations += iterations
         stats.dc_gmin_stages += 1
         trajectory.append(f"gmin {gmin:g}: converged in {iterations} "
                           f"iterations")
         gmin /= DC_GMIN_REDUCTION
     else:
-        return x, stats, trajectory
+        return x
 
     assert gmin_failure is not None
-    stats.iterations += gmin_failure.iterations
-    timed_out = _timed_out(deadline)
+    timed_out = _timed_out(solver.deadline)
     source_steps = DC_SOURCE_STEPS if recovery and not timed_out else ()
     source_failure: Optional[ConvergenceError] = None
     if source_steps:
         x = x0
         for scale in source_steps:
+            solver.workspace.source_scale = scale
             try:
-                x, iterations = newton(
-                    circuit, x, time, floor_gmin, max_iterations, vtol,
-                    damping, deadline=deadline, source_scale=scale,
-                )
+                x, iterations = attempt(x, floor_gmin)
             except ConvergenceError as exc:
                 source_failure = exc
                 trajectory.append(
                     f"source step {scale:g}: stalled after "
                     f"{exc.iterations} iterations "
                     f"(max dV={exc.residual:g} V)")
-                stats.iterations += exc.iterations
                 break
-            stats.iterations += iterations
+            finally:
+                solver.workspace.source_scale = 1.0
             stats.dc_source_steps += 1
             _count_rung(stats, "dc-source-stepping")
             trajectory.append(f"source step {scale:g}: converged in "
                               f"{iterations} iterations")
         else:
-            return x, stats, trajectory
+            return x
 
     final = source_failure if source_failure is not None else gmin_failure
-    timed_out = _timed_out(deadline)
+    timed_out = _timed_out(solver.deadline)
     if source_failure is not None:
         stage = "source stepping stalled"
     else:
         stage = f"gmin stepping stalled at gmin={failed_gmin:g}"
     reason = ("exceeded its wall-clock timeout during homotopy"
               if timed_out else stage)
-    bundle = _dc_bundle(circuit, final, trajectory, stats,
+    bundle = _dc_bundle(circuit, solver.engine, final, trajectory, stats,
                         recovery, time, max_iterations, vtol, damping,
                         shrink=not timed_out)
     raise ConvergenceError(
@@ -618,14 +616,14 @@ def _timed_out(deadline: Optional[float]) -> bool:
     return _time.monotonic() > deadline
 
 
-def _dc_bundle(circuit: Circuit, failure: ConvergenceError,
+def _dc_bundle(circuit: Circuit, engine: str, failure: ConvergenceError,
                trajectory: List[str], stats: "SolverStats",
                recovery: bool, time: float, max_iterations: int,
                vtol: float, damping: float, shrink: bool) -> ForensicsBundle:
     from repro.errors import CacheError
 
     bundle = ForensicsBundle(
-        analysis="dc", circuit_name=circuit.name, engine="dense",
+        analysis="dc", circuit_name=circuit.name, engine=engine,
         time=time, message=_short(failure),
         last_state=(None if failure.state is None
                     else [float(v) for v in np.asarray(failure.state)]),

@@ -1,17 +1,26 @@
 """DC operating-point analysis: damped Newton–Raphson with gmin stepping.
 
-The solver assembles the MNA system linearised at the current iterate and
-re-solves until the update is small.  Robustness aids, in escalation
-order:
+:func:`solve_dc` solves the point on the engine's own workspace and
+Newton loop: a :class:`~repro.spice.analysis.engine.FastNewtonSolver`
+over ``MNAWorkspace(circuit, dt=None)``, whose capacitors are open,
+through :func:`~repro.spice.analysis.engine.modified_newton`, which
+refactorises on every iteration of a solve with no previous solution.
+A DC-started transient solves its t = 0 point the same way on the run's
+own solver (:func:`_dc_point`).  Robustness aids, in escalation order:
 
 1. per-iteration voltage-update damping (default 0.4 V clamp),
 2. gmin homotopy: if plain Newton fails, solve a sequence of problems
    with a large conductance from every node to ground, reducing it one
-   decade at a time and warm-starting each stage.
+   decade at a time and warm-starting each stage,
+3. source stepping (with ``recovery`` on): ramp the independent sources
+   up to full scale, warm-starting each stage.
 
-Both are standard SPICE practice and are exercised by the latch circuits,
-whose cross-coupled sense amplifiers have multiple DC solutions — the
-homotopy reliably lands on the one seeded by the initial guess.
+All are standard SPICE practice; the homotopies live in
+:func:`repro.recovery.ladder.dc_recover`.  The latch circuits exercise
+them: their cross-coupled sense amplifiers have multiple DC solutions,
+and the homotopy reliably lands on the one seeded by the initial guess.
+The full-restamp Newton the engines are checked against is the tests'
+oracle (``tests/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -26,10 +35,8 @@ from repro.errors import AnalysisError, ConvergenceError
 from repro.obs import is_active as _obs_active
 from repro.obs import metrics as _obs_metrics
 from repro.obs import span as _obs_span
-from repro.spice.devices.base import EvalContext
 from repro.spice.devices.sources import VoltageSource
-from repro.spice.analysis.engine import SolverStats
-from repro.spice.analysis.mna import MNAStamper
+from repro.spice.analysis.engine import FastNewtonSolver, MNAWorkspace
 from repro.spice.netlist import Circuit
 
 #: Default Newton iteration limit per gmin stage.
@@ -74,82 +81,59 @@ class DCResult:
         return -v * float(self.branch_currents[device.branch_index])
 
 
-def _newton(
-    circuit: Circuit,
-    x0: np.ndarray,
-    time: float,
-    gmin: float,
-    max_iterations: int,
-    vtol: float,
-    damping: float,
-    prev_voltages: Optional[np.ndarray] = None,
-    dt: Optional[float] = None,
-    integrator: str = "be",
-    deadline: Optional[float] = None,
-    source_scale: float = 1.0,
-) -> tuple:
-    """One Newton solve; returns ``(x, iterations)`` or raises.
+def _node_vector(circuit: Circuit, voltages) -> np.ndarray:
+    """A solution vector of a finalised circuit with the listed node
+    voltages and every other unknown at 0."""
+    x = np.zeros(circuit.num_nodes + circuit.num_branches)
+    for node_name, value in (voltages or {}).items():
+        index = circuit.node(node_name)
+        if index >= 0:
+            x[index] = value
+    return x
 
-    ``deadline`` is an absolute :func:`time.monotonic` instant; when the
-    iteration loop crosses it, a :class:`ConvergenceError` is raised with
-    the last iterate attached as ``state`` — pathological (e.g.
-    fault-injected) circuits abort on the wall clock instead of grinding
-    through every remaining iteration and gmin stage.
 
-    ``source_scale`` scales every independent source (the recovery
-    ladder's source-stepping homotopy).  ``prev_voltages``/``dt``/
-    ``integrator`` make it a transient timepoint solve with capacitor
-    companions: the full-restamp reference transient the engines are
-    tested against drives it that way.
+def _dc_point(solver, x0: np.ndarray, time: float, max_iterations: int,
+              vtol: float, damping: float, recovery: bool) -> np.ndarray:
+    """The DC point on a scalar Newton solver's workspace, capacitors
+    open: plain Newton at the floor gmin from ``x0``, then the recovery
+    ladder's homotopies (:func:`~repro.recovery.ladder.dc_recover`) on
+    the same solver.
+
+    Every attempt's work goes to ``solver.stats``, for the caller to
+    flush; the solve is one ``analysis.dc`` span and, while tracing, one
+    ``engine.dc_solves`` count.  Raises :class:`ConvergenceError`
+    carrying the last Newton iterate once ``solver.deadline`` passes, or
+    when both homotopies are exhausted.
     """
-    num_nodes = circuit.num_nodes
-    x = x0.copy()
-    for iteration in range(1, max_iterations + 1):
-        if deadline is not None and _time.monotonic() > deadline:
-            raise ConvergenceError(
-                f"Newton solve exceeded its wall-clock timeout at "
-                f"iteration {iteration} (gmin={gmin:g})",
-                iterations=iteration, state=x.copy(),
-            )
-        ctx = EvalContext(
-            voltages=x[:num_nodes],
-            prev_voltages=prev_voltages,
-            time=time,
-            dt=dt,
-            gmin=gmin,
-            integrator=integrator,
-            source_scale=source_scale,
-        )
-        stamper = MNAStamper(num_nodes, circuit.num_branches)
-        for device in circuit.devices:
-            device.stamp(stamper, ctx)
-        stamper.apply_gmin(gmin)
+    circuit = solver.workspace.circuit
+    with _obs_span("analysis.dc", category="analysis",
+                   attrs={"circuit": circuit.name}) as sp:
+        failure: Optional[ConvergenceError] = None
         try:
-            x_new = stamper.solve()
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"singular MNA matrix at gmin={gmin:g} (iteration {iteration})",
-                iterations=iteration,
-            ) from exc
+            x = solver.solve(x0, time, None, FLOOR_GMIN, max_iterations,
+                             vtol, damping)
+        except ConvergenceError as exc:
+            failure = exc
+        if failure is not None:
+            if (solver.deadline is not None
+                    and _time.monotonic() > solver.deadline):
+                raise ConvergenceError(
+                    f"DC solve of {circuit.name!r} exceeded its "
+                    f"wall-clock timeout: {failure}",
+                    iterations=failure.iterations,
+                    residual=failure.residual, state=failure.state,
+                ) from failure
+            # The ladder runs outside the except handler, so the devlint
+            # dev.bare-convergence-retry rule holds: all retry policy
+            # lives in repro.recovery.
+            from repro.recovery.ladder import dc_recover
 
-        delta = x_new - x
-        dv = delta[:num_nodes]
-        max_dv = float(np.max(np.abs(dv))) if num_nodes else 0.0
-        if max_dv > damping:
-            # Damp the whole update uniformly to preserve the Newton direction.
-            delta *= damping / max_dv
-            x = x + delta
-        else:
-            x = x_new
-            if max_dv < vtol:
-                return x, iteration
-    raise ConvergenceError(
-        f"Newton failed to converge in {max_iterations} iterations "
-        f"(gmin={gmin:g}, last max dV={max_dv:g})",
-        iterations=max_iterations,
-        residual=max_dv,
-        state=x.copy(),
-    )
+            x = dc_recover(solver, x0, time, max_iterations, vtol, damping,
+                           FLOOR_GMIN, failure, recovery=recovery)
+        if _obs_active():
+            sp.annotate(**solver.stats.as_attrs())
+            _obs_metrics().inc("engine.dc_solves", 1)
+    return x
 
 
 def solve_dc(
@@ -210,62 +194,15 @@ def solve_dc(
             return cached
 
     circuit.finalize()
-    size = circuit.num_nodes + circuit.num_branches
-    x0 = np.zeros(size)
-    if initial_guess:
-        for node_name, value in initial_guess.items():
-            index = circuit.node(node_name)
-            if index >= 0:
-                x0[index] = value
-
-    with _obs_span("analysis.dc", category="analysis",
-                   attrs={"circuit": circuit.name}) as sp:
-        last_error: Optional[ConvergenceError] = None
-        # Plain Newton first, then gmin stepping from strong to weak.
-        try:
-            x, iterations = _newton(
-                circuit, x0, time, FLOOR_GMIN, max_iterations, vtol, damping,
-                deadline=deadline)
-            _flush_dc_metrics(sp, SolverStats(iterations=iterations))
-            result = DCResult(circuit, x[: circuit.num_nodes],
-                              x[circuit.num_nodes:], iterations, FLOOR_GMIN)
-            if cache_handle is not None:
-                cache_handle.store(result)
-            return result
-        except ConvergenceError as exc:
-            last_error = exc
-            if deadline is not None and _time.monotonic() > deadline:
-                raise ConvergenceError(
-                    f"DC solve of {circuit.name!r} exceeded its {timeout:g} s "
-                    f"wall-clock timeout: {exc}",
-                    iterations=exc.iterations, residual=exc.residual,
-                    state=exc.state,
-                ) from exc
-
-        # Recovery ladder: staged gmin homotopy, then source stepping.
-        # (Deliberately outside the except handler above so the devlint
-        # dev.bare-convergence-retry rule holds: all retry policy lives
-        # in repro.recovery.)
-        from repro.recovery.ladder import dc_recover
-
-        x, stats, _trajectory = dc_recover(
-            circuit, _newton, x0, time, max_iterations, vtol, damping,
-            FLOOR_GMIN, last_error, recovery=recovery, deadline=deadline,
-        )
-        _flush_dc_metrics(sp, stats)
-        result = DCResult(circuit, x[: circuit.num_nodes],
-                          x[circuit.num_nodes:], stats.iterations, FLOOR_GMIN)
-        if cache_handle is not None:
-            cache_handle.store(result)
-        return result
-
-
-def _flush_dc_metrics(sp, stats: SolverStats) -> None:
-    """Record a finished DC solve in the metrics registry (no-op while
-    observability is off) and annotate the enclosing span."""
-    if not _obs_active():
-        return
-    sp.annotate(**stats.as_attrs())
-    registry = _obs_metrics()
-    registry.inc("engine.dc_solves", 1)
-    stats.flush_to(registry)
+    solver = FastNewtonSolver(MNAWorkspace(circuit, dt=None))
+    solver.deadline = deadline
+    x = _dc_point(solver, _node_vector(circuit, initial_guess), time,
+                  max_iterations, vtol, damping, recovery)
+    if _obs_active():
+        solver.stats.flush_to(_obs_metrics())
+    result = DCResult(circuit, x[: circuit.num_nodes],
+                      x[circuit.num_nodes:], solver.stats.iterations,
+                      FLOOR_GMIN)
+    if cache_handle is not None:
+        cache_handle.store(result)
+    return result

@@ -14,20 +14,23 @@ need re-linearisation.  This module exploits that:
   Newton iteration.  MOSFETs are evaluated *vectorised* across all
   transistors of the circuit (one EKV evaluation over numpy arrays
   instead of N Python calls) when the circuit has enough of them.
-* :func:`modified_newton` is the damped modified-Newton loop of both
-  scalar engines: the LU factorisation of the Jacobian is reused across
-  iterations and across timepoints, with a full refactorisation when
-  the factors grow old or convergence stalls, and on the first
-  iteration after a solve that did not converge at the same gmin.  A
-  reuse iteration assembles nothing: it evaluates device currents only
-  and forms the residual
+* :func:`modified_newton` is the damped modified-Newton loop of every
+  scalar solve, transient timepoint or DC operating point: the LU
+  factorisation of the Jacobian is reused across iterations and across
+  timepoints, with a full refactorisation when the factors grow old or
+  convergence stalls, and on the first iteration after a solve that did
+  not converge at the same gmin.  A reuse iteration assembles nothing:
+  it evaluates device currents only and forms the residual
   ``F(x) = G·x − b_step + gmin·x + Σ device currents``
   (:meth:`MNAWorkspace.residual`).  A fixed-step run starts each
   timepoint's loop at a polynomial prediction through its last accepted
   solutions (up to :data:`PREDICTOR_ORDER`), as SPICE-class simulators
   do, so most timepoints converge in one or two iterations; the
-  capacitor history stays the last accepted solution.
-  :class:`FastNewtonSolver` supplies
+  capacitor history stays the last accepted solution.  A solve with no
+  previous solution, the DC point with the capacitors open
+  (:func:`~repro.spice.analysis.dc.solve_dc` and a DC-started run's
+  t = 0 point), refactorises on every iteration and watches the
+  solver's wall-clock deadline.  :class:`FastNewtonSolver` supplies
   its dense assembly, factorisation (LAPACK getrf) and update (getrs)
   steps;
   :func:`~repro.spice.analysis.transient.run_transient` selects it with
@@ -44,6 +47,7 @@ full-restamp reference transient there (``naive_transient``) to
 from __future__ import annotations
 
 import copy
+import time as _time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -236,6 +240,11 @@ def engine_config_fingerprint() -> Dict[str, object]:
         # from a polynomial prediction of this order instead of the last
         # accepted point, which moves the last bits.
         "fixed_step_predictor_order": PREDICTOR_ORDER,
+        # Algorithm revision marker: a DC point solves on the engine's
+        # workspace through modified_newton, refactorising on every
+        # iteration, instead of re-stamping every device, which moves the
+        # last bits.
+        "dc_on_engine_workspace": True,
         "sparse": sparse_config_fingerprint(),
     }
 
@@ -734,8 +743,8 @@ class MNAWorkspace:
 
     1. **static** — built once: linear-device matrix stamps
        (``stamp_static``); invariant across the whole analysis, except
-       that a timepoint with no previous solution (the t = 0 operating
-       point) opens the capacitors (:meth:`begin_step`);
+       that a timepoint with no previous solution (a DC operating point)
+       opens the capacitors (:meth:`begin_step`);
     2. **step**   — rebuilt once per timepoint: RHS of sources and
        capacitor companions (``stamp_step``), which depend on time and the
        previous accepted solution but not on the Newton iterate (the DC
@@ -829,6 +838,10 @@ class MNAWorkspace:
         # Reusable EvalContext scaffolding.
         self._time = 0.0
         self._prev_voltages: Optional[np.ndarray] = None
+        #: Fraction of the independent sources a timepoint with no
+        #: previous solution stamps: the DC recovery ladder's source
+        #: stepping (1.0 otherwise).
+        self.source_scale = 1.0
 
     # -- assembly tiers --------------------------------------------------------
 
@@ -860,10 +873,11 @@ class MNAWorkspace:
                    prev_voltages: Optional[np.ndarray]) -> None:
         """Rebuild the iterate-free RHS for a new timepoint.
 
-        With no previous solution (``prev_voltages`` ``None``, the t = 0
-        operating point) the capacitors are open, as in a DC solve: the
-        static tier holds no companion conductances and the step RHS no
-        companion currents until a timepoint with one."""
+        With no previous solution (``prev_voltages`` ``None``, the DC
+        operating point) the capacitors are open: the static tier holds
+        no companion conductances and the step RHS no companion currents
+        until a timepoint with one, so the step RHS holds the independent
+        sources alone, scaled by :attr:`source_scale`."""
         self._time = time
         self._prev_voltages = prev_voltages
         is_open = prev_voltages is None
@@ -877,7 +891,9 @@ class MNAWorkspace:
                           time=time, dt=self.dt, integrator=self.integrator)
         for device in self._step_devices:
             device.stamp_step(view, ctx)
-        if not is_open:
+        if is_open:
+            self._step_rhs *= self.source_scale
+        else:
             self.cap_group.step_rhs(self._step_rhs, prev_voltages)
         group = self.mtj_group
         if group is not None and (group.is_ap is None
@@ -982,8 +998,8 @@ def modified_newton(solver, x0: np.ndarray, time: float,
                     prev_voltages: Optional[np.ndarray], gmin: float,
                     max_iterations: int, vtol: float,
                     damping: float) -> np.ndarray:
-    """One converged damped modified-Newton solve at a timepoint: the
-    Newton loop of both scalar engines.
+    """One converged damped modified-Newton solve at a timepoint or a DC
+    point: the Newton loop of every scalar solve.
 
     Each iteration first decides under :func:`jacobian_refresh` whether
     to renew the LU factors ``A₀``.  A refresh iteration assembles the
@@ -996,21 +1012,26 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     iteration is a reuse iteration unless they are
     :data:`JACOBIAN_MAX_AGE` iterations old.  A solve that raises and a
     solve at another gmin refactorise on their first iteration.  A solve
-    with no previous solution (``prev_voltages`` ``None``: the t = 0
-    operating point, capacitors open) leaves no factors, so the first
-    timestep factorises its own matrix.  ``x0`` is only the first
-    iterate: a fixed-step run passes the prediction of its step control,
-    while ``prev_voltages`` stays the last accepted solution.
-    ``solver`` supplies ``workspace``, ``stats``, ``_factors`` (the last
-    factors) and ``_carried`` (both ``None`` on a new solver), so a caller
-    that saves the pair and puts it back starts its next solve on the
-    factors the saved one started on, and four steps:
-    ``_assemble(x, gmin)`` builds the
-    system, ``_factorize()`` LU-factorises its matrix,
+    with no previous solution (``prev_voltages`` ``None``: a DC point,
+    capacitors open) refactorises on every iteration, since a homotopy
+    stage on stale factors can diverge; it raises once the wall clock
+    passes ``solver.deadline`` (a :func:`time.monotonic` instant, or
+    ``None``) and leaves no factors, so the first timestep factorises
+    its own matrix.  ``x0`` is only the first iterate: a fixed-step run
+    passes the prediction of its step control, while ``prev_voltages``
+    stays the last accepted solution.
+    ``solver`` supplies ``workspace``, ``stats``, ``deadline``,
+    ``_factors`` (the last factors) and ``_carried`` (both ``None`` on a
+    new solver), so a caller that saves the pair and puts it back starts
+    its next solve on the factors the saved one started on, and four
+    steps: ``_assemble(x, gmin)`` builds the
+    system, ``_factorize()`` LU-factorises its matrix (and runs the
+    condition probe, except at a DC point),
     ``_residual(x, gmin)`` forms a reuse iteration's ``F(x)`` and
     ``_update(x, residual)`` returns ``−A₀⁻¹·F(x)``, with ``F(x)`` from
     the assembled system when ``residual`` is ``None``.  Raises
-    :class:`ConvergenceError` on failure, like the DC ``_newton``.
+    :class:`ConvergenceError` on failure, carrying the last iterate
+    when the iterations or the deadline run out.
     """
     ws = solver.workspace
     ws.begin_step(time, prev_voltages)
@@ -1019,6 +1040,8 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     assemble, factorize, residual, update = (
         solver._assemble, solver._factorize, solver._residual,
         solver._update)
+    dc_point = prev_voltages is None
+    deadline = solver.deadline if dc_point else None
     x = x0.copy()
     carried, solver._carried = solver._carried, None
     factored = carried is not None and carried[0] == gmin
@@ -1026,9 +1049,15 @@ def modified_newton(solver, x0: np.ndarray, time: float,
     prev_max_dv = np.inf
     max_dv = np.inf
     for iteration in range(1, max_iterations + 1):
+        if deadline is not None and _time.monotonic() > deadline:
+            raise ConvergenceError(
+                f"Newton solve exceeded its wall-clock timeout at "
+                f"iteration {iteration} (gmin={gmin:g})",
+                iterations=iteration, state=x.copy())
         stats.iterations += 1
         age += 1
-        fresh = jacobian_refresh(not factored, age, max_dv, prev_max_dv)
+        fresh = dc_point or jacobian_refresh(not factored, age, max_dv,
+                                             prev_max_dv)
         try:
             if fresh:
                 assemble(x, gmin)
@@ -1069,7 +1098,7 @@ def modified_newton(solver, x0: np.ndarray, time: float,
             x = x + delta
             if max_dv < vtol:
                 stats.solves += 1
-                if prev_voltages is not None:
+                if not dc_point:
                     solver._carried = (gmin, age)
                 return x
     raise ConvergenceError(
@@ -1086,9 +1115,14 @@ class FastNewtonSolver:
     :class:`MNAWorkspace`, with dense LAPACK getrf/getrs factors that
     carry from one converged timepoint to the next."""
 
+    #: The ``run_transient`` engine name of the solver.
+    engine = "fast"
+
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None):
         self.workspace = workspace
+        #: :func:`time.monotonic` instant past which a DC solve raises.
+        self.deadline: Optional[float] = None
         #: The last getrf factors ``(lu, piv)``.
         self._factors = None
         #: ``(gmin, age)`` of the factors the last converged solve left.
@@ -1098,7 +1132,9 @@ class FastNewtonSolver:
         self.stats = stats if stats is not None else SolverStats()
         #: Optional :class:`~repro.recovery.health.ConditionProbe`
         #: (duck-typed — this module never imports the recovery package);
-        #: probed on fresh factorisations, interval-gated by the probe.
+        #: probed on fresh factorisations of timepoints, interval-gated by
+        #: the probe.  A DC point is not probed: a node that only
+        #: capacitors tie to the circuit rests on gmin there.
         self.condition_probe = None
 
     def _assemble(self, x: np.ndarray, gmin: float) -> None:
@@ -1113,7 +1149,8 @@ class FastNewtonSolver:
             raise np.linalg.LinAlgError(
                 f"LU factorisation failed (getrf info={info})")
         self._factors = (lu, piv)
-        if self.condition_probe is not None:
+        if (self.condition_probe is not None
+                and not self.workspace._capacitors_open):
             matrix = self.workspace.matrix
             self.condition_probe.after_factorization(
                 lambda b: _getrs(lu, piv, b)[0],

@@ -34,13 +34,13 @@ across samples.  This module advances **all N samples together**:
   freezing and failure are per-sample masks; assembly and residuals are
   batched over the sample axis.
 * :func:`run_ensemble_transient` steps the stack on the fixed grid of
-  :func:`~repro.spice.analysis.transient.run_transient`, from its t = 0
-  solution, records it sample-major and returns one ordinary
-  :class:`~repro.spice.analysis.transient.TransientResult` per sample,
-  whose waveforms are views of that sample's rows.  Each step's Newton
-  solve starts at the fixed-step control's prediction through the last
-  accepted solutions, computed elementwise on the stack, so a sample
-  starts where its scalar run starts.
+  :func:`~repro.spice.analysis.transient.run_transient`, from each
+  sample's t = 0 solution, records it sample-major and returns one
+  ordinary :class:`~repro.spice.analysis.transient.TransientResult` per
+  sample, whose waveforms are views of that sample's rows.  Each step's
+  Newton solve starts at the fixed-step control's prediction through
+  the last accepted solutions, computed elementwise on the stack, so a
+  sample starts where its scalar run starts.
 
 Failures take the scalar path.  A sample whose step fails leaves the
 batch at that step (the batch does not retry a failed prediction from
@@ -105,6 +105,8 @@ from repro.spice.analysis.dc import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_VTOL,
     FLOOR_GMIN,
+    _node_vector,
+    solve_dc,
 )
 from repro.spice.netlist import Circuit
 
@@ -642,6 +644,21 @@ class EnsembleNewtonSolver:
         return x
 
 
+def _initial_solution(circuit: Circuit, initial_voltages, dc_seed,
+                      max_iterations: int, vtol: float,
+                      damping: float) -> np.ndarray:
+    """The t = 0 solution of a sample: the listed node voltages (every
+    other unknown at 0), else the DC point :func:`solve_dc` finds from
+    ``dc_seed``, which has the bits of the point the sample's scalar run
+    finds on its own solver."""
+    if initial_voltages is not None:
+        return _node_vector(circuit, initial_voltages)
+    dc = solve_dc(circuit, time=0.0, initial_guess=dc_seed,
+                  max_iterations=max_iterations, vtol=vtol,
+                  damping=damping, lint="off")  # already pre-flighted
+    return np.concatenate([dc.voltages, dc.branch_currents])
+
+
 def run_ensemble_transient(
     circuits: Sequence[Circuit],
     stop_time: float,
@@ -674,7 +691,6 @@ def run_ensemble_transient(
         TransientResult,
         _check_run_args,
         _FixedSteps,
-        _initial_solution,
         run_transient,
     )
 

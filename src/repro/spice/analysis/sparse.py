@@ -35,7 +35,8 @@ macros expensive.  This module adds the sparse tier on top of the same
   ``G·x`` on a CSC copy of it.  The same solver finds a DC-started
   run's t = 0 operating point: a solve with no previous solution runs
   with the capacitors open, on the run's workspace, pattern and
-  recorded column order, and hands no factors to the first timestep.
+  recorded column order, refactorising on every iteration, and hands no
+  factors to the first timestep.
 * :class:`LTEStepControl` — local-truncation-error timestep control for
   ``engine="sparse"`` transients, one of the two step controls of
   :func:`~repro.spice.analysis.transient.run_transient`'s timestep loop.
@@ -388,11 +389,16 @@ class SparseNewtonSolver:
     the CSC static matrix.
     """
 
+    #: The ``run_transient`` engine name of the solver.
+    engine = "sparse"
+
     def __init__(self, workspace: MNAWorkspace,
                  stats: Optional[SolverStats] = None,
                  pattern: Optional[SparsePattern] = None):
         self.workspace = workspace
         self.stats = stats if stats is not None else SolverStats()
+        #: :func:`time.monotonic` instant past which a DC solve raises.
+        self.deadline: Optional[float] = None
         self.pattern = pattern if pattern is not None else get_pattern(
             workspace.circuit, workspace)
         self._csc = csc_matrix(
@@ -456,7 +462,8 @@ class SparseNewtonSolver:
             self._factors, solve_t = self.pattern.factorize(self._csc)
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise np.linalg.LinAlgError(str(exc)) from exc
-        if self.condition_probe is not None:
+        if (self.condition_probe is not None
+                and not self.workspace._capacitors_open):
             csc = self._csc
             self.condition_probe.after_factorization(
                 self._factors, solve_t, lambda: _csc_norm1(csc),
@@ -477,21 +484,16 @@ class SparseNewtonSolver:
         if prev_voltages is not None:
             return modified_newton(self, x0, time, prev_voltages, gmin,
                                    max_iterations, vtol, damping)
-        # No previous solution: the t = 0 operating point, with the
-        # capacitors open in the CSC static tier as in the workspace's
-        # (MNAWorkspace.begin_step).  The condition probe watches the
-        # timesteps' matrices, not this one: a node that only capacitors
-        # tie to the circuit rests on gmin here.
-        transient = (self._static_data, self._static_csc,
-                     self.condition_probe)
+        # No previous solution: a DC point, with the capacitors open in
+        # the CSC static tier as in the workspace's
+        # (MNAWorkspace.begin_step).
+        transient = self._static_data, self._static_csc
         self._static_data, self._static_csc = self._open_static()
-        self.condition_probe = None
         try:
             return modified_newton(self, x0, time, None, gmin,
                                    max_iterations, vtol, damping)
         finally:
-            (self._static_data, self._static_csc,
-             self.condition_probe) = transient
+            self._static_data, self._static_csc = transient
 
     def _open_static(self) -> Tuple[np.ndarray, csc_matrix]:
         """The CSC static tier with the capacitors open: the workspace's

@@ -28,11 +28,11 @@ circuits).
 
 The initial condition is the DC operating point at ``t = 0`` unless
 explicit node voltages are given (``initial_voltages``), which is how
-power-gated starts (everything at 0 V) are modelled.  A sparse run solves
-that point on its own workspace and solver, with the capacitors open at
-the floor gmin; :func:`~repro.spice.analysis.dc.solve_dc` (gmin
-homotopy, source stepping) takes over when that attempt fails or the
-deadline has passed, and is what a fast run uses.
+power-gated starts (everything at 0 V) are modelled.  A run solves that
+point on its own workspace and solver, with the capacitors open, as
+:func:`~repro.spice.analysis.dc.solve_dc` does: plain Newton at the
+floor gmin, then the recovery ladder's gmin homotopy and source
+stepping, with the run's deadline checked on every iteration.
 
 Engine selection: ``engine="fast"`` (the default) runs the cached-assembly
 modified-Newton engine of :mod:`repro.spice.analysis.engine`;
@@ -67,7 +67,8 @@ from repro.spice.analysis.dc import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_VTOL,
     FLOOR_GMIN,
-    solve_dc,
+    _dc_point,
+    _node_vector,
 )
 from repro.spice.analysis.engine import PREDICTOR_ORDER, SolverStats
 from repro.spice.netlist import Circuit
@@ -245,73 +246,6 @@ def _check_run_args(stop_time: float, dt: float, integrator: str) -> None:
         raise AnalysisError(f"unknown integrator {integrator!r}")
 
 
-def _node_vector(circuit: Circuit, voltages) -> np.ndarray:
-    """A solution vector of a finalised circuit with the listed node
-    voltages and every other unknown at 0."""
-    x = np.zeros(circuit.num_nodes + circuit.num_branches)
-    for node_name, value in (voltages or {}).items():
-        index = circuit.node(node_name)
-        if index >= 0:
-            x[index] = value
-    return x
-
-
-def _past(deadline) -> bool:
-    """Whether a :func:`time.monotonic` deadline (``None``: none) has
-    passed."""
-    return deadline is not None and _time.monotonic() > deadline
-
-
-def _operating_point(solver, x0: np.ndarray, max_iterations: int,
-                     vtol: float, damping: float,
-                     deadline) -> Optional[np.ndarray]:
-    """The DC point from a run's own solver, capacitors open at the floor
-    gmin, or ``None`` when it does not converge or the deadline passes."""
-    if _past(deadline):
-        return None
-    circuit = solver.workspace.circuit
-    with _obs_span("analysis.dc", category="analysis",
-                   attrs={"circuit": circuit.name}) as sp:
-        try:
-            x = solver.solve(x0, 0.0, None, FLOOR_GMIN, max_iterations,
-                             vtol, damping)
-        except ConvergenceError:
-            return None
-        if _past(deadline):
-            return None
-        if _obs_active():
-            # The work is the run's: its record flushes it with the rest.
-            sp.annotate(**solver.stats.as_attrs())
-            _obs_metrics().inc("engine.dc_solves", 1)
-    return x
-
-
-def _initial_solution(circuit: Circuit, initial_voltages, dc_seed,
-                      max_iterations: int, vtol: float, damping: float,
-                      recovery: bool = True, deadline=None,
-                      solver=None) -> np.ndarray:
-    """The t = 0 solution of a finalised circuit: the listed node voltages
-    (every other unknown at 0), else the DC point seeded with ``dc_seed``.
-
-    ``solver``, a sparse run's own Newton solver, solves the DC point
-    first; :func:`solve_dc` takes over only when that attempt fails or
-    the deadline has passed."""
-    if initial_voltages is not None:
-        return _node_vector(circuit, initial_voltages)
-    if solver is not None:
-        x = _operating_point(solver, _node_vector(circuit, dc_seed),
-                             max_iterations, vtol, damping, deadline)
-        if x is not None:
-            return x
-    remaining = (None if deadline is None
-                 else max(deadline - _time.monotonic(), 1e-3))
-    dc = solve_dc(circuit, time=0.0, initial_guess=dc_seed,
-                  max_iterations=max_iterations, vtol=vtol,
-                  damping=damping, lint="off",  # already pre-flighted
-                  timeout=remaining, recovery=recovery)
-    return np.concatenate([dc.voltages, dc.branch_currents])
-
-
 def run_transient(
     circuit: Circuit,
     stop_time: float,
@@ -422,11 +356,15 @@ def run_transient(
             stepper = TransientStepper(
                 circuit, engine, dt, integrator, max_iterations, vtol,
                 damping, stats, FLOOR_GMIN, recovery=recovery)
-        # A sparse run solves its t = 0 point on its own workspace.
-        x = _initial_solution(
-            circuit, initial_voltages, dc_seed, max_iterations, vtol,
-            damping, recovery, deadline,
-            solver=stepper.solver if engine == "sparse" else None)
+        if initial_voltages is not None:
+            x = _node_vector(circuit, initial_voltages)
+        else:
+            # The DC point, on the run's own solver with the capacitors
+            # open: its work is the run's, flushed with the rest.
+            solver = stepper.solver
+            solver.deadline = deadline
+            x = _dc_point(solver, _node_vector(circuit, dc_seed), 0.0,
+                          max_iterations, vtol, damping, recovery)
 
         if adaptive:
             from repro.spice.analysis.sparse import LTEStepControl
@@ -444,7 +382,7 @@ def run_transient(
             prev_nodes = x[:num_nodes].copy()
             t = 0.0
             while not control.done():
-                if _past(deadline):
+                if deadline is not None and _time.monotonic() > deadline:
                     raise ConvergenceError(
                         f"transient of {circuit.name!r} exceeded its "
                         f"{timeout:g} s wall-clock timeout at t={t:g} s "

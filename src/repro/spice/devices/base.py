@@ -43,10 +43,6 @@ class EvalContext:
     gmin: float = 0.0
     #: 'be' (backward Euler) or 'trap' (trapezoidal) for capacitor companions.
     integrator: str = "be"
-    #: Source-stepping homotopy scale: independent sources stamp this
-    #: fraction of their value (1.0 everywhere except inside the DC
-    #: recovery ladder's source-stepping stages).
-    source_scale: float = 1.0
 
     def v(self, node: int) -> float:
         """Voltage of a node index (ground reads as 0 V)."""

@@ -43,10 +43,8 @@ class VoltageSource(TwoTerminal):
         )
 
     def stamp_step(self, stamper: "MNAStamper", ctx: EvalContext) -> None:
-        # ctx.source_scale is 1.0 outside source-stepping homotopy; the
-        # multiply is bit-exact there.
         stamper.rhs[stamper.branch_row(self.branch_index)] += (
-            self.voltage_at(ctx.time) * ctx.source_scale)
+            self.voltage_at(ctx.time))
 
     def stamp(self, stamper: "MNAStamper", ctx: EvalContext) -> None:
         self.stamp_static(stamper, ctx)
@@ -70,7 +68,7 @@ class CurrentSource(TwoTerminal):
         return self.waveform.value(time)
 
     def stamp_step(self, stamper: "MNAStamper", ctx: EvalContext) -> None:
-        value = self.current_at(ctx.time) * ctx.source_scale
+        value = self.current_at(ctx.time)
         stamper.add_current(self.positive, value)
         stamper.add_current(self.negative, -value)
 

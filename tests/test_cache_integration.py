@@ -46,12 +46,18 @@ def active_cache(tmp_path):
 
 
 def _run(circuit=None, **overrides):
-    # No ``initial_voltages`` → the transient performs (and caches) its
-    # internal t=0 DC solve as a second entry.
+    # No ``initial_voltages`` → the transient solves its t = 0 DC point
+    # on its own solver; the point is part of its one cache entry.
     options = dict(stop_time=5e-11, dt=1e-12, lint="off")
     options.update(overrides)
     return run_transient(circuit if circuit is not None else _rc_circuit(),
                          **options)
+
+
+def _store_transient_and_dc():
+    """One transient entry and one DC entry of the RC circuit."""
+    _run()
+    solve_dc(_rc_circuit(), lint="off")
 
 
 class TestColdWarmTransient:
@@ -62,9 +68,9 @@ class TestColdWarmTransient:
         warm = _run()
         after = _counters()
 
-        # Cold: one transient miss+store plus its internal DC solve.
-        assert _delta(before, mid) == {"cache.miss": 2, "cache.store": 2}
-        # Warm: the transient hit short-circuits before the DC solve.
+        # Cold: one transient miss+store, its t = 0 point included.
+        assert _delta(before, mid) == {"cache.miss": 1, "cache.store": 1}
+        # Warm: the transient hit short-circuits the whole run.
         assert _delta(mid, after) == {"cache.hit": 1}
 
         for attr in ("times", "node_voltages", "branch_currents"):
@@ -97,16 +103,16 @@ class TestInvalidation:
         _run(_rc_circuit(resistance=1e3))
         before = _counters()
         _run(_rc_circuit(resistance=2e3))
-        assert _delta(before, _counters())["cache.miss"] == 2
+        assert _delta(before, _counters())["cache.miss"] == 1
 
     def test_engine_option_change_misses(self, active_cache):
         _run(engine="fast")
         before = _counters()
         _run(engine="sparse")
         delta = _delta(before, _counters())
-        # The transient (engine in its key) misses and re-stores; the
-        # sparse run solves its t = 0 point on its own solver, so it
-        # looks up no DC entry.
+        # The transient (engine in its key) misses and re-stores; a run
+        # solves its t = 0 point on its own solver, so it looks up no DC
+        # entry.
         assert delta["cache.miss"] == 1
         assert delta["cache.store"] == 1
         assert "cache.hit" not in delta
@@ -117,7 +123,7 @@ class TestInvalidation:
         _run(dt=2e-12)
         delta = _delta(before, _counters())
         assert delta["cache.miss"] == 1, "the transient must miss on dt"
-        assert delta["cache.hit"] == 1, "the dt-independent DC solve hits"
+        assert "cache.hit" not in delta  # the t = 0 point is the run's
 
     def test_adaptive_toggle_misses(self, active_cache):
         # A fixed-step sparse entry must never replay as an adaptive
@@ -127,7 +133,7 @@ class TestInvalidation:
         _run(engine="sparse", adaptive=True)
         delta = _delta(before, _counters())
         assert delta["cache.miss"] == 1
-        assert "cache.hit" not in delta  # no DC lookup on the sparse engine
+        assert "cache.hit" not in delta  # a run looks up no DC entry
 
 
 class TestSparseWarmHits:
@@ -165,8 +171,8 @@ class TestCorruptionTolerance:
         before = _counters()
         recomputed = _run()
         delta = _delta(before, _counters())
-        assert delta["cache.miss"] == 2, "corrupt entries must read as misses"
-        assert delta["cache.store"] == 2, "the store must heal itself"
+        assert delta["cache.miss"] == 1, "corrupt entries must read as misses"
+        assert delta["cache.store"] == 1, "the store must heal itself"
         assert (np.asarray(recomputed.node_voltages).tobytes()
                 == np.asarray(cold.node_voltages).tobytes())
         before = _counters()
@@ -270,7 +276,7 @@ class TestVerifyEntry:
     def test_stored_entries_replay_bit_exactly(self, active_cache):
         from repro.cache.analysis import verify_entry
 
-        _run()
+        _store_transient_and_dc()
         verdicts = [verify_entry(entry) for entry in active_cache.entries()]
         assert {v["kind"] for v in verdicts} == {"transient", "dc"}
         assert all(v["ok"] for v in verdicts), verdicts
@@ -299,7 +305,7 @@ class TestVerifyEntry:
         from repro.cache.analysis import verify_entry
         from repro.cli import main
 
-        _run()
+        _store_transient_and_dc()
         for entry in active_cache.entries():
             if entry.kind == "transient":
                 entry.request["engine"] = "naive"
@@ -323,7 +329,7 @@ class TestVerifyEntry:
         from repro.cache.analysis import verify_entry
         from repro.cli import main
 
-        _run()
+        _store_transient_and_dc()
         for entry in active_cache.entries():
             devices = entry.request["circuit"]["devices"]
             if entry.kind == "transient":

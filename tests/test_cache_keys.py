@@ -238,6 +238,31 @@ class TestSolverConfig:
                             lambda: _without_predictor(fingerprint()))
         assert _transient_key(_rc_circuit()) != before
 
+    def test_dc_marker_changes_the_dc_and_dc_seeded_keys(self,
+                                                          monkeypatch):
+        # A DC point solves on the engine's workspace and Newton loop;
+        # without the revision marker the solver configuration is the
+        # one of the revision before, whose DC points re-stamped every
+        # device.  Its DC entries and its DC-started transients retire.
+        from repro.spice.analysis import engine
+
+        fingerprint = engine.engine_config_fingerprint
+        assert fingerprint()["dc_on_engine_workspace"] is True
+
+        def keys():
+            return (_dc_key(_rc_circuit()),
+                    _transient_key(_rc_circuit(), initial_voltages=None,
+                                   dc_seed={"out": 0.1}))
+
+        now = keys()
+        monkeypatch.setattr(
+            engine, "engine_config_fingerprint",
+            lambda: {key: value for key, value in fingerprint().items()
+                     if key != "dc_on_engine_workspace"})
+        before = keys()
+        assert now[0] != before[0]
+        assert now[1] != before[1]
+
     def test_an_entry_from_before_the_predictor_misses(self, monkeypatch,
                                                        tmp_path):
         """A transient stored by the previous revision (cache format 4,

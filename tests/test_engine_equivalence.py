@@ -8,30 +8,39 @@ transients match the :func:`naive_transient` oracle's waveforms to
 ≤ 1 µV.  The circuits below are randomised (seeded) RC ladders, MOSFET
 chains/latches, and MTJ read structures so the contract is checked well
 beyond the shapes the characterisation code happens to build.
+
+The oracles live here, apart from the code they check: :func:`_newton`
+is the full-restamp damped Newton, :func:`naive_dc` the DC point it
+finds (plain, then the decade gmin schedule), which ``solve_dc`` must
+match on Table II's leakage circuits, and :func:`naive_transient` the
+reference transient.
 """
 
 import numpy as np
 import pytest
 
+from repro.cells.characterize import leakage_power
+from repro.cells.nvlatch_1bit import build_standard_latch
+from repro.cells.nvlatch_2bit import build_proposed_latch
+from repro.errors import ConvergenceError
+from repro.nv.base import get_backend
+from repro.recovery.policy import DC_GMIN_REDUCTION, DC_GMIN_START
 from repro.spice import Circuit, Pulse
 from repro.spice.analysis.dc import (
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_VTOL,
     FLOOR_GMIN,
-    _newton,
+    solve_dc,
 )
+from repro.spice.corners import CORNERS
 from repro.spice.analysis.engine import (
     MNAWorkspace,
     VECTORIZE_MOSFET_THRESHOLD,
 )
 from repro.spice.analysis.ensemble import EnsembleWorkspace
 from repro.spice.analysis.mna import MNAStamper
-from repro.spice.analysis.transient import (
-    TransientResult,
-    _initial_solution,
-    run_transient,
-)
+from repro.spice.analysis.transient import TransientResult, run_transient
 from repro.spice.devices.base import EvalContext
 from repro.mtj.device import MTJState
 
@@ -122,27 +131,94 @@ def naive_assembly(circuit, x, time, prev_voltages, dt, integrator, gmin):
     return stamper.matrix, stamper.rhs
 
 
+def _start_vector(circuit, voltages):
+    """A solution vector with the listed node voltages and every other
+    unknown at 0."""
+    x = np.zeros(circuit.num_nodes + circuit.num_branches)
+    for name, value in (voltages or {}).items():
+        if circuit.node(name) >= 0:
+            x[circuit.node(name)] = value
+    return x
+
+
+def _newton(circuit, x0, time, gmin, max_iterations=DEFAULT_MAX_ITERATIONS,
+            vtol=DEFAULT_VTOL, damping=DEFAULT_DAMPING, prev_voltages=None,
+            dt=None, integrator="be"):
+    """The full-restamp damped Newton solve the oracles share; returns
+    ``(x, iterations)`` or raises :class:`ConvergenceError`.
+
+    Every iteration re-stamps every device into a fresh
+    :class:`MNAStamper` and solves the assembled system directly, with
+    the update clamped to ``damping`` volts.  ``prev_voltages``/``dt``/
+    ``integrator`` make it a transient timepoint solve with capacitor
+    companions; without them it is a DC solve, capacitors open."""
+    num_nodes = circuit.num_nodes
+    x = x0.copy()
+    for iteration in range(1, max_iterations + 1):
+        matrix, rhs = naive_assembly(circuit, x, time, prev_voltages, dt,
+                                     integrator, gmin)
+        try:
+            x_new = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular MNA matrix at gmin={gmin:g}",
+                                   iterations=iteration) from exc
+        delta = x_new - x
+        max_dv = float(np.max(np.abs(delta[:num_nodes]))) if num_nodes else 0.0
+        if max_dv > damping:
+            # Damp the whole update uniformly to keep the Newton direction.
+            x = x + delta * (damping / max_dv)
+        else:
+            x = x_new
+            if max_dv < vtol:
+                return x, iteration
+    raise ConvergenceError(
+        f"Newton failed to converge in {max_iterations} iterations "
+        f"(gmin={gmin:g}, last max dV={max_dv:g})",
+        iterations=max_iterations, residual=max_dv, state=x.copy())
+
+
+def naive_dc(circuit, initial_guess=None):
+    """The reference DC point: plain full-restamp Newton at the floor
+    gmin from ``initial_guess`` (every other unknown at 0), then, when
+    that fails, the decade gmin homotopy of :mod:`repro.recovery.policy`
+    (warm-started stages from ``DC_GMIN_START`` down to the floor).
+    Returns ``(x, iterations)``, the iterations of every attempt
+    counted; a failed stage raises."""
+    circuit.finalize()
+    x0 = _start_vector(circuit, initial_guess)
+    try:
+        return _newton(circuit, x0, 0.0, FLOOR_GMIN)
+    except ConvergenceError as exc:
+        spent = exc.iterations
+    x, gmin = x0, DC_GMIN_START
+    while gmin >= FLOOR_GMIN:
+        x, iterations = _newton(circuit, x, 0.0, gmin)
+        spent += iterations
+        gmin /= DC_GMIN_REDUCTION
+    return x, spent
+
+
 def naive_transient(circuit, stop_time, dt, integrator="be",
                     initial_voltages=None):
     """The reference transient every engine is checked against: from the
-    t = 0 DC point (or the listed ``initial_voltages``, every other
-    unknown at 0), each fixed step ``k·dt`` solves a damped Newton from
-    the last solution that re-stamps every device on every iteration
-    (``dc._newton``, at the floor gmin), then advances every device's
-    state.  No Jacobian reuse, no prediction, no recovery ladder: a step
-    that fails raises."""
+    t = 0 point of :func:`naive_dc` (or the listed ``initial_voltages``,
+    every other unknown at 0), each fixed step ``k·dt`` solves a damped
+    Newton from the last solution that re-stamps every device on every
+    iteration (:func:`_newton`, at the floor gmin), then advances every
+    device's state.  No Jacobian reuse, no prediction, no recovery
+    ladder: a step that fails raises."""
     circuit.finalize()
     circuit.reset_state()
-    x = _initial_solution(circuit, initial_voltages, None,
-                          DEFAULT_MAX_ITERATIONS, DEFAULT_VTOL,
-                          DEFAULT_DAMPING)
+    if initial_voltages is None:
+        x, _ = naive_dc(circuit)
+    else:
+        x = _start_vector(circuit, initial_voltages)
     num_nodes = circuit.num_nodes
     steps = int(round(stop_time / dt))
     solutions = [x]
     for k in range(1, steps + 1):
         time, prev = k * dt, x[:num_nodes].copy()
-        x, _ = _newton(circuit, x, time, FLOOR_GMIN, DEFAULT_MAX_ITERATIONS,
-                       DEFAULT_VTOL, DEFAULT_DAMPING, prev_voltages=prev,
+        x, _ = _newton(circuit, x, time, FLOOR_GMIN, prev_voltages=prev,
                        dt=dt, integrator=integrator)
         ctx = EvalContext(voltages=x[:num_nodes], prev_voltages=prev,
                           time=time, dt=dt, integrator=integrator)
@@ -244,6 +320,47 @@ def test_workspace_assembly_matches_naive_dc():
     matrix, rhs = naive_assembly(circuit, x, 0.0, None, None, "be", 1e-12)
     assert np.max(np.abs(workspace.matrix - matrix)) <= ASSEMBLY_TOL
     assert np.max(np.abs(workspace.rhs - rhs)) <= ASSEMBLY_TOL
+
+
+# ---------------------------------------------------------------------------
+# DC equivalence: solve_dc vs the naive_dc oracle on Table II's leakage
+# ---------------------------------------------------------------------------
+
+#: Bound on the node-voltage difference of solve_dc and the oracle [V]
+#: (the Newton tolerance) and on the relative difference of their
+#: leakage power.
+DC_TOL = 1e-7
+LEAKAGE_REL_TOL = 1e-6
+
+
+def leakage_latch(design, backend):
+    """A latch of the typical-corner Table II leakage solve and its DC
+    seed, as :func:`~repro.cells.characterize.leakage_power` builds
+    them."""
+    nv = get_backend(backend)
+    if design == "standard":
+        latch = build_standard_latch(None, CORNERS["typical"], backend=nv)
+        return latch, {"vdd": 1.1, latch.out: 1.1, latch.outb: 1.1}
+    latch = build_proposed_latch(None, CORNERS["typical"], backend=nv)
+    return latch, {"vdd": 1.1}
+
+
+@pytest.mark.parametrize("backend", ["mtj", "nandspin"])
+@pytest.mark.parametrize("design", ["standard", "proposed"])
+def test_dc_matches_naive_on_table2_leakage(design, backend):
+    latch, seed = leakage_latch(design, backend)
+    dc = solve_dc(latch.circuit, initial_guess=seed)
+    leakage = dc.supply_power(latch.vdd_source)
+    assert leakage == leakage_power(design, backend=backend)
+
+    oracle, seed = leakage_latch(design, backend)
+    x, _ = naive_dc(oracle.circuit, seed)
+    num_nodes = oracle.circuit.num_nodes
+    assert np.max(np.abs(dc.voltages - x[:num_nodes])) <= DC_TOL
+    source = oracle.circuit.device(oracle.vdd_source)
+    naive_leakage = -source.voltage_at(0.0) * x[num_nodes
+                                                + source.branch_index]
+    assert abs(leakage - naive_leakage) <= LEAKAGE_REL_TOL * abs(naive_leakage)
 
 
 # ---------------------------------------------------------------------------

@@ -117,39 +117,44 @@ def test_solver_stats_attached_even_when_disabled():
 def test_dc_iterations_match_registry(monkeypatch):
     from repro.cells.nvlatch_1bit import build_standard_latch
     from repro.spice.analysis import dc as dc_module
+    from repro.spice.analysis.engine import FastNewtonSolver
 
-    spent = []  # iterations of every Newton attempt, failed ones included
-    newton = dc_module._newton
+    records = []  # the solver record of every DC solve
 
-    def counted(*args, **kwargs):
-        try:
-            x, iterations = newton(*args, **kwargs)
-        except ConvergenceError as exc:
-            spent.append(exc.iterations)
-            raise
-        spent.append(iterations)
-        return x, iterations
+    class Recorded(FastNewtonSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            records.append(self.stats)
 
-    monkeypatch.setattr(dc_module, "_newton", counted)
+    monkeypatch.setattr(dc_module, "FastNewtonSolver", Recorded)
     enable_tracing()
     dc = solve_dc(_rc_circuit())
-    assert spent == [dc.iterations]
+    [record] = records
+    assert record.iterations == dc.iterations
+    # A DC point refactorises on every iteration.
+    assert record.factorizations == dc.iterations
     assert metrics().counter("engine.newton_iterations") == dc.iterations
+    assert (metrics().counter("engine.jacobian_factorizations")
+            == dc.iterations)
     assert metrics().counter("engine.dc_solves") == 1
 
     # The idle standard latch (Table II's leakage solve) fails plain
-    # Newton, then converges on the gmin ladder: the failed attempt's
-    # iterations count too.
+    # Newton, then converges on the gmin ladder of the same solver: the
+    # failed attempt's iterations count too.
     latch = build_standard_latch(vdd=1.1)
-    spent.clear()
     recovered = solve_dc(latch.circuit, initial_guess={
         "vdd": 1.1, latch.out: 1.1, latch.outb: 1.1})
-    assert spent[0] == dc_module.DEFAULT_MAX_ITERATIONS
-    assert recovered.iterations == sum(spent)
+    record = records[-1]
+    assert len(records) == 2
+    assert record.iterations == recovered.iterations
+    assert recovered.iterations > dc_module.DEFAULT_MAX_ITERATIONS
+    assert record.factorizations == record.iterations
+    assert record.solves == record.dc_gmin_stages > 0
     assert (metrics().counter("engine.newton_iterations")
             == dc.iterations + recovered.iterations)
     assert metrics().counter("engine.dc_solves") == 2
-    assert metrics().counter("recovery.dc_gmin_stages") == len(spent) - 1
+    assert (metrics().counter("recovery.dc_gmin_stages")
+            == record.dc_gmin_stages)
 
 
 def test_registry_holds_counts_and_tracing_leaves_the_record_alone():

@@ -27,7 +27,12 @@ from repro.recovery.health import (CONDITION_CAP, ConditionProbe,
 from repro.recovery.ladder import dc_recover
 from repro.recovery.policy import CONDITION_WARN, RUNGS
 from repro.recovery.shrink import greedy_shrink
-from repro.spice.analysis.engine import METRIC_NAMES, SolverStats
+from repro.spice.analysis.engine import (
+    METRIC_NAMES,
+    FastNewtonSolver,
+    MNAWorkspace,
+    SolverStats,
+)
 from repro.spice.analysis.transient import ENGINES, run_transient
 from repro.spice.netlist import Circuit
 from tests.recovery_corpus import corpus_entries, corpus_entry
@@ -510,15 +515,16 @@ class TestRecoveredRunsAndTheCache:
 
     def test_recovered_entries_replay_from_their_request_records(
             self, active_cache):
-        # The razor-sense run climbs the gmin and timestep-cut rungs; its
-        # transient and DC entries must recompute bit for bit from
-        # nothing but their stored request records.
+        # The razor-sense run climbs the gmin rung; its transient entry,
+        # with the t = 0 point the run solved on its own solver, must
+        # recompute bit for bit from nothing but its stored request
+        # record.
         from repro.cache.analysis import verify_entry
 
         cold = corpus_entry("razor-sense").run(engine="fast")
         assert cold.stats.rung_counts.get("gmin", 0) > 0
         verdicts = [verify_entry(entry) for entry in active_cache.entries()]
-        assert {v["kind"] for v in verdicts} == {"transient", "dc"}
+        assert {v["kind"] for v in verdicts} == {"transient"}
         assert all(v["ok"] for v in verdicts), verdicts
 
 
@@ -536,20 +542,24 @@ class TestDCRecoveryReporting:
         c.add_resistor("r2", "b", "0", 1e3)
         return c
 
-    @staticmethod
-    def _stuck_newton(circuit, x, time, gmin, max_iterations, vtol,
-                      damping, **kwargs):
-        raise ConvergenceError("stuck at the same iterate",
-                               iterations=max_iterations, residual=0.125,
-                               state=np.zeros(2))
+    class _StuckSolver(FastNewtonSolver):
+        """A DC solver whose every solve spends its budget in place."""
+
+        def solve(self, x0, time, prev_voltages, gmin, max_iterations,
+                  vtol, damping):
+            self.stats.iterations += max_iterations
+            raise ConvergenceError("stuck at the same iterate",
+                                   iterations=max_iterations, residual=0.125,
+                                   state=np.zeros(2))
 
     def test_exhausted_dc_reports_stage_and_residual_trajectory(self):
         first = ConvergenceError("no convergence", iterations=50,
                                  residual=0.5, state=np.zeros(2))
+        solver = self._StuckSolver(MNAWorkspace(self._divider()))
         with pytest.raises(ConvergenceError) as excinfo:
-            dc_recover(self._divider(), self._stuck_newton, np.zeros(2),
-                       time=0.0, max_iterations=50, vtol=1e-6, damping=0.4,
-                       floor_gmin=1e-12, first_failure=first)
+            dc_recover(solver, np.zeros(2), time=0.0, max_iterations=50,
+                       vtol=1e-6, damping=0.4, floor_gmin=1e-12,
+                       first_failure=first)
         message = str(excinfo.value)
         # The failed homotopy stage and the full residual trajectory are
         # part of the message, not just "did not converge".
@@ -562,29 +572,68 @@ class TestDCRecoveryReporting:
         assert bundle is not None
         assert bundle.analysis == "dc"
         assert all(e["rung"] == "dc-homotopy" for e in bundle.rung_history)
+        # Every stage ran on the solver, with the sources back at full
+        # scale afterwards.
+        assert bundle.stats["iterations"] == 2 * 50
+        assert solver.workspace.source_scale == 1.0
 
     def test_gmin_homotopy_rescue_reports_its_stages(self):
-        attempts = []
+        class StrongGminSolver(FastNewtonSolver):
+            """Converges in three iterations at the strong-gmin stages
+            only."""
 
-        def newton(circuit, x, time, gmin, max_iterations, vtol, damping,
-                   **kwargs):
-            attempts.append(gmin)
-            if gmin < 1e-3:  # only the strong-gmin stages converge...
-                raise ConvergenceError("stalled", iterations=max_iterations,
-                                       residual=0.25, state=np.zeros(2))
-            return np.ones(2), 3
+            def solve(self, x0, time, prev_voltages, gmin, max_iterations,
+                      vtol, damping):
+                if gmin < 1e-3:
+                    self.stats.iterations += max_iterations
+                    raise ConvergenceError("stalled",
+                                           iterations=max_iterations,
+                                           residual=0.25, state=np.zeros(2))
+                self.stats.iterations += 3
+                return np.ones(2)
 
         first = ConvergenceError("no convergence", iterations=50,
                                  residual=0.5, state=np.zeros(2))
+        solver = StrongGminSolver(MNAWorkspace(self._divider()))
         with pytest.raises(ConvergenceError) as excinfo:
-            dc_recover(self._divider(), newton, np.zeros(2), time=0.0,
-                       max_iterations=50, vtol=1e-6, damping=0.4,
-                       floor_gmin=1e-12, first_failure=first,
+            dc_recover(solver, np.zeros(2), time=0.0, max_iterations=50,
+                       vtol=1e-6, damping=0.4, floor_gmin=1e-12,
+                       first_failure=first,
                        recovery=False)  # gmin homotopy only
         message = str(excinfo.value)
         assert "gmin stepping stalled at gmin=0.0001" in message
         assert "gmin 0.01: converged in 3 iterations" in message
         assert excinfo.value.forensics.stats["dc_gmin_stages"] == 2
+
+    def test_source_stepping_scales_the_workspace_sources(self):
+        points = []  # (source scale, divider midpoint) of every step
+
+        class NoGminSolver(FastNewtonSolver):
+            """Fails every gmin stage; floor-gmin solves run for real."""
+
+            def solve(self, x0, time, prev_voltages, gmin, *args):
+                if gmin > 1e-12:
+                    raise ConvergenceError("no gmin stage", iterations=1,
+                                           residual=1.0, state=x0)
+                x = super().solve(x0, time, prev_voltages, gmin, *args)
+                points.append((self.workspace.source_scale, x[1]))
+                return x
+
+        first = ConvergenceError("no convergence", iterations=50,
+                                 residual=0.5, state=np.zeros(3))
+        solver = NoGminSolver(MNAWorkspace(self._divider()))
+        x = dc_recover(solver, np.zeros(3), time=0.0, max_iterations=50,
+                       vtol=1e-9, damping=0.4, floor_gmin=1e-12,
+                       first_failure=first)
+        # Each step solves the divider at that fraction of its 1 V
+        # source, and the sources are back at full scale afterwards.
+        assert [scale for scale, _ in points] == [0.25, 0.5, 0.75, 1.0]
+        for scale, midpoint in points:
+            assert midpoint == pytest.approx(0.5 * scale, abs=1e-9)
+        assert solver.workspace.source_scale == 1.0
+        assert solver.stats.dc_source_steps == 4
+        assert solver.stats.rung_counts == {"dc-source-stepping": 4}
+        assert x[1] == pytest.approx(0.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
